@@ -24,6 +24,7 @@ from .geometry import Ball, Box, Cylinder, GradeSpec, Segment, build_grid
 from .measure import DiscreteMeasure, build_singular_solution, cantor_approximant
 from .model import (
     Problem,
+    argmax_point,
     build_problem,
     constant_coefficient,
     constant_kernel,
@@ -211,25 +212,6 @@ def _build(cfg: dict) -> Problem:
     return build_problem(domain, kernel, coeff, resolution, grading=grading)
 
 
-def _select_x0(problem: Problem, selector, tol_maxset: float):
-    """Resolve the scalar x0 selector against the detected argmax set."""
-    amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
-    comp = amax.components[0]
-    if comp.kind == "segment":
-        t = 0.5 if selector is None else float(selector)
-        if not 0.0 <= t <= 1.0:
-            raise ConfigurationError(f"x0 selector must lie in [0, 1], got {t}")
-        seg = comp.representative
-        point = tuple(s + t * (e - s) for s, e in zip(seg.start, seg.end))
-        return point, amax, comp
-    if selector is not None:
-        raise ConfigurationError(
-            "the x0 selector places an atom along a segment; this problem's "
-            "argmax set is a single point"
-        )
-    return tuple(comp.representative), amax, comp
-
-
 def _auto_alpha(problem: Problem, kernel_cfg: dict, a0: float) -> float:
     # constant kernels admit atom weight 1/rho - I with I the grid value of
     # the reciprocal-gap integral; that choice makes the density factor 1
@@ -238,6 +220,33 @@ def _auto_alpha(problem: Problem, kernel_cfg: dict, a0: float) -> float:
         i_h = float(np.sum(problem.grid.weights / (a0 - problem.a_at_nodes)))
         return 1.0 / rho - i_h
     return 1.0
+
+
+def _prescribe(problem: Problem, cfg: dict) -> tuple[list, float]:
+    """Atoms of the prescribed singular part, and the eigenvalue -sup a.
+
+    One atom at the resolved argmax point, or a Cantor approximant on a
+    segment argmax set; ``alpha`` sets or scales the weights in both cases.
+    """
+    opts = cfg["options"]
+    amax = detect_argmax_set(problem.coeff, problem.grid,
+                             cfg["tolerances"]["maxset"])
+    x0 = argmax_point(amax, problem.domain, opts["x0"])
+    alpha = opts["alpha"]
+    if opts["cantor_level"] is not None:
+        comp = amax.components[0]
+        if comp.kind != "segment":
+            raise ConfigurationError(
+                "a Cantor singular part needs a segment argmax set"
+            )
+        scale = 1.0 if alpha is None else float(alpha)
+        cantor = cantor_approximant(comp.representative, int(opts["cantor_level"]))
+        atoms = [(p, scale * w) for p, w in cantor.atoms]
+    else:
+        if alpha is None:
+            alpha = _auto_alpha(problem, cfg["problem"]["kernel"], amax.sup_value)
+        atoms = [(x0, float(alpha))]
+    return atoms, -amax.sup_value
 
 
 def _spectral_payload(report: RegimeReport, problem: Problem,
@@ -302,30 +311,11 @@ def _run_solve(cfg: dict, density_csv: str | None) -> dict:
                              tol_maxset=tol["maxset"],
                              confirm=bool(opts["confirm"]))
 
-    x0, amax, comp = _select_x0(problem, opts["x0"], tol["maxset"])
-    if opts["cantor_level"] is not None:
-        if comp.kind != "segment":
-            raise ConfigurationError(
-                "a Cantor singular part needs a segment argmax set"
-            )
-        mu0 = cantor_approximant(comp.representative, int(opts["cantor_level"]))
-        if opts["alpha"] is not None:
-            scale = float(opts["alpha"])
-            mu0 = DiscreteMeasure(atoms=tuple(
-                (p, scale * w) for p, w in mu0.atoms
-            ))
-        prescribed = mu0
-    else:
-        alpha = opts["alpha"]
-        if alpha is None:
-            alpha = _auto_alpha(problem, cfg["problem"]["kernel"], amax.sup_value)
-        prescribed = [(x0, float(alpha))]
-
-    mu = build_singular_solution(problem, prescribed,
+    atoms, lam = _prescribe(problem, cfg)
+    mu = build_singular_solution(problem, atoms,
                                  tol_linear=tol["linear"],
                                  tol_guard=tol["guard"],
                                  tol_maxset=tol["maxset"])
-    lam = -amax.sup_value
     pw = pointwise_residual(problem, mu, lam)
     wk = weak_residual(problem, mu, lam)
 
@@ -372,25 +362,12 @@ def _run_convergence(cfg: dict) -> str:
     solution = None
     if opts["quantity"] == "residual":
         def solution(prob: Problem):
-            x0, amax, comp = _select_x0(prob, opts["x0"], tol["maxset"])
-            if opts["cantor_level"] is not None:
-                if comp.kind != "segment":
-                    raise ConfigurationError(
-                        "a Cantor singular part needs a segment argmax set"
-                    )
-                prescribed = cantor_approximant(comp.representative,
-                                                int(opts["cantor_level"]))
-            else:
-                alpha = opts["alpha"]
-                if alpha is None:
-                    alpha = _auto_alpha(prob, cfg["problem"]["kernel"],
-                                        amax.sup_value)
-                prescribed = [(x0, float(alpha))]
-            mu = build_singular_solution(prob, prescribed,
+            atoms, lam = _prescribe(prob, cfg)
+            mu = build_singular_solution(prob, atoms,
                                          tol_linear=tol["linear"],
                                          tol_guard=tol["guard"],
                                          tol_maxset=tol["maxset"])
-            return mu, -amax.sup_value
+            return mu, lam
 
     rows = refinement_study(factory, int(opts["levels"]), opts["quantity"],
                             solution=solution,

@@ -93,6 +93,8 @@ class Cylinder:
     height: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius) and math.isfinite(self.height)):
+            raise H1Violation("cylinder radius and height must be finite")
         if self.radius <= 0 or self.height <= 0:
             raise H1Violation("cylinder radius and height must be positive")
 
@@ -124,6 +126,8 @@ class Segment:
     def __post_init__(self):
         if len(self.start) != len(self.end):
             raise ConfigurationError("segment endpoints must share a dimension")
+        if not all(math.isfinite(v) for v in (*self.start, *self.end)):
+            raise ConfigurationError("segment endpoints must be finite")
 
 
 Target = tuple[float, ...] | Segment

@@ -155,9 +155,14 @@ class FredholmSolution:
     solver_residual: float
 
 
+def _atom_arrays(atoms: tuple[Atom, ...]) -> tuple[np.ndarray, np.ndarray]:
+    pts = np.asarray([p for p, _ in atoms], dtype=float)
+    wts = np.asarray([w for _, w in atoms], dtype=float)
+    return pts, wts
+
+
 def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    pts0 = np.asarray([p for p, _ in atoms], dtype=float)
-    wts0 = np.asarray([w for _, w in atoms], dtype=float)
+    pts0, wts0 = _atom_arrays(atoms)
 
     def rhs(points: np.ndarray) -> np.ndarray:
         block = np.asarray(problem.kernel.evaluate(
@@ -167,9 +172,14 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
     return rhs
 
 
-def _solve_linear(problem: Problem, a0: float, rhs_values: np.ndarray,
-                  tol_linear: float, tol_guard: float) -> FredholmSolution:
-    kt = assemble_ktilde(problem, _any_argmax_point(problem, a0), a0=a0)
+def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
+                  tol_guard: float, tol_maxset: float
+                  ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
+    """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g."""
+    a0 = _check_support(problem, atoms, tol_maxset)
+    rhs_fn = _atom_rhs(problem, atoms)
+    rhs_values = rhs_fn(problem.grid.nodes)
+    kt = assemble_ktilde(problem, atoms[0][0], a0=a0)
     lam1 = perron(kt, value_tol=min(tol_guard / 10.0, 1e-6)).value
     if lam1 > 1.0 + tol_guard:
         raise ConfigurationError(
@@ -181,7 +191,10 @@ def _solve_linear(problem: Problem, a0: float, rhs_values: np.ndarray,
             f"normalized operator radius {lam1:.6f} is within {tol_guard} of "
             "one; the resolvent is too close to singular"
         )
-    system = np.eye(kt.grid.size) - kt.entries
+    # I - Kt in one array; Kt is released before lu_factor copies the system
+    system = np.negative(kt.entries)
+    del kt
+    system[np.diag_indices(system.shape[0])] += 1.0
     lu, piv = lu_factor(system)
     g = lu_solve((lu, piv), rhs_values)
     # one step of iterative refinement
@@ -193,18 +206,16 @@ def _solve_linear(problem: Problem, a0: float, rhs_values: np.ndarray,
             f"linear solve residual {resid:.3e} exceeds {tol_linear:.1e} "
             "relative to the data"
         )
-    return FredholmSolution(g, rhs_values, lam1, resid)
-
-
-def _any_argmax_point(problem: Problem, a0: float) -> tuple[float, ...]:
-    # assemble_ktilde only uses a0; the recorded x0 is informational here
-    idx = int(np.argmax(problem.a_at_nodes))
-    return tuple(float(v) for v in problem.grid.nodes[idx])
+    if all(w > 0 for _, w in atoms) and np.any(g <= 0):
+        raise PositivityViolationError(
+            "solved density factor is not strictly positive"
+        )
+    return a0, rhs_fn, FredholmSolution(g, rhs_values, lam1, resid)
 
 
 def _check_support(problem: Problem, atoms: tuple[Atom, ...],
                    tol_maxset: float) -> float:
-    pts = np.asarray([p for p, _ in atoms], dtype=float)
+    pts, _ = _atom_arrays(atoms)
     if pts.shape[1] != problem.grid.nodes.shape[1]:
         raise UnsupportedMeasureError("atom dimension does not match the domain")
     inside = contains(problem.domain, pts, tol=1e-12)
@@ -230,13 +241,8 @@ def solve_fredholm(problem: Problem, x0: tuple[float, ...], alpha: float = 1.0,
     """Solve (I - Kt) g = alpha K(., x0) for the density factor g."""
     if alpha == 0:
         raise ConfigurationError("alpha must be nonzero")
-    a0 = _check_support(problem, ((tuple(x0), alpha),), tol_maxset=1e-8)
-    rhs = _atom_rhs(problem, ((tuple(x0), alpha),))(problem.grid.nodes)
-    sol = _solve_linear(problem, a0, rhs, tol_linear, tol_guard)
-    if alpha > 0 and np.any(sol.g_values <= 0):
-        raise PositivityViolationError(
-            "solved density factor is not strictly positive"
-        )
+    _, _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear,
+                              tol_guard, tol_maxset=1e-8)
     return sol
 
 
@@ -259,15 +265,9 @@ def build_singular_solution(problem: Problem, atoms, *,
         atom_list = tuple((tuple(float(v) for v in p), float(w)) for p, w in atoms)
     if not atom_list:
         raise UnsupportedMeasureError("at least one atom is required")
-    a0 = _check_support(problem, atom_list, tol_maxset)
-    rhs_fn = _atom_rhs(problem, atom_list)
-    rhs_values = rhs_fn(problem.grid.nodes)
-    sol = _solve_linear(problem, a0, rhs_values, tol_linear, tol_guard)
+    a0, rhs_fn, sol = _solve_linear(problem, atom_list, tol_linear,
+                                    tol_guard, tol_maxset)
     positive = all(w > 0 for _, w in atom_list)
-    if positive and np.any(sol.g_values <= 0):
-        raise PositivityViolationError(
-            "solved density factor is not strictly positive"
-        )
     f = sol.g_values / (a0 - problem.a_at_nodes)
     model = NystromDensity(problem, a0, sol.g_values, rhs_fn)
     signed = (not positive) or bool(np.any(f < 0))
@@ -351,8 +351,7 @@ def kernel_moment(problem: Problem, mu: DiscreteMeasure,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     if mu.atoms:
-        apts = np.asarray([p for p, _ in mu.atoms], dtype=float)
-        awts = np.asarray([w for _, w in mu.atoms], dtype=float)
+        apts, awts = _atom_arrays(mu.atoms)
         block = np.asarray(problem.kernel.evaluate(pts, apts), dtype=float)
         out += block @ awts
     if mu.density_values is not None:

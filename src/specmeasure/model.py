@@ -48,6 +48,7 @@ __all__ = [
     "ArgmaxComponent",
     "ArgmaxSet",
     "detect_argmax_set",
+    "argmax_point",
     "IntegrabilityResult",
     "check_recip_integrability",
     "Problem",
@@ -303,6 +304,33 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid,
             )
     components.sort(key=lambda c: -c.node_count)
     return ArgmaxSet(sup_value, tuple(components), tau)
+
+
+def argmax_point(amax: ArgmaxSet, domain: Domain,
+                 t: float | None = None) -> tuple[float, ...]:
+    """One point of the largest component of a detected argmax set.
+
+    On a segment the point sits at fraction ``t`` from start to end (default:
+    the midpoint); a point component takes no selector.  Segment ends are
+    located only to a tolerance, so the point is projected onto the closed
+    domain, which leaves interior points unchanged.
+    """
+    comp = amax.components[0]
+    if comp.kind == "segment":
+        t = 0.5 if t is None else float(t)
+        if not 0.0 <= t <= 1.0:
+            raise ConfigurationError(f"x0 selector must lie in [0, 1], got {t}")
+        seg = comp.representative
+        point = [(1.0 - t) * s + t * e for s, e in zip(seg.start, seg.end)]
+    elif t is not None:
+        raise ConfigurationError(
+            "the x0 selector places an atom along a segment; this problem's "
+            "argmax set is a single point"
+        )
+    else:
+        point = comp.representative
+    closed = project_to_closure(domain, np.asarray(point, dtype=float)[None, :])
+    return tuple(float(v) for v in closed[0])
 
 
 # -- reciprocal integrability -------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     SingularNodeError,
 )
 from .geometry import GradeSpec, Grid, build_grid
-from .model import Problem, detect_argmax_set
+from .model import Problem, argmax_point, detect_argmax_set
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +140,8 @@ def assemble_ktilde(problem: Problem, x0: tuple[float, ...],
     """Matrix of the operator normalized by a0 - a(y), a0 = a(x0).
 
     Every node must keep a positive distance from the argmax set of a; build
-    the grid with grading toward that set.
+    the grid with grading toward that set.  A given ``a0`` is used as is and
+    x0 is only recorded.
     """
     grid = problem.grid
     x0_arr = np.asarray(x0, dtype=float)[None, :]
@@ -296,23 +297,13 @@ def estimate_lambda_p(problem: Problem, levels: int = 3,
     )
 
 
-def _pick_x0(problem: Problem, tol_maxset: float) -> tuple[tuple[float, ...], float]:
-    amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
-    comp = amax.components[0]
-    if comp.kind == "segment":
-        seg = comp.representative
-        mid = tuple(0.5 * (s + e) for s, e in zip(seg.start, seg.end))
-        return mid, amax.sup_value
-    return tuple(comp.representative), amax.sup_value
-
-
 def _classify_once(problem: Problem, x0: tuple[float, ...] | None,
                    tol_classify: float, tol_power: float, max_iter: int,
                    tol_maxset: float) -> tuple[str, PerronPair, tuple[float, ...], float]:
+    a0 = None
     if x0 is None:
-        x0, a0 = _pick_x0(problem, tol_maxset)
-    else:
-        a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
+        amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
+        x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     kt = assemble_ktilde(problem, x0, a0=a0)
     pair = perron(kt, tol_power=tol_power, max_iter=max_iter,
                   value_tol=tol_classify / 10.0)
@@ -323,7 +314,7 @@ def _classify_once(problem: Problem, x0: tuple[float, ...] | None,
         regime = "l1"
     else:
         regime = "singular"
-    return regime, pair, x0, a0
+    return regime, pair, kt.x0, kt.a0
 
 
 def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
@@ -362,27 +353,31 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     if regime == "l1":
         lambda_p = -a0
     else:
-        est = estimate_lambda_p(problem, levels=1, tol_power=tol_power,
-                                max_iter=max_iter, value_tol=tol_classify)
-        lambda_p = est.value
+        full = assemble_full(problem)
+        fpair = perron(full, tol_power=tol_power, max_iter=max_iter,
+                       value_tol=tol_classify)
+        lambda_p = full.shift - fpair.value
         slack = 10.0 * tol_classify * max(1.0, abs(a0))
-        mu = -est.value
-        if regime == "continuous" and mu < a0 - slack:
+        if regime == "continuous" and -lambda_p < a0 - slack:
             raise InconsistencyError(
                 f"normalized radius {pair.value:.6f} exceeds one but the "
-                f"principal eigenvalue estimate {est.value:.6f} sits above {-a0:.6f}"
+                f"principal eigenvalue estimate {lambda_p:.6f} sits above {-a0:.6f}"
             )
-        if regime == "singular" and mu > a0 + slack:
+        if regime == "singular" and -lambda_p > a0 + slack:
             raise InconsistencyError(
                 f"normalized radius {pair.value:.6f} is below one but the "
-                f"principal eigenvalue estimate {est.value:.6f} sits below {-a0:.6f}"
+                f"principal eigenvalue estimate {lambda_p:.6f} sits below {-a0:.6f}"
             )
 
     density = None
     norm = None
     if regime == "continuous":
-        full = assemble_full(problem)
-        fpair = perron(full, tol_power=tol_power, max_iter=max_iter)
+        # continuing from the interval-stopped iterate repeats the iterates
+        # of a cold start, so the density is the cold-start vector
+        if fpair.stopped_by != "residual":
+            fpair = perron(full, tol_power=tol_power,
+                           max_iter=max_iter - fpair.iterations,
+                           v0=fpair.vector)
         density = fpair.vector
         norm = "max"
     elif regime == "l1":

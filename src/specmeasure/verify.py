@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
-from .measure import DiscreteMeasure, kernel_moment
-from .model import Problem, check_recip_integrability, detect_argmax_set
+from .measure import DiscreteMeasure, _atom_arrays, kernel_moment
+from .model import Problem, argmax_point, check_recip_integrability, detect_argmax_set
 from .spectral import assemble_ktilde, estimate_lambda_p, perron
 
 __all__ = [
@@ -39,17 +39,11 @@ class ResidualReport:
     kind: str                # "pointwise" | "weak"
 
 
-def _atom_arrays(mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.asarray([p for p, _ in mu.atoms], dtype=float)
-    wts = np.asarray([w for _, w in mu.atoms], dtype=float)
-    return pts, wts
-
-
 def _check_atom_eigenvalue(problem: Problem, mu: DiscreteMeasure, lam: float,
                            tol_atom: float) -> None:
     if not mu.atoms:
         return
-    pts, _ = _atom_arrays(mu)
+    pts, _ = _atom_arrays(mu.atoms)
     a_atoms = np.asarray(problem.coeff.evaluate(pts), dtype=float)
     off = np.max(np.abs(a_atoms + lam))
     if off > tol_atom * max(1.0, abs(lam)):
@@ -155,7 +149,7 @@ def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
 
     apts, awts = (None, None)
     if mu.atoms:
-        apts, awts = _atom_arrays(mu)
+        apts, awts = _atom_arrays(mu.atoms)
         a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
         katoms = np.asarray(problem.kernel.evaluate(grid.nodes, apts), dtype=float)
     has_density = mu.density_values is not None or mu.density_model is not None
@@ -226,11 +220,8 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
             value = estimate_lambda_p(prob, levels=1, value_tol=value_tol).value
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid, tol_maxset)
-            comp = amax.components[0]
-            x0 = comp.representative
-            if not isinstance(x0, tuple):
-                x0 = tuple(0.5 * (s + e) for s, e in zip(x0.start, x0.end))
-            kt = assemble_ktilde(prob, x0, a0=amax.sup_value)
+            kt = assemble_ktilde(prob, argmax_point(amax, prob.domain),
+                                 a0=amax.sup_value)
             value = perron(kt, value_tol=value_tol / 10.0).value
         elif quantity == "recip_integral":
             g = prob.grid

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -62,15 +64,16 @@ def test_solve_ball_default_weight(capsys):
     assert measure["residuals"]["weak"] <= 1e-12
 
 
-def test_solve_cylinder_x0_selector(capsys):
+@pytest.mark.parametrize("t", [0.25, 0.0, 1.0])
+def test_solve_cylinder_x0_selector(capsys, t):
     code, out, _ = run(capsys, "solve", "--example", "cylinder",
-                       "--rho", "0.1", "--x0", "0.25",
+                       "--rho", "0.1", "--x0", repr(t),
                        "--resolution", "4", "--depth", "5")
     assert code == 0
     atom = json.loads(out)["eigenobject"]["atoms"][0]
     assert atom["point"][0] == pytest.approx(0.0, abs=1e-6)
     assert atom["point"][1] == pytest.approx(0.0, abs=1e-6)
-    assert atom["point"][2] == pytest.approx(0.25, abs=1e-6)
+    assert atom["point"][2] == pytest.approx(t, abs=1e-6)
 
 
 def test_solve_cantor_level(capsys):
@@ -112,6 +115,18 @@ def test_solve_density_csv(capsys, tmp_path):
     assert len(lines) == size + 1
     first = [float(v) for v in lines[1].split(",")]
     assert len(first) == 5 and first[4] > 0
+
+
+def test_readme_config_example_runs(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
+    cfg = json.loads(block)
+    cfg["grid"].update(resolution=4, grading_depth=5)
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "classify", "--config", str(path))
+    assert code == 0, err
+    assert json.loads(out)["regime"] == "singular_measure"
 
 
 def test_convergence_lambda1_csv(capsys):

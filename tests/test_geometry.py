@@ -141,6 +141,14 @@ def test_invalid_domains_rejected():
         Cylinder(radius=1.0, height=0.0)
     with pytest.raises(H1Violation):
         Interval(0.0, math.inf)
+    with pytest.raises(H1Violation):
+        Cylinder(radius=math.nan, height=1.0)
+    with pytest.raises(H1Violation):
+        Cylinder(radius=1.0, height=math.inf)
+    with pytest.raises(ConfigurationError):
+        Segment((0.0, 0.0), (math.nan, 1.0))
+    with pytest.raises(ConfigurationError):
+        Segment((-math.inf, 0.0), (0.0, 1.0))
 
 
 def test_invalid_grading_rejected():

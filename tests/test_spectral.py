@@ -22,6 +22,7 @@ from specmeasure import (
     constant_kernel,
     coordinate_linear,
     estimate_lambda_p,
+    gaussian_kernel,
     perron,
     radial_power,
 )
@@ -228,6 +229,22 @@ def test_classify_explicit_x0():
     assert rep.regime == "singular"
     assert rep.x0 == CENTER3
     assert rep.a0 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kernel", [constant_kernel(0.1), gaussian_kernel(0.15, 1.0)],
+                         ids=["constant", "gaussian"])
+def test_classify_continuous_pins_full_operator_run(kernel):
+    # lambda_p is the interval-stopped full-operator estimate and the density
+    # is the cold-start Perron vector, bit for bit
+    prob = build_problem(
+        Ball(center=CENTER3, radius=1.0), kernel,
+        radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
+        resolution=6, grading=GradeSpec(targets=(CENTER3,), depth=6),
+    )
+    rep = classify_regime(prob)
+    assert rep.regime == "continuous"
+    assert rep.lambda_p == estimate_lambda_p(prob, levels=1, value_tol=1e-3).value
+    assert np.array_equal(rep.eigen_density, perron(assemble_full(prob)).vector)
 
 
 def test_full_operator_shift_invariance():
