@@ -20,6 +20,7 @@ from .errors import (
     InvalidEigenpairError,
     IterationLimitError,
     NearSingularSystemError,
+    NonFiniteResultError,
     NormalizationError,
     PositivityViolationError,
     SingularNodeError,

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, SpecmeasureError
+from .errors import ConfigurationError, NonFiniteResultError, SpecmeasureError
 from .geometry import Ball, Box, Cylinder, GradeSpec, Segment, build_grid
 from .measure import DiscreteMeasure, build_singular_solution, cantor_approximant
 from .model import (
@@ -475,6 +475,14 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _dumps(payload: dict) -> str:
+    # strict JSON: an infinite or NaN value is a named failure, not "Infinity"
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResultError(f"report holds a non-finite number ({exc})") from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     sys.stdout.write(text)
     if output:
@@ -492,10 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _assemble_config(args)
         if args.command == "classify":
-            text = json.dumps(_run_classify(cfg), sort_keys=True, indent=2) + "\n"
+            text = _dumps(_run_classify(cfg))
         elif args.command == "solve":
-            text = json.dumps(_run_solve(cfg, args.density_csv),
-                              sort_keys=True, indent=2) + "\n"
+            text = _dumps(_run_solve(cfg, args.density_csv))
         else:
             text = _run_convergence(cfg)
         _emit(text, args.output)

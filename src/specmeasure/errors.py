@@ -63,6 +63,12 @@ class ClassificationUnstableError(SpecmeasureError):
     code = "classification-unstable"
 
 
+class NonFiniteResultError(SpecmeasureError):
+    """A reported number is infinite or NaN and has no JSON form."""
+
+    code = "non-finite"
+
+
 class NearSingularSystemError(SpecmeasureError):
     """Fredholm system is too close to singular to solve reliably."""
 

@@ -18,6 +18,11 @@ max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
 irreducible matrix at every iterate.  When eigenvalue clustering stalls the
 residual, the interval still narrows enough to certify the value, so the
 iteration stops on whichever of the two criteria is reached first.
+
+Below one, the full operator is never assembled: with u the Perron vector
+of the normalized operator, f = u / (a0 - a) is a positive test function
+whose ratio interval for the full operator brackets -lambda_p at the cost
+of one normalized-operator matvec, and each further matvec narrows it.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ class RegimeReport:
     lambda1: float
     lambda1_interval: tuple[float, float]
     lambda_p: float
+    lambda_p_interval: tuple[float, float] | None   # certified; None at "l1"
     sup_a: float
     x0: tuple[float, ...]
     a0: float
@@ -297,9 +303,42 @@ def estimate_lambda_p(problem: Problem, levels: int = 3,
     )
 
 
+def _atom_bracket(kt: OperatorMatrix, u: np.ndarray, a: np.ndarray,
+                  width_tol: float, max_iter: int) -> tuple[float, float, int]:
+    """Collatz-Wielandt bracket (lo, hi, steps) on the full operator's
+    largest eigenvalue mu (unshifted), starting from the test function
+    f = u / (a0 - a), u > 0.
+
+    A g = Kt((a0 - a) g) + a g, so each step costs one Kt matvec; for f the
+    ratios are (Kt u)_i (a0 - a_i) / u_i + a_i.  The largest diagonal entry
+    a_i + Kt_ii (a0 - a_i) of A is a lower bound from the start.  While the
+    bracket is wider than ``width_tol`` the next test function is
+    (A g - a g) / (hi - a), positive because hi >= mu > max a.  The test
+    function that gave ``hi`` is a positive supersolution at lambda = -hi.
+    """
+    gap = kt.a0 - a
+    lo = float(np.max(np.diagonal(kt.entries) * gap + a))
+    hi = np.inf
+    g = u / gap
+    for step in range(1, max_iter + 1):
+        h = kt.entries @ (gap * g)
+        ratios = h / g + a
+        lo = max(lo, float(np.min(ratios)))
+        hi = min(hi, float(np.max(ratios)))
+        if hi - lo <= width_tol:
+            break
+        g = h / (hi - a)
+    return lo, hi, step
+
+
 def _classify_once(problem: Problem, x0: tuple[float, ...] | None,
                    tol_classify: float, tol_power: float, max_iter: int,
-                   tol_maxset: float) -> tuple[str, PerronPair, tuple[float, ...], float]:
+                   tol_maxset: float, certify: bool
+                   ) -> tuple[str, PerronPair, tuple[float, ...], float,
+                              tuple[float, float, int] | None]:
+    """Regime, Kt Perron pair, x0, a0, and with ``certify`` in the singular
+    regime the bracket of ``_atom_bracket`` (None otherwise), computed while
+    Kt is alive so it never coexists with the full operator."""
     a0 = None
     if x0 is None:
         amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
@@ -308,13 +347,22 @@ def _classify_once(problem: Problem, x0: tuple[float, ...] | None,
     pair = perron(kt, tol_power=tol_power, max_iter=max_iter,
                   value_tol=tol_classify / 10.0)
     lam1 = pair.value
+    bracket = None
     if lam1 > 1.0 + tol_classify:
         regime = "continuous"
     elif lam1 >= 1.0 - tol_classify:
         regime = "l1"
     else:
         regime = "singular"
-    return regime, pair, kt.x0, kt.a0
+        if certify:
+            bracket = _atom_bracket(kt, pair.vector, problem.a_at_nodes,
+                                    tol_classify / 10.0, max_iter)
+    return regime, pair, kt.x0, kt.a0, bracket
+
+
+def _fmt_run(name: str, pair: PerronPair) -> str:
+    return (f"{name} n={pair.vector.size} iterations={pair.iterations} "
+            f"stopped_by={pair.stopped_by}")
 
 
 def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
@@ -327,17 +375,29 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     at tolerance ``tol_classify``.  With ``confirm`` the label must agree
     with a one-step-coarser grid, otherwise the classification is reported
     unstable rather than silently trusted.
+
+    lambda_p is certified per regime.  Singular: the Collatz-Wielandt
+    bracket of the full operator from f = u / (a0 - a), u the Kt Perron
+    vector, one Kt matvec per step until it is no wider than
+    ``tol_classify / 10`` (on a graded grid usually after the first);
+    lambda_p is its lower end, the value at which the test function is a
+    positive supersolution.  Continuous: the residual-converged
+    full-operator Perron run, whose ratio interval is the bracket.
+    Threshold: -a0 itself, where the discrete spectrum clusters; no
+    bracket is claimed (``lambda_p_interval`` is None).
     """
-    regime, pair, x0, a0 = _classify_once(problem, x0, tol_classify,
-                                          tol_power, max_iter, tol_maxset)
+    regime, pair, x0, a0, bracket = _classify_once(
+        problem, x0, tol_classify, tol_power, max_iter, tol_maxset, True)
+    runs = [_fmt_run("ktilde", pair)]
     coarse_lam1 = None
     coarse_size = None
     if confirm:
         g = problem.grid
         coarse = _derive_problem(problem, g.resolution - 1,
                                  max(1, g.grade_depth - 1))
-        regime_c, pair_c, _, _ = _classify_once(coarse, x0, tol_classify,
-                                                tol_power, max_iter, tol_maxset)
+        regime_c, pair_c, _, _, _ = _classify_once(
+            coarse, x0, tol_classify, tol_power, max_iter, tol_maxset, False)
+        runs.append(_fmt_run("ktilde-coarse", pair_c))
         coarse_lam1 = pair_c.value
         coarse_size = coarse.grid.size
         if regime_c != regime:
@@ -347,50 +407,57 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
                 f"(lambda1 {coarse_lam1:.6f} vs {pair.value:.6f})"
             )
 
-    # cross-check against the full operator; at the threshold the principal
-    # eigenvalue is -a0 itself and the full spectrum clusters there, so the
-    # estimate is neither needed nor certifiable
-    if regime == "l1":
-        lambda_p = -a0
-    else:
-        full = assemble_full(problem)
-        fpair = perron(full, tol_power=tol_power, max_iter=max_iter,
-                       value_tol=tol_classify)
-        lambda_p = full.shift - fpair.value
-        slack = 10.0 * tol_classify * max(1.0, abs(a0))
-        if regime == "continuous" and -lambda_p < a0 - slack:
-            raise InconsistencyError(
-                f"normalized radius {pair.value:.6f} exceeds one but the "
-                f"principal eigenvalue estimate {lambda_p:.6f} sits above {-a0:.6f}"
-            )
-        if regime == "singular" and -lambda_p > a0 + slack:
+    slack = 10.0 * tol_classify * max(1.0, abs(a0))
+    density = None
+    norm = None
+    interval = None
+    if regime == "singular":
+        mu_lo, mu_hi, steps = bracket
+        runs.append(f"bracket matvecs={steps}")
+        lambda_p = -mu_hi
+        interval = (-mu_hi, -mu_lo)
+        if mu_hi > a0 + slack:
             raise InconsistencyError(
                 f"normalized radius {pair.value:.6f} is below one but the "
                 f"principal eigenvalue estimate {lambda_p:.6f} sits below {-a0:.6f}"
             )
-
-    density = None
-    norm = None
-    if regime == "continuous":
-        # continuing from the interval-stopped iterate repeats the iterates
-        # of a cold start, so the density is the cold-start vector
-        if fpair.stopped_by != "residual":
-            fpair = perron(full, tol_power=tol_power,
-                           max_iter=max_iter - fpair.iterations,
-                           v0=fpair.vector)
+    elif regime == "continuous":
+        full = assemble_full(problem)
+        fpair = perron(full, tol_power=tol_power, max_iter=max_iter)
+        runs.append(_fmt_run("full", fpair))
+        lo, hi = fpair.interval
+        lambda_p = full.shift - fpair.value
+        interval = (full.shift - hi, full.shift - lo)
+        if -lambda_p < a0 - slack:
+            raise InconsistencyError(
+                f"normalized radius {pair.value:.6f} exceeds one but the "
+                f"principal eigenvalue estimate {lambda_p:.6f} sits above {-a0:.6f}"
+            )
         density = fpair.vector
         norm = "max"
-    elif regime == "l1":
+    else:
+        lambda_p = -a0
         psi = pair.vector / (a0 - problem.a_at_nodes)
         mass = float(np.sum(problem.grid.weights * psi))
         density = psi / mass
         norm = "mass"
+
+    lo1, hi1 = pair.interval
+    if interval is None:
+        certificate = "threshold value, no bracket"
+    else:
+        certificate = (f"in [{interval[0]:.12g}, {interval[1]:.12g}] "
+                       f"width {interval[1] - interval[0]:.3g}")
+    log.info("classify_regime: regime=%s n=%d lambda1=%.12g in [%.12g, %.12g] "
+             "lambda_p=%.12g %s; perron: %s", regime, problem.grid.size,
+             pair.value, lo1, hi1, lambda_p, certificate, "; ".join(runs))
 
     return RegimeReport(
         regime=regime,
         lambda1=pair.value,
         lambda1_interval=pair.interval,
         lambda_p=lambda_p,
+        lambda_p_interval=interval,
         sup_a=a0,
         x0=tuple(float(v) for v in x0),
         a0=a0,

@@ -1,5 +1,6 @@
 """Command line behavior: schemas, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import re
@@ -127,6 +128,30 @@ def test_readme_config_example_runs(capsys, tmp_path):
     code, out, err = run(capsys, "classify", "--config", str(path))
     assert code == 0, err
     assert json.loads(out)["regime"] == "singular_measure"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    scope: dict = {}
+    exec(block, scope)
+    assert scope["report"].regime == "singular"
+    assert scope["res"].value < 1e-10
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+def test_non_finite_report_exits_two(capsys, monkeypatch, command):
+    real = cli.classify_regime
+
+    def infinite(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), lambda_p=math.inf)
+
+    monkeypatch.setattr(cli, "classify_regime", infinite)
+    code, out, err = run(capsys, command, "--example", "ball", "--rho", "0.05",
+                         "--resolution", "4", "--depth", "5")
+    assert code == 2
+    assert out == ""
+    assert "error[non-finite]" in err
 
 
 def test_convergence_lambda1_csv(capsys):

@@ -1,7 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 from specmeasure import (
@@ -12,6 +16,7 @@ from specmeasure import (
     GradeSpec,
     Interval,
     IterationLimitError,
+    Problem,
     Segment,
     SingularNodeError,
     assemble_full,
@@ -234,8 +239,8 @@ def test_classify_explicit_x0():
 @pytest.mark.parametrize("kernel", [constant_kernel(0.1), gaussian_kernel(0.15, 1.0)],
                          ids=["constant", "gaussian"])
 def test_classify_continuous_pins_full_operator_run(kernel):
-    # lambda_p is the interval-stopped full-operator estimate and the density
-    # is the cold-start Perron vector, bit for bit
+    # lambda_p is the residual-converged full-operator estimate and the
+    # density is the cold-start Perron vector, bit for bit
     prob = build_problem(
         Ball(center=CENTER3, radius=1.0), kernel,
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
@@ -243,7 +248,7 @@ def test_classify_continuous_pins_full_operator_run(kernel):
     )
     rep = classify_regime(prob)
     assert rep.regime == "continuous"
-    assert rep.lambda_p == estimate_lambda_p(prob, levels=1, value_tol=1e-3).value
+    assert rep.lambda_p == estimate_lambda_p(prob, levels=1, value_tol=None).value
     assert np.array_equal(rep.eigen_density, perron(assemble_full(prob)).vector)
 
 
@@ -257,3 +262,91 @@ def test_full_operator_shift_invariance():
     )
     est2 = estimate_lambda_p(shifted, levels=1, tol_power=1e-12, value_tol=None)
     assert est2.value == pytest.approx(est.value - 0.5, abs=1e-10)
+
+
+def secular_root(prob, rho):
+    # largest eigenvalue of the constant-kernel full operator: the root of
+    # rho * sum_j w_j / (mu - a_j) = 1 above max a_j
+    w = prob.grid.weights
+    a = prob.a_at_nodes
+    top = float(np.max(a))
+    return brentq(lambda mu: rho * float(np.sum(w / (mu - a))) - 1.0,
+                  top + 1e-15, top + 10.0, xtol=1e-15, rtol=1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(["ball", "cylinder"]),
+       resolution=st.integers(3, 5), depth=st.integers(2, 8),
+       fraction=st.floats(0.05, 0.95))
+def test_singular_bracket_contains_secular_root(shape, resolution, depth, fraction):
+    make = ball_problem if shape == "ball" else cylinder_problem
+    base = make(1.0, resolution=resolution, depth=depth)
+    ih = float(np.sum(base.grid.weights / (1.0 - base.a_at_nodes)))
+    rho = fraction / ih
+    prob = Problem(base.domain, constant_kernel(rho), base.coeff, base.grid)
+    rep = classify_regime(prob, confirm=False)
+    assert rep.regime == "singular"
+    lo, hi = rep.lambda_p_interval
+    root = secular_root(prob, rho)
+    assert lo - 1e-13 <= -root <= hi + 1e-13
+    assert hi - lo <= 1e-4          # refined to tol_classify / 10
+    assert rep.lambda_p == lo
+    assert rep.lambda_p > -rep.a0
+
+
+def test_singular_bracket_gaussian_matches_dense_eigh():
+    prob = build_problem(
+        Ball(center=CENTER3, radius=1.0), gaussian_kernel(0.05, 1.0),
+        radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
+        resolution=6, grading=GradeSpec(targets=(CENTER3,), depth=6),
+    )
+    rep = classify_regime(prob)
+    assert rep.regime == "singular"
+    # W^1/2 K W^1/2 + diag(a) is similar to the full operator
+    nodes = prob.grid.nodes
+    sw = np.sqrt(prob.grid.weights)
+    sym = sw[:, None] * prob.kernel.evaluate(nodes, nodes) * sw[None, :]
+    sym[np.diag_indices_from(sym)] += prob.a_at_nodes
+    mu = eigh(sym, eigvals_only=True)[-1]
+    lo, hi = rep.lambda_p_interval
+    assert lo - 1e-12 <= -mu <= hi + 1e-12
+    assert rep.lambda_p == lo
+    assert -1.0 < rep.lambda_p
+
+
+def test_singular_lambda_p_decreases_with_grading_depth():
+    vals = [classify_regime(ball_problem(0.05, resolution=6, depth=d)).lambda_p
+            for d in (4, 6, 8)]
+    assert all(v > -1.0 for v in vals)
+    assert vals[0] > vals[1] > vals[2]
+
+
+def test_singular_lambda_p_below_diagonal_bound():
+    # the Perron root of the full operator is at least its largest diagonal
+    # entry a_i + K_ii w_i, so lambda_p can sit no higher than minus that
+    prob = cylinder_problem(0.1)
+    rep = classify_regime(prob)
+    assert rep.regime == "singular"
+    assert rep.lambda_p <= -float(np.max(prob.a_at_nodes + 0.1 * prob.grid.weights))
+
+
+def test_continuous_lambda_p_in_its_interval():
+    rep = classify_regime(ball_problem(0.1))
+    lo, hi = rep.lambda_p_interval
+    assert lo <= rep.lambda_p <= hi
+    assert hi - lo < 1e-8
+
+
+def test_classify_logs_one_info_line(caplog):
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(ball_problem(0.05))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "specmeasure.spectral" and r.levelno == logging.INFO]
+    assert len(lines) == 1
+    line = lines[0]
+    assert "regime=singular" in line
+    assert f"lambda_p={rep.lambda_p:.12g}" in line
+    assert "width" in line
+    assert line.count("stopped_by=") == 2
+    assert "ktilde-coarse" in line
+    assert "bracket matvecs=1" in line
