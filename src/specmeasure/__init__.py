@@ -25,6 +25,7 @@ from .errors import (
     PositivityViolationError,
     SingularNodeError,
     SpecmeasureError,
+    TooLargeError,
     UnsupportedMeasureError,
 )
 from .geometry import (

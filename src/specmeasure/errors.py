@@ -35,6 +35,12 @@ class H3Violation(SpecmeasureError):
     code = "H3"
 
 
+class TooLargeError(SpecmeasureError):
+    """The grid is too large for a dense operator to fit in memory."""
+
+    code = "too-large"
+
+
 class SingularNodeError(SpecmeasureError):
     """A grid node touches the coefficient's argmax set."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +22,7 @@ from .errors import (
     ConfigurationError,
     H2Violation,
     H3Violation,
+    TooLargeError,
 )
 from .geometry import (
     Domain,
@@ -61,14 +63,17 @@ class Kernel:
     """Dispersal kernel K(x, y) evaluated in (rows, cols) blocks.
 
     ``positivity_witness`` is an optional pair (c0, eps0): K is claimed to be
-    at least c0 whenever |x - y| <= eps0.  Validation checks the claim on
-    grid node pairs.
+    at least c0 whenever |x - y| <= eps0.  ``symmetric`` claims
+    K(x, y) = K(y, x); the full operator is then similar to a symmetric
+    matrix and its top eigenpair is found by Lanczos.  Validation checks
+    both claims on grid node pairs.
     """
 
     family: str
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     positivity_witness: tuple[float, float] | None = None
+    symmetric: bool = False
 
 
 def constant_kernel(rho: float) -> Kernel:
@@ -79,7 +84,7 @@ def constant_kernel(rho: float) -> Kernel:
         return np.full((x.shape[0], y.shape[0]), rho)
 
     return Kernel("constant", ev, {"rho": rho},
-                  positivity_witness=(rho / 2, math.inf))
+                  positivity_witness=(rho / 2, math.inf), symmetric=True)
 
 
 def gaussian_kernel(amplitude: float, width: float) -> Kernel:
@@ -93,7 +98,7 @@ def gaussian_kernel(amplitude: float, width: float) -> Kernel:
 
     c0 = amplitude * math.exp(-0.5) * (1.0 - 1e-12)
     return Kernel("gaussian", ev, {"amplitude": amplitude, "width": width},
-                  positivity_witness=(c0, width))
+                  positivity_witness=(c0, width), symmetric=True)
 
 
 def custom_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -395,6 +400,11 @@ def check_recip_integrability(coeff: CoefficientField, domain: Domain,
 
 # -- validated problem instances ----------------------------------------
 
+def _memory_budget() -> int:
+    """Physical memory in bytes, the ceiling for one dense N x N operator."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class Problem:
     domain: Domain
@@ -405,6 +415,14 @@ class Problem:
     def __post_init__(self):
         if self.grid.domain != self.domain:
             raise ConfigurationError("grid was built for a different domain")
+        dense = 8 * self.grid.size ** 2
+        budget = _memory_budget()
+        if dense > budget:
+            raise TooLargeError(
+                f"{self.grid.size} grid nodes need {dense / 2**30:.3g} GiB per "
+                f"dense operator, more than the {budget / 2**30:.3g} GiB of "
+                "physical memory; lower the resolution or grading depth"
+            )
         a_vals = np.asarray(self.coeff.evaluate(self.grid.nodes), dtype=float)
         if a_vals.shape != (self.grid.size,):
             raise ConfigurationError(
@@ -427,6 +445,10 @@ class Problem:
             raise H2Violation("kernel takes non-finite values")
         if np.any(block < 0):
             raise H2Violation("kernel takes negative values")
+        if self.kernel.symmetric:
+            among = block[:, sample]
+            if not np.allclose(among, among.T, rtol=1e-12, atol=0.0):
+                raise H2Violation("kernel is marked symmetric but K(x, y) != K(y, x)")
         d = distance.cdist(nodes[sample], nodes)
         witness = self.kernel.positivity_witness
         if witness is not None:

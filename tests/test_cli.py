@@ -197,6 +197,28 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     assert path.read_text() == stdout == first
 
 
+def test_continuous_reruns_are_byte_identical(capsys):
+    # the continuous regime runs ARPACK, whose default start vector differs
+    # between calls in one process
+    args = ("classify", "--example", "ball", "--rho", "0.1",
+            "--resolution", "4", "--depth", "5")
+    _, first, _ = run(capsys, *args)
+    _, second, _ = run(capsys, *args)
+    assert json.loads(first)["regime"] == "continuous_eigenfunction"
+    assert first == second
+
+
+def test_oversized_grid_exits_two(capsys, monkeypatch):
+    # the budget is lowered rather than the grid raised, so nothing large
+    # is ever built
+    monkeypatch.setattr("specmeasure.model._memory_budget", lambda: 10**5)
+    code, out, err = run(capsys, "classify", "--example", "ball",
+                         "--rho", "0.1", "--resolution", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[too-large]")
+
+
 def test_config_file_round_trip(capsys, tmp_path):
     cfg = {
         "problem": {

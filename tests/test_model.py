@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from specmeasure import (
     H3Violation,
     Interval,
     Segment,
+    TooLargeError,
     build_grid,
 )
+from specmeasure import model
 from specmeasure.model import (
     Problem,
     build_problem,
@@ -170,6 +173,33 @@ def test_problem_validates_kernel_witness():
     )
     with pytest.raises(H2Violation):
         build_problem(dom, lying, constant_coefficient(0.0), resolution=8)
+
+
+def test_problem_validates_symmetry_claim():
+    dom = Interval(0.0, 1.0)
+
+    def skew(x, y):
+        return np.exp(x[:, :1] - 0.5 * y[:, :1].T)
+
+    honest = custom_kernel(skew)
+    assert not honest.symmetric
+    build_problem(dom, honest, constant_coefficient(0.0), resolution=8)
+    lying = dataclasses.replace(honest, symmetric=True)
+    with pytest.raises(H2Violation, match="symmetric"):
+        build_problem(dom, lying, constant_coefficient(0.0), resolution=8)
+    assert constant_kernel(0.1).symmetric
+    assert gaussian_kernel(1.0, 0.5).symmetric
+
+
+def test_problem_rejects_grid_beyond_memory(monkeypatch):
+    dom = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
+    n = build_grid(dom, 4).size
+    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n)
+    build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n - 1)
+    with pytest.raises(TooLargeError, match="physical memory"):
+        build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
 
 
 def test_problem_validates_near_diagonal_positivity():

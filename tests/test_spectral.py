@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
@@ -26,10 +27,12 @@ from specmeasure import (
     collatz_wielandt_bounds,
     constant_kernel,
     coordinate_linear,
+    custom_kernel,
     estimate_lambda_p,
     gaussian_kernel,
     perron,
     radial_power,
+    spectral,
 )
 
 CENTER3 = (0.0, 0.0, 0.0)
@@ -118,6 +121,18 @@ def test_collatz_wielandt_bounds_contain_radius():
     assert lo == pytest.approx(2.5)
     assert hi == pytest.approx(4.0)
     assert lo <= 3.0 <= hi
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_collatz_wielandt_bounds_bracket_eigvals(data):
+    n = data.draw(st.integers(1, 30))
+    entries = data.draw(arrays(np.float64, (n, n), elements=st.floats(1e-3, 10.0)))
+    v = data.draw(arrays(np.float64, n, elements=st.floats(1e-3, 10.0)))
+    lo, hi = collatz_wielandt_bounds(entries, v)
+    r = float(np.max(np.linalg.eigvals(entries).real))
+    assert lo <= r * (1 + 1e-12)
+    assert hi >= r * (1 - 1e-12)
 
 
 def test_perron_iteration_limit():
@@ -236,11 +251,27 @@ def test_classify_explicit_x0():
     assert rep.a0 == pytest.approx(1.0)
 
 
+def dense_top_eigenvalue(prob):
+    # W^1/2 K W^1/2 + diag(a) is similar to the full operator
+    nodes = prob.grid.nodes
+    sw = np.sqrt(prob.grid.weights)
+    sym = sw[:, None] * prob.kernel.evaluate(nodes, nodes) * sw[None, :]
+    sym[np.diag_indices_from(sym)] += prob.a_at_nodes
+    return eigh(sym, eigvals_only=True)[-1]
+
+
+def eigen_residual(entries, v):
+    w = entries @ v
+    lam = float(np.max(w))
+    return float(np.max(np.abs(w - lam * v))) / lam
+
+
 @pytest.mark.parametrize("kernel", [constant_kernel(0.1), gaussian_kernel(0.15, 1.0)],
                          ids=["constant", "gaussian"])
 def test_classify_continuous_pins_full_operator_run(kernel):
-    # lambda_p is the residual-converged full-operator estimate and the
-    # density is the cold-start Perron vector, bit for bit
+    # lambda_p is the residual-converged full-operator estimate; the density
+    # is a certified top eigenvector of the full operator whose ratio
+    # interval is lambda_p_interval, and lambda_p matches the oracle
     prob = build_problem(
         Ball(center=CENTER3, radius=1.0), kernel,
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
@@ -249,7 +280,59 @@ def test_classify_continuous_pins_full_operator_run(kernel):
     rep = classify_regime(prob)
     assert rep.regime == "continuous"
     assert rep.lambda_p == estimate_lambda_p(prob, levels=1, value_tol=None).value
-    assert np.array_equal(rep.eigen_density, perron(assemble_full(prob)).vector)
+    v = rep.eigen_density
+    assert np.all(v > 0) and v.max() == 1.0
+    full = assemble_full(prob)
+    assert eigen_residual(full.entries, v) <= 1e-10
+    lo, hi = collatz_wielandt_bounds(full.entries, v)
+    assert rep.lambda_p_interval == (full.shift - hi, full.shift - lo)
+    if kernel.family == "constant":
+        mu = secular_root(prob, kernel.params["rho"])
+    else:
+        mu = dense_top_eigenvalue(prob)
+    assert rep.lambda_p == pytest.approx(-mu, abs=1e-12)
+
+
+def test_classify_continuous_custom_kernel_keeps_power_run():
+    # a kernel not marked symmetric takes the cold-start power iteration,
+    # bit for bit
+    rho = 0.1
+    kernel = custom_kernel(lambda x, y: np.full((x.shape[0], y.shape[0]), rho),
+                           positivity_witness=(rho / 2, math.inf))
+    base = ball_problem(rho)
+    prob = Problem(base.domain, kernel, base.coeff, base.grid)
+    rep = classify_regime(prob)
+    assert rep.regime == "continuous"
+    full = assemble_full(prob)
+    pair = perron(full)
+    assert np.array_equal(rep.eigen_density, pair.vector)
+    assert rep.lambda_p == full.shift - pair.value
+    assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-9)
+
+
+@pytest.mark.parametrize("lanczos", ["perturbed", "no-convergence"])
+def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, lanczos):
+    real_eigsh = spectral.eigsh
+
+    def rough_eigsh(op, **kwargs):
+        if lanczos == "no-convergence":
+            kwargs.update(ncv=3, maxiter=1)
+        vals, vecs = real_eigsh(op, **kwargs)
+        return vals, vecs * (1.0 + 1e-6 * np.cos(np.arange(op.shape[0])))[:, None]
+
+    monkeypatch.setattr(spectral, "eigsh", rough_eigsh)
+    prob = ball_problem(0.1, resolution=5, depth=5)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, tol_power=1e-14, confirm=False)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "specmeasure.spectral" and r.levelno == logging.INFO]
+    assert len(lines) == 1 and "fallback=power" in lines[0]
+    full = assemble_full(prob)
+    assert eigen_residual(full.entries, rep.eigen_density) <= 2e-14
+    lo, hi = rep.lambda_p_interval
+    assert lo <= rep.lambda_p <= hi
+    assert hi - lo <= 1e-12
+    assert rep.lambda_p == pytest.approx(-secular_root(prob, 0.1), abs=1e-12)
 
 
 def test_full_operator_shift_invariance():
@@ -294,6 +377,24 @@ def test_singular_bracket_contains_secular_root(shape, resolution, depth, fracti
     assert rep.lambda_p > -rep.a0
 
 
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(["ball", "cylinder"]),
+       resolution=st.integers(3, 5), depth=st.integers(2, 8),
+       fraction=st.floats(1.05, 3.0))
+def test_continuous_lambda_p_matches_secular_root(shape, resolution, depth, fraction):
+    make = ball_problem if shape == "ball" else cylinder_problem
+    base = make(1.0, resolution=resolution, depth=depth)
+    ih = float(np.sum(base.grid.weights / (1.0 - base.a_at_nodes)))
+    rho = fraction / ih
+    prob = Problem(base.domain, constant_kernel(rho), base.coeff, base.grid)
+    rep = classify_regime(prob, confirm=False)
+    assert rep.regime == "continuous"
+    lo, hi = rep.lambda_p_interval
+    assert lo <= rep.lambda_p <= hi
+    assert hi - lo <= 1e-8
+    assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-11)
+
+
 def test_singular_bracket_gaussian_matches_dense_eigh():
     prob = build_problem(
         Ball(center=CENTER3, radius=1.0), gaussian_kernel(0.05, 1.0),
@@ -302,12 +403,7 @@ def test_singular_bracket_gaussian_matches_dense_eigh():
     )
     rep = classify_regime(prob)
     assert rep.regime == "singular"
-    # W^1/2 K W^1/2 + diag(a) is similar to the full operator
-    nodes = prob.grid.nodes
-    sw = np.sqrt(prob.grid.weights)
-    sym = sw[:, None] * prob.kernel.evaluate(nodes, nodes) * sw[None, :]
-    sym[np.diag_indices_from(sym)] += prob.a_at_nodes
-    mu = eigh(sym, eigvals_only=True)[-1]
+    mu = dense_top_eigenvalue(prob)
     lo, hi = rep.lambda_p_interval
     assert lo - 1e-12 <= -mu <= hi + 1e-12
     assert rep.lambda_p == lo
