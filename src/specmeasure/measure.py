@@ -7,29 +7,37 @@ the density solves the linear system
 
     (I - Kt) g = rhs,      rhs(x) = integral K(x, y) dmu0(y),
 
-which this module assembles and solves directly.  Solutions carry a Nystrom
-extension so their densities can be evaluated off the construction grid; on
-the construction nodes the extension reproduces the solved values exactly.
+which this module solves by GMRES on the assembled Kt: for a radius of Kt
+below one, I - Kt is the identity minus a compact operator, so the Krylov
+iteration converges in a few matvecs however fine the grid, and Kt is the
+only N x N array the solve holds.  Solutions carry a Nystrom extension so
+their densities can be evaluated off the construction grid; on the
+construction nodes the extension reproduces the solved values exactly.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, gmres
 
+from . import model as _model
 from .errors import (
     ConfigurationError,
     NearSingularSystemError,
     NormalizationError,
     PositivityViolationError,
+    TooLargeError,
     UnsupportedMeasureError,
 )
 from .geometry import Grid, Segment, contains
 from .model import Problem
-from .spectral import assemble_ktilde, perron
+from .spectral import _BLOCK, _kernel_apply, assemble_ktilde, perron
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "DiscreteMeasure",
@@ -46,6 +54,18 @@ __all__ = [
 ]
 
 Atom = tuple[tuple[float, ...], float]
+
+# GMRES on I - Kt starts from zero, so reruns are byte-identical.  It stops
+# at the round-off floor of the residual relative to the data, about
+# eps |g| / |rhs| <= eps / (1 - lambda1) for positive data, and at least
+# _GMRES_RTOL; a target below that floor would only spend restart cycles.
+_GMRES_RTOL = 1e-14
+_GMRES_RESTART = 50
+_GMRES_CYCLES = 10
+
+# a Cantor atom is a pair of Python tuples (about 250 bytes), and every
+# kernel apply against the atoms evaluates a _BLOCK-row slab of 8-byte values
+_ATOM_BYTES = 256 + 8 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -66,8 +86,8 @@ class NystromDensity:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         grid = self.problem.grid
         col = grid.weights * self.g_values / (self.a0 - self.problem.a_at_nodes)
-        block = np.asarray(self.problem.kernel.evaluate(pts, grid.nodes), dtype=float)
-        return np.asarray(self.rhs(pts), dtype=float) + block @ col
+        return (np.asarray(self.rhs(pts), dtype=float)
+                + _kernel_apply(self.problem.kernel, pts, grid.nodes, col))
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -165,9 +185,7 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
     pts0, wts0 = _atom_arrays(atoms)
 
     def rhs(points: np.ndarray) -> np.ndarray:
-        block = np.asarray(problem.kernel.evaluate(
-            np.atleast_2d(points), pts0), dtype=float)
-        return block @ wts0
+        return _kernel_apply(problem.kernel, np.atleast_2d(points), pts0, wts0)
 
     return rhs
 
@@ -175,7 +193,11 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
 def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
                   tol_guard: float, tol_maxset: float
                   ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
-    """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g."""
+    """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
+
+    GMRES runs on v -> v - Kt v; its result is accepted on the explicit
+    check |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf.
+    """
     a0 = _check_support(problem, atoms, tol_maxset)
     rhs_fn = _atom_rhs(problem, atoms)
     rhs_values = rhs_fn(problem.grid.nodes)
@@ -191,16 +213,25 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
             f"normalized operator radius {lam1:.6f} is within {tol_guard} of "
             "one; the resolvent is too close to singular"
         )
-    # I - Kt in one array; Kt is released before lu_factor copies the system
-    system = np.negative(kt.entries)
-    del kt
-    system[np.diag_indices(system.shape[0])] += 1.0
-    lu, piv = lu_factor(system)
-    g = lu_solve((lu, piv), rhs_values)
-    # one step of iterative refinement
-    g = g + lu_solve((lu, piv), rhs_values - system @ g)
+    entries = kt.entries
+    n = entries.shape[0]
+    matvecs = 0
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        v = np.ravel(v)
+        return v - entries @ v
+
+    g, _ = gmres(LinearOperator((n, n), matvec=apply, dtype=float), rhs_values,
+                 x0=np.zeros(n), atol=0.0,
+                 rtol=max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)),
+                 restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
     scale = float(np.max(np.abs(rhs_values)))
-    resid = float(np.max(np.abs(system @ g - rhs_values)))
+    resid = float(np.max(np.abs(g - entries @ g - rhs_values)))
+    log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
+             "(tol_linear %.3g)", n, lam1, matvecs,
+             resid / scale if scale > 0 else resid, tol_linear)
     if scale > 0 and resid > tol_linear * scale:
         raise NearSingularSystemError(
             f"linear solve residual {resid:.3e} exceeds {tol_linear:.1e} "
@@ -290,6 +321,13 @@ def cantor_approximant(segment: Segment, level: int) -> DiscreteMeasure:
     """
     if level < 0:
         raise ConfigurationError(f"level must be >= 0, got {level}")
+    budget = _model._memory_budget()
+    if _ATOM_BYTES << level > budget:
+        raise TooLargeError(
+            f"a level-{level} Cantor approximant has 2^{level} atoms of about "
+            f"{_ATOM_BYTES} bytes each, more than the {budget / 2**30:.3g} GiB "
+            "of physical memory; lower the Cantor level"
+        )
     start = np.asarray(segment.start, dtype=float)
     end = np.asarray(segment.end, dtype=float)
     ts = [(0.0, 1.0)]
@@ -349,16 +387,16 @@ def kernel_moment(problem: Problem, mu: DiscreteMeasure,
                   points: np.ndarray) -> np.ndarray:
     """integral K(x, y) dmu(y) evaluated at each row of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(pts.shape[0])
+    cols, masses = [], []
     if mu.atoms:
         apts, awts = _atom_arrays(mu.atoms)
-        block = np.asarray(problem.kernel.evaluate(pts, apts), dtype=float)
-        out += block @ awts
+        cols.append(apts)
+        masses.append(awts)
     if mu.density_values is not None:
-        col = mu.grid.weights * mu.density_values
-        block = np.asarray(problem.kernel.evaluate(pts, mu.grid.nodes), dtype=float)
-        out += block @ col
-    return out
+        cols.append(mu.grid.nodes)
+        masses.append(mu.grid.weights * mu.density_values)
+    return _kernel_apply(problem.kernel, pts, np.vstack(cols),
+                         np.concatenate(masses))
 
 
 def normalize(mu: DiscreteMeasure, target: float = 1.0) -> DiscreteMeasure:

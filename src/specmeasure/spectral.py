@@ -47,7 +47,7 @@ from .errors import (
     SingularNodeError,
 )
 from .geometry import GradeSpec, Grid, build_grid
-from .model import Problem, argmax_point, detect_argmax_set
+from .model import Kernel, Problem, argmax_point, detect_argmax_set
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +124,18 @@ def _kernel_rows(problem: Problem, rows: np.ndarray) -> np.ndarray:
     return np.asarray(
         problem.kernel.evaluate(rows, problem.grid.nodes), dtype=float
     )
+
+
+def _kernel_apply(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """K(rows, cols) @ x, evaluated in ``_BLOCK``-row slabs so no more than
+    ``_BLOCK`` x len(cols) kernel values exist at once."""
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _BLOCK):
+        stop = min(start + _BLOCK, rows.shape[0])
+        out[start:stop] = np.asarray(
+            kernel.evaluate(rows[start:stop], cols), dtype=float) @ x
+    return out
 
 
 def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatrix:

@@ -65,6 +65,17 @@ def _density_on(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
     return np.asarray(mu.density_model.density_at(grid.nodes), dtype=float)
 
 
+def _moment_on(problem: Problem, mu: DiscreteMeasure,
+               grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The density of mu on ``grid`` and the kernel moment of mu at its
+    nodes, the density part quadratured on ``grid`` itself."""
+    f = _density_on(mu, grid)
+    if mu.density_values is not None and grid is not mu.grid:
+        mu = DiscreteMeasure(atoms=mu.atoms, grid=grid, density_values=f,
+                             signed=mu.signed)
+    return f, kernel_moment(problem, mu, grid.nodes)
+
+
 def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
                        eval_grid: Grid | None = None,
                        tol_atom: float = 1e-6) -> ResidualReport:
@@ -81,13 +92,7 @@ def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     """
     _check_atom_eigenvalue(problem, mu, lam, tol_atom)
     grid = eval_grid if eval_grid is not None else (mu.grid or problem.grid)
-    f = _density_on(mu, grid)
-    if mu.density_values is not None and grid is not mu.grid:
-        resampled = DiscreteMeasure(atoms=mu.atoms, grid=grid,
-                                    density_values=f, signed=mu.signed)
-        km = kernel_moment(problem, resampled, grid.nodes)
-    else:
-        km = kernel_moment(problem, mu, grid.nodes)
+    f, km = _moment_on(problem, mu, grid)
     a_eval = np.asarray(problem.coeff.evaluate(grid.nodes), dtype=float)
     resid = km + (a_eval + lam) * f
     normalizer = float(np.max(np.abs(km)))
@@ -138,42 +143,34 @@ def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     quadratures on ``eval_grid`` (default: the problem grid).  Normalization
     by total variation keeps the report linear in the measure, including for
     signed combinations with zero net mass.
+
+    The kernel term is summed in the other order (discrete Fubini):
+    sum_y m_y sum_x w_x phi_x K(x, y) = sum_x w_x phi_x (K mu)(x), with m the
+    masses of the atoms and of the density on the eval grid.  So one kernel
+    moment of mu serves every test function, and K need not be symmetric.
     """
     grid = eval_grid if eval_grid is not None else problem.grid
     fns = test_functions if test_functions is not None else default_test_functions(grid)
-    f = _density_on(mu, grid)
-    a_eval = np.asarray(problem.coeff.evaluate(grid.nodes), dtype=float)
     tv = mu.total_variation()
     if tv == 0.0:
         raise ConfigurationError("measure has zero total variation")
-
-    apts, awts = (None, None)
+    f, km = _moment_on(problem, mu, grid)
+    a_eval = np.asarray(problem.coeff.evaluate(grid.nodes), dtype=float)
+    # the eigen-equation applied to mu, tested against phi on the grid
+    resid = grid.weights * (km + (a_eval + lam) * f)
     if mu.atoms:
         apts, awts = _atom_arrays(mu.atoms)
         a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
-        katoms = np.asarray(problem.kernel.evaluate(grid.nodes, apts), dtype=float)
-    has_density = mu.density_values is not None or mu.density_model is not None
-    kblock = None
-    if has_density:
-        kblock = np.asarray(
-            problem.kernel.evaluate(grid.nodes, grid.nodes), dtype=float
-        )
 
     worst = 0.0
     for _, fn in fns:
         phi = np.asarray(fn(grid.nodes), dtype=float)
-        wphi = grid.weights * phi
-        # T(y) = integral K(x, y) phi(x) dx by quadrature on the eval grid
-        val = 0.0
+        val = float(np.sum(resid * phi))
         scale = float(np.max(np.abs(phi))) if phi.size else 0.0
-        if has_density:
-            t_nodes = wphi @ kblock
-            val += float(np.sum(grid.weights * f * (t_nodes + (a_eval + lam) * phi)))
         if mu.atoms:
-            t_atoms = wphi @ katoms
             phi_atoms = np.asarray(fn(apts), dtype=float)
             scale = max(scale, float(np.max(np.abs(phi_atoms))))
-            val += float(np.sum(awts * (t_atoms + (a_atoms + lam) * phi_atoms)))
+            val += float(np.sum(awts * (a_atoms + lam) * phi_atoms))
         worst = max(worst, abs(val) / (tv * max(1.0, scale)))
     return ResidualReport(worst, worst * tv, tv, grid.size, "weak")
 
@@ -197,6 +194,11 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
     Each row reports value, difference to the previous level, and the decay
     ratio |previous difference| / |difference| (residuals: the values
     themselves take the place of differences).
+
+    ``value_tol`` is the width of the ratio interval that stops the lambda1
+    study's Perron runs.  lambda_p is always the residual-converged value of
+    ``estimate_lambda_p(value_tol=None)``: a midpoint of a wide interval
+    would make the deltas and ratios measure the stopping rule.
     """
     if quantity not in _QUANTITIES:
         raise ConfigurationError(
@@ -217,7 +219,7 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
     for level in range(levels):
         prob = problem_factory(level)
         if quantity == "lambda_p":
-            value = estimate_lambda_p(prob, levels=1, value_tol=value_tol).value
+            value = estimate_lambda_p(prob, levels=1, value_tol=None).value
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid, tol_maxset)
             kt = assemble_ktilde(prob, argmax_point(amax, prob.domain),

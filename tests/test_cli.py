@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -206,6 +207,32 @@ def test_continuous_reruns_are_byte_identical(capsys):
     _, second, _ = run(capsys, *args)
     assert json.loads(first)["regime"] == "continuous_eigenfunction"
     assert first == second
+
+
+def test_solve_reruns_are_byte_identical(capsys, caplog):
+    args = ("solve", "--example", "ball", "--rho", "0.05",
+            "--resolution", "4", "--depth", "5")
+    with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
+        _, first, _ = run(capsys, *args)
+        _, second, _ = run(capsys, *args)
+    assert first == second
+    payload = json.loads(first)
+    assert payload["regime"] == "singular_measure"
+    # one Fredholm solve per run, logged, never on stdout
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "specmeasure.measure" and r.levelno == logging.INFO]
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert lines[0].startswith("fredholm: n=")
+    assert "fredholm" not in first
+
+
+def test_cantor_level_beyond_memory_exits_two(capsys):
+    code, out, err = run(capsys, "solve", "--example", "cylinder",
+                         "--cantor-level", "64", "--resolution", "4",
+                         "--depth", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[too-large]")
 
 
 def test_oversized_grid_exits_two(capsys, monkeypatch):

@@ -6,10 +6,15 @@ solution has unit total mass and atom fraction 1 - rho * I, where I is the
 grid value of the reciprocal-gap integral.
 """
 
+import logging
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmeasure import (
     Ball,
@@ -19,19 +24,25 @@ from specmeasure import (
     GradeSpec,
     NearSingularSystemError,
     NormalizationError,
+    Problem,
     Segment,
+    TooLargeError,
     UnsupportedMeasureError,
     build_atom_solution,
     build_problem,
     build_singular_solution,
     cantor_approximant,
     constant_kernel,
+    gaussian_kernel,
     kernel_moment,
+    measure,
+    model,
     normalize,
     radial_power,
     solve_fredholm,
     span_combination,
 )
+from specmeasure.spectral import assemble_ktilde, perron
 
 CENTER = (0.0, 0.0, 0.0)
 AXIS = Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -263,3 +274,77 @@ def test_measure_validation():
         DiscreteMeasure(grid=grid, density_values=np.ones(grid.size + 1))
     with pytest.raises(ConfigurationError):
         DiscreteMeasure(density_values=np.ones(4))
+
+
+def random_singular_problem(data):
+    """A constant- or Gaussian-kernel ball or cylinder problem whose Kt
+    radius is drawn from 5% of one up to just inside the solver's guard."""
+    shape = data.draw(st.sampled_from(["ball", "cylinder"]))
+    make = ball_problem if shape == "ball" else cylinder_problem
+    unit = make(1.0, data.draw(st.integers(3, 5)), data.draw(st.integers(2, 6)))
+    x0 = CENTER if shape == "ball" else (0.0, 0.0, data.draw(st.floats(0.0, 1.0)))
+    radius = data.draw(st.floats(0.05, 0.995))
+    if data.draw(st.sampled_from(["constant", "gaussian"])) == "constant":
+        # Kt = rho 1 (w / (a0 - a))^T has radius rho * sum w / (a0 - a)
+        scale = float(np.sum(unit.grid.weights / (1.0 - unit.a_at_nodes)))
+        kernel = constant_kernel(radius / scale)
+    else:
+        # Kt is linear in the amplitude
+        unit = Problem(unit.domain, gaussian_kernel(1.0, 0.6), unit.coeff, unit.grid)
+        scale = perron(assemble_ktilde(unit, x0, a0=1.0), value_tol=1e-9).value
+        kernel = gaussian_kernel(radius / scale, 0.6)
+    return Problem(unit.domain, kernel, unit.coeff, unit.grid), x0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gmres_matches_dense_solve(data):
+    prob, x0 = random_singular_problem(data)
+    alpha = data.draw(st.floats(0.1, 10.0))
+    _, _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10, 1e-3, 1e-8)
+    kt = assemble_ktilde(prob, x0, a0=1.0).entries
+    dense = np.linalg.solve(np.eye(kt.shape[0]) - kt, sol.rhs_values)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(sol.g_values - dense)) <= 1e-12 * scale
+    assert sol.solver_residual <= 1e-12 * np.max(np.abs(sol.rhs_values))
+
+
+def test_fredholm_solve_logs_one_info_line(ball05, caplog):
+    with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
+        sol = solve_fredholm(ball05, CENTER, alpha=1.0, tol_linear=1e-10)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "specmeasure.measure" and r.levelno == logging.INFO]
+    assert len(lines) == 1
+    fields = dict(re.findall(r"(n|lambda1|matvecs|residual|tol_linear)[= ]([^ )]+)",
+                             lines[0]))
+    assert int(fields["n"]) == ball05.grid.size
+    assert float(fields["lambda1"]) == pytest.approx(sol.lambda1, rel=1e-11)
+    # Kt is rank one and the data is its Perron vector: one Krylov step
+    assert 1 <= int(fields["matvecs"]) <= 3
+    assert float(fields["residual"]) <= 1e-12
+    assert float(fields["tol_linear"]) == 1e-10
+
+
+def test_solve_holds_one_dense_array():
+    # constant kernel: next to Kt, assembly holds two _BLOCK-row slabs (the
+    # kernel values and their weighted copy), 2 * 512 / 3600 of Kt
+    prob = cylinder_problem(0.05, resolution=10, depth=12)
+    n = prob.grid.size
+    assert n == 3600
+    tracemalloc.start()
+    try:
+        mu = build_singular_solution(prob, [((0.0, 0.0, 0.5), 1.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * n * n
+    assert np.all(mu.density_values > 0)
+
+
+def test_cantor_level_bounded_by_memory(monkeypatch):
+    with pytest.raises(TooLargeError, match="physical memory"):
+        cantor_approximant(AXIS, level=64)
+    monkeypatch.setattr(model, "_memory_budget", lambda: measure._ATOM_BYTES << 3)
+    assert len(cantor_approximant(AXIS, level=3).atoms) == 8
+    with pytest.raises(TooLargeError):
+        cantor_approximant(AXIS, level=4)

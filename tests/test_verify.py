@@ -7,9 +7,12 @@ jumping far above roundoff for deliberately wrong inputs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmeasure import (
     Ball,
@@ -25,14 +28,20 @@ from specmeasure import (
     build_singular_solution,
     cantor_approximant,
     constant_kernel,
+    custom_kernel,
     default_test_functions,
+    estimate_lambda_p,
     gaussian_kernel,
+    normalize,
     pointwise_residual,
     radial_power,
     refinement_study,
     span_combination,
     weak_residual,
 )
+from specmeasure.measure import _atom_arrays
+from specmeasure.spectral import _BLOCK
+from specmeasure.verify import _density_on
 
 CENTER = (0.0, 0.0, 0.0)
 AXIS = Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -49,16 +58,20 @@ def ball_problem(rho, resolution=5, depth=8):
     )
 
 
-def cylinder_factory(level):
+def cylinder_problem(kernel, level):
     # joint refinement: both the base resolution and the grading depth grow
     dom = Cylinder(radius=1.0, height=1.0)
     return build_problem(
         dom,
-        gaussian_kernel(amplitude=0.2, width=0.6),
+        kernel,
         radial_power(top=1.0, scale=1.0, power=1.0, center=(0.0, 0.0), axes=(0, 1)),
         resolution=4 + level,
         grading=GradeSpec(targets=(AXIS,), ratio=0.5, depth=5 + level),
     )
+
+
+def cylinder_factory(level):
+    return cylinder_problem(gaussian_kernel(amplitude=0.2, width=0.6), level)
 
 
 def axis_atom_solution(prob):
@@ -204,6 +217,18 @@ def test_recip_integral_study_converges_to_ball_value():
     assert rows[2]["ratio"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_lambda_p_study_reports_converged_values():
+    # each row is the residual-converged lambda_p, not the midpoint of the
+    # ratio interval that stops at value_tol
+    def factory(level):
+        return ball_problem(0.1, resolution=4, depth=4 + level)
+
+    rows = refinement_study(factory, 3, "lambda_p", value_tol=1e-3)
+    for level, row in enumerate(rows):
+        exact = estimate_lambda_p(factory(level), levels=1, value_tol=None).value
+        assert row["value"] == pytest.approx(exact, abs=1e-12)
+
+
 def test_lambda_p_study_runs_in_continuous_regime():
     def factory(level):
         return ball_problem(0.2, resolution=4, depth=4 + level)
@@ -234,3 +259,83 @@ def test_study_guards():
         refinement_study(factory, 2, "residual",
                          solution=center_atom,
                          residual_kind="strong")
+
+
+def weak_residual_per_test_function(problem, mu, lam, grid):
+    """The weak residual as first written: for each test function phi, the
+    kernel term sum_x w_x phi_x K(x, y) at every node and atom y, from one
+    dense K(grid, grid) block."""
+    f = _density_on(mu, grid)
+    a_eval = problem.coeff.evaluate(grid.nodes)
+    tv = mu.total_variation()
+    apts, awts = _atom_arrays(mu.atoms)
+    a_atoms = problem.coeff.evaluate(apts)
+    katoms = problem.kernel.evaluate(grid.nodes, apts)
+    kblock = problem.kernel.evaluate(grid.nodes, grid.nodes)
+    worst = 0.0
+    for _, fn in default_test_functions(grid):
+        phi = fn(grid.nodes)
+        wphi = grid.weights * phi
+        phi_atoms = fn(apts)
+        scale = max(np.max(np.abs(phi)), np.max(np.abs(phi_atoms)))
+        val = np.sum(grid.weights * f * (wphi @ kblock + (a_eval + lam) * phi))
+        val += np.sum(awts * (wphi @ katoms + (a_atoms + lam) * phi_atoms))
+        worst = max(worst, abs(val) / (tv * max(1.0, scale)))
+    return worst
+
+
+def skewed_kernel():
+    # K(x, y) != K(y, x): the single-moment form must not rely on symmetry
+    def ev(x, y):
+        d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+        return (1.0 + 0.5 * x[:, 2:3]) * 0.2 * np.exp(-d2 / 0.72)
+
+    return custom_kernel(ev, positivity_witness=(0.2 * math.exp(-0.5), 0.6))
+
+
+@pytest.mark.parametrize("kernel", [gaussian_kernel(0.2, 0.6), skewed_kernel()],
+                         ids=["gaussian", "non-symmetric"])
+def test_weak_residual_matches_per_test_function_formula(kernel):
+    prob = cylinder_problem(kernel, 0)
+    fine = cylinder_factory(1).grid
+    mu = build_singular_solution(prob, cantor_approximant(AXIS, level=2))
+    for lam, grid in ((-1.0, fine), (-0.9, fine), (-1.0, prob.grid)):
+        report = weak_residual(prob, mu, lam, eval_grid=grid)
+        oracle = weak_residual_per_test_function(prob, mu, lam, grid)
+        assert report.value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+    assert weak_residual(prob, mu, -1.0, eval_grid=fine).value >= 1e-4
+
+
+@pytest.fixture(scope="module")
+def cylinder_solution():
+    prob = cylinder_factory(0)
+    return prob, build_atom_solution(prob, (0.0, 0.0, 0.5), alpha=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.floats(1e-3, 1e3))
+def test_residuals_are_scale_invariant(cylinder_solution, c):
+    prob, mu = cylinder_solution
+    scaled = normalize(mu, target=c * mu.total_mass())
+    fine = cylinder_factory(1).grid
+    for residual in (pointwise_residual, weak_residual):
+        for grid in (None, fine):
+            before = residual(prob, mu, -1.0, eval_grid=grid).value
+            after = residual(prob, scaled, -1.0, eval_grid=grid).value
+            assert after == pytest.approx(before, rel=1e-10, abs=1e-13)
+
+
+def test_weak_residual_holds_no_dense_block():
+    # constant kernel, as in both examples: one _BLOCK-row slab per apply
+    prob = cylinder_problem(constant_kernel(0.05), 2)
+    mu = build_singular_solution(prob, cantor_approximant(AXIS, level=3))
+    grid = cylinder_problem(constant_kernel(0.05), 3).grid
+    m = grid.size
+    assert m > 2 * _BLOCK
+    tracemalloc.start()
+    try:
+        weak_residual(prob, mu, -1.0, eval_grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m
