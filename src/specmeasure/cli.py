@@ -23,6 +23,7 @@ from .errors import ConfigurationError, NonFiniteResultError, SpecmeasureError
 from .geometry import Ball, Box, Cylinder, GradeSpec, Segment, build_grid
 from .measure import DiscreteMeasure, build_singular_solution, cantor_approximant
 from .model import (
+    ArgmaxSet,
     Problem,
     argmax_point,
     build_problem,
@@ -34,7 +35,7 @@ from .model import (
     radial_power,
 )
 from .spectral import RegimeReport, classify_regime
-from .verify import pointwise_residual, refinement_study, weak_residual
+from .verify import _verify, refinement_study
 
 __all__ = ["main"]
 
@@ -222,15 +223,18 @@ def _auto_alpha(problem: Problem, kernel_cfg: dict, a0: float) -> float:
     return 1.0
 
 
-def _prescribe(problem: Problem, cfg: dict) -> tuple[list, float]:
+def _prescribe(problem: Problem, cfg: dict,
+               amax: ArgmaxSet | None = None) -> tuple[list, float]:
     """Atoms of the prescribed singular part, and the eigenvalue -sup a.
 
     One atom at the resolved argmax point, or a Cantor approximant on a
     segment argmax set; ``alpha`` sets or scales the weights in both cases.
+    ``amax`` is the argmax set already detected on the problem grid, if any.
     """
     opts = cfg["options"]
-    amax = detect_argmax_set(problem.coeff, problem.grid,
-                             cfg["tolerances"]["maxset"])
+    if amax is None:
+        amax = detect_argmax_set(problem.coeff, problem.grid,
+                                 cfg["tolerances"]["maxset"])
     x0 = argmax_point(amax, problem.domain, opts["x0"])
     alpha = opts["alpha"]
     if opts["cantor_level"] is not None:
@@ -311,13 +315,12 @@ def _run_solve(cfg: dict, density_csv: str | None) -> dict:
                              tol_maxset=tol["maxset"],
                              confirm=bool(opts["confirm"]))
 
-    atoms, lam = _prescribe(problem, cfg)
+    atoms, lam = _prescribe(problem, cfg, report.argmax)
     mu = build_singular_solution(problem, atoms,
                                  tol_linear=tol["linear"],
                                  tol_guard=tol["guard"],
                                  tol_maxset=tol["maxset"])
-    pw = pointwise_residual(problem, mu, lam)
-    wk = weak_residual(problem, mu, lam)
+    pw, wk = _verify(problem, mu, lam, problem.grid, ("pointwise", "weak"))
 
     if density_csv is not None:
         _write_density_csv(density_csv, mu)

@@ -196,8 +196,15 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
 
     GMRES runs on v -> v - Kt v; its result is accepted on the explicit
-    check |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf.
+    check |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf.  Atom weights
+    must be finite and not all zero; that is checked before any assembly.
     """
+    _, wts = _atom_arrays(atoms)
+    if not (np.all(np.isfinite(wts)) and np.any(wts != 0)):
+        raise ConfigurationError(
+            "atom weights must be finite and not all zero, got "
+            + np.array2string(wts, threshold=6)
+        )
     a0 = _check_support(problem, atoms, tol_maxset)
     rhs_fn = _atom_rhs(problem, atoms)
     rhs_values = rhs_fn(problem.grid.nodes)
@@ -270,8 +277,6 @@ def solve_fredholm(problem: Problem, x0: tuple[float, ...], alpha: float = 1.0,
                    tol_linear: float = 1e-10,
                    tol_guard: float = 1e-3) -> FredholmSolution:
     """Solve (I - Kt) g = alpha K(., x0) for the density factor g."""
-    if alpha == 0:
-        raise ConfigurationError("alpha must be nonzero")
     _, _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear,
                               tol_guard, tol_maxset=1e-8)
     return sol

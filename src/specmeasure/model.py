@@ -93,8 +93,11 @@ def gaussian_kernel(amplitude: float, width: float) -> Kernel:
         raise ConfigurationError("gaussian kernel needs amplitude > 0 and width > 0")
 
     def ev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # in place: one slab-sized array per call, the same operations
         d2 = distance.cdist(x, y, "sqeuclidean")
-        return amplitude * np.exp(d2 / (-2.0 * width * width))
+        np.divide(d2, -2.0 * width * width, out=d2)
+        np.exp(d2, out=d2)
+        return np.multiply(amplitude, d2, out=d2)
 
     c0 = amplitude * math.exp(-0.5) * (1.0 - 1e-12)
     return Kernel("gaussian", ev, {"amplitude": amplitude, "width": width},

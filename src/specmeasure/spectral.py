@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-from scipy.spatial import cKDTree
 
 from .errors import (
     ClassificationUnstableError,
@@ -47,7 +46,7 @@ from .errors import (
     SingularNodeError,
 )
 from .geometry import GradeSpec, Grid, build_grid
-from .model import Kernel, Problem, argmax_point, detect_argmax_set
+from .model import ArgmaxSet, Kernel, Problem, argmax_point, detect_argmax_set
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +99,6 @@ class LambdaPEstimate:
     interval: tuple[float, float]
     iterations: int
     grid_size: int
-    level_values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -118,24 +116,25 @@ class RegimeReport:
     confirmed: bool
     coarse_lambda1: float | None = None
     coarse_size: int | None = None
+    # the argmax set detected on the grid; None when the caller gave x0
+    argmax: ArgmaxSet | None = None
 
 
-def _kernel_rows(problem: Problem, rows: np.ndarray) -> np.ndarray:
-    return np.asarray(
-        problem.kernel.evaluate(rows, problem.grid.nodes), dtype=float
-    )
+def _kernel_slabs(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
+                  op, out: np.ndarray) -> np.ndarray:
+    """Fill out[s] = op(K(rows[s], cols)) over ``_BLOCK``-row slabs s, so no
+    more than ``_BLOCK`` x len(cols) kernel values exist at once."""
+    for start in range(0, rows.shape[0], _BLOCK):
+        s = slice(start, min(start + _BLOCK, rows.shape[0]))
+        out[s] = op(np.asarray(kernel.evaluate(rows[s], cols), dtype=float))
+    return out
 
 
 def _kernel_apply(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """K(rows, cols) @ x, evaluated in ``_BLOCK``-row slabs so no more than
-    ``_BLOCK`` x len(cols) kernel values exist at once."""
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], _BLOCK):
-        stop = min(start + _BLOCK, rows.shape[0])
-        out[start:stop] = np.asarray(
-            kernel.evaluate(rows[start:stop], cols), dtype=float) @ x
-    return out
+    """K(rows, cols) @ x, one kernel slab at a time."""
+    return _kernel_slabs(kernel, rows, cols, lambda block: block @ x,
+                         np.empty(rows.shape[0]))
 
 
 def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatrix:
@@ -154,10 +153,8 @@ def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatri
             f"shift {shift} leaves negative diagonal entries"
         )
     n = grid.size
-    entries = np.empty((n, n))
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n))
-        entries[rows] = _kernel_rows(problem, grid.nodes[rows]) * grid.weights
+    entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
+                            lambda block: block * grid.weights, np.empty((n, n)))
     entries[np.diag_indices(n)] += a + shift
     return OperatorMatrix(entries, "full", grid, shift=shift)
 
@@ -188,11 +185,9 @@ def assemble_ktilde(problem: Problem, x0: tuple[float, ...],
             "grade the grid toward it"
         )
     n = grid.size
-    entries = np.empty((n, n))
     col = grid.weights / denom
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n))
-        entries[rows] = _kernel_rows(problem, grid.nodes[rows]) * col
+    entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
+                            lambda block: block * col, np.empty((n, n)))
     return OperatorMatrix(entries, "ktilde", grid,
                           x0=tuple(float(v) for v in x0), a0=a0)
 
@@ -268,8 +263,8 @@ def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
     return _power(entries, v0, tol_power, int(max_iter), value_tol, keep_history)
 
 
-def _full_pair(problem: Problem, tol_power: float, max_iter: int,
-               v0: np.ndarray | None = None) -> tuple[OperatorMatrix, PerronPair]:
+def _full_pair(problem: Problem, tol_power: float,
+               max_iter: int) -> tuple[OperatorMatrix, PerronPair]:
     """Full operator and its residual-converged top eigenpair.
 
     For a symmetric kernel, A = K W + diag(a + shift) is similar to the
@@ -278,11 +273,11 @@ def _full_pair(problem: Problem, tol_power: float, max_iter: int,
     iteration's own contract: strictly positive and, with lam = max A v,
     |A v - lam v|_inf / lam <= ``tol_power``, the ratio interval of v being
     the certificate.  Otherwise, and for other kernels, power iteration
-    runs, warm-started from v when v is positive.  ``v0`` starts either run.
+    runs, warm-started from v when v is positive.
     """
     full = assemble_full(problem)
     if not problem.kernel.symmetric:
-        return full, perron(full, tol_power=tol_power, max_iter=max_iter, v0=v0)
+        return full, perron(full, tol_power=tol_power, max_iter=max_iter)
     entries = _nonnegative_entries(full)
     n = entries.shape[0]
     s = np.sqrt(problem.grid.weights)
@@ -298,7 +293,7 @@ def _full_pair(problem: Problem, tol_power: float, max_iter: int,
         # a fixed start keeps reruns byte-identical; ARPACK's own is random
         _, y = eigsh(LinearOperator((n, n), matvec=sym_matvec, dtype=float),
                      k=1, which="LA", tol=0.0, ncv=ncv,
-                     v0=s if v0 is None else s * v0,
+                     v0=s,
                      maxiter=max(1, max_iter // ncv))
     except ArpackError:
         v = None
@@ -331,60 +326,21 @@ def _derive_problem(problem: Problem, resolution: int, depth: int) -> Problem:
     return Problem(problem.domain, problem.kernel, problem.coeff, grid)
 
 
-def _transfer(values: np.ndarray, src: Grid, dst: Grid) -> np.ndarray:
-    _, idx = cKDTree(src.nodes).query(dst.nodes)
-    return values[idx]
+def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10,
+                      max_iter: int = 100_000) -> LambdaPEstimate:
+    """The generalized principal eigenvalue on the problem's grid.
 
-
-def estimate_lambda_p(problem: Problem, levels: int = 3,
-                      tol_power: float = 1e-10, max_iter: int = 100_000,
-                      value_tol: float | None = 1e-4) -> LambdaPEstimate:
-    """Estimate the generalized principal eigenvalue on the problem's grid.
-
-    Runs a short coarse-to-fine chain of grids, transferring the Perron
-    vector forward as a warm start.  The estimate is minus the largest
-    eigenvalue of the full operator; the interval is certified by the ratio
-    bounds at the final iterate.  Power iteration stops as soon as the
-    ratio interval is ``value_tol`` narrow; with ``value_tol`` None each
-    level is instead converged to the ``tol_power`` residual, by Lanczos
-    where the kernel is symmetric.
+    It is minus the largest eigenvalue of the full operator, converged to
+    the ``tol_power`` residual (by Lanczos where the kernel is symmetric);
+    the interval is certified by the ratio bounds of the returned vector.
     """
-    if levels < 1:
-        raise ConfigurationError(f"levels must be >= 1, got {levels}")
-    g = problem.grid
-    chain: list[Problem] = []
-    seen = set()
-    for j in range(levels - 1, 0, -1):
-        res = max(2, g.resolution - 2 * j)
-        dep = max(1, g.grade_depth - j)
-        if (res, dep) not in seen and (res, dep) != (g.resolution, g.grade_depth):
-            seen.add((res, dep))
-            chain.append(_derive_problem(problem, res, dep))
-    chain.append(problem)
-
-    v = None
-    total_iters = 0
-    per_level = []
-    pair = None
-    for k, prob in enumerate(chain):
-        v0 = None if v is None else _transfer(v, chain[k - 1].grid, prob.grid)
-        if value_tol is None:
-            matrix, pair = _full_pair(prob, tol_power, max_iter, v0)
-        else:
-            matrix = assemble_full(prob)
-            pair = perron(matrix, tol_power=tol_power, max_iter=max_iter,
-                          value_tol=value_tol, v0=v0)
-        total_iters += pair.iterations + pair.lanczos_matvecs
-        per_level.append(matrix.shift - pair.value)
-        v = pair.vector
+    full, pair = _full_pair(problem, tol_power, max_iter)
     lo, hi = pair.interval
-    shift = matrix.shift
     return LambdaPEstimate(
-        value=shift - pair.value,
-        interval=(shift - hi, shift - lo),
-        iterations=total_iters,
+        value=full.shift - pair.value,
+        interval=(full.shift - hi, full.shift - lo),
+        iterations=pair.iterations + pair.lanczos_matvecs,
         grid_size=problem.grid.size,
-        level_values=tuple(per_level),
     )
 
 
@@ -416,18 +372,14 @@ def _atom_bracket(kt: OperatorMatrix, u: np.ndarray, a: np.ndarray,
     return lo, hi, step
 
 
-def _classify_once(problem: Problem, x0: tuple[float, ...] | None,
+def _classify_once(problem: Problem, x0: tuple[float, ...], a0: float | None,
                    tol_classify: float, tol_power: float, max_iter: int,
-                   tol_maxset: float, certify: bool
+                   certify: bool
                    ) -> tuple[str, PerronPair, tuple[float, ...], float,
                               tuple[float, float, int] | None]:
     """Regime, Kt Perron pair, x0, a0, and with ``certify`` in the singular
     regime the bracket of ``_atom_bracket`` (None otherwise), computed while
     Kt is alive so it never coexists with the full operator."""
-    a0 = None
-    if x0 is None:
-        amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
-        x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     kt = assemble_ktilde(problem, x0, a0=a0)
     pair = perron(kt, tol_power=tol_power, max_iter=max_iter,
                   value_tol=tol_classify / 10.0)
@@ -477,9 +429,17 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     iteration otherwise), whose ratio interval is the bracket.
     Threshold: -a0 itself, where the discrete spectrum clusters; no
     bracket is claimed (``lambda_p_interval`` is None).
+
+    Without ``x0``, the argmax set of a is detected on the grid at
+    ``tol_maxset``, x0 is its ``argmax_point``, and the set is reported as
+    ``argmax``.
     """
+    amax = a0 = None
+    if x0 is None:
+        amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
+        x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     regime, pair, x0, a0, bracket = _classify_once(
-        problem, x0, tol_classify, tol_power, max_iter, tol_maxset, True)
+        problem, x0, a0, tol_classify, tol_power, max_iter, True)
     runs = [_fmt_run("ktilde", pair)]
     coarse_lam1 = None
     coarse_size = None
@@ -488,7 +448,7 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
         coarse = _derive_problem(problem, g.resolution - 1,
                                  max(1, g.grade_depth - 1))
         regime_c, pair_c, _, _, _ = _classify_once(
-            coarse, x0, tol_classify, tol_power, max_iter, tol_maxset, False)
+            coarse, x0, None, tol_classify, tol_power, max_iter, False)
         runs.append(_fmt_run("ktilde-coarse", pair_c))
         coarse_lam1 = pair_c.value
         coarse_size = coarse.grid.size
@@ -557,4 +517,5 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
         confirmed=confirm,
         coarse_lambda1=coarse_lam1,
         coarse_size=coarse_size,
+        argmax=amax,
     )

@@ -90,19 +90,8 @@ def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     would reproduce the identity the density was solved from and report
     roundoff regardless of accuracy.
     """
-    _check_atom_eigenvalue(problem, mu, lam, tol_atom)
     grid = eval_grid if eval_grid is not None else (mu.grid or problem.grid)
-    f, km = _moment_on(problem, mu, grid)
-    a_eval = np.asarray(problem.coeff.evaluate(grid.nodes), dtype=float)
-    resid = km + (a_eval + lam) * f
-    normalizer = float(np.max(np.abs(km)))
-    if normalizer == 0.0:
-        raise ConfigurationError(
-            "kernel moment vanishes identically; pointwise normalization undefined"
-        )
-    raw = float(np.max(np.abs(resid)))
-    return ResidualReport(raw / normalizer, raw, normalizer, grid.size,
-                          "pointwise")
+    return _verify(problem, mu, lam, grid, ("pointwise",), tol_atom=tol_atom)[0]
 
 
 def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
@@ -150,29 +139,52 @@ def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     moment of mu serves every test function, and K need not be symmetric.
     """
     grid = eval_grid if eval_grid is not None else problem.grid
-    fns = test_functions if test_functions is not None else default_test_functions(grid)
+    return _verify(problem, mu, lam, grid, ("weak",),
+                   test_functions=test_functions)[0]
+
+
+def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
+            kinds: tuple[str, ...], tol_atom: float = 1e-6,
+            test_functions=None) -> list[ResidualReport]:
+    """The residual reports of ``kinds`` ("pointwise", "weak", in that
+    order) on ``grid``, all from one kernel moment of mu."""
+    if "pointwise" in kinds:
+        _check_atom_eigenvalue(problem, mu, lam, tol_atom)
     tv = mu.total_variation()
-    if tv == 0.0:
+    if "weak" in kinds and tv == 0.0:
         raise ConfigurationError("measure has zero total variation")
     f, km = _moment_on(problem, mu, grid)
     a_eval = np.asarray(problem.coeff.evaluate(grid.nodes), dtype=float)
-    # the eigen-equation applied to mu, tested against phi on the grid
-    resid = grid.weights * (km + (a_eval + lam) * f)
-    if mu.atoms:
-        apts, awts = _atom_arrays(mu.atoms)
-        a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
-
-    worst = 0.0
-    for _, fn in fns:
-        phi = np.asarray(fn(grid.nodes), dtype=float)
-        val = float(np.sum(resid * phi))
-        scale = float(np.max(np.abs(phi))) if phi.size else 0.0
+    # the eigen-equation applied to mu at the nodes
+    eq = km + (a_eval + lam) * f
+    reports = []
+    if "pointwise" in kinds:
+        normalizer = float(np.max(np.abs(km)))
+        if normalizer == 0.0:
+            raise ConfigurationError(
+                "kernel moment vanishes identically; pointwise normalization undefined"
+            )
+        raw = float(np.max(np.abs(eq)))
+        reports.append(ResidualReport(raw / normalizer, raw, normalizer,
+                                      grid.size, "pointwise"))
+    if "weak" in kinds:
+        fns = test_functions if test_functions is not None else default_test_functions(grid)
+        resid = grid.weights * eq
         if mu.atoms:
-            phi_atoms = np.asarray(fn(apts), dtype=float)
-            scale = max(scale, float(np.max(np.abs(phi_atoms))))
-            val += float(np.sum(awts * (a_atoms + lam) * phi_atoms))
-        worst = max(worst, abs(val) / (tv * max(1.0, scale)))
-    return ResidualReport(worst, worst * tv, tv, grid.size, "weak")
+            apts, awts = _atom_arrays(mu.atoms)
+            a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
+        worst = 0.0
+        for _, fn in fns:
+            phi = np.asarray(fn(grid.nodes), dtype=float)
+            val = float(np.sum(resid * phi))
+            scale = float(np.max(np.abs(phi))) if phi.size else 0.0
+            if mu.atoms:
+                phi_atoms = np.asarray(fn(apts), dtype=float)
+                scale = max(scale, float(np.max(np.abs(phi_atoms))))
+                val += float(np.sum(awts * (a_atoms + lam) * phi_atoms))
+            worst = max(worst, abs(val) / (tv * max(1.0, scale)))
+        reports.append(ResidualReport(worst, worst * tv, tv, grid.size, "weak"))
+    return reports
 
 
 _QUANTITIES = ("lambda_p", "lambda1", "recip_integral", "residual")
@@ -196,9 +208,9 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
     themselves take the place of differences).
 
     ``value_tol`` is the width of the ratio interval that stops the lambda1
-    study's Perron runs.  lambda_p is always the residual-converged value of
-    ``estimate_lambda_p(value_tol=None)``: a midpoint of a wide interval
-    would make the deltas and ratios measure the stopping rule.
+    study's Perron runs.  lambda_p is the residual-converged value of
+    ``estimate_lambda_p``: a midpoint of a wide interval would make the
+    deltas and ratios measure the stopping rule.
     """
     if quantity not in _QUANTITIES:
         raise ConfigurationError(
@@ -219,7 +231,7 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
     for level in range(levels):
         prob = problem_factory(level)
         if quantity == "lambda_p":
-            value = estimate_lambda_p(prob, levels=1, value_tol=None).value
+            value = estimate_lambda_p(prob).value
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid, tol_maxset)
             kt = assemble_ktilde(prob, argmax_point(amax, prob.domain),

@@ -300,8 +300,8 @@ def test_criterion_9_shift_invariance():
     shift = 0.5
     base = ball_problem(0.2, resolution=4, depth=5)
     moved = ball_problem(0.2, resolution=4, depth=5, top=1.5)
-    est_base = estimate_lambda_p(base, levels=1, tol_power=1e-12, value_tol=None)
-    est_moved = estimate_lambda_p(moved, levels=1, tol_power=1e-12, value_tol=None)
+    est_base = estimate_lambda_p(base, tol_power=1e-12)
+    est_moved = estimate_lambda_p(moved, tol_power=1e-12)
     gap = abs(est_moved.value - (est_base.value - shift))
     ok = gap <= 1e-10
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from specmeasure import cli
+from specmeasure import cli, measure, model, spectral, verify
 
 
 def run(capsys, *args):
@@ -153,6 +153,39 @@ def test_non_finite_report_exits_two(capsys, monkeypatch, command):
     assert code == 2
     assert out == ""
     assert "error[non-finite]" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+def test_solve_bad_atom_weight_exits_one(capsys, monkeypatch, alpha):
+    # the weights are rejected before the solve assembles anything
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the solve assembled an operator")
+
+    monkeypatch.setattr(measure, "assemble_ktilde", no_assembly)
+    code, out, err = run(capsys, "solve", "--example", "ball", "--alpha", alpha,
+                         "--resolution", "4", "--depth", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[configuration]: atom weights")
+
+
+def test_solve_detects_argmax_and_takes_moment_once(capsys, monkeypatch):
+    counts = {}
+    for owner, name in ((model, "detect_argmax_set"), (measure, "kernel_moment")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in (cli, model, spectral, measure, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "solve", "--example", "ball",
+                     "--resolution", "4", "--depth", "5")
+    assert code == 0
+    assert counts == {"detect_argmax_set": 1, "kernel_moment": 1}
 
 
 def test_convergence_lambda1_csv(capsys):

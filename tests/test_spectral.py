@@ -28,6 +28,7 @@ from specmeasure import (
     constant_kernel,
     coordinate_linear,
     custom_kernel,
+    detect_argmax_set,
     estimate_lambda_p,
     gaussian_kernel,
     perron,
@@ -174,7 +175,7 @@ def test_lambda_p_matches_secular_root():
         lo = top + 1e-13
         hi = top + 10.0
         root = brentq(secular, lo, hi, xtol=1e-14)
-        est = estimate_lambda_p(prob, levels=1, value_tol=1e-6)
+        est = estimate_lambda_p(prob)
         assert est.value == pytest.approx(-root, abs=5e-6)
         assert est.interval[0] <= -root <= est.interval[1]
 
@@ -183,18 +184,10 @@ def test_lambda_p_approaches_minus_sup_a_from_above():
     vals = []
     for depth in (4, 6, 8):
         prob = ball_problem(0.05, resolution=6, depth=depth)
-        est = estimate_lambda_p(prob, levels=1, value_tol=1e-3)
+        est = estimate_lambda_p(prob)
         vals.append(est.value)
     assert all(v > -1.0 for v in vals)
     assert vals[0] > vals[1] > vals[2]
-
-
-def test_estimate_warm_start_chain_consistent():
-    prob = ball_problem(0.1, resolution=6, depth=6)
-    single = estimate_lambda_p(prob, levels=1, value_tol=1e-5)
-    chained = estimate_lambda_p(prob, levels=3, value_tol=1e-5)
-    assert chained.value == pytest.approx(single.value, abs=2e-5)
-    assert len(chained.level_values) == 3
 
 
 def test_classify_ball_regimes():
@@ -249,6 +242,13 @@ def test_classify_explicit_x0():
     assert rep.regime == "singular"
     assert rep.x0 == CENTER3
     assert rep.a0 == pytest.approx(1.0)
+    assert rep.argmax is None
+
+
+def test_classify_reports_detected_argmax_set():
+    # the set x0 came from is the one a fresh detection finds on the grid
+    prob = ball_problem(0.05)
+    assert classify_regime(prob).argmax == detect_argmax_set(prob.coeff, prob.grid)
 
 
 def dense_top_eigenvalue(prob):
@@ -279,7 +279,7 @@ def test_classify_continuous_pins_full_operator_run(kernel):
     )
     rep = classify_regime(prob)
     assert rep.regime == "continuous"
-    assert rep.lambda_p == estimate_lambda_p(prob, levels=1, value_tol=None).value
+    assert rep.lambda_p == estimate_lambda_p(prob).value
     v = rep.eigen_density
     assert np.all(v > 0) and v.max() == 1.0
     full = assemble_full(prob)
@@ -337,13 +337,13 @@ def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, lanczos)
 
 def test_full_operator_shift_invariance():
     prob = ball_problem(0.1, resolution=4, depth=4)
-    est = estimate_lambda_p(prob, levels=1, tol_power=1e-12, value_tol=None)
+    est = estimate_lambda_p(prob, tol_power=1e-12)
     shifted = build_problem(
         prob.domain, prob.kernel,
         radial_power(top=1.5, scale=1.0, power=2.0, center=CENTER3),
         resolution=4, grading=GradeSpec(targets=(CENTER3,), depth=4),
     )
-    est2 = estimate_lambda_p(shifted, levels=1, tol_power=1e-12, value_tol=None)
+    est2 = estimate_lambda_p(shifted, tol_power=1e-12)
     assert est2.value == pytest.approx(est.value - 0.5, abs=1e-10)
 
 

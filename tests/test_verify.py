@@ -225,7 +225,7 @@ def test_lambda_p_study_reports_converged_values():
 
     rows = refinement_study(factory, 3, "lambda_p", value_tol=1e-3)
     for level, row in enumerate(rows):
-        exact = estimate_lambda_p(factory(level), levels=1, value_tol=None).value
+        exact = estimate_lambda_p(factory(level)).value
         assert row["value"] == pytest.approx(exact, abs=1e-12)
 
 
@@ -325,11 +325,14 @@ def test_residuals_are_scale_invariant(cylinder_solution, c):
             assert after == pytest.approx(before, rel=1e-10, abs=1e-13)
 
 
-def test_weak_residual_holds_no_dense_block():
-    # constant kernel, as in both examples: one _BLOCK-row slab per apply
-    prob = cylinder_problem(constant_kernel(0.05), 2)
+@pytest.mark.parametrize("kernel",
+                         [constant_kernel(0.05), gaussian_kernel(0.05, 1.0)],
+                         ids=["constant", "gaussian"])
+def test_weak_residual_holds_no_dense_block(kernel):
+    # one _BLOCK-row slab per apply; the Gaussian fills its slab in place
+    prob = cylinder_problem(kernel, 2)
     mu = build_singular_solution(prob, cantor_approximant(AXIS, level=3))
-    grid = cylinder_problem(constant_kernel(0.05), 3).grid
+    grid = cylinder_problem(kernel, 3).grid
     m = grid.size
     assert m > 2 * _BLOCK
     tracemalloc.start()
