@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonFiniteResultError, SpecmeasureError
 from .geometry import Ball, Box, Cylinder, GradeSpec, Segment, build_grid
-from .measure import DiscreteMeasure, build_singular_solution, cantor_approximant
+from .measure import DiscreteMeasure, _singular_solution, cantor_approximant
 from .model import (
     ArgmaxSet,
     Problem,
@@ -34,7 +34,7 @@ from .model import (
     gaussian_kernel,
     radial_power,
 )
-from .spectral import RegimeReport, classify_regime
+from .spectral import RegimeReport, _classify, classify_regime
 from .verify import _verify, refinement_study
 
 __all__ = ["main"]
@@ -309,17 +309,15 @@ def _run_solve(cfg: dict, density_csv: str | None) -> dict:
     problem = _build(cfg)
     tol = cfg["tolerances"]
     opts = cfg["options"]
-    report = classify_regime(problem,
-                             tol_classify=tol["classify"],
-                             tol_power=tol["power"],
-                             tol_maxset=tol["maxset"],
-                             confirm=bool(opts["confirm"]))
-
+    # the solve reuses the fine grid's K W that the classification built
+    report, kw = _classify(problem,
+                           tol_classify=tol["classify"],
+                           tol_power=tol["power"],
+                           tol_maxset=tol["maxset"],
+                           confirm=bool(opts["confirm"]))
     atoms, lam = _prescribe(problem, cfg, report.argmax)
-    mu = build_singular_solution(problem, atoms,
-                                 tol_linear=tol["linear"],
-                                 tol_guard=tol["guard"],
-                                 tol_maxset=tol["maxset"])
+    mu = _singular_solution(problem, atoms, kw, tol["linear"], tol["guard"],
+                            tol["maxset"])
     pw, wk = _verify(problem, mu, lam, problem.grid, ("pointwise", "weak"))
 
     if density_csv is not None:
@@ -366,10 +364,8 @@ def _run_convergence(cfg: dict) -> str:
     if opts["quantity"] == "residual":
         def solution(prob: Problem):
             atoms, lam = _prescribe(prob, cfg)
-            mu = build_singular_solution(prob, atoms,
-                                         tol_linear=tol["linear"],
-                                         tol_guard=tol["guard"],
-                                         tol_maxset=tol["maxset"])
+            mu = _singular_solution(prob, atoms, None, tol["linear"],
+                                    tol["guard"], tol["maxset"])
             return mu, lam
 
     rows = refinement_study(factory, int(opts["levels"]), opts["quantity"],
@@ -469,6 +465,12 @@ def _assemble_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg["options"][key] = value
+    alpha = cfg["options"]["alpha"]
+    if alpha is not None and not (isinstance(alpha, (int, float))
+                                  and np.isfinite(alpha) and alpha != 0):
+        raise ConfigurationError(
+            f"atom weights must be finite and not all zero, got alpha {alpha!r}"
+        )
     return cfg
 
 

@@ -7,10 +7,10 @@ the density solves the linear system
 
     (I - Kt) g = rhs,      rhs(x) = integral K(x, y) dmu0(y),
 
-which this module solves by GMRES on the assembled Kt: for a radius of Kt
-below one, I - Kt is the identity minus a compact operator, so the Krylov
-iteration converges in a few matvecs however fine the grid, and Kt is the
-only N x N array the solve holds.  Solutions carry a Nystrom extension so
+which this module solves by GMRES with Kt v = K W (v / (a0 - a)): for a
+radius of Kt below one, I - Kt is the identity minus a compact operator, so
+the Krylov iteration converges in a few matvecs however fine the grid, and
+K W is the only N x N array the solve holds.  Solutions carry a Nystrom extension so
 their densities can be evaluated off the construction grid; on the
 construction nodes the extension reproduces the solved values exactly.
 """
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .geometry import Grid, Segment, contains
 from .model import Problem
-from .spectral import _BLOCK, _kernel_apply, assemble_ktilde, perron
+from .spectral import _BLOCK, _gap, _kernel_apply, _kernel_weights, _ktilde_perron
 
 log = logging.getLogger(__name__)
 
@@ -191,11 +191,12 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
 
 
 def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
-                  tol_guard: float, tol_maxset: float
+                  tol_guard: float, tol_maxset: float, kw: np.ndarray | None = None
                   ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
     """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
 
-    GMRES runs on v -> v - Kt v; its result is accepted on the explicit
+    ``kw`` is the grid's K W, built here when None.  GMRES runs on
+    v -> v - Kt v; its result is accepted on the explicit
     check |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf.  Atom weights
     must be finite and not all zero; that is checked before any assembly.
     """
@@ -208,8 +209,10 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     a0 = _check_support(problem, atoms, tol_maxset)
     rhs_fn = _atom_rhs(problem, atoms)
     rhs_values = rhs_fn(problem.grid.nodes)
-    kt = assemble_ktilde(problem, atoms[0][0], a0=a0)
-    lam1 = perron(kt, value_tol=min(tol_guard / 10.0, 1e-6)).value
+    gap = _gap(problem, a0)
+    if kw is None:
+        kw = _kernel_weights(problem)
+    lam1 = _ktilde_perron(kw, gap, min(tol_guard / 10.0, 1e-6)).value
     if lam1 > 1.0 + tol_guard:
         raise ConfigurationError(
             f"normalized operator radius {lam1:.6f} exceeds one; the problem "
@@ -220,22 +223,21 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
             f"normalized operator radius {lam1:.6f} is within {tol_guard} of "
             "one; the resolvent is too close to singular"
         )
-    entries = kt.entries
-    n = entries.shape[0]
+    n = gap.size
     matvecs = 0
 
     def apply(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
         v = np.ravel(v)
-        return v - entries @ v
+        return v - kw @ (v / gap)
 
     g, _ = gmres(LinearOperator((n, n), matvec=apply, dtype=float), rhs_values,
                  x0=np.zeros(n), atol=0.0,
                  rtol=max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)),
                  restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
     scale = float(np.max(np.abs(rhs_values)))
-    resid = float(np.max(np.abs(g - entries @ g - rhs_values)))
+    resid = float(np.max(np.abs(g - kw @ (g / gap) - rhs_values)))
     log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
              "(tol_linear %.3g)", n, lam1, matvecs,
              resid / scale if scale > 0 else resid, tol_linear)
@@ -291,6 +293,14 @@ def build_singular_solution(problem: Problem, atoms, *,
     ``atoms`` is a sequence of (point, weight) pairs, or a pure-atom
     DiscreteMeasure (a Cantor approximant, for instance).
     """
+    return _singular_solution(problem, atoms, None, tol_linear, tol_guard,
+                              tol_maxset)
+
+
+def _singular_solution(problem: Problem, atoms, kw: np.ndarray | None,
+                       tol_linear: float, tol_guard: float,
+                       tol_maxset: float) -> DiscreteMeasure:
+    """``build_singular_solution`` reusing the problem grid's K W when given."""
     if isinstance(atoms, DiscreteMeasure):
         if atoms.density_values is not None:
             raise UnsupportedMeasureError(
@@ -302,7 +312,7 @@ def build_singular_solution(problem: Problem, atoms, *,
     if not atom_list:
         raise UnsupportedMeasureError("at least one atom is required")
     a0, rhs_fn, sol = _solve_linear(problem, atom_list, tol_linear,
-                                    tol_guard, tol_maxset)
+                                    tol_guard, tol_maxset, kw)
     positive = all(w > 0 for _, w in atom_list)
     f = sol.g_values / (a0 - problem.a_at_nodes)
     model = NystromDensity(problem, a0, sol.g_values, rhs_fn)

@@ -1,17 +1,20 @@
 """Operator assembly, Perron iteration, and regime classification.
 
-Two matrices matter.  The full operator
+One matrix matters, K W with entries K(x_i, x_j) w_j; both operators are
+diagonal scalings of it.  The full operator A = K W + diag(a),
 
-    (A u)_i = sum_j K(x_i, x_j) w_j u_j + a(x_i) u_i
+    (A u)_i = sum_j K(x_i, x_j) w_j u_j + a(x_i) u_i,
 
-whose largest eigenvalue mu gives the principal eigenvalue as -mu, and the
-normalized operator
+has the principal eigenvalue as minus its largest eigenvalue mu.  The
+normalized operator Kt = K W diag(1 / (a0 - a)),
 
     (Kt u)_i = sum_j K(x_i, x_j) w_j u_j / (a0 - a(x_j)),    a0 = sup a,
 
-whose spectral radius decides among three regimes: above one, the principal
-eigenfunction is a continuous function; at one, an L^1 density; below one,
-only a measure with an atom on the argmax set of a solves the problem.
+has the spectral radius that decides among three regimes: above one, the
+principal eigenfunction is a continuous function; at one, an L^1 density;
+below one, only a measure with an atom on the argmax set of a solves the
+problem.  K W is the only grid x grid kernel array: Kt is applied as
+K W (u / (a0 - a)), and A is K W with a added to its diagonal in place.
 
 Power iteration tracks the ratio interval [min_i (Av)_i / v_i,
 max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
@@ -19,10 +22,10 @@ irreducible matrix at every iterate.  When eigenvalue clustering stalls the
 residual, the interval still narrows enough to certify the value, so the
 iteration stops on whichever of the two criteria is reached first.
 
-Below one, the full operator is never assembled: with u the Perron vector
+Below one, the full operator is never formed: with u the Perron vector
 of the normalized operator, f = u / (a0 - a) is a positive test function
 whose ratio interval for the full operator brackets -lambda_p at the cost
-of one normalized-operator matvec, and each further matvec narrows it.
+of one K W matvec, and each further matvec narrows it.
 
 Above one, a symmetric kernel makes the full operator similar to a
 symmetric matrix, so Lanczos finds its top eigenpair in a few dozen
@@ -69,7 +72,6 @@ _BLOCK = 512
 @dataclass(frozen=True)
 class OperatorMatrix:
     entries: np.ndarray
-    kind: str                    # "full" | "ktilde"
     grid: Grid
     shift: float = 0.0           # added to the diagonal of the full operator
     x0: tuple[float, ...] | None = None
@@ -137,6 +139,35 @@ def _kernel_apply(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
                          np.empty(rows.shape[0]))
 
 
+def _kernel_weights(problem: Problem) -> np.ndarray:
+    """K W, entries K(x_i, x_j) w_j: the one grid x grid kernel array, of
+    which every operator on the grid is a diagonal scaling."""
+    grid = problem.grid
+    n = grid.size
+    entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
+                            lambda block: block * grid.weights, np.empty((n, n)))
+    if float(entries.min()) < 0:
+        raise ConfigurationError("Perron iteration needs a nonnegative kernel")
+    return entries
+
+
+def _gap(problem: Problem, a0: float) -> np.ndarray:
+    """a0 - a on the grid, checked: a0 is sup a and no node is an argmax."""
+    if a0 < problem.sup_a_grid - 1e-12 * (1.0 + abs(a0)):
+        raise ConfigurationError(
+            f"a(x0) = {a0} is below the grid maximum {problem.sup_a_grid}; "
+            "x0 does not maximize the coefficient"
+        )
+    gap = a0 - problem.a_at_nodes
+    if np.any(gap <= 0):
+        bad = int(np.sum(gap <= 0))
+        raise SingularNodeError(
+            f"{bad} grid nodes touch the argmax set of the coefficient; "
+            "grade the grid toward it"
+        )
+    return gap
+
+
 def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatrix:
     """Dense matrix of the dispersal operator plus the coefficient.
 
@@ -144,7 +175,6 @@ def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatri
     entry nonnegative so Perron iteration applies; it is recorded and undone
     when eigenvalues are reported.
     """
-    grid = problem.grid
     a = problem.a_at_nodes
     if shift is None:
         shift = float(np.max(np.abs(a)))
@@ -152,11 +182,9 @@ def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatri
         raise ConfigurationError(
             f"shift {shift} leaves negative diagonal entries"
         )
-    n = grid.size
-    entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
-                            lambda block: block * grid.weights, np.empty((n, n)))
-    entries[np.diag_indices(n)] += a + shift
-    return OperatorMatrix(entries, "full", grid, shift=shift)
+    entries = _kernel_weights(problem)
+    entries[np.diag_indices(a.size)] += a + shift
+    return OperatorMatrix(entries, problem.grid, shift=shift)
 
 
 def assemble_ktilde(problem: Problem, x0: tuple[float, ...],
@@ -167,28 +195,12 @@ def assemble_ktilde(problem: Problem, x0: tuple[float, ...],
     the grid with grading toward that set.  A given ``a0`` is used as is and
     x0 is only recorded.
     """
-    grid = problem.grid
-    x0_arr = np.asarray(x0, dtype=float)[None, :]
     if a0 is None:
-        a0 = float(problem.coeff.evaluate(x0_arr)[0])
-    a = problem.a_at_nodes
-    denom = a0 - a
-    if a0 < problem.sup_a_grid - 1e-12 * (1.0 + abs(a0)):
-        raise ConfigurationError(
-            f"a(x0) = {a0} is below the grid maximum {problem.sup_a_grid}; "
-            "x0 does not maximize the coefficient"
-        )
-    if np.any(denom <= 0):
-        bad = int(np.sum(denom <= 0))
-        raise SingularNodeError(
-            f"{bad} grid nodes touch the argmax set of the coefficient; "
-            "grade the grid toward it"
-        )
-    n = grid.size
-    col = grid.weights / denom
-    entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
-                            lambda block: block * col, np.empty((n, n)))
-    return OperatorMatrix(entries, "ktilde", grid,
+        a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
+    gap = _gap(problem, a0)
+    entries = _kernel_weights(problem)
+    entries /= gap
+    return OperatorMatrix(entries, problem.grid,
                           x0=tuple(float(v) for v in x0), a0=a0)
 
 
@@ -203,14 +215,13 @@ def collatz_wielandt_bounds(entries: np.ndarray, v: np.ndarray) -> tuple[float, 
     return lo, hi
 
 
-def _power(entries: np.ndarray, v0: np.ndarray, tol_resid: float,
-           max_iter: int, value_tol: float | None = None,
-           keep_history: bool = False) -> PerronPair:
+def _power(matvec, v0: np.ndarray, tol_resid: float, max_iter: int,
+           value_tol: float | None = None, keep_history: bool = False) -> PerronPair:
     v = v0 / float(np.max(v0))
     history: list[tuple[float, float]] = []
     res = np.inf
     for it in range(1, max_iter + 1):
-        w = entries @ v
+        w = matvec(v)
         lam = float(np.max(w))
         if lam <= 0:
             raise ConfigurationError("iteration collapsed; matrix has no positive cycle")
@@ -234,15 +245,6 @@ def _power(entries: np.ndarray, v0: np.ndarray, tol_resid: float,
     )
 
 
-def _nonnegative_entries(matrix: OperatorMatrix | np.ndarray) -> np.ndarray:
-    entries = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ConfigurationError("matrix must be square")
-    if np.any(entries < 0):
-        raise ConfigurationError("Perron iteration needs a nonnegative matrix")
-    return entries
-
-
 def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
            max_iter: int = 100_000, value_tol: float | None = None,
            v0: np.ndarray | None = None, keep_history: bool = False) -> PerronPair:
@@ -252,7 +254,11 @@ def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
     is given, as soon as the ratio interval is that narrow; the returned
     value is then the interval midpoint.
     """
-    entries = _nonnegative_entries(matrix)
+    entries = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ConfigurationError("matrix must be square")
+    if np.any(entries < 0):
+        raise ConfigurationError("Perron iteration needs a nonnegative matrix")
     n = entries.shape[0]
     if v0 is None:
         v0 = np.ones(n)
@@ -260,12 +266,21 @@ def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (n,) or np.any(v0 < 0) or not np.any(v0 > 0):
             raise ConfigurationError("start vector must be nonnegative and nonzero")
-    return _power(entries, v0, tol_power, int(max_iter), value_tol, keep_history)
+    return _power(lambda v: entries @ v, v0, tol_power, int(max_iter), value_tol,
+                  keep_history)
 
 
-def _full_pair(problem: Problem, tol_power: float,
-               max_iter: int) -> tuple[OperatorMatrix, PerronPair]:
-    """Full operator and its residual-converged top eigenpair.
+def _ktilde_perron(kw: np.ndarray, gap: np.ndarray, value_tol: float,
+                   tol_power: float = 1e-10, max_iter: int = 100_000) -> PerronPair:
+    """``perron`` on Kt = K W diag(1 / gap), applied as v -> K W (v / gap)."""
+    return _power(lambda v: kw @ (v / gap), np.ones(gap.size), tol_power,
+                  max_iter, value_tol)
+
+
+def _full_pair(problem: Problem, entries: np.ndarray, tol_power: float,
+               max_iter: int) -> tuple[LambdaPEstimate, PerronPair]:
+    """lambda_p and the residual-converged top eigenpair of the full
+    operator, formed in place from ``entries`` = K W.
 
     For a symmetric kernel, A = K W + diag(a + shift) is similar to the
     symmetric M = S A S^-1, S = diag(sqrt(w)), applied matrix-free.  Lanczos
@@ -275,11 +290,18 @@ def _full_pair(problem: Problem, tol_power: float,
     the certificate.  Otherwise, and for other kernels, power iteration
     runs, warm-started from v when v is positive.
     """
-    full = assemble_full(problem)
+    a = problem.a_at_nodes
+    shift = float(np.max(np.abs(a)))
+    n = a.size
+    entries[np.diag_indices(n)] += a + shift
+
+    def certified(pair: PerronPair) -> tuple[LambdaPEstimate, PerronPair]:
+        lo, hi = pair.interval
+        return LambdaPEstimate(shift - pair.value, (shift - hi, shift - lo),
+                               pair.iterations + pair.lanczos_matvecs, n), pair
+
     if not problem.kernel.symmetric:
-        return full, perron(full, tol_power=tol_power, max_iter=max_iter)
-    entries = _nonnegative_entries(full)
-    n = entries.shape[0]
+        return certified(_power(lambda v: entries @ v, np.ones(n), tol_power, max_iter))
     s = np.sqrt(problem.grid.weights)
     matvecs = 0
 
@@ -309,11 +331,12 @@ def _full_pair(problem: Problem, tol_power: float,
         res = float(np.max(np.abs(w - lam * v))) / lam
         if res <= tol_power:
             ratios = w / v
-            return full, PerronPair(lam, v, 0, res,
-                                    (float(np.min(ratios)), float(np.max(ratios))),
-                                    "residual", lanczos_matvecs=matvecs)
-    pair = perron(full, tol_power=tol_power, max_iter=max_iter, v0=v)
-    return full, replace(pair, lanczos_matvecs=matvecs)
+            return certified(PerronPair(lam, v, 0, res,
+                                        (float(np.min(ratios)), float(np.max(ratios))),
+                                        "residual", lanczos_matvecs=matvecs))
+    pair = _power(lambda v: entries @ v, np.ones(n) if v is None else v,
+                  tol_power, max_iter)
+    return certified(replace(pair, lanczos_matvecs=matvecs))
 
 
 def _derive_problem(problem: Problem, resolution: int, depth: int) -> Problem:
@@ -334,35 +357,26 @@ def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10,
     the ``tol_power`` residual (by Lanczos where the kernel is symmetric);
     the interval is certified by the ratio bounds of the returned vector.
     """
-    full, pair = _full_pair(problem, tol_power, max_iter)
-    lo, hi = pair.interval
-    return LambdaPEstimate(
-        value=full.shift - pair.value,
-        interval=(full.shift - hi, full.shift - lo),
-        iterations=pair.iterations + pair.lanczos_matvecs,
-        grid_size=problem.grid.size,
-    )
+    return _full_pair(problem, _kernel_weights(problem), tol_power, max_iter)[0]
 
 
-def _atom_bracket(kt: OperatorMatrix, u: np.ndarray, a: np.ndarray,
+def _atom_bracket(kw: np.ndarray, u: np.ndarray, a: np.ndarray, gap: np.ndarray,
                   width_tol: float, max_iter: int) -> tuple[float, float, int]:
     """Collatz-Wielandt bracket (lo, hi, steps) on the full operator's
     largest eigenvalue mu (unshifted), starting from the test function
-    f = u / (a0 - a), u > 0.
+    f = u / gap, u > 0, gap = a0 - a.
 
-    A g = Kt((a0 - a) g) + a g, so each step costs one Kt matvec; for f the
-    ratios are (Kt u)_i (a0 - a_i) / u_i + a_i.  The largest diagonal entry
-    a_i + Kt_ii (a0 - a_i) of A is a lower bound from the start.  While the
-    bracket is wider than ``width_tol`` the next test function is
+    A g = K W g + a g, so each step costs one K W matvec.  The largest
+    diagonal entry (K W)_ii + a_i of A is a lower bound from the start.
+    While the bracket is wider than ``width_tol`` the next test function is
     (A g - a g) / (hi - a), positive because hi >= mu > max a.  The test
     function that gave ``hi`` is a positive supersolution at lambda = -hi.
     """
-    gap = kt.a0 - a
-    lo = float(np.max(np.diagonal(kt.entries) * gap + a))
+    lo = float(np.max(np.diagonal(kw) + a))
     hi = np.inf
     g = u / gap
     for step in range(1, max_iter + 1):
-        h = kt.entries @ (gap * g)
+        h = kw @ g
         ratios = h / g + a
         lo = max(lo, float(np.min(ratios)))
         hi = min(hi, float(np.max(ratios)))
@@ -372,29 +386,12 @@ def _atom_bracket(kt: OperatorMatrix, u: np.ndarray, a: np.ndarray,
     return lo, hi, step
 
 
-def _classify_once(problem: Problem, x0: tuple[float, ...], a0: float | None,
-                   tol_classify: float, tol_power: float, max_iter: int,
-                   certify: bool
-                   ) -> tuple[str, PerronPair, tuple[float, ...], float,
-                              tuple[float, float, int] | None]:
-    """Regime, Kt Perron pair, x0, a0, and with ``certify`` in the singular
-    regime the bracket of ``_atom_bracket`` (None otherwise), computed while
-    Kt is alive so it never coexists with the full operator."""
-    kt = assemble_ktilde(problem, x0, a0=a0)
-    pair = perron(kt, tol_power=tol_power, max_iter=max_iter,
-                  value_tol=tol_classify / 10.0)
-    lam1 = pair.value
-    bracket = None
+def _regime(lam1: float, tol_classify: float) -> str:
     if lam1 > 1.0 + tol_classify:
-        regime = "continuous"
-    elif lam1 >= 1.0 - tol_classify:
-        regime = "l1"
-    else:
-        regime = "singular"
-        if certify:
-            bracket = _atom_bracket(kt, pair.vector, problem.a_at_nodes,
-                                    tol_classify / 10.0, max_iter)
-    return regime, pair, kt.x0, kt.a0, bracket
+        return "continuous"
+    if lam1 >= 1.0 - tol_classify:
+        return "l1"
+    return "singular"
 
 
 def _fmt_run(name: str, pair: PerronPair) -> str:
@@ -421,7 +418,7 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
 
     lambda_p is certified per regime.  Singular: the Collatz-Wielandt
     bracket of the full operator from f = u / (a0 - a), u the Kt Perron
-    vector, one Kt matvec per step until it is no wider than
+    vector, one K W matvec per step until it is no wider than
     ``tol_classify / 10`` (on a graded grid usually after the first);
     lambda_p is its lower end, the value at which the test function is a
     positive supersolution.  Continuous: the residual-converged top
@@ -434,24 +431,41 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     ``tol_maxset``, x0 is its ``argmax_point``, and the set is reported as
     ``argmax``.
     """
-    amax = a0 = None
+    return _classify(problem, x0, tol_classify, tol_power, max_iter,
+                     tol_maxset, confirm)[0]
+
+
+def _classify(problem: Problem, x0: tuple[float, ...] | None = None,
+              tol_classify: float = 1e-3, tol_power: float = 1e-10,
+              max_iter: int = 100_000, tol_maxset: float = 1e-8,
+              confirm: bool = True) -> tuple[RegimeReport, np.ndarray | None]:
+    """``classify_regime``'s report and the problem grid's K W for a solve to
+    reuse (None once it is the full operator).  The coarse grid's K W is
+    freed before the fine one is built, so the two never coexist."""
+    amax = None
     if x0 is None:
         amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
         x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
-    regime, pair, x0, a0, bracket = _classify_once(
-        problem, x0, a0, tol_classify, tol_power, max_iter, True)
-    runs = [_fmt_run("ktilde", pair)]
-    coarse_lam1 = None
-    coarse_size = None
+    else:
+        a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
+    gap = _gap(problem, a0)
+    value_tol = tol_classify / 10.0
+    coarse_lam1 = coarse_size = None
     if confirm:
         g = problem.grid
         coarse = _derive_problem(problem, g.resolution - 1,
                                  max(1, g.grade_depth - 1))
-        regime_c, pair_c, _, _, _ = _classify_once(
-            coarse, x0, None, tol_classify, tol_power, max_iter, False)
+        gap_c = _gap(coarse, a0)
+        pair_c = _ktilde_perron(_kernel_weights(coarse), gap_c, value_tol,
+                                tol_power, max_iter)
+        coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
+    kw = _kernel_weights(problem)
+    pair = _ktilde_perron(kw, gap, value_tol, tol_power, max_iter)
+    regime = _regime(pair.value, tol_classify)
+    runs = [_fmt_run("ktilde", pair)]
+    if confirm:
         runs.append(_fmt_run("ktilde-coarse", pair_c))
-        coarse_lam1 = pair_c.value
-        coarse_size = coarse.grid.size
+        regime_c = _regime(coarse_lam1, tol_classify)
         if regime_c != regime:
             raise ClassificationUnstableError(
                 f"regime flips between grids: {regime_c} at resolution "
@@ -464,7 +478,8 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     norm = None
     interval = None
     if regime == "singular":
-        mu_lo, mu_hi, steps = bracket
+        mu_lo, mu_hi, steps = _atom_bracket(kw, pair.vector, problem.a_at_nodes,
+                                            gap, value_tol, max_iter)
         runs.append(f"bracket matvecs={steps}")
         lambda_p = -mu_hi
         interval = (-mu_hi, -mu_lo)
@@ -474,11 +489,10 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
                 f"principal eigenvalue estimate {lambda_p:.6f} sits below {-a0:.6f}"
             )
     elif regime == "continuous":
-        full, fpair = _full_pair(problem, tol_power, max_iter)
+        est, fpair = _full_pair(problem, kw, tol_power, max_iter)
+        kw = None
         runs.append(_fmt_run("full", fpair))
-        lo, hi = fpair.interval
-        lambda_p = full.shift - fpair.value
-        interval = (full.shift - hi, full.shift - lo)
+        lambda_p, interval = est.value, est.interval
         if -lambda_p < a0 - slack:
             raise InconsistencyError(
                 f"normalized radius {pair.value:.6f} exceeds one but the "
@@ -488,7 +502,7 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
         norm = "max"
     else:
         lambda_p = -a0
-        psi = pair.vector / (a0 - problem.a_at_nodes)
+        psi = pair.vector / gap
         mass = float(np.sum(problem.grid.weights * psi))
         density = psi / mass
         norm = "mass"
@@ -518,4 +532,4 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
         coarse_lambda1=coarse_lam1,
         coarse_size=coarse_size,
         argmax=amax,
-    )
+    ), kw

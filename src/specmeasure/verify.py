@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, kernel_moment
-from .model import Problem, argmax_point, check_recip_integrability, detect_argmax_set
-from .spectral import assemble_ktilde, estimate_lambda_p, perron
+from .model import Problem, check_recip_integrability, detect_argmax_set
+from .spectral import _gap, _kernel_weights, _ktilde_perron, estimate_lambda_p
 
 __all__ = [
     "ResidualReport",
@@ -234,9 +234,8 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
             value = estimate_lambda_p(prob).value
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid, tol_maxset)
-            kt = assemble_ktilde(prob, argmax_point(amax, prob.domain),
-                                 a0=amax.sup_value)
-            value = perron(kt, value_tol=value_tol / 10.0).value
+            gap = _gap(prob, amax.sup_value)
+            value = _ktilde_perron(_kernel_weights(prob), gap, value_tol / 10.0).value
         elif quantity == "recip_integral":
             g = prob.grid
             res = check_recip_integrability(

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -142,12 +143,16 @@ def test_readme_library_example_runs():
 
 @pytest.mark.parametrize("command", ["classify", "solve"])
 def test_non_finite_report_exits_two(capsys, monkeypatch, command):
-    real = cli.classify_regime
+    # classify reaches spectral._classify through classify_regime; solve
+    # calls it directly to keep the K W it returns
+    real = spectral._classify
 
     def infinite(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), lambda_p=math.inf)
+        report, kw = real(*args, **kwargs)
+        return dataclasses.replace(report, lambda_p=math.inf), kw
 
-    monkeypatch.setattr(cli, "classify_regime", infinite)
+    monkeypatch.setattr(spectral, "_classify", infinite)
+    monkeypatch.setattr(cli, "_classify", infinite)
     code, out, err = run(capsys, command, "--example", "ball", "--rho", "0.05",
                          "--resolution", "4", "--depth", "5")
     assert code == 2
@@ -158,16 +163,80 @@ def test_non_finite_report_exits_two(capsys, monkeypatch, command):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
 def test_solve_bad_atom_weight_exits_one(capsys, monkeypatch, alpha):
-    # the weights are rejected before the solve assembles anything
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("the solve assembled an operator")
+    # the weights are rejected before a grid or an operator exists
+    def no_build(*args, **kwargs):
+        raise AssertionError("the solve built a problem")
 
-    monkeypatch.setattr(measure, "assemble_ktilde", no_assembly)
+    monkeypatch.setattr(cli, "_build", no_build)
     code, out, err = run(capsys, "solve", "--example", "ball", "--alpha", alpha,
                          "--resolution", "4", "--depth", "5")
     assert code == 1
     assert out == ""
     assert err.startswith("error[configuration]: atom weights")
+
+
+@pytest.mark.parametrize("command, source", [("convergence", "flag"),
+                                             ("solve", "config"),
+                                             ("convergence", "config")])
+def test_bad_alpha_rejected_before_any_grid(capsys, monkeypatch, tmp_path,
+                                            command, source):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "_build", no_build)
+    if source == "flag":
+        extra = ["--alpha", "nan"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"options": {"alpha": math.nan}}))
+        extra = ["--config", str(path)]
+    code, out, err = run(capsys, command, "--example", "cylinder", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[configuration]: atom weights")
+
+
+def counting_kernel(monkeypatch):
+    """Make the CLI's kernels count their evaluations: rows[n] is the number
+    of rows evaluated against all n nodes of an n-node grid."""
+    rows: dict[int, int] = {}
+    real_build = cli._build_kernel
+
+    def build(spec):
+        kernel = real_build(spec)
+
+        def evaluate(x, y):
+            rows[y.shape[0]] = rows.get(y.shape[0], 0) + x.shape[0]
+            return kernel.evaluate(x, y)
+
+        return dataclasses.replace(kernel, evaluate=evaluate)
+
+    monkeypatch.setattr(cli, "_build_kernel", build)
+    return rows
+
+
+def test_solve_evaluates_fine_grid_once(capsys, monkeypatch):
+    # the Fredholm solve reuses the K W the classification built; the
+    # kernel validation samples 96 rows, fewer than one grid's worth
+    rows = counting_kernel(monkeypatch)
+    code, out, _ = run(capsys, "solve", "--example", "ball")
+    assert code == 0
+    n = json.loads(out)["eigenobject"]["density_size"]
+    assert rows[n] // n == 1
+
+
+def test_solve_holds_one_kernel_array(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "solve", "--example", "ball",
+                           "--resolution", "10", "--depth", "12")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    n = json.loads(out)["eigenobject"]["density_size"]
+    assert n == 3600
+    assert peak <= 1.3 * 8 * n * n
 
 
 def test_solve_detects_argmax_and_takes_moment_once(capsys, monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specmeasure import (
     Ball,
@@ -179,3 +181,28 @@ def test_product_grid_tensor_structure():
     g = build_grid(prod, 3)
     assert g.nodes.shape == (9, 2)
     assert float(np.sum(g.weights)) == pytest.approx(2.0)
+
+
+coords = st.floats(-5.0, 5.0)
+lengths = st.floats(0.2, 5.0)
+
+
+@st.composite
+def random_domains(draw):
+    kind = draw(st.sampled_from(["box", "ball", "cylinder"]))
+    if kind == "box":
+        lo = draw(st.lists(coords, min_size=1, max_size=3))
+        return Box(lo=tuple(lo), hi=tuple(x + draw(lengths) for x in lo))
+    if kind == "ball":
+        center = draw(st.lists(coords, min_size=2, max_size=3))
+        return Ball(center=tuple(center), radius=draw(lengths))
+    return Cylinder(radius=draw(lengths), height=draw(lengths))
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=random_domains(), resolution=st.integers(3, 8))
+def test_random_domain_weights_sum_to_volume(domain, resolution):
+    g = build_grid(domain, resolution)
+    rel = abs(float(np.sum(g.weights)) - volume(domain)) / volume(domain)
+    assert rel < 10 * g.mesh_size**2
+    assert np.all(g.weights > 0)

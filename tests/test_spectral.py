@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,3 +448,47 @@ def test_classify_logs_one_info_line(caplog):
     assert line.count("stopped_by=") == 2
     assert "ktilde-coarse" in line
     assert "bracket matvecs=1" in line
+
+
+def gaussian_ball(resolution, depth, evaluate=None):
+    kernel = gaussian_kernel(0.15, 1.0)
+    if evaluate is not None:
+        kernel = dataclasses.replace(kernel, evaluate=evaluate(kernel.evaluate))
+    return build_problem(
+        Ball(center=CENTER3, radius=1.0), kernel,
+        radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
+        resolution=resolution, grading=GradeSpec(targets=(CENTER3,), depth=depth),
+    )
+
+
+def test_continuous_classify_evaluates_fine_grid_once():
+    # Kt and the full operator are scalings of one K W; rows[n] counts the
+    # rows evaluated against all n nodes (validation samples 96 of them)
+    rows = {}
+
+    def counting(evaluate):
+        def counted(x, y):
+            rows[y.shape[0]] = rows.get(y.shape[0], 0) + x.shape[0]
+            return evaluate(x, y)
+        return counted
+
+    prob = gaussian_ball(6, 6, counting)
+    rep = classify_regime(prob, confirm=True)
+    assert rep.regime == "continuous"
+    n = prob.grid.size
+    assert rows[n] // n == 1
+
+
+def test_continuous_classify_holds_one_kernel_array():
+    # the coarse confirmation's K W is freed before the fine one is built
+    prob = gaussian_ball(10, 12)
+    n = prob.grid.size
+    assert n == 3600
+    tracemalloc.start()
+    try:
+        rep = classify_regime(prob, confirm=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.regime == "continuous"
+    assert peak <= 1.3 * 8 * n * n
