@@ -14,6 +14,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import sys
 
@@ -35,7 +36,7 @@ from .model import (
     radial_power,
 )
 from .spectral import RegimeReport, _classify, classify_regime
-from .verify import _verify, refinement_study
+from .verify import _QUANTITIES, _RESIDUAL_KINDS, _verify, refinement_study
 
 __all__ = ["main"]
 
@@ -45,31 +46,49 @@ _REGIME_LABEL = {
     "singular": "singular_measure",
 }
 
-_DEFAULTS: dict = {
-    "problem": None,
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int; neither is a number
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+_TOLERANCE = ("tolerances must be finite numbers > 0", lambda v: _is_finite(v) and v > 0)
+
+
+# section -> key -> (default, the rule its values keep, a test of the rule);
+# a key not listed here is refused
+_SCHEMA: dict = {
     "grid": {
-        "resolution": 6,
-        "grading_depth": 8,
-        "grading_ratio": 0.5,
-        "grading_targets": "auto",
+        "resolution": (6, "the grid resolution must be an integer", _is_int),
+        "grading_depth": (8, "the grading depth must be an integer", _is_int),
+        "grading_ratio": (0.5, "the grading ratio must be a finite number", _is_finite),
+        "grading_targets": ("auto", 'grading targets must be "auto", null or a list',
+                            lambda v: v in ("auto", None) or isinstance(v, list)),
     },
-    "tolerances": {
-        "power": 1e-10,
-        "linear": 1e-10,
-        "classify": 1e-3,
-        "guard": 1e-3,
-        "maxset": 1e-8,
-    },
+    "tolerances": {"power": (1e-10, *_TOLERANCE), "linear": (1e-10, *_TOLERANCE),
+                   "classify": (1e-3, *_TOLERANCE)},
     "options": {
-        "alpha": None,
-        "x0": None,
-        "cantor_level": None,
-        "levels": 3,
-        "quantity": "lambda1",
-        "residual_kind": "weak",
-        "confirm": True,
+        "alpha": (None, "atom weights must be finite and not all zero",
+                  lambda v: v is None or (_is_finite(v) and v != 0)),
+        "x0": (None, "the x0 selector must be a finite number or null",
+               lambda v: v is None or _is_finite(v)),
+        "cantor_level": (None, "the Cantor level must be an integer or null",
+                         lambda v: v is None or _is_int(v)),
+        "levels": (3, "the number of levels must be an integer", _is_int),
+        "quantity": ("lambda1", f"the study quantity must be one of {_QUANTITIES}",
+                     _QUANTITIES.__contains__),
+        "residual_kind": ("weak", f"the residual kind must be one of {_RESIDUAL_KINDS}",
+                          _RESIDUAL_KINDS.__contains__),
+        "confirm": (True, "confirm must be true or false", lambda v: isinstance(v, bool)),
     },
 }
+
+_DEFAULTS: dict = {"problem": None, **{
+    section: {key: entry[0] for key, entry in fields.items()}
+    for section, fields in _SCHEMA.items()}}
 
 
 def _example_config(name: str) -> dict:
@@ -111,13 +130,31 @@ def _example_config(name: str) -> dict:
     raise ConfigurationError(f"unknown example {name!r}")
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _deep_update(base: dict, extra: dict) -> None:
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
+        if not isinstance(base.get(key), dict):
+            base[key] = value
+        elif isinstance(value, dict):
             _deep_update(base[key], value)
         else:
-            base[key] = value
-    return base
+            raise ConfigurationError(f"config key {key} must hold a JSON object")
+
+
+def _check_config(cfg: dict) -> None:
+    """Refuse a key the schema lacks and a value of the wrong type."""
+    for key in sorted(cfg.keys() - _DEFAULTS.keys()):
+        raise ConfigurationError(f"unknown config key {key}; the keys are "
+                                 f"{', '.join(_DEFAULTS)}")
+    for section, fields in _SCHEMA.items():
+        for key, value in cfg[section].items():
+            if key not in fields:
+                raise ConfigurationError(
+                    f"unknown config key {section}.{key}; {section} takes "
+                    f"{', '.join(fields)}"
+                )
+            _, rule, test = fields[key]
+            if not test(value):
+                raise ConfigurationError(f"{rule}, got {section}.{key} = {value!r}")
 
 
 def _require(section: dict, key: str, where: str):
@@ -189,9 +226,6 @@ def _build(cfg: dict) -> Problem:
             "no problem defined; pass --example ball|cylinder or a config "
             "file with a 'problem' section"
         )
-    for name, value in cfg["tolerances"].items():
-        if not value > 0:
-            raise ConfigurationError(f"tolerance {name!r} must be > 0, got {value}")
     domain = _build_domain(_require(cfg["problem"], "domain", "problem"))
     kernel = _build_kernel(_require(cfg["problem"], "kernel", "problem"))
     coeff = _build_coefficient(_require(cfg["problem"], "coefficient", "problem"))
@@ -203,7 +237,7 @@ def _build(cfg: dict) -> Problem:
     if depth and raw_targets:
         if raw_targets == "auto":
             probe = build_grid(domain, resolution)
-            amax = detect_argmax_set(coeff, probe, cfg["tolerances"]["maxset"])
+            amax = detect_argmax_set(coeff, probe)
             targets = amax.targets
         else:
             targets = _parse_targets(raw_targets)
@@ -233,8 +267,7 @@ def _prescribe(problem: Problem, cfg: dict,
     """
     opts = cfg["options"]
     if amax is None:
-        amax = detect_argmax_set(problem.coeff, problem.grid,
-                                 cfg["tolerances"]["maxset"])
+        amax = detect_argmax_set(problem.coeff, problem.grid)
     x0 = argmax_point(amax, problem.domain, opts["x0"])
     alpha = opts["alpha"]
     if opts["cantor_level"] is not None:
@@ -299,8 +332,7 @@ def _run_classify(cfg: dict) -> dict:
     report = classify_regime(problem,
                              tol_classify=tol["classify"],
                              tol_power=tol["power"],
-                             tol_maxset=tol["maxset"],
-                             confirm=bool(cfg["options"]["confirm"]))
+                             confirm=cfg["options"]["confirm"])
     return _spectral_payload(report, problem,
                              _classify_eigenobject(report, problem))
 
@@ -309,15 +341,12 @@ def _run_solve(cfg: dict, density_csv: str | None) -> dict:
     problem = _build(cfg)
     tol = cfg["tolerances"]
     opts = cfg["options"]
-    # the solve reuses the fine grid's K W that the classification built
-    report, kw = _classify(problem,
-                           tol_classify=tol["classify"],
-                           tol_power=tol["power"],
-                           tol_maxset=tol["maxset"],
-                           confirm=bool(opts["confirm"]))
+    # the solve acts on the report it prints: its regime decides whether a
+    # measure exists, and its lambda1 and the fine grid's K W are reused
+    report, kw = _classify(problem, None, tol["classify"], tol["power"],
+                           opts["confirm"])
     atoms, lam = _prescribe(problem, cfg, report.argmax)
-    mu = _singular_solution(problem, atoms, kw, tol["linear"], tol["guard"],
-                            tol["maxset"])
+    mu = _singular_solution(problem, atoms, tol["linear"], (report, kw))
     pw, wk = _verify(problem, mu, lam, problem.grid, ("pointwise", "weak"))
 
     if density_csv is not None:
@@ -352,27 +381,24 @@ def _write_density_csv(path: str, mu: DiscreteMeasure) -> None:
 def _run_convergence(cfg: dict) -> str:
     tol = cfg["tolerances"]
     opts = cfg["options"]
-    base = copy.deepcopy(cfg)
 
     def factory(level: int) -> Problem:
-        sub = copy.deepcopy(base)
-        sub["grid"]["resolution"] = int(base["grid"]["resolution"]) + level
-        sub["grid"]["grading_depth"] = int(base["grid"]["grading_depth"]) + level
+        sub = copy.deepcopy(cfg)
+        sub["grid"]["resolution"] = cfg["grid"]["resolution"] + level
+        sub["grid"]["grading_depth"] = cfg["grid"]["grading_depth"] + level
         return _build(sub)
 
     solution = None
     if opts["quantity"] == "residual":
         def solution(prob: Problem):
             atoms, lam = _prescribe(prob, cfg)
-            mu = _singular_solution(prob, atoms, None, tol["linear"],
-                                    tol["guard"], tol["maxset"])
+            mu = _singular_solution(prob, atoms, tol["linear"])
             return mu, lam
 
-    rows = refinement_study(factory, int(opts["levels"]), opts["quantity"],
+    rows = refinement_study(factory, opts["levels"], opts["quantity"],
                             solution=solution,
                             residual_kind=opts["residual_kind"],
-                            value_tol=tol["classify"],
-                            tol_maxset=tol["maxset"])
+                            value_tol=tol["classify"])
 
     def fmt(x) -> str:
         return "" if x is None else repr(float(x))
@@ -411,27 +437,23 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--rho", type=float,
                          help="constant kernel value override")
         cmd.add_argument("--resolution", type=int, help="grid resolution")
-        cmd.add_argument("--depth", type=int, help="grading depth")
+        cmd.add_argument("--depth", type=int, dest="grading_depth", metavar="DEPTH",
+                         help="grading depth")
         cmd.add_argument("--output", help="also write the report to this file")
-        if name == "solve":
+        if name != "classify":
             cmd.add_argument("--alpha", type=float, help="atom weight")
             cmd.add_argument("--x0", type=float,
                              help="position selector along a segment argmax")
             cmd.add_argument("--cantor-level", type=int, dest="cantor_level",
                              help="replace the atom with a Cantor approximant")
+        if name == "solve":
             cmd.add_argument("--density-csv", dest="density_csv",
                              help="write density samples to this CSV file")
         if name == "convergence":
-            cmd.add_argument("--quantity",
-                             choices=("lambda_p", "lambda1",
-                                      "recip_integral", "residual"))
+            cmd.add_argument("--quantity", choices=_QUANTITIES)
             cmd.add_argument("--levels", type=int)
             cmd.add_argument("--residual-kind", dest="residual_kind",
-                             choices=("pointwise", "weak"))
-            cmd.add_argument("--alpha", type=float, help="atom weight")
-            cmd.add_argument("--x0", type=float,
-                             help="position selector along a segment argmax")
-            cmd.add_argument("--cantor-level", type=int, dest="cantor_level")
+                             choices=_RESIDUAL_KINDS)
     return parser
 
 
@@ -456,21 +478,12 @@ def _assemble_config(args: argparse.Namespace) -> dict:
                 "--rho only applies to the constant kernel family"
             )
         kernel["rho"] = args.rho
-    if args.resolution is not None:
-        cfg["grid"]["resolution"] = args.resolution
-    if args.depth is not None:
-        cfg["grid"]["grading_depth"] = args.depth
-    for key in ("alpha", "x0", "cantor_level", "levels", "quantity",
-                "residual_kind"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg["options"][key] = value
-    alpha = cfg["options"]["alpha"]
-    if alpha is not None and not (isinstance(alpha, (int, float))
-                                  and np.isfinite(alpha) and alpha != 0):
-        raise ConfigurationError(
-            f"atom weights must be finite and not all zero, got alpha {alpha!r}"
-        )
+    # a flag overrides the grid or options key it is stored under
+    for key, value in vars(args).items():
+        for section in ("grid", "options"):
+            if value is not None and key in _SCHEMA[section]:
+                cfg[section][key] = value
+    _check_config(cfg)
     return cfg
 
 

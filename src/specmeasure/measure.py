@@ -34,8 +34,9 @@ from .errors import (
     UnsupportedMeasureError,
 )
 from .geometry import Grid, Segment, contains
-from .model import Problem
-from .spectral import _BLOCK, _gap, _kernel_apply, _kernel_weights, _ktilde_perron
+from .model import _TOL_MAXSET, Problem
+from .spectral import (_BLOCK, _TOL_CLASSIFY, RegimeReport, _gap, _kernel_apply,
+                       _kernel_weights, _ktilde_perron, _regime)
 
 log = logging.getLogger(__name__)
 
@@ -191,12 +192,14 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
 
 
 def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
-                  tol_guard: float, tol_maxset: float, kw: np.ndarray | None = None
+                  classified: tuple[RegimeReport, np.ndarray | None] | None = None
                   ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
     """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
 
-    ``kw`` is the grid's K W, built here when None.  GMRES runs on
-    v -> v - Kt v; its result is accepted on the explicit
+    Only the singular regime has a solution.  Regime and lambda1 are those
+    of ``classified``, the grid's report and K W from ``spectral._classify``;
+    without it, lambda1 is the Kt Perron root to a 1e-6 interval, classified
+    at ``classify_regime``'s default tolerance.  GMRES runs on v -> v - Kt v; its result is accepted on the explicit
     check |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf.  Atom weights
     must be finite and not all zero; that is checked before any assembly.
     """
@@ -206,22 +209,26 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
             "atom weights must be finite and not all zero, got "
             + np.array2string(wts, threshold=6)
         )
-    a0 = _check_support(problem, atoms, tol_maxset)
+    a0 = _check_support(problem, atoms)
     rhs_fn = _atom_rhs(problem, atoms)
     rhs_values = rhs_fn(problem.grid.nodes)
     gap = _gap(problem, a0)
-    if kw is None:
+    if classified is None:
         kw = _kernel_weights(problem)
-    lam1 = _ktilde_perron(kw, gap, min(tol_guard / 10.0, 1e-6)).value
-    if lam1 > 1.0 + tol_guard:
+        lam1 = _ktilde_perron(kw, gap, 1e-6).value
+        regime = _regime(lam1, _TOL_CLASSIFY)
+    else:
+        report, kw = classified
+        lam1, regime = report.lambda1, report.regime
+    if regime == "continuous":
         raise ConfigurationError(
             f"normalized operator radius {lam1:.6f} exceeds one; the problem "
             "is in the continuous regime and has no singular solution"
         )
-    if abs(lam1 - 1.0) <= tol_guard:
+    if regime == "l1":
         raise NearSingularSystemError(
-            f"normalized operator radius {lam1:.6f} is within {tol_guard} of "
-            "one; the resolvent is too close to singular"
+            f"normalized operator radius {lam1:.6f} is within the classification "
+            "tolerance of one; the resolvent is too close to singular"
         )
     n = gap.size
     matvecs = 0
@@ -253,8 +260,7 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     return a0, rhs_fn, FredholmSolution(g, rhs_values, lam1, resid)
 
 
-def _check_support(problem: Problem, atoms: tuple[Atom, ...],
-                   tol_maxset: float) -> float:
+def _check_support(problem: Problem, atoms: tuple[Atom, ...]) -> float:
     pts, _ = _atom_arrays(atoms)
     if pts.shape[1] != problem.grid.nodes.shape[1]:
         raise UnsupportedMeasureError("atom dimension does not match the domain")
@@ -264,7 +270,7 @@ def _check_support(problem: Problem, atoms: tuple[Atom, ...],
     a_atoms = np.asarray(problem.coeff.evaluate(pts), dtype=float)
     a0 = float(np.max(a_atoms))
     rng = a0 - float(np.min(problem.a_at_nodes))
-    if np.any(a_atoms < a0 - max(tol_maxset * rng, 1e-13)):
+    if np.any(a_atoms < a0 - max(_TOL_MAXSET * rng, 1e-13)):
         raise UnsupportedMeasureError(
             "atoms must sit on the argmax set of the coefficient"
         )
@@ -276,31 +282,27 @@ def _check_support(problem: Problem, atoms: tuple[Atom, ...],
 
 
 def solve_fredholm(problem: Problem, x0: tuple[float, ...], alpha: float = 1.0,
-                   tol_linear: float = 1e-10,
-                   tol_guard: float = 1e-3) -> FredholmSolution:
+                   tol_linear: float = 1e-10) -> FredholmSolution:
     """Solve (I - Kt) g = alpha K(., x0) for the density factor g."""
-    _, _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear,
-                              tol_guard, tol_maxset=1e-8)
+    _, _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear)
     return sol
 
 
 def build_singular_solution(problem: Problem, atoms, *,
-                            tol_linear: float = 1e-10,
-                            tol_guard: float = 1e-3,
-                            tol_maxset: float = 1e-8) -> DiscreteMeasure:
+                            tol_linear: float = 1e-10) -> DiscreteMeasure:
     """Singular eigensolution with the given atoms on the argmax set.
 
     ``atoms`` is a sequence of (point, weight) pairs, or a pure-atom
     DiscreteMeasure (a Cantor approximant, for instance).
     """
-    return _singular_solution(problem, atoms, None, tol_linear, tol_guard,
-                              tol_maxset)
+    return _singular_solution(problem, atoms, tol_linear)
 
 
-def _singular_solution(problem: Problem, atoms, kw: np.ndarray | None,
-                       tol_linear: float, tol_guard: float,
-                       tol_maxset: float) -> DiscreteMeasure:
-    """``build_singular_solution`` reusing the problem grid's K W when given."""
+def _singular_solution(problem: Problem, atoms, tol_linear: float,
+                       classified: tuple[RegimeReport, np.ndarray | None] | None = None
+                       ) -> DiscreteMeasure:
+    """``build_singular_solution``, deciding the regime from the problem
+    grid's classification and reusing its K W when ``classified`` is given."""
     if isinstance(atoms, DiscreteMeasure):
         if atoms.density_values is not None:
             raise UnsupportedMeasureError(
@@ -311,8 +313,7 @@ def _singular_solution(problem: Problem, atoms, kw: np.ndarray | None,
         atom_list = tuple((tuple(float(v) for v in p), float(w)) for p, w in atoms)
     if not atom_list:
         raise UnsupportedMeasureError("at least one atom is required")
-    a0, rhs_fn, sol = _solve_linear(problem, atom_list, tol_linear,
-                                    tol_guard, tol_maxset, kw)
+    a0, rhs_fn, sol = _solve_linear(problem, atom_list, tol_linear, classified)
     positive = all(w > 0 for _, w in atom_list)
     f = sol.g_values / (a0 - problem.a_at_nodes)
     model = NystromDensity(problem, a0, sol.g_values, rhs_fn)

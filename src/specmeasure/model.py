@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.sparse import csgraph
 from scipy.spatial import cKDTree, distance
 
 from .errors import (
@@ -171,6 +172,11 @@ def custom_coefficient(fn: Callable[[np.ndarray], np.ndarray],
 
 # -- argmax set detection -----------------------------------------------
 
+# a node or an atom is on the argmax set when a is within this share of the
+# range of a below its maximum
+_TOL_MAXSET = 1e-8
+
+
 @dataclass(frozen=True)
 class ArgmaxComponent:
     kind: str                         # "point" | "segment" | "cluster"
@@ -232,13 +238,13 @@ def _extend_along(coeff: CoefficientField, domain: Domain, origin: np.ndarray,
     return origin + t_lo * direction
 
 
-def detect_argmax_set(coeff: CoefficientField, grid: Grid,
-                      tol_maxset: float = 1e-8) -> ArgmaxSet:
+def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
     """Locate the argmax set of the coefficient from its grid values.
 
-    Nodes within a relative tolerance of the grid maximum are clustered by
-    proximity; each cluster is classified by its extent as a point, a line
-    segment, or a general cluster, and refined by local optimization.
+    Nodes within ``_TOL_MAXSET`` of the range of a below the grid maximum
+    are clustered by proximity; each cluster is classified by its extent as
+    a point, a line segment, or a general cluster, and refined by local
+    optimization.
     """
     a_vals = np.asarray(coeff.evaluate(grid.nodes), dtype=float)
     a_max = float(np.max(a_vals))
@@ -247,35 +253,24 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid,
         raise ConfigurationError(
             "coefficient is constant on the grid; its argmax set is the whole domain"
         )
-    tau = max(tol_maxset * a_rng, 4.0 * np.finfo(float).eps * max(1.0, abs(a_max)))
+    tau = max(_TOL_MAXSET * a_rng, 4.0 * np.finfo(float).eps * max(1.0, abs(a_max)))
     mask = a_vals >= a_max - tau
     pts = grid.nodes[mask]
 
-    # proximity clustering: union-find over node pairs within two mesh widths
-    link = 2.0 * grid.mesh_size
-    parent = list(range(pts.shape[0]))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tree = cKDTree(pts)
-    for i, j in tree.query_pairs(link):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(pts.shape[0]):
-        groups.setdefault(find(i), []).append(i)
+    # proximity clustering: components of the graph linking nodes within two
+    # mesh widths, numbered in the order of their first node
+    pairs = cKDTree(pts).query_pairs(2.0 * grid.mesh_size, output_type="ndarray")
+    m = pts.shape[0]
+    link = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                             shape=(m, m))
+    count, labels = csgraph.connected_components(link, directed=False)
 
     scale = grid.mesh_size
     dscale = float(np.linalg.norm(np.ptp(grid.nodes, axis=0)))
     components = []
     sup_value = a_max
-    for idx in groups.values():
-        cluster = pts[idx]
+    for k in range(count):
+        cluster = pts[labels == k]
         centroid = cluster.mean(axis=0)
         ref_pt, ref_val = _refine_point(coeff, grid.domain, centroid)
         sup_value = max(sup_value, ref_val)
@@ -290,7 +285,7 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid,
         resid = float(np.max(np.linalg.norm(centered - np.outer(t, direction), axis=1)))
         # a point argmax can mask a whole shell of nodes; what distinguishes a
         # segment is that the level set itself extends along the fitted line
-        tol_ref = max(tol_maxset * a_rng,
+        tol_ref = max(_TOL_MAXSET * a_rng,
                       8.0 * np.finfo(float).eps * max(1.0, abs(ref_val)))
         end_a = _extend_along(coeff, grid.domain, ref_pt, -direction,
                               ref_val, tol_ref, scale)
@@ -354,8 +349,7 @@ class IntegrabilityResult:
 
 def check_recip_integrability(coeff: CoefficientField, domain: Domain,
                               depth: int, *, resolution: int = 6,
-                              ratio: float = 0.5,
-                              tol_maxset: float = 1e-8) -> IntegrabilityResult:
+                              ratio: float = 0.5) -> IntegrabilityResult:
     """Decide whether 1 / (sup a - a) is integrable near the argmax set.
 
     Integrates over nested shells excluding a geometrically shrinking
@@ -367,7 +361,7 @@ def check_recip_integrability(coeff: CoefficientField, domain: Domain,
             f"integrability check needs grading depth >= 4, got {depth}"
         )
     probe = build_grid(domain, resolution)
-    amax = detect_argmax_set(coeff, probe, tol_maxset)
+    amax = detect_argmax_set(coeff, probe)
     grade = GradeSpec(targets=amax.targets, ratio=ratio, depth=depth)
     grid = build_grid(domain, resolution, grade)
     a_vals = np.asarray(coeff.evaluate(grid.nodes), dtype=float)
@@ -375,7 +369,7 @@ def check_recip_integrability(coeff: CoefficientField, domain: Domain,
     if np.any(denom <= 0):
         bad = int(np.sum(denom <= 0))
         raise ConfigurationError(
-            f"{bad} graded nodes reach the coefficient sup; increase tol_maxset"
+            f"{bad} graded nodes reach the coefficient sup"
         )
     dist = np.min(
         np.stack([distance_to_target(grid.nodes, t) for t in amax.targets]),

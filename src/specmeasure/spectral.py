@@ -67,6 +67,10 @@ __all__ = [
 ]
 
 _BLOCK = 512
+# power-iteration steps before IterationLimitError; Lanczos gets as many matvecs
+_MAX_ITER = 100_000
+# by default classify_regime calls a lambda1 within this of one "l1"
+_TOL_CLASSIFY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ def _power(matvec, v0: np.ndarray, tol_resid: float, max_iter: int,
 
 
 def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
-           max_iter: int = 100_000, value_tol: float | None = None,
+           max_iter: int = _MAX_ITER, value_tol: float | None = None,
            v0: np.ndarray | None = None, keep_history: bool = False) -> PerronPair:
     """Perron root and vector of a nonnegative matrix by power iteration.
 
@@ -271,14 +275,14 @@ def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
 
 
 def _ktilde_perron(kw: np.ndarray, gap: np.ndarray, value_tol: float,
-                   tol_power: float = 1e-10, max_iter: int = 100_000) -> PerronPair:
+                   tol_power: float = 1e-10) -> PerronPair:
     """``perron`` on Kt = K W diag(1 / gap), applied as v -> K W (v / gap)."""
     return _power(lambda v: kw @ (v / gap), np.ones(gap.size), tol_power,
-                  max_iter, value_tol)
+                  _MAX_ITER, value_tol)
 
 
-def _full_pair(problem: Problem, entries: np.ndarray, tol_power: float,
-               max_iter: int) -> tuple[LambdaPEstimate, PerronPair]:
+def _full_pair(problem: Problem, entries: np.ndarray,
+               tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
     """lambda_p and the residual-converged top eigenpair of the full
     operator, formed in place from ``entries`` = K W.
 
@@ -301,7 +305,7 @@ def _full_pair(problem: Problem, entries: np.ndarray, tol_power: float,
                                pair.iterations + pair.lanczos_matvecs, n), pair
 
     if not problem.kernel.symmetric:
-        return certified(_power(lambda v: entries @ v, np.ones(n), tol_power, max_iter))
+        return certified(_power(lambda v: entries @ v, np.ones(n), tol_power, _MAX_ITER))
     s = np.sqrt(problem.grid.weights)
     matvecs = 0
 
@@ -316,7 +320,7 @@ def _full_pair(problem: Problem, entries: np.ndarray, tol_power: float,
         _, y = eigsh(LinearOperator((n, n), matvec=sym_matvec, dtype=float),
                      k=1, which="LA", tol=0.0, ncv=ncv,
                      v0=s,
-                     maxiter=max(1, max_iter // ncv))
+                     maxiter=_MAX_ITER // ncv)
     except ArpackError:
         v = None
     else:
@@ -335,7 +339,7 @@ def _full_pair(problem: Problem, entries: np.ndarray, tol_power: float,
                                         (float(np.min(ratios)), float(np.max(ratios))),
                                         "residual", lanczos_matvecs=matvecs))
     pair = _power(lambda v: entries @ v, np.ones(n) if v is None else v,
-                  tol_power, max_iter)
+                  tol_power, _MAX_ITER)
     return certified(replace(pair, lanczos_matvecs=matvecs))
 
 
@@ -349,19 +353,18 @@ def _derive_problem(problem: Problem, resolution: int, depth: int) -> Problem:
     return Problem(problem.domain, problem.kernel, problem.coeff, grid)
 
 
-def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10,
-                      max_iter: int = 100_000) -> LambdaPEstimate:
+def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEstimate:
     """The generalized principal eigenvalue on the problem's grid.
 
     It is minus the largest eigenvalue of the full operator, converged to
     the ``tol_power`` residual (by Lanczos where the kernel is symmetric);
     the interval is certified by the ratio bounds of the returned vector.
     """
-    return _full_pair(problem, _kernel_weights(problem), tol_power, max_iter)[0]
+    return _full_pair(problem, _kernel_weights(problem), tol_power)[0]
 
 
 def _atom_bracket(kw: np.ndarray, u: np.ndarray, a: np.ndarray, gap: np.ndarray,
-                  width_tol: float, max_iter: int) -> tuple[float, float, int]:
+                  width_tol: float) -> tuple[float, float, int]:
     """Collatz-Wielandt bracket (lo, hi, steps) on the full operator's
     largest eigenvalue mu (unshifted), starting from the test function
     f = u / gap, u > 0, gap = a0 - a.
@@ -375,7 +378,7 @@ def _atom_bracket(kw: np.ndarray, u: np.ndarray, a: np.ndarray, gap: np.ndarray,
     lo = float(np.max(np.diagonal(kw) + a))
     hi = np.inf
     g = u / gap
-    for step in range(1, max_iter + 1):
+    for step in range(1, _MAX_ITER + 1):
         h = kw @ g
         ratios = h / g + a
         lo = max(lo, float(np.min(ratios)))
@@ -406,8 +409,7 @@ def _fmt_run(name: str, pair: PerronPair) -> str:
 
 
 def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
-                    tol_classify: float = 1e-3, tol_power: float = 1e-10,
-                    max_iter: int = 100_000, tol_maxset: float = 1e-8,
+                    tol_classify: float = _TOL_CLASSIFY, tol_power: float = 1e-10,
                     confirm: bool = True) -> RegimeReport:
     """Decide which kind of principal eigenfunction the problem admits.
 
@@ -427,24 +429,20 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     Threshold: -a0 itself, where the discrete spectrum clusters; no
     bracket is claimed (``lambda_p_interval`` is None).
 
-    Without ``x0``, the argmax set of a is detected on the grid at
-    ``tol_maxset``, x0 is its ``argmax_point``, and the set is reported as
-    ``argmax``.
+    Without ``x0``, the argmax set of a is detected on the grid, x0 is its
+    ``argmax_point``, and the set is reported as ``argmax``.
     """
-    return _classify(problem, x0, tol_classify, tol_power, max_iter,
-                     tol_maxset, confirm)[0]
+    return _classify(problem, x0, tol_classify, tol_power, confirm)[0]
 
 
-def _classify(problem: Problem, x0: tuple[float, ...] | None = None,
-              tol_classify: float = 1e-3, tol_power: float = 1e-10,
-              max_iter: int = 100_000, tol_maxset: float = 1e-8,
-              confirm: bool = True) -> tuple[RegimeReport, np.ndarray | None]:
+def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: float,
+              tol_power: float, confirm: bool) -> tuple[RegimeReport, np.ndarray | None]:
     """``classify_regime``'s report and the problem grid's K W for a solve to
     reuse (None once it is the full operator).  The coarse grid's K W is
     freed before the fine one is built, so the two never coexist."""
     amax = None
     if x0 is None:
-        amax = detect_argmax_set(problem.coeff, problem.grid, tol_maxset)
+        amax = detect_argmax_set(problem.coeff, problem.grid)
         x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     else:
         a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
@@ -456,11 +454,10 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None = None,
         coarse = _derive_problem(problem, g.resolution - 1,
                                  max(1, g.grade_depth - 1))
         gap_c = _gap(coarse, a0)
-        pair_c = _ktilde_perron(_kernel_weights(coarse), gap_c, value_tol,
-                                tol_power, max_iter)
+        pair_c = _ktilde_perron(_kernel_weights(coarse), gap_c, value_tol, tol_power)
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
     kw = _kernel_weights(problem)
-    pair = _ktilde_perron(kw, gap, value_tol, tol_power, max_iter)
+    pair = _ktilde_perron(kw, gap, value_tol, tol_power)
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
     if confirm:
@@ -479,7 +476,7 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None = None,
     interval = None
     if regime == "singular":
         mu_lo, mu_hi, steps = _atom_bracket(kw, pair.vector, problem.a_at_nodes,
-                                            gap, value_tol, max_iter)
+                                            gap, value_tol)
         runs.append(f"bracket matvecs={steps}")
         lambda_p = -mu_hi
         interval = (-mu_hi, -mu_lo)
@@ -489,7 +486,7 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None = None,
                 f"principal eigenvalue estimate {lambda_p:.6f} sits below {-a0:.6f}"
             )
     elif regime == "continuous":
-        est, fpair = _full_pair(problem, kw, tol_power, max_iter)
+        est, fpair = _full_pair(problem, kw, tol_power)
         kw = None
         runs.append(_fmt_run("full", fpair))
         lambda_p, interval = est.value, est.interval

@@ -39,18 +39,8 @@ class ResidualReport:
     kind: str                # "pointwise" | "weak"
 
 
-def _check_atom_eigenvalue(problem: Problem, mu: DiscreteMeasure, lam: float,
-                           tol_atom: float) -> None:
-    if not mu.atoms:
-        return
-    pts, _ = _atom_arrays(mu.atoms)
-    a_atoms = np.asarray(problem.coeff.evaluate(pts), dtype=float)
-    off = np.max(np.abs(a_atoms + lam))
-    if off > tol_atom * max(1.0, abs(lam)):
-        raise InvalidEigenpairError(
-            f"an atomic eigensolution requires lambda = -a at every atom; "
-            f"offset is {off:.3e}"
-        )
+# atoms must carry lambda = -a to this share of max(1, |lambda|)
+_TOL_ATOM = 1e-6
 
 
 def _density_on(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
@@ -77,8 +67,7 @@ def _moment_on(problem: Problem, mu: DiscreteMeasure,
 
 
 def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
-                       eval_grid: Grid | None = None,
-                       tol_atom: float = 1e-6) -> ResidualReport:
+                       eval_grid: Grid | None = None) -> ResidualReport:
     """Max norm of the eigen-equation applied to the measure's density part.
 
     The residual at x is integral K(x, y) dmu(y) + (a(x) + lambda) f(x),
@@ -91,7 +80,7 @@ def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     roundoff regardless of accuracy.
     """
     grid = eval_grid if eval_grid is not None else (mu.grid or problem.grid)
-    return _verify(problem, mu, lam, grid, ("pointwise",), tol_atom=tol_atom)[0]
+    return _verify(problem, mu, lam, grid, ("pointwise",))[0]
 
 
 def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
@@ -144,12 +133,18 @@ def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
 
 
 def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
-            kinds: tuple[str, ...], tol_atom: float = 1e-6,
-            test_functions=None) -> list[ResidualReport]:
+            kinds: tuple[str, ...], test_functions=None) -> list[ResidualReport]:
     """The residual reports of ``kinds`` ("pointwise", "weak", in that
     order) on ``grid``, all from one kernel moment of mu."""
-    if "pointwise" in kinds:
-        _check_atom_eigenvalue(problem, mu, lam, tol_atom)
+    if mu.atoms:
+        apts, awts = _atom_arrays(mu.atoms)
+        a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
+        off = np.max(np.abs(a_atoms + lam))
+        if "pointwise" in kinds and off > _TOL_ATOM * max(1.0, abs(lam)):
+            raise InvalidEigenpairError(
+                f"an atomic eigensolution requires lambda = -a at every atom; "
+                f"offset is {off:.3e}"
+            )
     tv = mu.total_variation()
     if "weak" in kinds and tv == 0.0:
         raise ConfigurationError("measure has zero total variation")
@@ -170,9 +165,6 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
     if "weak" in kinds:
         fns = test_functions if test_functions is not None else default_test_functions(grid)
         resid = grid.weights * eq
-        if mu.atoms:
-            apts, awts = _atom_arrays(mu.atoms)
-            a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
         worst = 0.0
         for _, fn in fns:
             phi = np.asarray(fn(grid.nodes), dtype=float)
@@ -188,14 +180,14 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
 
 
 _QUANTITIES = ("lambda_p", "lambda1", "recip_integral", "residual")
+_RESIDUAL_KINDS = ("pointwise", "weak")
 
 
 def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
                      quantity: str, *,
                      solution: Callable[[Problem], tuple[DiscreteMeasure, float]] | None = None,
                      residual_kind: str = "pointwise",
-                     value_tol: float = 1e-4,
-                     tol_maxset: float = 1e-8) -> list[dict]:
+                     value_tol: float = 1e-4) -> list[dict]:
     """Track a quantity across grid levels 0 .. levels-1.
 
     ``problem_factory(level)`` must return successively finer problems; for
@@ -220,6 +212,8 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
         raise ConfigurationError(f"a study needs at least 2 levels, got {levels}")
     if quantity == "residual" and solution is None:
         raise ConfigurationError("the residual study needs a solution builder")
+    if residual_kind not in _RESIDUAL_KINDS:
+        raise ConfigurationError(f"unknown residual kind {residual_kind!r}")
 
     ref_grid = None
     if quantity == "residual":
@@ -233,7 +227,7 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
         if quantity == "lambda_p":
             value = estimate_lambda_p(prob).value
         elif quantity == "lambda1":
-            amax = detect_argmax_set(prob.coeff, prob.grid, tol_maxset)
+            amax = detect_argmax_set(prob.coeff, prob.grid)
             gap = _gap(prob, amax.sup_value)
             value = _ktilde_perron(_kernel_weights(prob), gap, value_tol / 10.0).value
         elif quantity == "recip_integral":
@@ -241,19 +235,12 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
             res = check_recip_integrability(
                 prob.coeff, prob.domain, depth=max(4, g.grade_depth),
                 resolution=g.resolution, ratio=g.grade_ratio,
-                tol_maxset=tol_maxset,
             )
             value = res.value if res.status == "integrable" else None
         else:
             mu, lam = solution(prob)
-            if residual_kind == "pointwise":
-                value = pointwise_residual(prob, mu, lam, eval_grid=ref_grid).value
-            elif residual_kind == "weak":
-                value = weak_residual(prob, mu, lam, eval_grid=ref_grid).value
-            else:
-                raise ConfigurationError(
-                    f"unknown residual kind {residual_kind!r}"
-                )
+            residual = pointwise_residual if residual_kind == "pointwise" else weak_residual
+            value = residual(prob, mu, lam, eval_grid=ref_grid).value
 
         if quantity == "residual":
             delta = value

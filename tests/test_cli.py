@@ -445,3 +445,117 @@ def test_solve_in_continuous_regime_exits_one(capsys):
                        "--resolution", "4", "--depth", "5")
     assert code == 1
     assert "error[configuration]" in err
+
+
+def config_file(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def refuse_build(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "_build", no_build)
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("classify", {"tolerances": {"guard": 1e-3}}, "tolerances.guard"),
+    ("solve", {"tolerances": {"maxset": 1e-8}}, "tolerances.maxset"),
+    ("convergence", {"options": {"levles": 3}}, "options.levles"),
+    ("solve", {"grid": {"depth": 4}}, "grid.depth"),
+    ("classify", {"tolerance": {"power": 1e-10}}, "key tolerance;"),
+])
+def test_unknown_config_key_exits_one(capsys, monkeypatch, tmp_path,
+                                      command, cfg, key):
+    refuse_build(monkeypatch)
+    code, out, err = run(capsys, command, "--example", "cylinder",
+                         "--config", config_file(tmp_path, cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[configuration]: unknown config key")
+    assert key in err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("classify", {"tolerances": {"power": "x"}}, "tolerances.power"),
+    ("classify", {"tolerances": {"classify": True}}, "tolerances.classify"),
+    ("solve", {"tolerances": {"linear": -1e-10}}, "tolerances.linear"),
+    ("solve", {"tolerances": {"linear": math.inf}}, "tolerances.linear"),
+    ("convergence", {"options": {"levels": "x"}}, "options.levels"),
+    ("solve", {"options": {"x0": "mid"}}, "options.x0"),
+    ("solve", {"options": {"cantor_level": 2.5}}, "options.cantor_level"),
+    ("solve", {"options": {"alpha": True}}, "options.alpha"),
+    ("classify", {"options": {"confirm": "no"}}, "options.confirm"),
+    ("convergence", {"options": {"quantity": "mass"}}, "options.quantity"),
+    ("classify", {"grid": {"resolution": 4.5}}, "grid.resolution"),
+    ("classify", {"grid": {"grading_targets": "axis"}}, "grid.grading_targets"),
+    ("classify", {"grid": 5}, "grid"),
+])
+def test_ill_typed_config_value_exits_one(capsys, monkeypatch, tmp_path,
+                                          command, cfg, key):
+    # every value is checked against the schema before any grid exists
+    refuse_build(monkeypatch)
+    code, out, err = run(capsys, command, "--example", "cylinder",
+                         "--config", config_file(tmp_path, cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[configuration]:")
+    assert key in err
+
+
+def ball_rho(lambda1: float, depth: int) -> float:
+    """The rho at which the ball example's Kt has radius ``lambda1``: the
+    grid value of the reciprocal-gap integral is 4 pi (1 - 2^-(depth + 1))."""
+    return lambda1 / (4.0 * math.pi * (1.0 - 0.5 ** (depth + 1)))
+
+
+def test_solve_refuses_a_threshold_report(capsys, tmp_path):
+    # lambda1 = 0.995 lies in a 1e-2 band around one, so the report says l1
+    # and no measure is built; the solve once printed the l1 label next to
+    # an atom-plus-density measure
+    code, out, err = run(capsys, "solve", "--example", "ball",
+                         "--rho", repr(ball_rho(0.995, 8)),
+                         "--resolution", "4", "--depth", "8",
+                         "--config", config_file(tmp_path,
+                                                 {"tolerances": {"classify": 0.01}}))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[near-singular-system]")
+
+
+def test_solve_builds_what_its_report_calls_singular(capsys, tmp_path):
+    # lambda1 = 0.9995 lies outside a 1e-4 band: the report says singular
+    # and the solve builds the measure
+    code, out, err = run(capsys, "solve", "--example", "ball",
+                         "--rho", repr(ball_rho(0.9995, 8)),
+                         "--resolution", "4", "--depth", "8",
+                         "--config", config_file(tmp_path,
+                                                 {"tolerances": {"classify": 1e-4}}))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["regime"] == "singular_measure"
+    assert payload["lambda1_ktilde"] == pytest.approx(0.9995, rel=1e-10)
+    assert payload["eigenobject"]["kind"] == "measure"
+    assert payload["eigenobject"]["residuals"]["pointwise"] <= 1e-10
+
+
+def test_solve_runs_two_ktilde_perron_solves(capsys, monkeypatch):
+    # the coarse and the fine classification; the Fredholm solve takes the
+    # fine report's lambda1 instead of a third run
+    sizes = []
+    real = spectral._ktilde_perron
+
+    def counted(kw, *args, **kwargs):
+        sizes.append(kw.shape[0])
+        return real(kw, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_ktilde_perron", counted)
+    monkeypatch.setattr(measure, "_ktilde_perron", counted)
+    code, out, _ = run(capsys, "solve", "--example", "ball",
+                       "--resolution", "4", "--depth", "5")
+    assert code == 0
+    n = json.loads(out)["eigenobject"]["density_size"]
+    assert len(sizes) == 2
+    assert sizes[1] == n > sizes[0]

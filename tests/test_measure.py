@@ -301,7 +301,7 @@ def random_singular_problem(data):
 def test_gmres_matches_dense_solve(data):
     prob, x0 = random_singular_problem(data)
     alpha = data.draw(st.floats(0.1, 10.0))
-    _, _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10, 1e-3, 1e-8)
+    _, _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10)
     kt = assemble_ktilde(prob, x0, a0=1.0).entries
     dense = np.linalg.solve(np.eye(kt.shape[0]) - kt, sol.rhs_values)
     scale = np.max(np.abs(dense))

@@ -115,6 +115,30 @@ def test_detect_two_point_argmax():
     np.testing.assert_allclose(locs, [0.3, 0.7], atol=1e-6)
 
 
+def plateaus(*spans):
+    """a = 1 - distance to the union of the intervals ``spans``."""
+    def ev(x):
+        t = np.atleast_2d(x)[:, 0]
+        return 1.0 - np.min([np.clip(np.maximum(lo - t, t - hi), 0.0, None)
+                             for lo, hi in spans], axis=0)
+    return custom_coefficient(ev)
+
+
+@pytest.mark.parametrize("spans, counts", [
+    (((0.1, 0.2), (0.5, 0.8)), (12, 4)),   # the larger cluster comes first
+    (((0.1, 0.2), (0.6, 0.7)), (4, 4)),    # ties keep the order of the nodes
+])
+def test_detect_orders_clusters(spans, counts):
+    grid = build_grid(Interval(0.0, 1.0), 40)
+    amax = detect_argmax_set(plateaus(*spans), grid)
+    assert tuple(c.node_count for c in amax.components) == counts
+    expected = sorted(spans, key=lambda s: -(s[1] - s[0]))
+    for comp, (lo, hi) in zip(amax.components, expected):
+        assert comp.kind == "segment"
+        ends = sorted([comp.representative.start[0], comp.representative.end[0]])
+        np.testing.assert_allclose(ends, [lo, hi], atol=1e-6)
+
+
 def test_detect_rejects_constant_coefficient():
     grid = build_grid(Interval(0.0, 1.0), 8)
     with pytest.raises(ConfigurationError):
