@@ -73,10 +73,10 @@ _SCHEMA: dict = {
     "options": {
         "alpha": (None, "atom weights must be finite and not all zero",
                   lambda v: v is None or (_is_finite(v) and v != 0)),
-        "x0": (None, "the x0 selector must be a finite number or null",
-               lambda v: v is None or _is_finite(v)),
-        "cantor_level": (None, "the Cantor level must be an integer or null",
-                         lambda v: v is None or _is_int(v)),
+        "x0": (None, "the x0 selector must be a number in [0, 1] or null",
+               lambda v: v is None or (_is_finite(v) and 0 <= v <= 1)),
+        "cantor_level": (None, "the Cantor level must be an integer >= 0 or null",
+                         lambda v: v is None or (_is_int(v) and v >= 0)),
         "levels": (3, "the number of levels must be an integer", _is_int),
         "quantity": ("lambda1", f"the study quantity must be one of {_QUANTITIES}",
                      _QUANTITIES.__contains__),
@@ -145,6 +145,8 @@ def _check_config(cfg: dict) -> None:
     for key in sorted(cfg.keys() - _DEFAULTS.keys()):
         raise ConfigurationError(f"unknown config key {key}; the keys are "
                                  f"{', '.join(_DEFAULTS)}")
+    if cfg["problem"] is not None:
+        _object(cfg["problem"], "problem")
     for section, fields in _SCHEMA.items():
         for key, value in cfg[section].items():
             if key not in fields:
@@ -157,50 +159,76 @@ def _check_config(cfg: dict) -> None:
                 raise ConfigurationError(f"{rule}, got {section}.{key} = {value!r}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"config key {where} must hold a JSON object, "
+                                 f"got {value!r}")
+    return value
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigurationError(f"config section {where!r} needs the key {key!r}")
     return section[key]
 
 
+def _number(spec: dict, key: str, where: str) -> float:
+    value = _require(spec, key, where)
+    if not _is_finite(value):
+        raise ConfigurationError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(spec: dict, key: str, where: str, test=_is_finite) -> tuple:
+    value = _require(spec, key, where)
+    if not (isinstance(value, list) and all(test(v) for v in value)):
+        kind = "integers" if test is _is_int else "finite numbers"
+        raise ConfigurationError(f"{where}.{key} must be a list of {kind}, got {value!r}")
+    return tuple(value)
+
+
 def _build_domain(spec: dict):
-    kind = _require(spec, "kind", "problem.domain")
+    where = "problem.domain"
+    kind = _require(spec, "kind", where)
     if kind == "ball":
-        return Ball(center=tuple(_require(spec, "center", "domain")),
-                    radius=float(_require(spec, "radius", "domain")))
+        return Ball(center=_numbers(spec, "center", where),
+                    radius=_number(spec, "radius", where))
     if kind == "cylinder":
-        return Cylinder(radius=float(_require(spec, "radius", "domain")),
-                        height=float(_require(spec, "height", "domain")))
+        return Cylinder(radius=_number(spec, "radius", where),
+                        height=_number(spec, "height", where))
     if kind == "box":
-        return Box(lo=tuple(_require(spec, "lo", "domain")),
-                   hi=tuple(_require(spec, "hi", "domain")))
+        return Box(lo=_numbers(spec, "lo", where), hi=_numbers(spec, "hi", where))
     raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
 def _build_kernel(spec: dict):
-    family = _require(spec, "family", "problem.kernel")
+    where = "problem.kernel"
+    family = _require(spec, "family", where)
     if family == "constant":
-        return constant_kernel(float(_require(spec, "rho", "kernel")))
+        return constant_kernel(_number(spec, "rho", where))
     if family == "gaussian":
-        return gaussian_kernel(amplitude=float(_require(spec, "amplitude", "kernel")),
-                               width=float(_require(spec, "width", "kernel")))
+        return gaussian_kernel(amplitude=_number(spec, "amplitude", where),
+                               width=_number(spec, "width", where))
     raise ConfigurationError(f"unknown kernel family {family!r}")
 
 
 def _build_coefficient(spec: dict):
-    family = _require(spec, "family", "problem.coefficient")
+    where = "problem.coefficient"
+    family = _require(spec, "family", where)
     if family == "radial_power":
-        axes = spec.get("axes")
-        return radial_power(top=float(_require(spec, "top", "coefficient")),
-                            scale=float(_require(spec, "scale", "coefficient")),
-                            power=float(_require(spec, "power", "coefficient")),
-                            center=tuple(_require(spec, "center", "coefficient")),
-                            axes=None if axes is None else tuple(axes))
+        axes = None
+        if spec.get("axes") is not None:
+            axes = _numbers(spec, "axes", where, _is_int)
+        return radial_power(top=_number(spec, "top", where),
+                            scale=_number(spec, "scale", where),
+                            power=_number(spec, "power", where),
+                            center=_numbers(spec, "center", where),
+                            axes=axes)
     if family == "coordinate_linear":
-        return coordinate_linear(tuple(_require(spec, "coeffs", "coefficient")),
-                                 offset=float(spec.get("offset", 0.0)))
+        offset = _number(spec, "offset", where) if "offset" in spec else 0.0
+        return coordinate_linear(_numbers(spec, "coeffs", where), offset=offset)
     if family == "constant":
-        return constant_coefficient(float(_require(spec, "value", "coefficient")))
+        return constant_coefficient(_number(spec, "value", where))
     raise ConfigurationError(f"unknown coefficient family {family!r}")
 
 
@@ -221,14 +249,16 @@ def _parse_targets(raw) -> tuple:
 
 
 def _build(cfg: dict) -> Problem:
-    if not isinstance(cfg.get("problem"), dict):
+    if cfg["problem"] is None:
         raise ConfigurationError(
             "no problem defined; pass --example ball|cylinder or a config "
             "file with a 'problem' section"
         )
-    domain = _build_domain(_require(cfg["problem"], "domain", "problem"))
-    kernel = _build_kernel(_require(cfg["problem"], "kernel", "problem"))
-    coeff = _build_coefficient(_require(cfg["problem"], "coefficient", "problem"))
+    spec = {key: _object(_require(cfg["problem"], key, "problem"), f"problem.{key}")
+            for key in ("domain", "kernel", "coefficient")}
+    domain = _build_domain(spec["domain"])
+    kernel = _build_kernel(spec["kernel"])
+    coeff = _build_coefficient(spec["coefficient"])
     grid_cfg = cfg["grid"]
     resolution = int(grid_cfg["resolution"])
     depth = grid_cfg["grading_depth"]
@@ -471,19 +501,19 @@ def _assemble_config(args: argparse.Namespace) -> dict:
         raise ConfigurationError(
             "pass --config <path> or --example ball|cylinder"
         )
-    if args.rho is not None:
-        kernel = (cfg.get("problem") or {}).get("kernel", {})
-        if kernel.get("family") != "constant":
-            raise ConfigurationError(
-                "--rho only applies to the constant kernel family"
-            )
-        kernel["rho"] = args.rho
     # a flag overrides the grid or options key it is stored under
     for key, value in vars(args).items():
         for section in ("grid", "options"):
             if value is not None and key in _SCHEMA[section]:
                 cfg[section][key] = value
     _check_config(cfg)
+    if args.rho is not None:
+        kernel = (cfg["problem"] or {}).get("kernel")
+        if not isinstance(kernel, dict) or kernel.get("family") != "constant":
+            raise ConfigurationError(
+                "--rho only applies to the constant kernel family"
+            )
+        kernel["rho"] = args.rho
     return cfg
 
 

@@ -7,12 +7,13 @@ the density solves the linear system
 
     (I - Kt) g = rhs,      rhs(x) = integral K(x, y) dmu0(y),
 
-which this module solves by GMRES with Kt v = K W (v / (a0 - a)): for a
-radius of Kt below one, I - Kt is the identity minus a compact operator, so
-the Krylov iteration converges in a few matvecs however fine the grid, and
-K W is the only N x N array the solve holds.  Solutions carry a Nystrom extension so
-their densities can be evaluated off the construction grid; on the
-construction nodes the extension reproduces the solved values exactly.
+which this module solves by restarted GMRES (numpy, modified Gram-Schmidt
+Arnoldi) with Kt v = K W (v / (a0 - a)): for a radius of Kt below one,
+I - Kt is the identity minus a compact operator, so the Krylov iteration
+converges in a few matvecs however fine the grid, and K W is the only
+N x N array the solve holds.  Solutions carry a Nystrom extension so their
+densities can be evaluated off the construction grid; on the construction
+nodes the extension reproduces the solved values exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import model as _model
 from .errors import (
@@ -236,13 +236,10 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     def apply(v: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        v = np.ravel(v)
         return v - kw @ (v / gap)
 
-    g, _ = gmres(LinearOperator((n, n), matvec=apply, dtype=float), rhs_values,
-                 x0=np.zeros(n), atol=0.0,
-                 rtol=max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)),
-                 restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES)
+    g = _gmres(apply, rhs_values,
+               max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)))
     scale = float(np.max(np.abs(rhs_values)))
     resid = float(np.max(np.abs(g - kw @ (g / gap) - rhs_values)))
     log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
@@ -258,6 +255,57 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
             "solved density factor is not strictly positive"
         )
     return a0, rhs_fn, FredholmSolution(g, rhs_values, lam1, resid)
+
+
+def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
+    """Restarted GMRES (Saad-Schultz 1986) for apply(x) = b from x = 0.
+
+    Each cycle builds an Arnoldi basis of up to ``_GMRES_RESTART`` vectors
+    by modified Gram-Schmidt and minimizes the residual over it through
+    Givens rotations; it stops once the residual norm is at most
+    ``rtol`` |b|, after ``_GMRES_CYCLES`` cycles, or when the Krylov space
+    is invariant.  The caller checks the result's residual explicitly.
+    """
+    n = b.size
+    m = min(n, _GMRES_RESTART)
+    target = rtol * float(np.linalg.norm(b))
+    x = np.zeros(n)
+    r = b.copy()
+    for cycle in range(_GMRES_CYCLES):
+        if cycle:
+            r = b - apply(x)
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            break
+        basis = np.empty((m + 1, n))
+        basis[0] = r / beta
+        h = np.zeros((m + 1, m))
+        cs, sn = np.zeros(m), np.zeros(m)
+        res = np.zeros(m + 1)
+        res[0] = beta
+        for j in range(m):
+            w = apply(basis[j])
+            for i in range(j + 1):
+                h[i, j] = basis[i] @ w
+                w -= h[i, j] * basis[i]
+            h[j + 1, j] = float(np.linalg.norm(w))
+            breakdown = h[j + 1, j] == 0.0
+            if not breakdown:
+                basis[j + 1] = w / h[j + 1, j]
+            for i in range(j):
+                h[i, j], h[i + 1, j] = (cs[i] * h[i, j] + sn[i] * h[i + 1, j],
+                                        cs[i] * h[i + 1, j] - sn[i] * h[i, j])
+            d = float(np.hypot(h[j, j], h[j + 1, j]))
+            cs[j], sn[j] = h[j, j] / d, h[j + 1, j] / d
+            h[j, j], h[j + 1, j] = d, 0.0
+            res[j], res[j + 1] = cs[j] * res[j], -sn[j] * res[j]
+            if abs(res[j + 1]) <= target or breakdown:
+                break
+        k = j + 1
+        x += basis[:k].T @ np.linalg.solve(h[:k, :k], res[:k])
+        if abs(res[k]) <= target or breakdown:
+            break
+    return x
 
 
 def _check_support(problem: Problem, atoms: tuple[Atom, ...]) -> float:

@@ -4,10 +4,16 @@ A problem couples a bounded domain, a continuous nonnegative kernel K that is
 bounded below near the diagonal, and a bounded continuous coefficient a.  The
 structural hypotheses are checked on construction; numeric routines can then
 assume they hold.
+
+The argmax set of a is detected from grid values: near-maximal nodes are
+clustered by hashing them into cells two mesh widths wide, and each cluster
+is refined to a maximizer, in closed form for ``radial_power`` and by
+Nelder-Mead otherwise, the one use of scipy in the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -15,9 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, sparse
-from scipy.sparse import csgraph
-from scipy.spatial import cKDTree, distance
 
 from .errors import (
     ConfigurationError,
@@ -88,14 +91,24 @@ def constant_kernel(rho: float) -> Kernel:
                   positivity_witness=(rho / 2, math.inf), symmetric=True)
 
 
+def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_j|^2 in the Gram form |x|^2 + |y|^2 - 2 x . y, clipped at 0,
+    filled in place in one (rows, cols) array."""
+    d2 = np.matmul(x, y.T)
+    d2 *= -2.0
+    d2 += np.einsum("ij,ij->i", x, x)[:, None]
+    d2 += np.einsum("ij,ij->i", y, y)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def gaussian_kernel(amplitude: float, width: float) -> Kernel:
     """K(x, y) = amplitude * exp(-|x - y|^2 / (2 width^2))."""
     if amplitude <= 0 or width <= 0:
         raise ConfigurationError("gaussian kernel needs amplitude > 0 and width > 0")
 
     def ev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # in place: one slab-sized array per call, the same operations
-        d2 = distance.cdist(x, y, "sqeuclidean")
+        # in place: one slab-sized array per call
+        d2 = _sq_distances(x, y)
         np.divide(d2, -2.0 * width * width, out=d2)
         np.exp(d2, out=d2)
         return np.multiply(amplitude, d2, out=d2)
@@ -198,7 +211,21 @@ class ArgmaxSet:
 
 def _refine_point(coeff: CoefficientField, domain: Domain,
                   start: np.ndarray) -> tuple[np.ndarray, float]:
-    """Local maximization of a from ``start``, constrained to the closure."""
+    """Local maximization of a from ``start``, constrained to the closure.
+
+    A radial_power coefficient attains its sup ``top`` where the selected
+    coordinates equal ``center``: that point, taken from ``start``, is used
+    when the closed domain contains it.  Otherwise Nelder-Mead runs.
+    """
+    if coeff.family == "radial_power":
+        center = coeff.params["center"]
+        axes = coeff.params["axes"]
+        best = np.array(start, dtype=float)
+        for ax in range(len(center)) if axes is None else axes:
+            best[ax] = center[ax]
+        if bool(contains(domain, best[None, :])[0]):
+            return best, float(coeff.evaluate(best[None, :])[0])
+    from scipy import optimize
 
     def neg_a(x: np.ndarray) -> float:
         p = project_to_closure(domain, x[None, :])
@@ -238,6 +265,55 @@ def _extend_along(coeff: CoefficientField, domain: Domain, origin: np.ndarray,
     return origin + t_lo * direction
 
 
+def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarray]:
+    """Connected components of the graph linking points at most ``radius``
+    apart, numbered in the order of their first point.
+
+    Points are hashed into cells of width ``radius``; a linked pair sits in
+    the same or neighbouring cells, so only those pairs are tested.  Labels
+    start as the point indices and take the smaller label across each link,
+    with pointer jumping, until each component holds its first index.
+    """
+    m, dim = pts.shape
+    cells = np.floor(pts / radius).astype(np.int64)
+    cells -= cells.min(axis=0) - 1           # every neighbour index stays >= 0
+    stride = np.cumprod(np.concatenate(([1], cells.max(axis=0)[:-1] + 2)))
+    keys = cells @ stride
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first, last = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=dim):
+        nbr = keys + np.asarray(offset) @ stride
+        lo = np.searchsorted(sorted_keys, nbr, side="left")
+        hi = np.searchsorted(sorted_keys, nbr, side="right")
+        counts = hi - lo
+        # every (point, point of its neighbour cell) pair, flattened
+        i = np.repeat(np.arange(m), counts)
+        j = order[np.repeat(lo - np.cumsum(counts) + counts, counts)
+                  + np.arange(int(counts.sum()))]
+        keep = i < j
+        i, j = i[keep], j[keep]
+        d2 = np.zeros(i.size)
+        for k in range(dim):
+            d2 += (pts[i, k] - pts[j, k]) ** 2
+        near = d2 <= radius * radius
+        first.append(i[near])
+        last.append(j[near])
+    i, j = np.concatenate(first), np.concatenate(last)
+    labels = np.arange(m)
+    while True:
+        low = np.minimum(labels[i], labels[j])
+        new = labels.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    roots, labels = np.unique(labels, return_inverse=True)
+    return roots.size, labels
+
+
 def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
     """Locate the argmax set of the coefficient from its grid values.
 
@@ -257,13 +333,7 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
     mask = a_vals >= a_max - tau
     pts = grid.nodes[mask]
 
-    # proximity clustering: components of the graph linking nodes within two
-    # mesh widths, numbered in the order of their first node
-    pairs = cKDTree(pts).query_pairs(2.0 * grid.mesh_size, output_type="ndarray")
-    m = pts.shape[0]
-    link = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
-                             shape=(m, m))
-    count, labels = csgraph.connected_components(link, directed=False)
+    count, labels = _proximity_components(pts, 2.0 * grid.mesh_size)
 
     scale = grid.mesh_size
     dscale = float(np.linalg.norm(np.ptp(grid.nodes, axis=0)))
@@ -434,7 +504,10 @@ class Problem:
     def _check_kernel(self):
         nodes = self.grid.nodes
         n = nodes.shape[0]
-        sample = np.unique(np.linspace(0, n - 1, min(n, 96)).astype(int))
+        # evenly spaced distinct rows, in integer arithmetic: np.unique would
+        # import numpy.ma (about 15 ms) on every cold run
+        k = min(n, 96)
+        sample = np.arange(k) * (n - 1) // max(k - 1, 1)
         block = np.asarray(self.kernel.evaluate(nodes[sample], nodes), dtype=float)
         if block.shape != (sample.size, n):
             raise ConfigurationError("kernel evaluation returned a wrong shape")
@@ -446,7 +519,7 @@ class Problem:
             among = block[:, sample]
             if not np.allclose(among, among.T, rtol=1e-12, atol=0.0):
                 raise H2Violation("kernel is marked symmetric but K(x, y) != K(y, x)")
-        d = distance.cdist(nodes[sample], nodes)
+        d = np.sqrt(_sq_distances(nodes[sample], nodes))
         witness = self.kernel.positivity_witness
         if witness is not None:
             c0, eps0 = witness

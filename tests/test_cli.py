@@ -4,7 +4,11 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -503,6 +507,72 @@ def test_ill_typed_config_value_exits_one(capsys, monkeypatch, tmp_path,
     assert out == ""
     assert err.startswith("error[configuration]:")
     assert key in err
+
+
+@pytest.mark.parametrize("flags, cfg, key", [
+    (["--example", "ball"], {"problem": {"kernel": {"family": "constant", "rho": "x"}}},
+     "problem.kernel.rho"),
+    (["--rho", "0.1"], {"problem": 5}, "config key problem"),
+])
+def test_ill_typed_problem_section_exits_one(capsys, tmp_path, flags, cfg, key):
+    code, out, err = run(capsys, "classify", *flags,
+                         "--config", config_file(tmp_path, cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error[configuration]:")
+    assert key in err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--x0", "2"], "options.x0"),
+    (["--x0", "-0.5"], "options.x0"),
+    (["--cantor-level", "-1"], "options.cantor_level"),
+])
+def test_selector_range_checked_before_any_grid(capsys, monkeypatch, flags, key):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel array was built")
+
+    monkeypatch.setattr(spectral, "_kernel_weights", no_kernel)
+    monkeypatch.setattr(measure, "_kernel_weights", no_kernel)
+    for command in ("solve", "convergence"):
+        code, out, err = run(capsys, command, "--example", "cylinder", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[configuration]:")
+        assert key in err
+
+
+def test_cli_paths_never_import_scipy(tmp_path):
+    # scipy is loaded only to refine the argmax of a coefficient without a
+    # closed form; every CLI path here runs on numpy alone
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                      / "gaussian_ball.json").read_text())
+    cfg["problem"]["kernel"]["amplitude"] = 0.15
+    cfg["grid"].update(resolution=4, grading_depth=6)
+    commands = [
+        ["classify", "--config", config_file(tmp_path, cfg)],
+        ["solve", "--example", "ball"],
+        ["convergence", "--example", "cylinder", "--quantity", "residual",
+         "--cantor-level", "2"],
+    ]
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import specmeasure.cli as cli
+        loaded = [scipy_modules()]
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            loaded.append(scipy_modules() if code == 0 else f"exit {code}")
+        print(json.dumps(loaded))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[]] * (1 + len(commands))
 
 
 def ball_rho(lambda1: float, depth: int) -> float:

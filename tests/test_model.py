@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse import csgraph
 
 from specmeasure import (
     Ball,
@@ -264,3 +268,45 @@ def test_problem_grid_domain_mismatch():
     with pytest.raises(ConfigurationError):
         Problem(Interval(0.0, 2.0), constant_kernel(1.0),
                 constant_coefficient(0.0), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), m=st.integers(1, 60),
+       data=st.data(), radius=st.floats(0.05, 1.0))
+def test_proximity_components_match_csgraph(dim, m, data, radius):
+    # the cell-hashed clustering against scipy's connected components of the
+    # dense "at most radius apart" graph, labels in first-point order
+    pts = data.draw(arrays(np.float64, (m, dim),
+                           elements=st.floats(-2.0, 2.0, width=32)))
+    diff = pts[:, None, :] - pts[None, :, :]
+    link = np.sum(diff * diff, axis=2) <= radius * radius
+    expected = csgraph.connected_components(link, directed=False)
+    count, labels = model._proximity_components(pts, radius)
+    assert count == expected[0]
+    np.testing.assert_array_equal(labels, expected[1])
+
+
+def test_gaussian_gram_slab_matches_coordinate_differences():
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1, 1, (40, 3)), rng.uniform(-1, 1, (70, 3))
+    y[:5] = x[:5]
+    d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+    gram = model._sq_distances(x, y)
+    assert np.all(gram >= 0)
+    assert np.max(np.abs(gram - d2)) <= 4e-15
+    k = gaussian_kernel(0.7, 0.5).evaluate(x, y)
+    np.testing.assert_allclose(k, 0.7 * np.exp(-d2 / 0.5), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("domain, coeff, start, expected", [
+    (Ball(center=(0.0, 0.0, 0.0), radius=1.0),
+     radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0)),
+     (1e-3, -2e-3, 5e-4), (0.0, 0.0, 0.0)),
+    (Cylinder(radius=1.0, height=1.0),
+     radial_power(2.0, 1.0, 1.0, (0.0, 0.0), axes=(0, 1)),
+     (1e-3, 2e-3, 0.3), (0.0, 0.0, 0.3)),
+])
+def test_refine_radial_power_is_closed_form(domain, coeff, start, expected):
+    point, value = model._refine_point(coeff, domain, np.asarray(start))
+    assert tuple(point) == expected
+    assert value == coeff.params["top"]

@@ -314,15 +314,15 @@ def test_classify_continuous_custom_kernel_keeps_power_run():
 
 @pytest.mark.parametrize("lanczos", ["perturbed", "no-convergence"])
 def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, lanczos):
-    real_eigsh = spectral.eigsh
+    real_lanczos = spectral._lanczos
 
-    def rough_eigsh(op, **kwargs):
+    def rough_lanczos(matvec, v0, budget):
         if lanczos == "no-convergence":
-            kwargs.update(ncv=3, maxiter=1)
-        vals, vecs = real_eigsh(op, **kwargs)
-        return vals, vecs * (1.0 + 1e-6 * np.cos(np.arange(op.shape[0])))[:, None]
+            return real_lanczos(matvec, v0, 3)
+        y = real_lanczos(matvec, v0, budget)
+        return y * (1.0 + 1e-6 * np.cos(np.arange(v0.size)))
 
-    monkeypatch.setattr(spectral, "eigsh", rough_eigsh)
+    monkeypatch.setattr(spectral, "_lanczos", rough_lanczos)
     prob = ball_problem(0.1, resolution=5, depth=5)
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob, tol_power=1e-14, confirm=False)
@@ -395,6 +395,27 @@ def test_continuous_lambda_p_matches_secular_root(shape, resolution, depth, frac
     assert lo <= rep.lambda_p <= hi
     assert hi - lo <= 1e-8
     assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-11)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scale=st.floats(0.25, 4.0), power=st.floats(0.5, 3.0))
+def test_regime_flips_at_grid_threshold(scale, power):
+    # constant kernel: lambda1(Kt) = rho * sum_i w_i / (a0 - a_i) on the
+    # grid, so the grid's own threshold rho*_h = 1 / that sum separates the
+    # singular regime just below it from the continuous one just above
+    coeff = radial_power(top=1.0, scale=scale, power=power, center=CENTER3)
+    base = build_problem(Ball(center=CENTER3, radius=1.0), constant_kernel(1.0),
+                         coeff, resolution=4,
+                         grading=GradeSpec(targets=(CENTER3,), depth=4))
+    rho_h = 1.0 / float(np.sum(base.grid.weights / (1.0 - base.a_at_nodes)))
+    regimes = []
+    for factor in (1.0 - 1e-2, 1.0 + 1e-2):
+        prob = Problem(base.domain, constant_kernel(rho_h * factor), coeff, base.grid)
+        rep = classify_regime(prob, confirm=False)
+        assert rep.a0 == 1.0
+        assert rep.lambda1 == pytest.approx(factor, rel=1e-12)
+        regimes.append(rep.regime)
+    assert regimes == ["singular", "continuous"]
 
 
 def test_singular_bracket_gaussian_matches_dense_eigh():
