@@ -180,10 +180,13 @@ def _number(spec: dict, key: str, where: str) -> float:
 
 
 def _numbers(spec: dict, key: str, where: str, test=_is_finite) -> tuple:
-    value = _require(spec, key, where)
+    return _list_of(_require(spec, key, where), f"{where}.{key}", test)
+
+
+def _list_of(value, where: str, test=_is_finite) -> tuple:
     if not (isinstance(value, list) and all(test(v) for v in value)):
         kind = "integers" if test is _is_int else "finite numbers"
-        raise ConfigurationError(f"{where}.{key} must be a list of {kind}, got {value!r}")
+        raise ConfigurationError(f"{where} must be a list of {kind}, got {value!r}")
     return tuple(value)
 
 
@@ -232,15 +235,21 @@ def _build_coefficient(spec: dict):
     raise ConfigurationError(f"unknown coefficient family {family!r}")
 
 
-def _parse_targets(raw) -> tuple:
+def _parse_targets(raw: list) -> tuple:
     targets = []
-    for item in raw:
+    for i, item in enumerate(raw):
+        where = f"grid.grading_targets[{i}]"
+        item = _object(item, where)
         if "point" in item:
-            targets.append(tuple(float(v) for v in item["point"]))
+            targets.append(tuple(float(v) for v in _numbers(item, "point", where)))
         elif "segment" in item:
-            start, end = item["segment"]
-            targets.append(Segment(tuple(float(v) for v in start),
-                                   tuple(float(v) for v in end)))
+            ends = item["segment"]
+            if not (isinstance(ends, list) and len(ends) == 2):
+                raise ConfigurationError(
+                    f"{where}.segment must hold two points, got {ends!r}")
+            start, end = (tuple(float(v) for v in _list_of(e, f"{where}.segment"))
+                          for e in ends)
+            targets.append(Segment(start, end))
         else:
             raise ConfigurationError(
                 "each grading target must carry a 'point' or a 'segment'"

@@ -10,8 +10,10 @@ the density solves the linear system
 which this module solves by restarted GMRES (numpy, modified Gram-Schmidt
 Arnoldi) with Kt v = K W (v / (a0 - a)): for a radius of Kt below one,
 I - Kt is the identity minus a compact operator, so the Krylov iteration
-converges in a few matvecs however fine the grid, and K W is the only
-N x N array the solve holds.  Solutions carry a Nystrom extension so their
+converges in a few matvecs however fine the grid.  K W is the grid's one
+kernel operator (``spectral.KernelWeights``): a pivoted-Cholesky factor
+for the constant and Gaussian kernels, so the solve holds no N x N array,
+and a dense array otherwise.  Solutions carry a Nystrom extension so their
 densities can be evaluated off the construction grid; on the construction
 nodes the extension reproduces the solved values exactly.
 """
@@ -35,8 +37,8 @@ from .errors import (
 )
 from .geometry import Grid, Segment, contains
 from .model import _TOL_MAXSET, Problem
-from .spectral import (_BLOCK, _TOL_CLASSIFY, RegimeReport, _gap, _kernel_apply,
-                       _kernel_weights, _ktilde_perron, _regime)
+from .spectral import (_BLOCK, _TOL_CLASSIFY, KernelWeights, RegimeReport, _gap,
+                       _kernel_apply, _kernel_operator, _ktilde_perron, _regime)
 
 log = logging.getLogger(__name__)
 
@@ -192,16 +194,18 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
 
 
 def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
-                  classified: tuple[RegimeReport, np.ndarray | None] | None = None
+                  classified: tuple[RegimeReport, KernelWeights | None] | None = None
                   ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
     """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
 
     Only the singular regime has a solution.  Regime and lambda1 are those
     of ``classified``, the grid's report and K W from ``spectral._classify``;
     without it, lambda1 is the Kt Perron root to a 1e-6 interval, classified
-    at ``classify_regime``'s default tolerance.  GMRES runs on v -> v - Kt v; its result is accepted on the explicit
-    check |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf.  Atom weights
-    must be finite and not all zero; that is checked before any assembly.
+    at ``classify_regime``'s default tolerance.  GMRES runs on
+    v -> v - Kt v; its result is accepted on the explicit check
+    |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf, where the residual
+    of a factored K W carries its remainder bound.  Atom weights must be
+    finite and not all zero; that is checked before any assembly.
     """
     _, wts = _atom_arrays(atoms)
     if not (np.all(np.isfinite(wts)) and np.any(wts != 0)):
@@ -214,7 +218,7 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     rhs_values = rhs_fn(problem.grid.nodes)
     gap = _gap(problem, a0)
     if classified is None:
-        kw = _kernel_weights(problem)
+        kw = _kernel_operator(problem)
         lam1 = _ktilde_perron(kw, gap, 1e-6).value
         regime = _regime(lam1, _TOL_CLASSIFY)
     else:
@@ -241,10 +245,11 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     g = _gmres(apply, rhs_values,
                max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)))
     scale = float(np.max(np.abs(rhs_values)))
-    resid = float(np.max(np.abs(g - kw @ (g / gap) - rhs_values)))
+    resid = float(np.max(np.abs(g - kw @ (g / gap) - rhs_values)
+                         + kw.slack(g / gap)))
     log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
-             "(tol_linear %.3g)", n, lam1, matvecs,
-             resid / scale if scale > 0 else resid, tol_linear)
+             "(tol_linear %.3g); kernel %s", n, lam1, matvecs,
+             resid / scale if scale > 0 else resid, tol_linear, kw.describe())
     if scale > 0 and resid > tol_linear * scale:
         raise NearSingularSystemError(
             f"linear solve residual {resid:.3e} exceeds {tol_linear:.1e} "
@@ -347,7 +352,7 @@ def build_singular_solution(problem: Problem, atoms, *,
 
 
 def _singular_solution(problem: Problem, atoms, tol_linear: float,
-                       classified: tuple[RegimeReport, np.ndarray | None] | None = None
+                       classified: tuple[RegimeReport, KernelWeights | None] | None = None
                        ) -> DiscreteMeasure:
     """``build_singular_solution``, deciding the regime from the problem
     grid's classification and reusing its K W when ``classified`` is given."""

@@ -68,8 +68,12 @@ class Kernel:
     ``positivity_witness`` is an optional pair (c0, eps0): K is claimed to be
     at least c0 whenever |x - y| <= eps0.  ``symmetric`` claims
     K(x, y) = K(y, x); the full operator is then similar to a symmetric
-    matrix and its top eigenpair is found by Lanczos.  Validation checks
-    both claims on grid node pairs.
+    matrix and its top eigenpair is found by Lanczos.  ``positive_definite``
+    claims K(x, y) = phi(x - y) with phi a positive-definite function, so
+    every Gram matrix K(X, X) is positive semidefinite with the constant
+    diagonal phi(0); K W is then applied through a pivoted-Cholesky factor.
+    Only the built-in constant and Gaussian kernels make it (Bochner).
+    Validation checks the claims on grid node pairs.
     """
 
     family: str
@@ -77,6 +81,7 @@ class Kernel:
     params: dict = field(default_factory=dict)
     positivity_witness: tuple[float, float] | None = None
     symmetric: bool = False
+    positive_definite: bool = False
 
 
 def constant_kernel(rho: float) -> Kernel:
@@ -87,7 +92,8 @@ def constant_kernel(rho: float) -> Kernel:
         return np.full((x.shape[0], y.shape[0]), rho)
 
     return Kernel("constant", ev, {"rho": rho},
-                  positivity_witness=(rho / 2, math.inf), symmetric=True)
+                  positivity_witness=(rho / 2, math.inf), symmetric=True,
+                  positive_definite=True)
 
 
 # rows of a kernel slab evaluated at once, so every pass stays in cache
@@ -125,7 +131,8 @@ def gaussian_kernel(amplitude: float, width: float) -> Kernel:
 
     c0 = amplitude * math.exp(-0.5) * (1.0 - 1e-12)
     return Kernel("gaussian", ev, {"amplitude": amplitude, "width": width},
-                  positivity_witness=(c0, width), symmetric=True)
+                  positivity_witness=(c0, width), symmetric=True,
+                  positive_definite=True)
 
 
 def custom_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -451,8 +458,24 @@ def check_recip_integrability(coeff: CoefficientField, domain: Domain,
 # -- validated problem instances ----------------------------------------
 
 def _memory_budget() -> int:
-    """Physical memory in bytes, the ceiling for one dense N x N operator."""
+    """Physical memory in bytes, the ceiling for one kernel operator."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse to allocate ``what``, ``nbytes`` bytes, beyond physical memory."""
+    budget = _memory_budget()
+    if nbytes > budget:
+        raise TooLargeError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+            f"{budget / 2**30:.3g} GiB of physical memory; lower the "
+            "resolution or grading depth"
+        )
+
+
+def _check_dense(size: int) -> None:
+    """Refuse a dense K W on ``size`` nodes that would not fit in memory."""
+    _check_memory(8 * size ** 2, f"a dense operator on {size} grid nodes")
 
 
 @dataclass(frozen=True)
@@ -465,14 +488,9 @@ class Problem:
     def __post_init__(self):
         if self.grid.domain != self.domain:
             raise ConfigurationError("grid was built for a different domain")
-        dense = 8 * self.grid.size ** 2
-        budget = _memory_budget()
-        if dense > budget:
-            raise TooLargeError(
-                f"{self.grid.size} grid nodes need {dense / 2**30:.3g} GiB per "
-                f"dense operator, more than the {budget / 2**30:.3g} GiB of "
-                "physical memory; lower the resolution or grading depth"
-            )
+        if not self.kernel.positive_definite:
+            # the kernel takes the dense K W; a factored one checks as it grows
+            _check_dense(self.grid.size)
         a_vals = np.asarray(self.coeff.evaluate(self.grid.nodes), dtype=float)
         if a_vals.shape != (self.grid.size,):
             raise ConfigurationError(
@@ -498,10 +516,15 @@ class Problem:
             raise H2Violation("kernel takes non-finite values")
         if np.any(block < 0):
             raise H2Violation("kernel takes negative values")
+        among = block[:, sample]
         if self.kernel.symmetric:
-            among = block[:, sample]
             if not np.allclose(among, among.T, rtol=1e-12, atol=0.0):
                 raise H2Violation("kernel is marked symmetric but K(x, y) != K(y, x)")
+        if self.kernel.positive_definite:
+            diag = np.diagonal(among)
+            if not np.all(diag == diag[0]):
+                raise H2Violation("kernel is marked positive definite but "
+                                  "K(x, x) is not constant")
         d = np.sqrt(_sq_distances(nodes[sample], nodes, np.empty_like(block)))
         witness = self.kernel.positivity_witness
         if witness is not None:

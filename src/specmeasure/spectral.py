@@ -1,7 +1,7 @@
 """Operator assembly, Perron iteration, and regime classification.
 
-One matrix matters, K W with entries K(x_i, x_j) w_j; both operators are
-diagonal scalings of it.  The full operator A = K W + diag(a),
+One operator matters, K W with entries K(x_i, x_j) w_j; both operators
+are diagonal scalings of it.  The full operator A = K W + diag(a),
 
     (A u)_i = sum_j K(x_i, x_j) w_j u_j + a(x_i) u_i,
 
@@ -13,8 +13,18 @@ normalized operator Kt = K W diag(1 / (a0 - a)),
 has the spectral radius that decides among three regimes: above one, the
 principal eigenfunction is a continuous function; at one, an L^1 density;
 below one, only a measure with an atom on the argmax set of a solves the
-problem.  K W is the only grid x grid kernel array: Kt is applied as
-K W (u / (a0 - a)), and A is K W with a added to its diagonal in place.
+problem.  K W is the only grid x grid kernel operator: Kt is applied as
+K W (u / (a0 - a)), and A as K W u + a u.
+
+A kernel that is a positive-definite function of x - y (the constant and
+Gaussian families) gives a positive semidefinite K, so K W is applied as
+L (L^T (w u)) with L a pivoted-Cholesky factor of rank r (Harbrecht,
+Peters and Schneider 2012): one for the constant kernel, a few hundred for
+a Gaussian, whatever the grid size.  Its remainder E = K - L L^T is
+positive semidefinite, so |(E W u)_i| <= sqrt(E_ii) sum_j sqrt(E_jj) w_j |u_j|,
+an O(N) bound that widens every ratio interval below; it is zero for the
+constant kernel.  Other kernels, and a factor that would need more than
+N/8 rows, keep the dense N x N array.
 
 Power iteration tracks the ratio interval [min_i (Av)_i / v_i,
 max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
@@ -43,6 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import model as _model
 from .errors import (
     ClassificationUnstableError,
     ConfigurationError,
@@ -75,6 +86,14 @@ _MAX_ITER = 100_000
 _LANCZOS_BASIS = 24
 # by default classify_regime calls a lambda1 within this of one "l1"
 _TOL_CLASSIFY = 1e-3
+# a kernel factor stops once every remainder diagonal E_ii is this share of
+# K(x, x): two decades below the default power and linear tolerances, so the
+# certificates it widens stay inside them
+_FACTOR_RTOL = 1e-12
+# a kernel factor holds at most N / _FACTOR_SHARE rows, 1/8 of dense K W
+_FACTOR_SHARE = 8
+# rows of a kernel factor allocated at a time
+_FACTOR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -148,15 +167,127 @@ def _kernel_apply(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
 
 
 def _kernel_weights(problem: Problem) -> np.ndarray:
-    """K W, entries K(x_i, x_j) w_j: the one grid x grid kernel array, of
-    which every operator on the grid is a diagonal scaling."""
+    """Dense K W, entries K(x_i, x_j) w_j, checked against physical memory
+    before it is allocated."""
     grid = problem.grid
     n = grid.size
+    _model._check_dense(n)
     entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
                             lambda block: block * grid.weights, np.empty((n, n)))
     if float(entries.min()) < 0:
         raise ConfigurationError("Perron iteration needs a nonnegative kernel")
     return entries
+
+
+@dataclass(frozen=True)
+class KernelWeights:
+    """K W on the grid nodes, applied with ``@``: a dense array, or
+    K = L L^T + E with L the rank-r pivoted-Cholesky factor, stored as
+    row blocks of L^T, and E the positive semidefinite remainder.
+
+    ``diagonal`` is the exact (K W)_ii.  ``root_remainder`` holds
+    sqrt(E_ii), or is None when the operator is exact.
+    """
+
+    weights: np.ndarray
+    diagonal: np.ndarray
+    dense: np.ndarray | None = None
+    factor: tuple[np.ndarray, ...] = ()
+    root_remainder: np.ndarray | None = None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense @ v
+        x = self.weights * v
+        out = self.factor[0].T @ (self.factor[0] @ x)
+        for rows in self.factor[1:]:
+            out += rows.T @ (rows @ x)
+        return out
+
+    def slack(self, v: np.ndarray) -> np.ndarray | float:
+        """A bound on |(K W v)_i - (self @ v)_i| = |(E W v)_i| at every node:
+        E is positive semidefinite, so |E_ij| <= sqrt(E_ii E_jj)."""
+        e = self.root_remainder
+        if e is None:
+            return 0.0
+        return e * float((e * self.weights) @ np.abs(v))
+
+    @property
+    def rank(self) -> int:
+        return sum(rows.shape[0] for rows in self.factor)
+
+    def describe(self) -> str:
+        if self.dense is not None:
+            return "dense"
+        bound = float(np.max(self.slack(np.ones(self.weights.size)), initial=0.0))
+        return f"factor rank={self.rank} remainder={bound:.3g}"
+
+
+def _kernel_operator(problem: Problem) -> KernelWeights:
+    """K W on the problem grid, the one grid x grid kernel operator.
+
+    A kernel that claims positive definiteness gets a pivoted-Cholesky
+    factor (Harbrecht-Peters-Schneider 2012) of at most N / ``_FACTOR_SHARE``
+    rows; every other kernel, and one whose factor would need more rows,
+    gets the dense array.
+    """
+    if problem.kernel.positive_definite:
+        op = _factor(problem)
+        if op is not None:
+            return op
+    entries = _kernel_weights(problem)
+    return KernelWeights(problem.grid.weights, np.diagonal(entries), dense=entries)
+
+
+def _factor(problem: Problem) -> KernelWeights | None:
+    """Pivoted Cholesky K = L L^T + E, or None past the rank cap.
+
+    Each step takes the node of largest remainder diagonal E_pp as pivot and
+    evaluates one kernel row against the grid; it stops once every E_ii is
+    at most ``_FACTOR_RTOL`` K(x, x).  The remainder diagonal is updated as
+    E_ii - c_i (c_i / c_p), so a constant kernel leaves exactly zero after
+    one step.  Storage grows by ``_FACTOR_BLOCK`` rows, each block checked
+    against physical memory first.
+    """
+    nodes = problem.grid.nodes
+    n = nodes.shape[0]
+    evaluate = problem.kernel.evaluate
+    cap = n // _FACTOR_SHARE
+    phi0 = float(np.asarray(evaluate(nodes[:1], nodes[:1]), dtype=float)[0, 0])
+    if not phi0 > 0:
+        return None
+    remainder = np.full(n, phi0)
+    blocks: list[np.ndarray] = []
+    rank = 0
+    while True:
+        p = int(np.argmax(remainder))
+        if remainder[p] <= _FACTOR_RTOL * phi0:
+            break
+        if rank == cap:
+            log.info("kernel factor: rank cap %d reached on %d nodes; dense K W",
+                     cap, n)
+            return None
+        k = rank % _FACTOR_BLOCK
+        if k == 0:
+            size = min(_FACTOR_BLOCK, cap - rank)
+            _model._check_memory(8 * (rank + size) * n,
+                                 f"a rank-{rank + size} kernel factor on {n} grid nodes")
+            blocks.append(np.empty((size, n)))
+        c = np.asarray(evaluate(nodes[p:p + 1], nodes), dtype=float)[0]
+        for rows in blocks[:-1] + [blocks[-1][:k]]:
+            c = c - rows[:, p] @ rows
+        pivot = c[p]
+        if not pivot > 0:
+            log.info("kernel factor: pivot %.3g on %d nodes; dense K W", pivot, n)
+            return None
+        remainder -= c * (c / pivot)
+        blocks[-1][k] = c / np.sqrt(pivot)
+        rank += 1
+    blocks[-1] = blocks[-1][:rank - (len(blocks) - 1) * _FACTOR_BLOCK]
+    root = np.sqrt(np.maximum(remainder, 0.0))
+    return KernelWeights(problem.grid.weights, phi0 * problem.grid.weights,
+                         factor=tuple(blocks),
+                         root_remainder=root if np.any(root > 0) else None)
 
 
 def _gap(problem: Problem, a0: float) -> np.ndarray:
@@ -224,7 +355,10 @@ def collatz_wielandt_bounds(entries: np.ndarray, v: np.ndarray) -> tuple[float, 
 
 
 def _power(matvec, v0: np.ndarray, tol_resid: float, max_iter: int,
-           value_tol: float | None = None, keep_history: bool = False) -> PerronPair:
+           value_tol: float | None = None, keep_history: bool = False,
+           slack=None) -> PerronPair:
+    """Power iteration; ``slack(v)`` bounds the error of ``matvec(v)`` at
+    every node, and widens each ratio interval by it."""
     v = v0 / float(np.max(v0))
     history: list[tuple[float, float]] = []
     res = np.inf
@@ -234,9 +368,9 @@ def _power(matvec, v0: np.ndarray, tol_resid: float, max_iter: int,
         if lam <= 0:
             raise ConfigurationError("iteration collapsed; matrix has no positive cycle")
         pos = v > 0
-        ratios = w[pos] / v[pos]
-        lo = float(np.min(ratios))
-        hi = float(np.max(ratios)) if bool(np.all(pos)) else np.inf
+        err = 0.0 if slack is None else slack(v)
+        lo = float(np.min((w - err)[pos] / v[pos]))
+        hi = float(np.max((w + err)[pos] / v[pos])) if bool(np.all(pos)) else np.inf
         if keep_history:
             history.append((lo, hi))
         res = float(np.max(np.abs(w - lam * v))) / lam
@@ -278,30 +412,36 @@ def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
                   keep_history)
 
 
-def _ktilde_perron(kw: np.ndarray, gap: np.ndarray, value_tol: float,
+def _ktilde_perron(kw: KernelWeights, gap: np.ndarray, value_tol: float,
                    tol_power: float = 1e-10) -> PerronPair:
     """``perron`` on Kt = K W diag(1 / gap), applied as v -> K W (v / gap)."""
     return _power(lambda v: kw @ (v / gap), np.ones(gap.size), tol_power,
-                  _MAX_ITER, value_tol)
+                  _MAX_ITER, value_tol, slack=lambda v: kw.slack(v / gap))
 
 
-def _full_pair(problem: Problem, entries: np.ndarray,
+def _full_pair(problem: Problem, kw: KernelWeights,
                tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
     """lambda_p and the residual-converged top eigenpair of the full
-    operator, formed in place from ``entries`` = K W.
+    operator K W + diag(a + shift); a dense ``kw`` becomes it in place.
 
     For a symmetric kernel, A = K W + diag(a + shift) is similar to the
     symmetric M = S A S^-1, S = diag(sqrt(w)), applied matrix-free.  Lanczos
     finds M's top eigenvector y; v = y / sqrt(w) is accepted under power
     iteration's own contract: strictly positive and, with lam = max A v,
     |A v - lam v|_inf / lam <= ``tol_power``, the ratio interval of v being
-    the certificate.  Otherwise, and for other kernels, power iteration
-    runs, warm-started from v when v is positive.
+    the certificate, widened by the factor's remainder bound.  Otherwise,
+    and for other kernels, power iteration runs, warm-started from v when v
+    is positive.
     """
     a = problem.a_at_nodes
     shift = float(np.max(np.abs(a)))
     n = a.size
-    entries[np.diag_indices(n)] += a + shift
+    if kw.dense is not None:
+        kw.dense[np.diag_indices(n)] += a + shift
+        matvec = kw.dense.__matmul__
+    else:
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return kw @ v + (a + shift) * v
 
     def certified(pair: PerronPair) -> tuple[LambdaPEstimate, PerronPair]:
         lo, hi = pair.interval
@@ -309,14 +449,15 @@ def _full_pair(problem: Problem, entries: np.ndarray,
                                pair.iterations + pair.lanczos_matvecs, n), pair
 
     if not problem.kernel.symmetric:
-        return certified(_power(lambda v: entries @ v, np.ones(n), tol_power, _MAX_ITER))
+        return certified(_power(matvec, np.ones(n), tol_power, _MAX_ITER,
+                                slack=kw.slack))
     s = np.sqrt(problem.grid.weights)
     matvecs = 0
 
     def sym_matvec(y: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return s * (entries @ (y / s))
+        return s * matvec(y / s)
 
     # a fixed start keeps reruns byte-identical
     y = _lanczos(sym_matvec, s, _MAX_ITER)
@@ -328,16 +469,17 @@ def _full_pair(problem: Problem, entries: np.ndarray,
             v = None
     if v is not None:
         matvecs += 1
-        w = entries @ v
+        w = matvec(v)
         lam = float(np.max(w))
         res = float(np.max(np.abs(w - lam * v))) / lam
         if res <= tol_power:
-            ratios = w / v
+            err = kw.slack(v)
             return certified(PerronPair(lam, v, 0, res,
-                                        (float(np.min(ratios)), float(np.max(ratios))),
+                                        (float(np.min((w - err) / v)),
+                                         float(np.max((w + err) / v))),
                                         "residual", lanczos_matvecs=matvecs))
-    pair = _power(lambda v: entries @ v, np.ones(n) if v is None else v,
-                  tol_power, _MAX_ITER)
+    pair = _power(matvec, np.ones(n) if v is None else v,
+                  tol_power, _MAX_ITER, slack=kw.slack)
     return certified(replace(pair, lanczos_matvecs=matvecs))
 
 
@@ -395,31 +537,33 @@ def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEsti
 
     It is minus the largest eigenvalue of the full operator, converged to
     the ``tol_power`` residual (by Lanczos where the kernel is symmetric);
-    the interval is certified by the ratio bounds of the returned vector.
+    the interval is certified by the ratio bounds of the returned vector,
+    widened by the kernel factor's remainder bound.
     """
-    return _full_pair(problem, _kernel_weights(problem), tol_power)[0]
+    return _full_pair(problem, _kernel_operator(problem), tol_power)[0]
 
 
-def _atom_bracket(kw: np.ndarray, u: np.ndarray, a: np.ndarray, gap: np.ndarray,
+def _atom_bracket(kw: KernelWeights, u: np.ndarray, a: np.ndarray, gap: np.ndarray,
                   width_tol: float) -> tuple[float, float, int]:
     """Collatz-Wielandt bracket (lo, hi, steps) on the full operator's
     largest eigenvalue mu (unshifted), starting from the test function
     f = u / gap, u > 0, gap = a0 - a.
 
-    A g = K W g + a g, so each step costs one K W matvec.  The largest
-    diagonal entry (K W)_ii + a_i of A is a lower bound from the start.
+    A g = K W g + a g, so each step costs one K W matvec; its ratios are
+    widened by the operator's slack.  The largest diagonal entry
+    (K W)_ii + a_i of A is a lower bound from the start.
     While the bracket is wider than ``width_tol`` the next test function is
     (A g - a g) / (hi - a), positive because hi >= mu > max a.  The test
     function that gave ``hi`` is a positive supersolution at lambda = -hi.
     """
-    lo = float(np.max(np.diagonal(kw) + a))
+    lo = float(np.max(kw.diagonal + a))
     hi = np.inf
     g = u / gap
     for step in range(1, _MAX_ITER + 1):
         h = kw @ g
-        ratios = h / g + a
-        lo = max(lo, float(np.min(ratios)))
-        hi = min(hi, float(np.max(ratios)))
+        err = kw.slack(g)
+        lo = max(lo, float(np.min((h - err) / g + a)))
+        hi = min(hi, float(np.max((h + err) / g + a)))
         if hi - lo <= width_tol:
             break
         g = h / (hi - a)
@@ -473,10 +617,11 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
 
 
 def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: float,
-              tol_power: float, confirm: bool) -> tuple[RegimeReport, np.ndarray | None]:
+              tol_power: float, confirm: bool
+              ) -> tuple[RegimeReport, KernelWeights | None]:
     """``classify_regime``'s report and the problem grid's K W for a solve to
-    reuse (None once it is the full operator).  The coarse grid's K W is
-    freed before the fine one is built, so the two never coexist."""
+    reuse (None once it has served the full operator).  The coarse grid's
+    K W is freed before the fine one is built, so the two never coexist."""
     amax = None
     if x0 is None:
         amax = detect_argmax_set(problem.coeff, problem.grid)
@@ -486,14 +631,19 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
     gap = _gap(problem, a0)
     value_tol = tol_classify / 10.0
     coarse_lam1 = coarse_size = None
+    kernels = []                    # each grid's K W backend, for the log
     if confirm:
         g = problem.grid
         coarse = _derive_problem(problem, g.resolution - 1,
                                  max(1, g.grade_depth - 1))
         gap_c = _gap(coarse, a0)
-        pair_c = _ktilde_perron(_kernel_weights(coarse), gap_c, value_tol, tol_power)
+        kw_c = _kernel_operator(coarse)
+        pair_c = _ktilde_perron(kw_c, gap_c, value_tol, tol_power)
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
-    kw = _kernel_weights(problem)
+        kernels.append(f"kernel-coarse {kw_c.describe()}")
+        del kw_c
+    kw = _kernel_operator(problem)
+    kernels.insert(0, f"kernel {kw.describe()}")
     pair = _ktilde_perron(kw, gap, value_tol, tol_power)
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
@@ -548,8 +698,9 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
         certificate = (f"in [{interval[0]:.12g}, {interval[1]:.12g}] "
                        f"width {interval[1] - interval[0]:.3g}")
     log.info("classify_regime: regime=%s n=%d lambda1=%.12g in [%.12g, %.12g] "
-             "lambda_p=%.12g %s; perron: %s", regime, problem.grid.size,
-             pair.value, lo1, hi1, lambda_p, certificate, "; ".join(runs))
+             "lambda_p=%.12g %s; perron: %s; %s", regime, problem.grid.size,
+             pair.value, lo1, hi1, lambda_p, certificate, "; ".join(runs),
+             "; ".join(kernels))
 
     return RegimeReport(
         regime=regime,

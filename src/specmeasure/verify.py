@@ -19,7 +19,7 @@ from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, kernel_moment
 from .model import Problem, check_recip_integrability, detect_argmax_set
-from .spectral import _gap, _kernel_weights, _ktilde_perron, estimate_lambda_p
+from .spectral import _gap, _kernel_operator, _ktilde_perron, estimate_lambda_p
 
 __all__ = [
     "ResidualReport",
@@ -229,7 +229,7 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid)
             gap = _gap(prob, amax.sup_value)
-            value = _ktilde_perron(_kernel_weights(prob), gap, value_tol / 10.0).value
+            value = _ktilde_perron(_kernel_operator(prob), gap, value_tol / 10.0).value
         elif quantity == "recip_integral":
             g = prob.grid
             res = check_recip_integrability(

@@ -219,14 +219,20 @@ def counting_kernel(monkeypatch):
     return rows
 
 
-def test_solve_evaluates_fine_grid_once(capsys, monkeypatch):
-    # the Fredholm solve reuses the K W the classification built; the
-    # kernel validation samples 96 rows, fewer than one grid's worth
+def test_solve_evaluates_fine_grid_once(capsys, monkeypatch, caplog):
+    # the Fredholm solve reuses the K W the classification built: a rank-r
+    # factor evaluates r kernel rows against the grid and the validation
+    # samples 96; the residuals apply K off the grid (against n + 1 points)
     rows = counting_kernel(monkeypatch)
-    code, out, _ = run(capsys, "solve", "--example", "ball")
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        code, out, _ = run(capsys, "solve", "--example", "ball")
     assert code == 0
     n = json.loads(out)["eigenobject"]["density_size"]
-    assert rows[n] // n == 1
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    rank = int(re.search(r"; kernel factor rank=(\d+)", line).group(1))
+    assert rank == 1
+    assert rows[n] <= rank + 96
 
 
 def test_solve_holds_one_kernel_array(capsys):
@@ -240,7 +246,9 @@ def test_solve_holds_one_kernel_array(capsys):
     assert code == 0
     n = json.loads(out)["eigenobject"]["density_size"]
     assert n == 3600
-    assert peak <= 1.3 * 8 * n * n
+    # the constant kernel is a rank-one factor: the largest array is a
+    # 512-row slab of the residuals' kernel moment, 0.14 of one N x N array
+    assert peak <= 0.2 * 8 * n * n
 
 
 def test_solve_detects_argmax_and_takes_moment_once(capsys, monkeypatch):
@@ -509,6 +517,27 @@ def test_ill_typed_config_value_exits_one(capsys, monkeypatch, tmp_path,
     assert key in err
 
 
+@pytest.mark.parametrize("targets, message", [
+    ([{"point": ["x"]}], "grid.grading_targets[0].point must be a list of finite numbers"),
+    ([5], "config key grid.grading_targets[0] must hold a JSON object"),
+    ([{"segment": [[0.0, 0.0, 0.0]]}], "grid.grading_targets[0].segment must hold two points"),
+    ([{"point": [0.0, 0.0, 0.0]}, {"segment": [[0.0, 0.0, 0.0], [0.0, "a", 1.0]]}],
+     "grid.grading_targets[1].segment must be a list of finite numbers"),
+])
+def test_ill_typed_grading_target_exits_one(capsys, monkeypatch, tmp_path,
+                                            targets, message):
+    # each target is checked before the grid is built (both were tracebacks)
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "build_problem", no_grid)
+    code, out, err = run(capsys, "classify", "--example", "ball", "--config",
+                         config_file(tmp_path, {"grid": {"grading_targets": targets}}))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[configuration]: {message}")
+
+
 @pytest.mark.parametrize("flags, cfg, key", [
     (["--example", "ball"], {"problem": {"kernel": {"family": "constant", "rho": "x"}}},
      "problem.kernel.rho"),
@@ -532,8 +561,8 @@ def test_selector_range_checked_before_any_grid(capsys, monkeypatch, flags, key)
     def no_kernel(*args, **kwargs):
         raise AssertionError("a kernel array was built")
 
-    monkeypatch.setattr(spectral, "_kernel_weights", no_kernel)
-    monkeypatch.setattr(measure, "_kernel_weights", no_kernel)
+    for module in (spectral, measure, verify):
+        monkeypatch.setattr(module, "_kernel_operator", no_kernel)
     for command in ("solve", "convergence"):
         code, out, err = run(capsys, command, "--example", "cylinder", *flags)
         assert code == 1
@@ -618,7 +647,7 @@ def test_solve_runs_two_ktilde_perron_solves(capsys, monkeypatch):
     real = spectral._ktilde_perron
 
     def counted(kw, *args, **kwargs):
-        sizes.append(kw.shape[0])
+        sizes.append(kw.weights.size)
         return real(kw, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_ktilde_perron", counted)

@@ -33,6 +33,7 @@ from specmeasure import (
     build_singular_solution,
     cantor_approximant,
     constant_kernel,
+    custom_kernel,
     gaussian_kernel,
     kernel_moment,
     measure,
@@ -323,22 +324,39 @@ def test_fredholm_solve_logs_one_info_line(ball05, caplog):
     assert 1 <= int(fields["matvecs"]) <= 3
     assert float(fields["residual"]) <= 1e-12
     assert float(fields["tol_linear"]) == 1e-10
+    # the constant kernel is an exact rank-one factor
+    assert lines[0].endswith("; kernel factor rank=1 remainder=0")
 
 
-def test_solve_holds_one_dense_array():
-    # constant kernel: next to Kt, assembly holds two _BLOCK-row slabs (the
-    # kernel values and their weighted copy), 2 * 512 / 3600 of Kt
+def cylinder_peak(kernel):
     prob = cylinder_problem(0.05, resolution=10, depth=12)
-    n = prob.grid.size
-    assert n == 3600
+    prob = Problem(prob.domain, kernel, prob.coeff, prob.grid)
+    assert prob.grid.size == 3600
     tracemalloc.start()
     try:
         mu = build_singular_solution(prob, [((0.0, 0.0, 0.5), 1.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * 8 * n * n
     assert np.all(mu.density_values > 0)
+    return peak
+
+
+def test_solve_holds_one_dense_array():
+    # constant kernel: a rank-one factor of one 64-row block, and no N x N
+    # array at all
+    n = 3600
+    assert cylinder_peak(constant_kernel(0.05)) <= 0.2 * 8 * n * n
+
+
+def test_dense_solve_holds_one_kernel_array():
+    # a kernel without the positive-definite claim takes the dense K W:
+    # next to it, assembly holds two _BLOCK-row slabs (the kernel values and
+    # their weighted copy), 2 * 512 / 3600 of K W
+    n = 3600
+    kernel = custom_kernel(constant_kernel(0.05).evaluate,
+                           positivity_witness=(0.025, math.inf))
+    assert cylinder_peak(kernel) <= 1.3 * 8 * n * n
 
 
 def test_cantor_level_bounded_by_memory(monkeypatch):

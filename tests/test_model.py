@@ -220,14 +220,19 @@ def test_problem_validates_symmetry_claim():
 
 
 def test_problem_rejects_grid_beyond_memory(monkeypatch):
+    # a kernel without the positive-definite claim takes the dense K W, so
+    # its 8 N^2 bytes are checked on construction; a factored kernel's
+    # storage is checked as the factor grows
     dom = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
     coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
     n = build_grid(dom, 4).size
+    dense = custom_kernel(constant_kernel(0.1).evaluate, positivity_witness=(0.05, math.inf))
     monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n)
-    build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
+    build_problem(dom, dense, coeff, resolution=4)
     monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n - 1)
     with pytest.raises(TooLargeError, match="physical memory"):
-        build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
+        build_problem(dom, dense, coeff, resolution=4)
+    build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
 
 
 def test_problem_validates_near_diagonal_positivity():

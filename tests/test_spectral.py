@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from specmeasure import (
     Problem,
     Segment,
     SingularNodeError,
+    TooLargeError,
     assemble_full,
     assemble_ktilde,
     build_problem,
@@ -33,6 +35,8 @@ from specmeasure import (
     detect_argmax_set,
     estimate_lambda_p,
     gaussian_kernel,
+    measure,
+    model,
     perron,
     radial_power,
     spectral,
@@ -273,7 +277,9 @@ def eigen_residual(entries, v):
 def test_classify_continuous_pins_full_operator_run(kernel):
     # lambda_p is the residual-converged full-operator estimate; the density
     # is a certified top eigenvector of the full operator whose ratio
-    # interval is lambda_p_interval, and lambda_p matches the oracle
+    # interval is lambda_p_interval (on a factored K W, an interval holding
+    # the dense ratio bounds up to the factor's round-off), and lambda_p
+    # matches the oracle
     prob = build_problem(
         Ball(center=CENTER3, radius=1.0), kernel,
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
@@ -287,7 +293,12 @@ def test_classify_continuous_pins_full_operator_run(kernel):
     full = assemble_full(prob)
     assert eigen_residual(full.entries, v) <= 1e-10
     lo, hi = collatz_wielandt_bounds(full.entries, v)
-    assert rep.lambda_p_interval == (full.shift - hi, full.shift - lo)
+    if spectral._kernel_operator(prob).dense is not None:
+        assert rep.lambda_p_interval == (full.shift - hi, full.shift - lo)
+    else:
+        ulp = 16 * np.finfo(float).eps * full.shift
+        assert rep.lambda_p_interval[0] <= full.shift - hi + ulp
+        assert rep.lambda_p_interval[1] >= full.shift - lo - ulp
     if kernel.family == "constant":
         mu = secular_root(prob, kernel.params["rho"])
     else:
@@ -469,10 +480,24 @@ def test_classify_logs_one_info_line(caplog):
     assert line.count("stopped_by=") == 2
     assert "ktilde-coarse" in line
     assert "bracket matvecs=1" in line
+    # each grid's K W backend: the constant kernel is an exact rank-one factor
+    assert line.endswith("; kernel factor rank=1 remainder=0; "
+                         "kernel-coarse factor rank=1 remainder=0")
 
 
-def gaussian_ball(resolution, depth, evaluate=None):
-    kernel = gaussian_kernel(0.15, 1.0)
+def test_classify_logs_dense_backend(caplog):
+    prob = ball_problem(0.05, resolution=4, depth=4)
+    dense = Problem(prob.domain, custom_kernel(prob.kernel.evaluate, (0.025, math.inf)),
+                    prob.coeff, prob.grid)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        classify_regime(dense)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert line.endswith("; kernel dense; kernel-coarse dense")
+
+
+def gaussian_ball(resolution, depth, evaluate=None, amplitude=0.15):
+    kernel = gaussian_kernel(amplitude, 1.0)
     if evaluate is not None:
         kernel = dataclasses.replace(kernel, evaluate=evaluate(kernel.evaluate))
     return build_problem(
@@ -482,9 +507,10 @@ def gaussian_ball(resolution, depth, evaluate=None):
     )
 
 
-def test_continuous_classify_evaluates_fine_grid_once():
-    # Kt and the full operator are scalings of one K W; rows[n] counts the
-    # rows evaluated against all n nodes (validation samples 96 of them)
+def test_continuous_classify_evaluates_fine_grid_once(caplog):
+    # Kt and the full operator share one K W per grid; rows[n] counts the
+    # rows evaluated against all n nodes: one per factor pivot, and the 96
+    # that validation samples
     rows = {}
 
     def counting(evaluate):
@@ -493,11 +519,17 @@ def test_continuous_classify_evaluates_fine_grid_once():
             return evaluate(x, y)
         return counted
 
-    prob = gaussian_ball(6, 6, counting)
-    rep = classify_regime(prob, confirm=True)
+    prob = gaussian_ball(10, 12, counting)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, confirm=True)
     assert rep.regime == "continuous"
-    n = prob.grid.size
-    assert rows[n] // n == 1
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    ranks = [int(r) for r in re.findall(r"kernel(?:-coarse)? factor rank=(\d+)", line)]
+    sizes = (prob.grid.size, rep.coarse_size)
+    assert len(ranks) == 2 and all(r <= n // 8 for r, n in zip(ranks, sizes))
+    for rank, n in zip(ranks, sizes):
+        assert rows[n] <= rank + 96
 
 
 def test_continuous_classify_holds_one_kernel_array():
@@ -512,4 +544,119 @@ def test_continuous_classify_holds_one_kernel_array():
     finally:
         tracemalloc.stop()
     assert rep.regime == "continuous"
-    assert peak <= 1.3 * 8 * n * n
+    # the Gaussian factor has about 340 rows, stored in 64-row blocks
+    assert peak <= 0.2 * 8 * n * n
+
+
+# -- the factored K W against the dense oracle ----------------------------
+
+def dense_twin(prob):
+    # custom_kernel carries no positive-definite claim: the dense K W
+    kernel = custom_kernel(prob.kernel.evaluate, prob.kernel.positivity_witness)
+    return Problem(prob.domain, kernel, prob.coeff, prob.grid)
+
+
+def dense_lambda1(prob, a0):
+    # Kt is similar to S K S, S = sqrt(w / (a0 - a))
+    nodes = prob.grid.nodes
+    s = np.sqrt(prob.grid.weights / (a0 - prob.a_at_nodes))
+    return np.linalg.eigh(s[:, None] * prob.kernel.evaluate(nodes, nodes) * s[None, :])[0][-1]
+
+
+def lift_rank_cap(mp):
+    # at resolutions 4-5 a Gaussian factor needs more than N/8 rows
+    mp.setattr(spectral, "_FACTOR_SHARE", 1)
+
+
+# eigh and the factored matvec agree to round-off; the intervals are
+# certified on the discrete operator, not on floating-point arithmetic
+ROUND = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("make, regime, atom", [
+    (lambda: ball_problem(0.1, resolution=5, depth=5), "continuous", None),
+    (lambda: ball_problem(0.05, resolution=5, depth=5), "singular", CENTER3),
+    (lambda: cylinder_problem(0.1, resolution=4, depth=5), "singular", (0.0, 0.0, 0.5)),
+    (lambda: gaussian_ball(5, 5, amplitude=0.05), "singular", CENTER3),
+    (lambda: gaussian_ball(4, 5), "continuous", None),
+], ids=["ball-constant-continuous", "ball-constant-singular", "cylinder-constant",
+        "gaussian-0.05", "gaussian-0.15"])
+def test_factor_matches_dense_oracle(monkeypatch, make, regime, atom):
+    lift_rank_cap(monkeypatch)
+    prob = make()
+    dense = dense_twin(prob)
+    kw = spectral._kernel_operator(prob)
+    assert kw.dense is None
+    assert spectral._kernel_operator(dense).dense is not None
+    if prob.kernel.family == "constant":
+        assert kw.rank == 1 and kw.root_remainder is None
+        assert kw.slack(np.ones(prob.grid.size)) == 0.0
+    rep = classify_regime(prob, confirm=False)
+    rep_d = classify_regime(dense, confirm=False)
+    assert rep.regime == rep_d.regime == regime
+    # the factored intervals contain the dense eigenvalues, and overlap the
+    # dense path's own certificates
+    lam1 = dense_lambda1(prob, rep.a0)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    assert max(lo, rep_d.lambda1_interval[0]) <= min(hi, rep_d.lambda1_interval[1]) + ROUND
+    mu = dense_top_eigenvalue(prob)
+    lo, hi = rep.lambda_p_interval
+    assert lo - ROUND <= -mu <= hi + ROUND
+    assert max(lo, rep_d.lambda_p_interval[0]) <= min(hi, rep_d.lambda_p_interval[1]) + ROUND
+    if atom is not None:
+        g = measure._solve_linear(prob, ((atom, 1.0),), 1e-10)[2].g_values
+        g_d = measure._solve_linear(dense, ((atom, 1.0),), 1e-10)[2].g_values
+        assert np.max(np.abs(g - g_d)) <= 1e-10 * np.max(np.abs(g_d))
+
+
+@settings(max_examples=15, deadline=None)
+@given(amplitude=st.floats(0.02, 0.3), width=st.floats(0.5, 2.0))
+def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
+    prob = build_problem(
+        Ball(center=CENTER3, radius=1.0), gaussian_kernel(amplitude, width),
+        radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
+        resolution=4, grading=GradeSpec(targets=(CENTER3,), depth=5),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        lift_rank_cap(mp)
+        assert spectral._kernel_operator(prob).dense is None
+        rep = classify_regime(prob, confirm=False)
+    if rep.regime == "l1":
+        return
+    sw = np.sqrt(prob.grid.weights)
+    nodes = prob.grid.nodes
+    sym = sw[:, None] * prob.kernel.evaluate(nodes, nodes) * sw[None, :]
+    sym[np.diag_indices_from(sym)] += prob.a_at_nodes
+    mu = np.linalg.eigh(sym)[0][-1]
+    lo, hi = rep.lambda_p_interval
+    assert lo - ROUND <= -mu <= hi + ROUND
+    if rep.regime == "continuous":
+        assert hi - lo <= 1e-10
+
+
+def test_factor_storage_checked_as_it_grows(monkeypatch):
+    # the budget is lowered to one 64-row block, so nothing large is built
+    lift_rank_cap(monkeypatch)
+    prob = gaussian_ball(5, 6)
+    n = prob.grid.size
+    assert spectral._kernel_operator(prob).rank > spectral._FACTOR_BLOCK
+    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * spectral._FACTOR_BLOCK * n)
+    assert spectral._kernel_operator(ball_problem(0.1, resolution=5, depth=6)).rank == 1
+    with pytest.raises(TooLargeError, match="kernel factor"):
+        spectral._kernel_operator(prob)
+
+
+def test_dense_fallback_checked_before_it_allocates(monkeypatch):
+    # past the rank cap the Gaussian falls back to dense K W; only then are
+    # 8 N^2 bytes needed, so the problem itself still builds
+    prob = gaussian_ball(4, 5)
+    n = prob.grid.size
+    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n - 1)
+    prob = Problem(prob.domain, prob.kernel, prob.coeff, prob.grid)
+    with pytest.raises(TooLargeError, match="dense operator"):
+        spectral._kernel_operator(prob)
+    with pytest.raises(TooLargeError):
+        Problem(prob.domain, dense_twin(prob).kernel, prob.coeff, prob.grid)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n)
+    assert spectral._kernel_operator(prob).dense is not None
