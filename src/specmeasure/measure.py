@@ -194,7 +194,7 @@ def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray
 
 
 def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
-                  classified: tuple[RegimeReport, KernelWeights | None] | None = None
+                  classified: tuple[RegimeReport, KernelWeights] | None = None
                   ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
     """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
 
@@ -352,7 +352,7 @@ def build_singular_solution(problem: Problem, atoms, *,
 
 
 def _singular_solution(problem: Problem, atoms, tol_linear: float,
-                       classified: tuple[RegimeReport, KernelWeights | None] | None = None
+                       classified: tuple[RegimeReport, KernelWeights] | None = None
                        ) -> DiscreteMeasure:
     """``build_singular_solution``, deciding the regime from the problem
     grid's classification and reusing its K W when ``classified`` is given."""

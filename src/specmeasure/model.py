@@ -72,8 +72,10 @@ class Kernel:
     claims K(x, y) = phi(x - y) with phi a positive-definite function, so
     every Gram matrix K(X, X) is positive semidefinite with the constant
     diagonal phi(0); K W is then applied through a pivoted-Cholesky factor.
-    Only the built-in constant and Gaussian kernels make it (Bochner).
-    Validation checks the claims on grid node pairs.
+    Validation cannot detect an indefinite kernel, so the claim is no
+    constructor argument: only ``constant_kernel`` and ``gaussian_kernel``
+    make it (Bochner), and ``dataclasses.replace`` drops it.  Validation
+    checks the claims on grid node pairs.
     """
 
     family: str
@@ -81,7 +83,13 @@ class Kernel:
     params: dict = field(default_factory=dict)
     positivity_witness: tuple[float, float] | None = None
     symmetric: bool = False
-    positive_definite: bool = False
+    positive_definite: bool = field(default=False, init=False)
+
+
+def _positive_definite(kernel: Kernel) -> Kernel:
+    """``kernel`` with the positive-definite claim of a built-in family."""
+    object.__setattr__(kernel, "positive_definite", True)
+    return kernel
 
 
 def constant_kernel(rho: float) -> Kernel:
@@ -91,9 +99,9 @@ def constant_kernel(rho: float) -> Kernel:
     def ev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full((x.shape[0], y.shape[0]), rho)
 
-    return Kernel("constant", ev, {"rho": rho},
-                  positivity_witness=(rho / 2, math.inf), symmetric=True,
-                  positive_definite=True)
+    return _positive_definite(Kernel("constant", ev, {"rho": rho},
+                                     positivity_witness=(rho / 2, math.inf),
+                                     symmetric=True))
 
 
 # rows of a kernel slab evaluated at once, so every pass stays in cache
@@ -130,9 +138,10 @@ def gaussian_kernel(amplitude: float, width: float) -> Kernel:
         return out
 
     c0 = amplitude * math.exp(-0.5) * (1.0 - 1e-12)
-    return Kernel("gaussian", ev, {"amplitude": amplitude, "width": width},
-                  positivity_witness=(c0, width), symmetric=True,
-                  positive_definite=True)
+    return _positive_definite(Kernel("gaussian", ev,
+                                     {"amplitude": amplitude, "width": width},
+                                     positivity_witness=(c0, width),
+                                     symmetric=True))
 
 
 def custom_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -290,8 +299,12 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
     to hundreds (72-288 on the example, bench and coordinate_linear configs).
     Each label takes the smallest label among its neighbours, then jumps to
     that label's own label, until each component holds its first index.
+    The distances take two m x m float arrays, the labelling a boolean and
+    an integer one: at most 17 m^2 bytes, checked against physical memory
+    first.
     """
     m = pts.shape[0]
+    _check_memory(17 * m * m, f"the adjacency of {m} near-maximal grid nodes")
     near = _sq_distances(pts, pts, np.empty((m, m))) <= radius * radius
     labels = np.arange(m)
     while True:

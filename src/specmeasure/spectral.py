@@ -24,7 +24,7 @@ a Gaussian, whatever the grid size.  Its remainder E = K - L L^T is
 positive semidefinite, so |(E W u)_i| <= sqrt(E_ii) sum_j sqrt(E_jj) w_j |u_j|,
 an O(N) bound that widens every ratio interval below; it is zero for the
 constant kernel.  Other kernels, and a factor that would need more than
-N/8 rows, keep the dense N x N array.
+8 sqrt(N) rows, keep the dense N x N array.
 
 Power iteration tracks the ratio interval [min_i (Av)_i / v_i,
 max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
@@ -90,8 +90,14 @@ _TOL_CLASSIFY = 1e-3
 # K(x, x): two decades below the default power and linear tolerances, so the
 # certificates it widens stay inside them
 _FACTOR_RTOL = 1e-12
-# a kernel factor holds at most N / _FACTOR_SHARE rows, 1/8 of dense K W
-_FACTOR_SHARE = 8
+# a kernel factor holds at most _FACTOR_CAP * sqrt(N) rows.  Building r
+# rows streams about r^2 N / 2 factor entries, against N^2 kernel values for
+# dense K W; on Gaussians at N = 864-6624 classify and solve take as long
+# on either backend at 7-10 sqrt(N) rows
+_FACTOR_CAP = 8
+# share of the way (in log) to _FACTOR_RTOL that a factor's remainder must
+# have covered at half the cap; see _factor
+_FACTOR_PACE = 0.4
 # rows of a kernel factor allocated at a time
 _FACTOR_BLOCK = 64
 
@@ -227,9 +233,9 @@ def _kernel_operator(problem: Problem) -> KernelWeights:
     """K W on the problem grid, the one grid x grid kernel operator.
 
     A kernel that claims positive definiteness gets a pivoted-Cholesky
-    factor (Harbrecht-Peters-Schneider 2012) of at most N / ``_FACTOR_SHARE``
-    rows; every other kernel, and one whose factor would need more rows,
-    gets the dense array.
+    factor (Harbrecht-Peters-Schneider 2012) of at most ``_FACTOR_CAP``
+    sqrt(N) rows; every other kernel, and one whose factor would need more
+    rows, gets the dense array.
     """
     if problem.kernel.positive_definite:
         op = _factor(problem)
@@ -248,11 +254,20 @@ def _factor(problem: Problem) -> KernelWeights | None:
     E_ii - c_i (c_i / c_p), so a constant kernel leaves exactly zero after
     one step.  Storage grows by ``_FACTOR_BLOCK`` rows, each block checked
     against physical memory first.
+
+    The largest remainder decays ever more slowly, so at half the cap it
+    has covered about half its way (in log) to where it ends at the cap.
+    On Gaussians measured at N = 224-6624, every factor that finished
+    within the cap had covered at least 48% of its way to ``_FACTOR_RTOL``
+    by half the cap, and every one that needed 1.5 times the cap at most
+    39%.  A factor still above ``_FACTOR_RTOL ** _FACTOR_PACE`` K(x, x) at
+    half the cap is given up there, having spent a quarter of the cap's
+    cost.
     """
     nodes = problem.grid.nodes
     n = nodes.shape[0]
     evaluate = problem.kernel.evaluate
-    cap = n // _FACTOR_SHARE
+    cap = min(n, int(_FACTOR_CAP * n ** 0.5))
     phi0 = float(np.asarray(evaluate(nodes[:1], nodes[:1]), dtype=float)[0, 0])
     if not phi0 > 0:
         return None
@@ -263,9 +278,10 @@ def _factor(problem: Problem) -> KernelWeights | None:
         p = int(np.argmax(remainder))
         if remainder[p] <= _FACTOR_RTOL * phi0:
             break
-        if rank == cap:
-            log.info("kernel factor: rank cap %d reached on %d nodes; dense K W",
-                     cap, n)
+        if rank == cap or (rank == cap // 2
+                           and remainder[p] > _FACTOR_RTOL ** _FACTOR_PACE * phi0):
+            log.info("kernel factor: remainder %.3g K(x, x) at rank %d of cap %d "
+                     "on %d nodes; dense K W", remainder[p] / phi0, rank, cap, n)
             return None
         k = rank % _FACTOR_BLOCK
         if k == 0:
@@ -422,7 +438,7 @@ def _ktilde_perron(kw: KernelWeights, gap: np.ndarray, value_tol: float,
 def _full_pair(problem: Problem, kw: KernelWeights,
                tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
     """lambda_p and the residual-converged top eigenpair of the full
-    operator K W + diag(a + shift); a dense ``kw`` becomes it in place.
+    operator K W + diag(a + shift), applied as K W v + (a + shift) v.
 
     For a symmetric kernel, A = K W + diag(a + shift) is similar to the
     symmetric M = S A S^-1, S = diag(sqrt(w)), applied matrix-free.  Lanczos
@@ -436,12 +452,9 @@ def _full_pair(problem: Problem, kw: KernelWeights,
     a = problem.a_at_nodes
     shift = float(np.max(np.abs(a)))
     n = a.size
-    if kw.dense is not None:
-        kw.dense[np.diag_indices(n)] += a + shift
-        matvec = kw.dense.__matmul__
-    else:
-        def matvec(v: np.ndarray) -> np.ndarray:
-            return kw @ v + (a + shift) * v
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        return kw @ v + (a + shift) * v
 
     def certified(pair: PerronPair) -> tuple[LambdaPEstimate, PerronPair]:
         lo, hi = pair.interval
@@ -618,10 +631,10 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
 
 def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: float,
               tol_power: float, confirm: bool
-              ) -> tuple[RegimeReport, KernelWeights | None]:
+              ) -> tuple[RegimeReport, KernelWeights]:
     """``classify_regime``'s report and the problem grid's K W for a solve to
-    reuse (None once it has served the full operator).  The coarse grid's
-    K W is freed before the fine one is built, so the two never coexist."""
+    reuse.  The coarse grid's K W is freed before the fine one is built, so
+    the two never coexist."""
     amax = None
     if x0 is None:
         amax = detect_argmax_set(problem.coeff, problem.grid)
@@ -674,7 +687,6 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
             )
     elif regime == "continuous":
         est, fpair = _full_pair(problem, kw, tol_power)
-        kw = None
         runs.append(_fmt_run("full", fpair))
         lambda_p, interval = est.value, est.interval
         if -lambda_p < a0 - slack:

@@ -200,9 +200,11 @@ def test_bad_alpha_rejected_before_any_grid(capsys, monkeypatch, tmp_path,
     assert err.startswith("error[configuration]: atom weights")
 
 
-def counting_kernel(monkeypatch):
+def counting_kernel(monkeypatch, dense=False):
     """Make the CLI's kernels count their evaluations: rows[n] is the number
-    of rows evaluated against all n nodes of an n-node grid."""
+    of rows evaluated against all n nodes of an n-node grid.  The counter
+    keeps the built-in kernel's claims, or with ``dense`` is a custom kernel
+    of the same values, which takes the dense K W."""
     rows: dict[int, int] = {}
     real_build = cli._build_kernel
 
@@ -213,7 +215,10 @@ def counting_kernel(monkeypatch):
             rows[y.shape[0]] = rows.get(y.shape[0], 0) + x.shape[0]
             return kernel.evaluate(x, y)
 
-        return dataclasses.replace(kernel, evaluate=evaluate)
+        if dense:
+            return model.custom_kernel(evaluate, kernel.positivity_witness)
+        # replace drops the positive-definite claim of the built-in family
+        return model._positive_definite(dataclasses.replace(kernel, evaluate=evaluate))
 
     monkeypatch.setattr(cli, "_build_kernel", build)
     return rows
@@ -233,6 +238,20 @@ def test_solve_evaluates_fine_grid_once(capsys, monkeypatch, caplog):
     rank = int(re.search(r"; kernel factor rank=(\d+)", line).group(1))
     assert rank == 1
     assert rows[n] <= rank + 96
+
+
+def test_dense_solve_evaluates_fine_grid_once(capsys, monkeypatch, caplog):
+    # a custom kernel fills one dense K W per grid, which the Fredholm solve
+    # reuses; the validation samples 96 rows, fewer than one grid's worth
+    rows = counting_kernel(monkeypatch, dense=True)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        code, out, _ = run(capsys, "solve", "--example", "ball")
+    assert code == 0
+    n = json.loads(out)["eigenobject"]["density_size"]
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert line.endswith("; kernel dense; kernel-coarse dense")
+    assert rows[n] // n == 1
 
 
 def test_solve_holds_one_kernel_array(capsys):

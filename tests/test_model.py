@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,39 @@ def test_problem_validates_symmetry_claim():
         build_problem(dom, lying, constant_coefficient(0.0), resolution=8)
     assert constant_kernel(0.1).symmetric
     assert gaussian_kernel(1.0, 0.5).symmetric
+
+
+def test_positive_definite_claim_is_not_a_constructor_argument():
+    # validation cannot detect an indefinite kernel, so only the built-in
+    # families claim positive definiteness, and replacing a field drops it
+    assert constant_kernel(0.1).positive_definite
+    assert gaussian_kernel(1.0, 0.5).positive_definite
+    assert not custom_kernel(constant_kernel(0.1).evaluate).positive_definite
+    with pytest.raises(TypeError):
+        model.Kernel("custom", constant_kernel(0.1).evaluate, positive_definite=True)
+    g = gaussian_kernel(1.0, 0.5)
+    assert not dataclasses.replace(g, evaluate=lambda x, y: -g.evaluate(x, y)).positive_definite
+
+
+def test_argmax_adjacency_checked_before_it_allocates(monkeypatch):
+    # the near-maximal nodes get a dense m x m adjacency of 17 m^2 bytes;
+    # the budget is lowered below it, so nothing of that size is built
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    grid = build_grid(ball, 6)
+    coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
+    m = sum(c.node_count for c in detect_argmax_set(coeff, grid).components)
+    assert m > 1
+    monkeypatch.setattr(model, "_memory_budget", lambda: 17 * m * m)
+    detect_argmax_set(coeff, grid)
+    monkeypatch.setattr(model, "_memory_budget", lambda: 17 * m * m - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match=f"adjacency of {m} near-maximal"):
+            detect_argmax_set(coeff, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m
 
 
 def test_problem_rejects_grid_beyond_memory(monkeypatch):

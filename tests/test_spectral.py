@@ -272,14 +272,18 @@ def eigen_residual(entries, v):
     return float(np.max(np.abs(w - lam * v))) / lam
 
 
-@pytest.mark.parametrize("kernel", [constant_kernel(0.1), gaussian_kernel(0.15, 1.0)],
-                         ids=["constant", "gaussian"])
-def test_classify_continuous_pins_full_operator_run(kernel):
+@pytest.mark.parametrize("kernel, cap", [
+    (constant_kernel(0.1), None), (gaussian_kernel(0.15, 1.0), None),
+    (gaussian_kernel(0.15, 1.0), 0),
+], ids=["constant", "gaussian", "gaussian-dense"])
+def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     # lambda_p is the residual-converged full-operator estimate; the density
     # is a certified top eigenvector of the full operator whose ratio
-    # interval is lambda_p_interval (on a factored K W, an interval holding
-    # the dense ratio bounds up to the factor's round-off), and lambda_p
-    # matches the oracle
+    # interval is lambda_p_interval (an interval holding the ratio bounds of
+    # the assembled operator up to round-off), and lambda_p matches the
+    # oracle; a rank cap of 0 sends the Gaussian to its dense fallback
+    if cap is not None:
+        monkeypatch.setattr(spectral, "_FACTOR_CAP", cap)
     prob = build_problem(
         Ball(center=CENTER3, radius=1.0), kernel,
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
@@ -293,12 +297,10 @@ def test_classify_continuous_pins_full_operator_run(kernel):
     full = assemble_full(prob)
     assert eigen_residual(full.entries, v) <= 1e-10
     lo, hi = collatz_wielandt_bounds(full.entries, v)
-    if spectral._kernel_operator(prob).dense is not None:
-        assert rep.lambda_p_interval == (full.shift - hi, full.shift - lo)
-    else:
-        ulp = 16 * np.finfo(float).eps * full.shift
-        assert rep.lambda_p_interval[0] <= full.shift - hi + ulp
-        assert rep.lambda_p_interval[1] >= full.shift - lo - ulp
+    assert (spectral._kernel_operator(prob).dense is None) == (cap is None)
+    ulp = 16 * np.finfo(float).eps * full.shift
+    assert rep.lambda_p_interval[0] <= full.shift - hi + ulp
+    assert rep.lambda_p_interval[1] >= full.shift - lo - ulp
     if kernel.family == "constant":
         mu = secular_root(prob, kernel.params["rho"])
     else:
@@ -306,20 +308,30 @@ def test_classify_continuous_pins_full_operator_run(kernel):
     assert rep.lambda_p == pytest.approx(-mu, abs=1e-12)
 
 
-def test_classify_continuous_custom_kernel_keeps_power_run():
-    # a kernel not marked symmetric takes the cold-start power iteration,
-    # bit for bit
+def test_classify_continuous_custom_kernel_keeps_power_run(caplog):
+    # a kernel not marked symmetric takes the cold-start power iteration:
+    # as many steps as perron on the assembled full operator, and the same
+    # vector and ratio interval up to round-off (K W v + (a + shift) v is
+    # summed in another order than the assembled matrix product)
     rho = 0.1
     kernel = custom_kernel(lambda x, y: np.full((x.shape[0], y.shape[0]), rho),
                            positivity_witness=(rho / 2, math.inf))
     base = ball_problem(rho)
     prob = Problem(base.domain, kernel, base.coeff, base.grid)
-    rep = classify_regime(prob)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob)
     assert rep.regime == "continuous"
     full = assemble_full(prob)
     pair = perron(full)
-    assert np.array_equal(rep.eigen_density, pair.vector)
-    assert rep.lambda_p == full.shift - pair.value
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    n = prob.grid.size
+    assert f"; full n={n} iterations={pair.iterations} stopped_by=residual;" in line
+    assert np.max(np.abs(rep.eigen_density - pair.vector)) <= 1e-12
+    ulp = 16 * np.finfo(float).eps * pair.value
+    assert rep.lambda_p == pytest.approx(full.shift - pair.value, abs=ulp)
+    expected = (full.shift - pair.interval[1], full.shift - pair.interval[0])
+    assert rep.lambda_p_interval == pytest.approx(expected, abs=ulp)
     assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-9)
 
 
@@ -496,10 +508,12 @@ def test_classify_logs_dense_backend(caplog):
     assert line.endswith("; kernel dense; kernel-coarse dense")
 
 
-def gaussian_ball(resolution, depth, evaluate=None, amplitude=0.15):
-    kernel = gaussian_kernel(amplitude, 1.0)
+def gaussian_ball(resolution, depth, evaluate=None, amplitude=0.15, width=1.0):
+    kernel = gaussian_kernel(amplitude, width)
     if evaluate is not None:
-        kernel = dataclasses.replace(kernel, evaluate=evaluate(kernel.evaluate))
+        # replace drops the positive-definite claim of the built-in family
+        kernel = model._positive_definite(
+            dataclasses.replace(kernel, evaluate=evaluate(kernel.evaluate)))
     return build_problem(
         Ball(center=CENTER3, radius=1.0), kernel,
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
@@ -507,10 +521,8 @@ def gaussian_ball(resolution, depth, evaluate=None, amplitude=0.15):
     )
 
 
-def test_continuous_classify_evaluates_fine_grid_once(caplog):
-    # Kt and the full operator share one K W per grid; rows[n] counts the
-    # rows evaluated against all n nodes: one per factor pivot, and the 96
-    # that validation samples
+def row_counter():
+    # rows[n] counts the kernel rows evaluated against all n nodes
     rows = {}
 
     def counting(evaluate):
@@ -519,6 +531,13 @@ def test_continuous_classify_evaluates_fine_grid_once(caplog):
             return evaluate(x, y)
         return counted
 
+    return rows, counting
+
+
+def test_continuous_classify_evaluates_fine_grid_once(caplog):
+    # Kt and the full operator share one K W per grid: a factor evaluates
+    # one row per pivot, and validation samples 96
+    rows, counting = row_counter()
     prob = gaussian_ball(10, 12, counting)
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob, confirm=True)
@@ -527,9 +546,25 @@ def test_continuous_classify_evaluates_fine_grid_once(caplog):
              if r.getMessage().startswith("classify_regime:")]
     ranks = [int(r) for r in re.findall(r"kernel(?:-coarse)? factor rank=(\d+)", line)]
     sizes = (prob.grid.size, rep.coarse_size)
-    assert len(ranks) == 2 and all(r <= n // 8 for r, n in zip(ranks, sizes))
+    assert len(ranks) == 2
+    assert all(r <= spectral._FACTOR_CAP * math.sqrt(n) for r, n in zip(ranks, sizes))
     for rank, n in zip(ranks, sizes):
         assert rows[n] <= rank + 96
+
+
+def test_dense_classify_evaluates_fine_grid_once(caplog):
+    # a custom kernel fills one dense K W per grid, shared by Kt and the
+    # full operator; each validation samples 96 rows, fewer than a grid's worth
+    rows, counting = row_counter()
+    prob = dense_twin(gaussian_ball(6, 6, counting))
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, confirm=True)
+    assert rep.regime == "continuous"
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert line.endswith("; kernel dense; kernel-coarse dense")
+    n = prob.grid.size
+    assert rows[n] // n == 1
 
 
 def test_continuous_classify_holds_one_kernel_array():
@@ -564,8 +599,9 @@ def dense_lambda1(prob, a0):
 
 
 def lift_rank_cap(mp):
-    # at resolutions 4-5 a Gaussian factor needs more than N/8 rows
-    mp.setattr(spectral, "_FACTOR_SHARE", 1)
+    # at resolution 4 a Gaussian narrower than width 0.6 needs more than
+    # 8 sqrt(N) rows
+    mp.setattr(spectral, "_FACTOR_CAP", 10**6)
 
 
 # eigh and the factored matvec agree to round-off; the intervals are
@@ -581,8 +617,7 @@ ROUND = 64 * np.finfo(float).eps
     (lambda: gaussian_ball(4, 5), "continuous", None),
 ], ids=["ball-constant-continuous", "ball-constant-singular", "cylinder-constant",
         "gaussian-0.05", "gaussian-0.15"])
-def test_factor_matches_dense_oracle(monkeypatch, make, regime, atom):
-    lift_rank_cap(monkeypatch)
+def test_factor_matches_dense_oracle(make, regime, atom):
     prob = make()
     dense = dense_twin(prob)
     kw = spectral._kernel_operator(prob)
@@ -637,7 +672,6 @@ def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
 
 def test_factor_storage_checked_as_it_grows(monkeypatch):
     # the budget is lowered to one 64-row block, so nothing large is built
-    lift_rank_cap(monkeypatch)
     prob = gaussian_ball(5, 6)
     n = prob.grid.size
     assert spectral._kernel_operator(prob).rank > spectral._FACTOR_BLOCK
@@ -647,11 +681,27 @@ def test_factor_storage_checked_as_it_grows(monkeypatch):
         spectral._kernel_operator(prob)
 
 
+def test_hopeless_factor_given_up_at_half_the_cap():
+    # a Gaussian of width 0.3 at resolution 4 needs more rows than the cap,
+    # and at half the cap its remainder is still far from the tolerance:
+    # the factor stops there, after cap // 2 kernel rows
+    rows, counting = row_counter()
+    prob = gaussian_ball(4, 5, counting, width=0.3)
+    n = prob.grid.size
+    cap = int(spectral._FACTOR_CAP * math.sqrt(n))
+    before = rows[n]
+    assert spectral._factor(prob) is None
+    assert rows[n] - before == cap // 2
+    # at width 1 the remainder keeps pace and the factor finishes
+    assert cap // 2 < spectral._kernel_operator(gaussian_ball(4, 5)).rank <= cap
+
+
 def test_dense_fallback_checked_before_it_allocates(monkeypatch):
     # past the rank cap the Gaussian falls back to dense K W; only then are
     # 8 N^2 bytes needed, so the problem itself still builds
-    prob = gaussian_ball(4, 5)
+    prob = gaussian_ball(4, 5, width=0.3)
     n = prob.grid.size
+    assert spectral._factor(prob) is None
     monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n - 1)
     prob = Problem(prob.domain, prob.kernel, prob.coeff, prob.grid)
     with pytest.raises(TooLargeError, match="dense operator"):
