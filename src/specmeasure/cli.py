@@ -376,16 +376,20 @@ def _run_classify(cfg: dict) -> dict:
                              _classify_eigenobject(report, problem))
 
 
+def _measure(problem: Problem, cfg: dict, confirm: bool
+             ) -> tuple[RegimeReport, DiscreteMeasure, float]:
+    """The grid's classification report, and the singular measure and
+    eigenvalue it allows: the report's regime decides whether a measure
+    exists, and its argmax set, lambda1 and the grid's K W are reused."""
+    tol = cfg["tolerances"]
+    report, kw = _classify(problem, None, tol["classify"], tol["power"], confirm)
+    atoms, lam = _prescribe(problem, cfg, report.argmax)
+    return report, _singular_solution(problem, atoms, tol["linear"], (report, kw)), lam
+
+
 def _run_solve(cfg: dict, density_csv: str | None) -> dict:
     problem = _build(cfg)
-    tol = cfg["tolerances"]
-    opts = cfg["options"]
-    # the solve acts on the report it prints: its regime decides whether a
-    # measure exists, and its lambda1 and the fine grid's K W are reused
-    report, kw = _classify(problem, None, tol["classify"], tol["power"],
-                           opts["confirm"])
-    atoms, lam = _prescribe(problem, cfg, report.argmax)
-    mu = _singular_solution(problem, atoms, tol["linear"], (report, kw))
+    report, mu, lam = _measure(problem, cfg, cfg["options"]["confirm"])
     pw, wk = _verify(problem, mu, lam, problem.grid, ("pointwise", "weak"))
 
     if density_csv is not None:
@@ -418,7 +422,6 @@ def _write_density_csv(path: str, mu: DiscreteMeasure) -> None:
 
 
 def _run_convergence(cfg: dict) -> str:
-    tol = cfg["tolerances"]
     opts = cfg["options"]
 
     def factory(level: int) -> Problem:
@@ -430,14 +433,11 @@ def _run_convergence(cfg: dict) -> str:
     solution = None
     if opts["quantity"] == "residual":
         def solution(prob: Problem):
-            atoms, lam = _prescribe(prob, cfg)
-            mu = _singular_solution(prob, atoms, tol["linear"])
-            return mu, lam
+            return _measure(prob, cfg, confirm=False)[1:]
 
     rows = refinement_study(factory, opts["levels"], opts["quantity"],
                             solution=solution,
-                            residual_kind=opts["residual_kind"],
-                            value_tol=tol["classify"])
+                            residual_kind=opts["residual_kind"])
 
     def fmt(x) -> str:
         return "" if x is None else repr(float(x))

@@ -38,7 +38,7 @@ from .errors import (
 from .geometry import Grid, Segment, contains
 from .model import _TOL_MAXSET, Problem
 from .spectral import (_BLOCK, _TOL_CLASSIFY, KernelWeights, RegimeReport, _gap,
-                       _kernel_apply, _kernel_operator, _ktilde_perron, _regime)
+                       _kernel_apply, _kernel_operator, _ktilde_pair, _regime)
 
 log = logging.getLogger(__name__)
 
@@ -200,8 +200,8 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
 
     Only the singular regime has a solution.  Regime and lambda1 are those
     of ``classified``, the grid's report and K W from ``spectral._classify``;
-    without it, lambda1 is the Kt Perron root to a 1e-6 interval, classified
-    at ``classify_regime``'s default tolerance.  GMRES runs on
+    without it, lambda1 is the certified Kt Perron root, classified at
+    ``classify_regime``'s default tolerance.  GMRES runs on
     v -> v - Kt v; its result is accepted on the explicit check
     |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf, where the residual
     of a factored K W carries its remainder bound.  Atom weights must be
@@ -219,7 +219,7 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     gap = _gap(problem, a0)
     if classified is None:
         kw = _kernel_operator(problem)
-        lam1 = _ktilde_perron(kw, gap, 1e-6).value
+        lam1 = _ktilde_pair(kw, gap, problem.kernel.symmetric).value
         regime = _regime(lam1, _TOL_CLASSIFY)
     else:
         report, kw = classified

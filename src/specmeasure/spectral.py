@@ -26,24 +26,23 @@ an O(N) bound that widens every ratio interval below; it is zero for the
 constant kernel.  Other kernels, and a factor that would need more than
 8 sqrt(N) rows, keep the dense N x N array.
 
-Power iteration tracks the ratio interval [min_i (Av)_i / v_i,
+Every top eigenpair, of Kt and of the full operator, comes from one
+routine.  A symmetric kernel makes both similar to symmetric matrices, Kt
+to sqrt(b) K sqrt(b) with b = w / (a0 - a) and A to W^1/2 K W^1/2 + diag(a),
+so Lanczos (plain numpy: full reorthogonalization, a fixed start, explicit
+restarts from the Ritz vector until its residual reaches round-off) finds
+the top eigenvector in a few dozen matvecs.  The vector v is certified on
+the operator itself by its ratio interval [min_i (Av)_i / v_i,
 max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
-irreducible matrix at every iterate.  When eigenvalue clustering stalls the
-residual, the interval still narrows enough to certify the value, so the
-iteration stops on whichever of the two criteria is reached first.
+irreducible matrix for any positive v.  Power iteration is only the
+fallback, for kernels not marked symmetric and for a Lanczos vector that
+is not positive or misses the residual tolerance; the public ``perron``
+runs it on a dense matrix and may also stop on the interval's width.
 
 Below one, the full operator is never formed: with u the Perron vector
 of the normalized operator, f = u / (a0 - a) is a positive test function
 whose ratio interval for the full operator brackets -lambda_p at the cost
 of one K W matvec, and each further matvec narrows it.
-
-Above one, a symmetric kernel makes the full operator similar to a
-symmetric matrix, so Lanczos finds its top eigenpair in a few dozen
-matvecs where power iteration needs about a thousand; the returned vector
-is certified on the full operator by the same residual and ratio interval.
-The Lanczos run is plain numpy: full reorthogonalization, a fixed start,
-and explicit restarts from the Ritz vector until its residual reaches
-round-off.
 """
 
 from __future__ import annotations
@@ -157,29 +156,31 @@ class RegimeReport:
 
 def _kernel_slabs(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
                   op, out: np.ndarray) -> np.ndarray:
-    """Fill out[s] = op(K(rows[s], cols)) over ``_BLOCK``-row slabs s, so no
+    """Call op(K(rows[s], cols), out[s]) over ``_BLOCK``-row slabs s, so no
     more than ``_BLOCK`` x len(cols) kernel values exist at once."""
     for start in range(0, rows.shape[0], _BLOCK):
         s = slice(start, min(start + _BLOCK, rows.shape[0]))
-        out[s] = op(np.asarray(kernel.evaluate(rows[s], cols), dtype=float))
+        op(np.asarray(kernel.evaluate(rows[s], cols), dtype=float), out[s])
     return out
 
 
 def _kernel_apply(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """K(rows, cols) @ x, one kernel slab at a time."""
-    return _kernel_slabs(kernel, rows, cols, lambda block: block @ x,
+    return _kernel_slabs(kernel, rows, cols,
+                         lambda block, out: np.matmul(block, x, out=out),
                          np.empty(rows.shape[0]))
 
 
 def _kernel_weights(problem: Problem) -> np.ndarray:
     """Dense K W, entries K(x_i, x_j) w_j, checked against physical memory
-    before it is allocated."""
+    before it is allocated; each kernel slab is scaled straight into it."""
     grid = problem.grid
     n = grid.size
     _model._check_dense(n)
     entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
-                            lambda block: block * grid.weights, np.empty((n, n)))
+                            lambda block, out: np.multiply(block, grid.weights, out=out),
+                            np.empty((n, n)))
     if float(entries.min()) < 0:
         raise ConfigurationError("Perron iteration needs a nonnegative kernel")
     return entries
@@ -428,43 +429,22 @@ def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
                   keep_history)
 
 
-def _ktilde_perron(kw: KernelWeights, gap: np.ndarray, value_tol: float,
-                   tol_power: float = 1e-10) -> PerronPair:
-    """``perron`` on Kt = K W diag(1 / gap), applied as v -> K W (v / gap)."""
-    return _power(lambda v: kw @ (v / gap), np.ones(gap.size), tol_power,
-                  _MAX_ITER, value_tol, slack=lambda v: kw.slack(v / gap))
+def _top_pair(matvec, s: np.ndarray, slack, tol_power: float,
+              symmetric: bool) -> PerronPair:
+    """Certified top eigenpair of a nonnegative operator A, given as
+    ``matvec``, that is similar to the symmetric S A S^-1, S = diag(s).
 
-
-def _full_pair(problem: Problem, kw: KernelWeights,
-               tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
-    """lambda_p and the residual-converged top eigenpair of the full
-    operator K W + diag(a + shift), applied as K W v + (a + shift) v.
-
-    For a symmetric kernel, A = K W + diag(a + shift) is similar to the
-    symmetric M = S A S^-1, S = diag(sqrt(w)), applied matrix-free.  Lanczos
-    finds M's top eigenvector y; v = y / sqrt(w) is accepted under power
-    iteration's own contract: strictly positive and, with lam = max A v,
-    |A v - lam v|_inf / lam <= ``tol_power``, the ratio interval of v being
-    the certificate, widened by the factor's remainder bound.  Otherwise,
-    and for other kernels, power iteration runs, warm-started from v when v
-    is positive.
+    Lanczos, applied matrix-free from the fixed start s (so reruns are
+    byte-identical), finds the top eigenvector y of S A S^-1; v = y / s is
+    accepted under power iteration's own contract: strictly positive and,
+    with lam = max A v, |A v - lam v|_inf / lam <= ``tol_power``, the ratio
+    interval of v, widened by ``slack(v)``, being the certificate.
+    Otherwise, and when A is not ``symmetric``, power iteration runs,
+    warm-started from v when v is positive.
     """
-    a = problem.a_at_nodes
-    shift = float(np.max(np.abs(a)))
-    n = a.size
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return kw @ v + (a + shift) * v
-
-    def certified(pair: PerronPair) -> tuple[LambdaPEstimate, PerronPair]:
-        lo, hi = pair.interval
-        return LambdaPEstimate(shift - pair.value, (shift - hi, shift - lo),
-                               pair.iterations + pair.lanczos_matvecs, n), pair
-
-    if not problem.kernel.symmetric:
-        return certified(_power(matvec, np.ones(n), tol_power, _MAX_ITER,
-                                slack=kw.slack))
-    s = np.sqrt(problem.grid.weights)
+    n = s.size
+    if not symmetric:
+        return _power(matvec, np.ones(n), tol_power, _MAX_ITER, slack=slack)
     matvecs = 0
 
     def sym_matvec(y: np.ndarray) -> np.ndarray:
@@ -472,7 +452,6 @@ def _full_pair(problem: Problem, kw: KernelWeights,
         matvecs += 1
         return s * matvec(y / s)
 
-    # a fixed start keeps reruns byte-identical
     y = _lanczos(sym_matvec, s, _MAX_ITER)
     v = None
     if y is not None:
@@ -486,14 +465,35 @@ def _full_pair(problem: Problem, kw: KernelWeights,
         lam = float(np.max(w))
         res = float(np.max(np.abs(w - lam * v))) / lam
         if res <= tol_power:
-            err = kw.slack(v)
-            return certified(PerronPair(lam, v, 0, res,
-                                        (float(np.min((w - err) / v)),
-                                         float(np.max((w + err) / v))),
-                                        "residual", lanczos_matvecs=matvecs))
-    pair = _power(matvec, np.ones(n) if v is None else v,
-                  tol_power, _MAX_ITER, slack=kw.slack)
-    return certified(replace(pair, lanczos_matvecs=matvecs))
+            err = slack(v)
+            return PerronPair(lam, v, 0, res, (float(np.min((w - err) / v)),
+                                               float(np.max((w + err) / v))),
+                              "residual", lanczos_matvecs=matvecs)
+    pair = _power(matvec, np.ones(n) if v is None else v, tol_power, _MAX_ITER,
+                  slack=slack)
+    return replace(pair, lanczos_matvecs=matvecs)
+
+
+def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, symmetric: bool,
+                 tol_power: float = 1e-10) -> PerronPair:
+    """Top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap);
+    Kt is similar to sqrt(b) K sqrt(b), b = w / gap."""
+    return _top_pair(lambda v: kw @ (v / gap), np.sqrt(kw.weights / gap),
+                     lambda v: kw.slack(v / gap), tol_power, symmetric)
+
+
+def _full_pair(problem: Problem, kw: KernelWeights,
+               tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
+    """lambda_p and the top eigenpair of the full operator
+    A = K W + diag(a + shift), applied as K W v + (a + shift) v; A is
+    similar to W^1/2 K W^1/2 + diag(a + shift)."""
+    a = problem.a_at_nodes
+    shift = float(np.max(np.abs(a)))
+    pair = _top_pair(lambda v: kw @ v + (a + shift) * v, np.sqrt(problem.grid.weights),
+                     kw.slack, tol_power, problem.kernel.symmetric)
+    lo, hi = pair.interval
+    return LambdaPEstimate(shift - pair.value, (shift - hi, shift - lo),
+                           pair.iterations + pair.lanczos_matvecs, a.size), pair
 
 
 def _lanczos(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
@@ -642,7 +642,6 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
     else:
         a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
     gap = _gap(problem, a0)
-    value_tol = tol_classify / 10.0
     coarse_lam1 = coarse_size = None
     kernels = []                    # each grid's K W backend, for the log
     if confirm:
@@ -651,13 +650,13 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
                                  max(1, g.grade_depth - 1))
         gap_c = _gap(coarse, a0)
         kw_c = _kernel_operator(coarse)
-        pair_c = _ktilde_perron(kw_c, gap_c, value_tol, tol_power)
+        pair_c = _ktilde_pair(kw_c, gap_c, coarse.kernel.symmetric, tol_power)
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
         kernels.append(f"kernel-coarse {kw_c.describe()}")
         del kw_c
     kw = _kernel_operator(problem)
     kernels.insert(0, f"kernel {kw.describe()}")
-    pair = _ktilde_perron(kw, gap, value_tol, tol_power)
+    pair = _ktilde_pair(kw, gap, problem.kernel.symmetric, tol_power)
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
     if confirm:
@@ -676,7 +675,7 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
     interval = None
     if regime == "singular":
         mu_lo, mu_hi, steps = _atom_bracket(kw, pair.vector, problem.a_at_nodes,
-                                            gap, value_tol)
+                                            gap, tol_classify / 10.0)
         runs.append(f"bracket matvecs={steps}")
         lambda_p = -mu_hi
         interval = (-mu_hi, -mu_lo)

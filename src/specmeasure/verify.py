@@ -19,7 +19,7 @@ from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, kernel_moment
 from .model import Problem, check_recip_integrability, detect_argmax_set
-from .spectral import _gap, _kernel_operator, _ktilde_perron, estimate_lambda_p
+from .spectral import _gap, _kernel_operator, _ktilde_pair, estimate_lambda_p
 
 __all__ = [
     "ResidualReport",
@@ -186,8 +186,7 @@ _RESIDUAL_KINDS = ("pointwise", "weak")
 def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
                      quantity: str, *,
                      solution: Callable[[Problem], tuple[DiscreteMeasure, float]] | None = None,
-                     residual_kind: str = "pointwise",
-                     value_tol: float = 1e-4) -> list[dict]:
+                     residual_kind: str = "pointwise") -> list[dict]:
     """Track a quantity across grid levels 0 .. levels-1.
 
     ``problem_factory(level)`` must return successively finer problems; for
@@ -199,10 +198,9 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
     ratio |previous difference| / |difference| (residuals: the values
     themselves take the place of differences).
 
-    ``value_tol`` is the width of the ratio interval that stops the lambda1
-    study's Perron runs.  lambda_p is the residual-converged value of
-    ``estimate_lambda_p``: a midpoint of a wide interval would make the
-    deltas and ratios measure the stopping rule.
+    lambda1 and lambda_p are residual-converged values with certified
+    intervals, so the deltas and ratios measure the grids, not a stopping
+    rule.
     """
     if quantity not in _QUANTITIES:
         raise ConfigurationError(
@@ -229,7 +227,7 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid)
             gap = _gap(prob, amax.sup_value)
-            value = _ktilde_perron(_kernel_operator(prob), gap, value_tol / 10.0).value
+            value = _ktilde_pair(_kernel_operator(prob), gap, prob.kernel.symmetric).value
         elif quantity == "recip_integral":
             g = prob.grid
             res = check_recip_integrability(

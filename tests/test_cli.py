@@ -663,17 +663,57 @@ def test_solve_runs_two_ktilde_perron_solves(capsys, monkeypatch):
     # the coarse and the fine classification; the Fredholm solve takes the
     # fine report's lambda1 instead of a third run
     sizes = []
-    real = spectral._ktilde_perron
+    real = spectral._ktilde_pair
 
     def counted(kw, *args, **kwargs):
         sizes.append(kw.weights.size)
         return real(kw, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_ktilde_perron", counted)
-    monkeypatch.setattr(measure, "_ktilde_perron", counted)
+    monkeypatch.setattr(spectral, "_ktilde_pair", counted)
+    monkeypatch.setattr(measure, "_ktilde_pair", counted)
     code, out, _ = run(capsys, "solve", "--example", "ball",
                        "--resolution", "4", "--depth", "5")
     assert code == 0
     n = json.loads(out)["eigenobject"]["density_size"]
     assert len(sizes) == 2
     assert sizes[1] == n > sizes[0]
+
+
+def test_residual_study_classifies_at_the_config_tolerance(capsys, tmp_path):
+    # lambda1 = 0.949 lies within the configured 0.1 band around one, so the
+    # report says l1 and neither command builds a measure; the residual study
+    # once classified at the default 1e-3 and printed residuals
+    cfg = config_file(tmp_path, {"tolerances": {"classify": 0.1}})
+    solve, study = (run(capsys, *command, "--example", "ball", "--rho", "0.0757",
+                        "--config", cfg)
+                    for command in (["solve"], ["convergence", "--quantity", "residual",
+                                                "--levels", "2"]))
+    assert study == solve
+    code, out, err = solve
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[near-singular-system]: normalized operator "
+                          "radius 0.949")
+
+
+def test_cli_paths_never_call_the_dense_public_api(capsys, monkeypatch):
+    # the dense copies, the public perron and its ratio bounds are for
+    # inspection and tests only; no command reaches them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI path called the dense public API")
+
+    for name in ("perron", "assemble_full", "assemble_ktilde",
+                 "collatz_wielandt_bounds"):
+        monkeypatch.setattr(spectral, name, refuse)
+    small = ["--resolution", "4", "--depth", "5"]
+    for args in (["classify", "--example", "ball", "--rho", "0.1"],
+                 ["classify", "--example", "ball", "--rho", "0.05"],
+                 ["solve", "--example", "ball"],
+                 ["convergence", "--example", "ball", "--quantity", "lambda1",
+                  "--levels", "2"],
+                 ["convergence", "--example", "ball", "--rho", "0.1",
+                  "--quantity", "lambda_p", "--levels", "2"],
+                 ["convergence", "--example", "cylinder", "--quantity", "residual",
+                  "--levels", "2", "--x0", "0.5"]):
+        code, _, err = run(capsys, *args, *small)
+        assert code == 0, (args, err)

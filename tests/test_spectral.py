@@ -306,6 +306,11 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     else:
         mu = dense_top_eigenvalue(prob)
     assert rep.lambda_p == pytest.approx(-mu, abs=1e-12)
+    # lambda1 is certified the same way on either backend
+    lam1 = dense_lambda1(prob, rep.a0)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    assert hi - lo <= 1e-10
 
 
 def test_classify_continuous_custom_kernel_keeps_power_run(caplog):
@@ -489,8 +494,10 @@ def test_classify_logs_one_info_line(caplog):
     assert "regime=singular" in line
     assert f"lambda_p={rep.lambda_p:.12g}" in line
     assert "width" in line
-    assert line.count("stopped_by=") == 2
-    assert "ktilde-coarse" in line
+    # both Kt runs, fine then coarse, are Lanczos runs certified at once
+    assert re.findall(r"(ktilde\S*) n=\d+ lanczos matvecs=\d+ residual=", line) \
+        == ["ktilde", "ktilde-coarse"]
+    assert "stopped_by=" not in line
     assert "bracket matvecs=1" in line
     # each grid's K W backend: the constant kernel is an exact rank-one factor
     assert line.endswith("; kernel factor rank=1 remainder=0; "
@@ -635,6 +642,9 @@ def test_factor_matches_dense_oracle(make, regime, atom):
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     assert max(lo, rep_d.lambda1_interval[0]) <= min(hi, rep_d.lambda1_interval[1]) + ROUND
+    # the dense twin is not marked symmetric: its Kt run is power iteration
+    lo, hi = rep_d.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     mu = dense_top_eigenvalue(prob)
     lo, hi = rep.lambda_p_interval
     assert lo - ROUND <= -mu <= hi + ROUND
@@ -657,6 +667,10 @@ def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
         lift_rank_cap(mp)
         assert spectral._kernel_operator(prob).dense is None
         rep = classify_regime(prob, confirm=False)
+    lam1 = dense_lambda1(prob, rep.a0)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    assert hi - lo <= 1e-10
     if rep.regime == "l1":
         return
     sw = np.sqrt(prob.grid.weights)
@@ -694,6 +708,23 @@ def test_hopeless_factor_given_up_at_half_the_cap():
     assert rows[n] - before == cap // 2
     # at width 1 the remainder keeps pace and the factor finishes
     assert cap // 2 < spectral._kernel_operator(gaussian_ball(4, 5)).rank <= cap
+
+
+def test_dense_kernel_weights_hold_one_slab():
+    # each kernel slab is scaled straight into K W, so one 512-row slab
+    # (0.27 of K W at N = 1920) exists beside it, not a slab and its product
+    prob = dense_twin(gaussian_ball(8, 10))
+    n = prob.grid.size
+    assert n == 1920
+    tracemalloc.start()
+    try:
+        entries = spectral._kernel_weights(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 8 * n * n
+    nodes = prob.grid.nodes
+    assert np.array_equal(entries, prob.kernel.evaluate(nodes, nodes) * prob.grid.weights)
 
 
 def test_dense_fallback_checked_before_it_allocates(monkeypatch):

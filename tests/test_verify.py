@@ -218,12 +218,12 @@ def test_recip_integral_study_converges_to_ball_value():
 
 
 def test_lambda_p_study_reports_converged_values():
-    # each row is the residual-converged lambda_p, not the midpoint of the
-    # ratio interval that stops at value_tol
+    # each row is the residual-converged lambda_p, not the midpoint of a
+    # ratio interval
     def factory(level):
         return ball_problem(0.1, resolution=4, depth=4 + level)
 
-    rows = refinement_study(factory, 3, "lambda_p", value_tol=1e-3)
+    rows = refinement_study(factory, 3, "lambda_p")
     for level, row in enumerate(rows):
         exact = estimate_lambda_p(factory(level)).value
         assert row["value"] == pytest.approx(exact, abs=1e-12)
@@ -233,7 +233,7 @@ def test_lambda_p_study_runs_in_continuous_regime():
     def factory(level):
         return ball_problem(0.2, resolution=4, depth=4 + level)
 
-    rows = refinement_study(factory, 2, "lambda_p", value_tol=1e-3)
+    rows = refinement_study(factory, 2, "lambda_p")
     assert len(rows) == 2
     for row in rows:
         assert isinstance(row["value"], float)
