@@ -61,13 +61,11 @@ from .model import (
 )
 from .spectral import (
     LambdaPEstimate,
-    OperatorMatrix,
     PerronPair,
     RegimeReport,
     assemble_full,
     assemble_ktilde,
     classify_regime,
-    collatz_wielandt_bounds,
     estimate_lambda_p,
     perron,
 )

@@ -297,16 +297,14 @@ def _auto_alpha(problem: Problem, kernel_cfg: dict, a0: float) -> float:
 
 
 def _prescribe(problem: Problem, cfg: dict,
-               amax: ArgmaxSet | None = None) -> tuple[list, float]:
+               amax: ArgmaxSet) -> tuple[list, float]:
     """Atoms of the prescribed singular part, and the eigenvalue -sup a.
 
     One atom at the resolved argmax point, or a Cantor approximant on a
     segment argmax set; ``alpha`` sets or scales the weights in both cases.
-    ``amax`` is the argmax set already detected on the problem grid, if any.
+    ``amax`` is the argmax set detected on the problem grid.
     """
     opts = cfg["options"]
-    if amax is None:
-        amax = detect_argmax_set(problem.coeff, problem.grid)
     x0 = argmax_point(amax, problem.domain, opts["x0"])
     alpha = opts["alpha"]
     if opts["cantor_level"] is not None:
@@ -382,7 +380,7 @@ def _measure(problem: Problem, cfg: dict, confirm: bool
     eigenvalue it allows: the report's regime decides whether a measure
     exists, and its argmax set, lambda1 and the grid's K W are reused."""
     tol = cfg["tolerances"]
-    report, kw = _classify(problem, None, tol["classify"], tol["power"], confirm)
+    report, kw = _classify(problem, tol["classify"], tol["power"], confirm)
     atoms, lam = _prescribe(problem, cfg, report.argmax)
     return report, _singular_solution(problem, atoms, tol["linear"], (report, kw)), lam
 

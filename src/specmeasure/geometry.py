@@ -524,26 +524,10 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
     match domain:
         case Interval(lo=a, hi=b):
-            pts: tuple[float, ...] = ()
-            if grading is not None:
-                for t in grading.targets:
-                    if isinstance(t, Segment):
-                        raise ConfigurationError("interval grading targets must be points")
-                    pts = pts + (t[0],)
-            cells = _line_cells(a, b, resolution, pts,
-                                grading.ratio if grading else 0.5,
-                                grading.depth if grading else 0)
-            m, w = _midpoints_widths(cells)
-            spans = tuple(
-                min(g for g in ((t[0] - a), (b - t[0]), b - a) if g > 0) / 2
-                for t in (grading.targets if grading else ())
-            )
-            return Grid(m[:, None], w, float(np.max(w)), domain,
-                        resolution=resolution,
-                        graded_toward=grading.targets if grading else None,
-                        grade_spans=spans,
-                        grade_ratio=grading.ratio if grading else 0.5,
-                        grade_depth=grading.depth if grading else 0)
+            if grading is not None and any(isinstance(t, Segment)
+                                           for t in grading.targets):
+                raise ConfigurationError("interval grading targets must be points")
+            return _build_tensor((a,), (b,), domain, resolution, grading)
         case Box(lo=lo, hi=hi):
             return _build_tensor(lo, hi, domain, resolution, grading)
         case Ball():

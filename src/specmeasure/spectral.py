@@ -37,7 +37,7 @@ max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
 irreducible matrix for any positive v.  Power iteration is only the
 fallback, for kernels not marked symmetric and for a Lanczos vector that
 is not positive or misses the residual tolerance; the public ``perron``
-runs it on a dense matrix and may also stop on the interval's width.
+runs it on a dense matrix.
 
 Below one, the full operator is never formed: with u the Perron vector
 of the normalized operator, f = u / (a0 - a) is a positive test function
@@ -48,6 +48,7 @@ of one K W matvec, and each further matvec narrows it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,20 +61,18 @@ from .errors import (
     IterationLimitError,
     SingularNodeError,
 )
-from .geometry import GradeSpec, Grid, build_grid
+from .geometry import GradeSpec, build_grid
 from .model import ArgmaxSet, Kernel, Problem, argmax_point, detect_argmax_set
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "OperatorMatrix",
     "PerronPair",
     "LambdaPEstimate",
     "RegimeReport",
     "assemble_full",
     "assemble_ktilde",
     "perron",
-    "collatz_wielandt_bounds",
     "estimate_lambda_p",
     "classify_regime",
 ]
@@ -102,26 +101,13 @@ _FACTOR_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    entries: np.ndarray
-    grid: Grid
-    shift: float = 0.0           # added to the diagonal of the full operator
-    x0: tuple[float, ...] | None = None
-    a0: float | None = None
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class PerronPair:
     value: float
     vector: np.ndarray           # max-normalized, strictly positive
     iterations: int
     residual: float
     interval: tuple[float, float]
-    stopped_by: str              # "residual" | "interval"
-    bounds_history: tuple[tuple[float, float], ...] | None = None
+    stopped_by: str              # "residual", the one stopping rule
     # matvecs of a Lanczos run and its certification before ``iterations``
     # power steps; 0 when no Lanczos run was made
     lanczos_matvecs: int = 0
@@ -132,7 +118,6 @@ class LambdaPEstimate:
     value: float
     interval: tuple[float, float]
     iterations: int
-    grid_size: int
 
 
 @dataclass(frozen=True)
@@ -148,10 +133,9 @@ class RegimeReport:
     eigen_density: np.ndarray | None
     density_norm: str | None     # "max" | "mass"
     confirmed: bool
+    argmax: ArgmaxSet            # detected on the grid; x0 is its argmax_point
     coarse_lambda1: float | None = None
     coarse_size: int | None = None
-    # the argmax set detected on the grid; None when the caller gave x0
-    argmax: ArgmaxSet | None = None
 
 
 def _kernel_slabs(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
@@ -324,62 +308,31 @@ def _gap(problem: Problem, a0: float) -> np.ndarray:
     return gap
 
 
-def assemble_full(problem: Problem, shift: float | None = None) -> OperatorMatrix:
-    """Dense matrix of the dispersal operator plus the coefficient.
-
-    The diagonal shift (default: the sup norm of a on the grid) makes every
-    entry nonnegative so Perron iteration applies; it is recorded and undone
-    when eigenvalues are reported.
-    """
-    a = problem.a_at_nodes
-    if shift is None:
-        shift = float(np.max(np.abs(a)))
-    if np.min(a + shift) < 0:
-        raise ConfigurationError(
-            f"shift {shift} leaves negative diagonal entries"
-        )
+def assemble_full(problem: Problem) -> np.ndarray:
+    """Dense K W + diag(a), read-only: the full operator as a matrix."""
     entries = _kernel_weights(problem)
-    entries[np.diag_indices(a.size)] += a + shift
-    return OperatorMatrix(entries, problem.grid, shift=shift)
+    entries[np.diag_indices(problem.grid.size)] += problem.a_at_nodes
+    entries.setflags(write=False)
+    return entries
 
 
-def assemble_ktilde(problem: Problem, x0: tuple[float, ...],
-                    a0: float | None = None) -> OperatorMatrix:
-    """Matrix of the operator normalized by a0 - a(y), a0 = a(x0).
-
-    Every node must keep a positive distance from the argmax set of a; build
-    the grid with grading toward that set.  A given ``a0`` is used as is and
-    x0 is only recorded.
-    """
-    if a0 is None:
-        a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
-    gap = _gap(problem, a0)
+def assemble_ktilde(problem: Problem, a0: float) -> np.ndarray:
+    """Dense K W diag(1 / (a0 - a)), read-only: the normalized operator as a
+    matrix.  a0 must be sup a, and every node must keep a positive distance
+    from the argmax set of a; build the grid with grading toward that set."""
     entries = _kernel_weights(problem)
-    entries /= gap
-    return OperatorMatrix(entries, problem.grid,
-                          x0=tuple(float(v) for v in x0), a0=a0)
+    entries /= _gap(problem, a0)
+    entries.setflags(write=False)
+    return entries
 
 
-def collatz_wielandt_bounds(entries: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Ratio bounds on the spectral radius from one positive test vector."""
-    w = entries @ v
-    pos = v > 0
-    if not np.any(pos):
-        raise ConfigurationError("test vector must be nonnegative and nonzero")
-    lo = float(np.min(w[pos] / v[pos]))
-    hi = float(np.max(w[pos] / v[pos])) if bool(np.all(pos)) else np.inf
-    return lo, hi
-
-
-def _power(matvec, v0: np.ndarray, tol_resid: float, max_iter: int,
-           value_tol: float | None = None, keep_history: bool = False,
-           slack=None) -> PerronPair:
-    """Power iteration; ``slack(v)`` bounds the error of ``matvec(v)`` at
-    every node, and widens each ratio interval by it."""
+def _power(matvec, v0: np.ndarray, tol_resid: float, slack=None) -> PerronPair:
+    """Power iteration until the eigen-residual reaches ``tol_resid``;
+    ``slack(v)`` bounds the error of ``matvec(v)`` at every node, and widens
+    each ratio interval by it."""
     v = v0 / float(np.max(v0))
-    history: list[tuple[float, float]] = []
     res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = matvec(v)
         lam = float(np.max(w))
         if lam <= 0:
@@ -388,45 +341,25 @@ def _power(matvec, v0: np.ndarray, tol_resid: float, max_iter: int,
         err = 0.0 if slack is None else slack(v)
         lo = float(np.min((w - err)[pos] / v[pos]))
         hi = float(np.max((w + err)[pos] / v[pos])) if bool(np.all(pos)) else np.inf
-        if keep_history:
-            history.append((lo, hi))
         res = float(np.max(np.abs(w - lam * v))) / lam
         v = w / lam
         if res <= tol_resid:
-            return PerronPair(lam, v, it, res, (lo, hi), "residual",
-                              tuple(history) if keep_history else None)
-        if value_tol is not None and hi - lo <= value_tol:
-            return PerronPair(0.5 * (lo + hi), v, it, res, (lo, hi), "interval",
-                              tuple(history) if keep_history else None)
+            return PerronPair(lam, v, it, res, (lo, hi), "residual")
     raise IterationLimitError(
-        f"no convergence in {max_iter} iterations (residual {res:.3e})",
+        f"no convergence in {_MAX_ITER} iterations (residual {res:.3e})",
         residual=res,
     )
 
 
-def perron(matrix: OperatorMatrix | np.ndarray, tol_power: float = 1e-10,
-           max_iter: int = _MAX_ITER, value_tol: float | None = None,
-           v0: np.ndarray | None = None, keep_history: bool = False) -> PerronPair:
-    """Perron root and vector of a nonnegative matrix by power iteration.
-
-    Stops when the eigen-residual reaches ``tol_power``, or, if ``value_tol``
-    is given, as soon as the ratio interval is that narrow; the returned
-    value is then the interval midpoint.
-    """
-    entries = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
+def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
+    """Perron root and vector of a dense nonnegative matrix by power
+    iteration from the ones vector, stopped at the ``tol_power`` residual."""
+    entries = np.asarray(matrix, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ConfigurationError("matrix must be square")
     if np.any(entries < 0):
         raise ConfigurationError("Perron iteration needs a nonnegative matrix")
-    n = entries.shape[0]
-    if v0 is None:
-        v0 = np.ones(n)
-    else:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (n,) or np.any(v0 < 0) or not np.any(v0 > 0):
-            raise ConfigurationError("start vector must be nonnegative and nonzero")
-    return _power(lambda v: entries @ v, v0, tol_power, int(max_iter), value_tol,
-                  keep_history)
+    return _power(lambda v: entries @ v, np.ones(entries.shape[0]), tol_power)
 
 
 def _top_pair(matvec, s: np.ndarray, slack, tol_power: float,
@@ -444,7 +377,7 @@ def _top_pair(matvec, s: np.ndarray, slack, tol_power: float,
     """
     n = s.size
     if not symmetric:
-        return _power(matvec, np.ones(n), tol_power, _MAX_ITER, slack=slack)
+        return _power(matvec, np.ones(n), tol_power, slack=slack)
     matvecs = 0
 
     def sym_matvec(y: np.ndarray) -> np.ndarray:
@@ -469,8 +402,7 @@ def _top_pair(matvec, s: np.ndarray, slack, tol_power: float,
             return PerronPair(lam, v, 0, res, (float(np.min((w - err) / v)),
                                                float(np.max((w + err) / v))),
                               "residual", lanczos_matvecs=matvecs)
-    pair = _power(matvec, np.ones(n) if v is None else v, tol_power, _MAX_ITER,
-                  slack=slack)
+    pair = _power(matvec, np.ones(n) if v is None else v, tol_power, slack=slack)
     return replace(pair, lanczos_matvecs=matvecs)
 
 
@@ -493,12 +425,12 @@ def _full_pair(problem: Problem, kw: KernelWeights,
                      kw.slack, tol_power, problem.kernel.symmetric)
     lo, hi = pair.interval
     return LambdaPEstimate(shift - pair.value, (shift - hi, shift - lo),
-                           pair.iterations + pair.lanczos_matvecs, a.size), pair
+                           pair.iterations + pair.lanczos_matvecs), pair
 
 
 def _lanczos(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
     """Unit top eigenvector of a symmetric operator, or None when ``budget``
-    matvecs do not converge it.
+    matvecs do not converge it or a step overflows.
 
     Lanczos with full reorthogonalization builds up to ``_LANCZOS_BASIS``
     vectors from v0, then restarts from the top Ritz vector.  It stops when
@@ -521,7 +453,10 @@ def _lanczos(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
             active = basis[:j + 1]
             w -= active.T @ (active @ w)         # twice is enough
             w -= active.T @ (active @ w)
-            b = float(np.linalg.norm(w))
+            with np.errstate(over="ignore"):
+                b = float(np.linalg.norm(w))
+            if not math.isfinite(b):        # |A| near the overflow threshold
+                return None
             tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             theta, vecs = np.linalg.eigh(tri)
             top = vecs[:, -1]
@@ -602,9 +537,8 @@ def _fmt_run(name: str, pair: PerronPair) -> str:
             f"stopped_by={pair.stopped_by}")
 
 
-def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
-                    tol_classify: float = _TOL_CLASSIFY, tol_power: float = 1e-10,
-                    confirm: bool = True) -> RegimeReport:
+def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
+                    tol_power: float = 1e-10, confirm: bool = True) -> RegimeReport:
     """Decide which kind of principal eigenfunction the problem admits.
 
     The spectral radius of the normalized operator is compared against one
@@ -623,24 +557,19 @@ def classify_regime(problem: Problem, x0: tuple[float, ...] | None = None,
     Threshold: -a0 itself, where the discrete spectrum clusters; no
     bracket is claimed (``lambda_p_interval`` is None).
 
-    Without ``x0``, the argmax set of a is detected on the grid, x0 is its
-    ``argmax_point``, and the set is reported as ``argmax``.
+    The argmax set of a is detected on the grid and reported as ``argmax``;
+    x0 is its ``argmax_point`` and a0 its sup.
     """
-    return _classify(problem, x0, tol_classify, tol_power, confirm)[0]
+    return _classify(problem, tol_classify, tol_power, confirm)[0]
 
 
-def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: float,
-              tol_power: float, confirm: bool
-              ) -> tuple[RegimeReport, KernelWeights]:
+def _classify(problem: Problem, tol_classify: float, tol_power: float,
+              confirm: bool) -> tuple[RegimeReport, KernelWeights]:
     """``classify_regime``'s report and the problem grid's K W for a solve to
     reuse.  The coarse grid's K W is freed before the fine one is built, so
     the two never coexist."""
-    amax = None
-    if x0 is None:
-        amax = detect_argmax_set(problem.coeff, problem.grid)
-        x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
-    else:
-        a0 = float(problem.coeff.evaluate(np.asarray(x0, dtype=float)[None, :])[0])
+    amax = detect_argmax_set(problem.coeff, problem.grid)
+    x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     gap = _gap(problem, a0)
     coarse_lam1 = coarse_size = None
     kernels = []                    # each grid's K W backend, for the log
@@ -709,9 +638,9 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
         certificate = (f"in [{interval[0]:.12g}, {interval[1]:.12g}] "
                        f"width {interval[1] - interval[0]:.3g}")
     log.info("classify_regime: regime=%s n=%d lambda1=%.12g in [%.12g, %.12g] "
-             "lambda_p=%.12g %s; perron: %s; %s", regime, problem.grid.size,
-             pair.value, lo1, hi1, lambda_p, certificate, "; ".join(runs),
-             "; ".join(kernels))
+             "width %.3g lambda_p=%.12g %s; perron: %s; %s", regime,
+             problem.grid.size, pair.value, lo1, hi1, hi1 - lo1, lambda_p,
+             certificate, "; ".join(runs), "; ".join(kernels))
 
     return RegimeReport(
         regime=regime,
@@ -725,7 +654,7 @@ def _classify(problem: Problem, x0: tuple[float, ...] | None, tol_classify: floa
         eigen_density=density,
         density_norm=norm,
         confirmed=confirm,
+        argmax=amax,
         coarse_lambda1=coarse_lam1,
         coarse_size=coarse_size,
-        argmax=amax,
     ), kw

@@ -20,7 +20,6 @@ from specmeasure import (
     Cylinder,
     GradeSpec,
     Segment,
-    assemble_ktilde,
     build_atom_solution,
     build_problem,
     build_singular_solution,
@@ -38,6 +37,7 @@ from specmeasure import (
     refinement_study,
     solve_fredholm,
     span_combination,
+    spectral,
     weak_residual,
 )
 
@@ -139,12 +139,10 @@ def test_criterion_4_rank_one_oracle():
         if shape == "ball":
             i_exact = 4.0 * math.pi * (1.0 - 0.5 ** (depth + 1))
             prob = ball_problem(u / i_exact, resolution, depth)
-            x0 = CENTER
         else:
             i_exact = 2.0 * math.pi * (1.0 - 0.5 ** (depth + 1))
             prob = cylinder_problem(u / i_exact, resolution, depth)
-            x0 = (0.0, 0.0, 0.5)
-        lam1 = perron(assemble_ktilde(prob, x0, a0=1.0), value_tol=None).value
+        lam1 = classify_regime(prob, confirm=False).lambda1
         worst = max(worst, abs(lam1 - u) / u)
         ok = ok and abs(lam1 - u) <= 1e-6 * u
         ok = ok and lam1 <= 1.0 + 1e-3
@@ -157,7 +155,7 @@ def test_criterion_5_l1_boundary():
     gaps = []
     for depth in (8, 9, 10):
         prob = ball_problem(rho, resolution=5, depth=depth)
-        lam1 = perron(assemble_ktilde(prob, CENTER, a0=1.0), value_tol=None).value
+        lam1 = classify_regime(prob, confirm=False).lambda1
         gaps.append(abs(lam1 - 1.0))
     ok = gaps[0] > gaps[1] > gaps[2]
 
@@ -285,15 +283,15 @@ def test_criterion_8_perron_oracle():
             for i in range(n):
                 a[i, (i + 1) % n] += 0.5
                 a[i, i] += 0.4
-        pair = perron(a, tol_power=1e-13, max_iter=200_000, keep_history=True)
+        pair = perron(a, tol_power=1e-13)
         r = float(np.max(np.abs(np.linalg.eigvals(a))))
         worst = max(worst, abs(pair.value - r))
         ok = ok and abs(pair.value - r) <= 1e-8
-        for lo, hi in pair.bounds_history:
-            ok = ok and lo <= r + 1e-12 and hi >= r - 1e-12
+        lo, hi = pair.interval
+        ok = ok and lo <= r + 1e-12 and hi >= r - 1e-12
     verdict(8, ok, f"power iteration matches dense eigendecomposition on 200 "
-                   f"matrices (worst gap {worst:.1e}) and the bounds bracket "
-                   f"the radius at every iteration")
+                   f"matrices (worst gap {worst:.1e}) and its final "
+                   f"Collatz-Wielandt interval brackets the radius")
 
 
 def test_criterion_9_shift_invariance():
@@ -315,10 +313,10 @@ def test_criterion_9_shift_invariance():
     sing_moved = ball_problem(0.05, resolution=4, depth=6, top=1.5)
     ok = ok and classify_regime(sing_base).regime == "singular"
     ok = ok and classify_regime(sing_moved).regime == "singular"
-    v_base = perron(assemble_ktilde(sing_base, CENTER, a0=1.0),
-                    tol_power=1e-12, value_tol=None).vector
-    v_moved = perron(assemble_ktilde(sing_moved, CENTER, a0=1.5),
-                     tol_power=1e-12, value_tol=None).vector
+    v_base, v_moved = (
+        spectral._ktilde_pair(spectral._kernel_operator(prob), top - prob.a_at_nodes,
+                              prob.kernel.symmetric, tol_power=1e-12).vector
+        for prob, top in ((sing_base, 1.0), (sing_moved, 1.5)))
     ok = ok and float(np.max(np.abs(v_base - v_moved))) <= 1e-9
     verdict(9, ok, f"a + 0.5 shifts lambda_p by -0.5 (gap {gap:.1e}), leaves "
                    f"the regime labels and the Perron vectors unchanged")

@@ -42,6 +42,21 @@ def test_classify_report_schema(capsys):
     assert payload["eigenobject"]["kind"] == "function_values"
 
 
+def test_classify_huge_kernel_falls_back_to_power_iteration(capsys, caplog):
+    # at rho = 1e200 a Lanczos step overflows the 2-norm; the run counts as
+    # failed Lanczos and power iteration certifies lambda1 = rho I_h instead
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        code, out, err = run(capsys, "classify", "--example", "ball", "--rho", "1e200")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["regime"] == "continuous_eigenfunction"
+    expected = 1e200 * 4.0 * math.pi * (1.0 - 0.5**9)
+    assert payload["lambda1_ktilde"] == pytest.approx(expected, rel=1e-12)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert re.search(r"perron: ktilde n=\d+ lanczos matvecs=\d+ fallback=power ", line)
+
+
 def test_classify_singular_regime(capsys):
     code, out, _ = run(capsys, "classify", "--example", "ball",
                        "--rho", "0.05", "--resolution", "4", "--depth", "5")
@@ -697,13 +712,12 @@ def test_residual_study_classifies_at_the_config_tolerance(capsys, tmp_path):
 
 
 def test_cli_paths_never_call_the_dense_public_api(capsys, monkeypatch):
-    # the dense copies, the public perron and its ratio bounds are for
-    # inspection and tests only; no command reaches them
+    # the dense copies and the public perron are for inspection and tests
+    # only; no command reaches them
     def refuse(*args, **kwargs):
         raise AssertionError("a CLI path called the dense public API")
 
-    for name in ("perron", "assemble_full", "assemble_ktilde",
-                 "collatz_wielandt_bounds"):
+    for name in ("perron", "assemble_full", "assemble_ktilde"):
         monkeypatch.setattr(spectral, name, refuse)
     small = ["--resolution", "4", "--depth", "5"]
     for args in (["classify", "--example", "ball", "--rho", "0.1"],

@@ -17,6 +17,7 @@ from specmeasure import (
     Segment,
     build_grid,
     distance_to_target,
+    geometry,
     volume,
 )
 
@@ -110,6 +111,34 @@ def test_graded_interval_cell_widths_monotone():
     left = x[x < 0]
     widths = np.diff(left)
     assert np.all(np.diff(widths) <= 1e-12)
+
+
+@pytest.mark.parametrize("resolution, targets, ratio, depth", [
+    (5, (), 0.5, 0), (6, ((0.3,),), 0.5, 5), (6, ((-1.0,),), 0.5, 4),
+    (7, ((-0.4,), (0.6,)), 0.4, 6),
+], ids=["ungraded", "interior", "endpoint", "two-targets"])
+def test_interval_grid_matches_line_cells(resolution, targets, ratio, depth):
+    # an interval grid is the one-axis tensor grid: midpoints and widths of
+    # the graded line cells, mesh the widest cell, and each target's span
+    # half its distance to the nearer end (the whole interval at an end)
+    lo, hi = -1.0, 1.0
+    grading = GradeSpec(targets=targets, ratio=ratio, depth=depth) if targets else None
+    g = build_grid(Interval(lo, hi), resolution, grading)
+    cells = geometry._line_cells(lo, hi, resolution, tuple(t[0] for t in targets),
+                                 ratio, depth)
+    mids, widths = geometry._midpoints_widths(cells)
+    assert np.array_equal(g.nodes, mids[:, None])
+    assert np.array_equal(g.weights, widths)
+    assert g.mesh_size == float(np.max(widths))
+    assert g.grade_spans == tuple(
+        min(d for d in (t[0] - lo, hi - t[0], hi - lo) if d > 0) / 2 for t in targets)
+    assert (g.grade_ratio, g.grade_depth) == ((ratio, depth) if targets else (0.5, 0))
+    assert g.graded_toward == (targets if targets else None)
+    with pytest.raises(ConfigurationError, match="interval grading targets"):
+        build_grid(Interval(lo, hi), resolution,
+                   GradeSpec(targets=(Segment((lo,), (hi,)),)))
+    with pytest.raises(ConfigurationError, match="dimension mismatch"):
+        build_grid(Interval(lo, hi), resolution, GradeSpec(targets=((0.5, 0.2),)))
 
 
 def test_grading_leaves_gap_scaling_with_depth():

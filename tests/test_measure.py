@@ -43,7 +43,7 @@ from specmeasure import (
     solve_fredholm,
     span_combination,
 )
-from specmeasure.spectral import assemble_ktilde, perron
+from specmeasure.spectral import _kernel_operator, _ktilde_pair, assemble_ktilde
 
 CENTER = (0.0, 0.0, 0.0)
 AXIS = Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -292,7 +292,7 @@ def random_singular_problem(data):
     else:
         # Kt is linear in the amplitude
         unit = Problem(unit.domain, gaussian_kernel(1.0, 0.6), unit.coeff, unit.grid)
-        scale = perron(assemble_ktilde(unit, x0, a0=1.0), value_tol=1e-9).value
+        scale = _ktilde_pair(_kernel_operator(unit), 1.0 - unit.a_at_nodes, True).value
         kernel = gaussian_kernel(radius / scale, 0.6)
     return Problem(unit.domain, kernel, unit.coeff, unit.grid), x0
 
@@ -303,7 +303,7 @@ def test_gmres_matches_dense_solve(data):
     prob, x0 = random_singular_problem(data)
     alpha = data.draw(st.floats(0.1, 10.0))
     _, _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10)
-    kt = assemble_ktilde(prob, x0, a0=1.0).entries
+    kt = assemble_ktilde(prob, 1.0)
     dense = np.linalg.solve(np.eye(kt.shape[0]) - kt, sol.rhs_values)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(sol.g_values - dense)) <= 1e-12 * scale

@@ -28,7 +28,6 @@ from specmeasure import (
     assemble_ktilde,
     build_problem,
     classify_regime,
-    collatz_wielandt_bounds,
     constant_kernel,
     coordinate_linear,
     custom_kernel,
@@ -67,37 +66,35 @@ def cylinder_problem(rho, resolution=6, depth=8):
 def test_assemble_full_two_nodes():
     prob = build_problem(Interval(0.0, 1.0), constant_kernel(1.0),
                          coordinate_linear((1.0,)), resolution=2)
-    m = assemble_full(prob, shift=0.0)
-    np.testing.assert_allclose(m.entries, [[0.75, 0.5], [0.5, 1.25]])
-    m2 = assemble_full(prob)
-    assert m2.shift == pytest.approx(0.75)
-    np.testing.assert_allclose(
-        m2.entries, [[1.5, 0.5], [0.5, 2.0]]
-    )
+    m = assemble_full(prob)
+    np.testing.assert_allclose(m, [[0.75, 0.5], [0.5, 1.25]])
+    assert not m.flags.writeable
 
 
 def test_assemble_ktilde_three_nodes():
     # nodes 1/6, 1/2, 5/6 with weight 1/3; K = 2, a(x) = x, a0 = a(1) = 1
     prob = build_problem(Interval(0.0, 1.0), constant_kernel(2.0),
                          coordinate_linear((1.0,)), resolution=3)
-    m = assemble_ktilde(prob, (1.0,))
+    m = assemble_ktilde(prob, 1.0)
     row = [0.8, 4.0 / 3.0, 4.0]
-    np.testing.assert_allclose(m.entries, [row, row, row], rtol=1e-14)
-    assert m.a0 == pytest.approx(1.0)
+    np.testing.assert_allclose(m, [row, row, row], rtol=1e-14)
+    assert not m.flags.writeable
 
 
 def test_assemble_ktilde_rejects_singular_node():
+    # a(x) = 1 - (x - 1/8)^2 peaks at the node 1/8
     prob = build_problem(Interval(0.0, 1.0), constant_kernel(1.0),
                          radial_power(1.0, 1.0, 2.0, (0.125,)), resolution=4)
     with pytest.raises(SingularNodeError):
-        assemble_ktilde(prob, (0.125,))
+        assemble_ktilde(prob, 1.0)
 
 
 def test_assemble_ktilde_rejects_non_maximizer():
+    # a0 = a(0.9) = 0.19 lies below the grid maximum of a(x) = 1 - x^2
     prob = build_problem(Interval(-1.0, 1.0), constant_kernel(1.0),
                          radial_power(1.0, 1.0, 2.0, (0.0,)), resolution=4)
     with pytest.raises(ConfigurationError):
-        assemble_ktilde(prob, (0.9,))
+        assemble_ktilde(prob, 1.0 - 0.9**2)
 
 
 def test_perron_symmetric_pair():
@@ -113,21 +110,13 @@ def test_perron_matches_dense_eig():
     for _ in range(25):
         n = int(rng.integers(2, 9))
         a = rng.uniform(0.05, 1.0, size=(n, n))
-        pair = perron(a, tol_power=1e-13, max_iter=200_000, keep_history=True)
+        pair = perron(a, tol_power=1e-13)
         eigs = np.linalg.eigvals(a)
         r = float(np.max(eigs.real))
         assert pair.value == pytest.approx(r, abs=1e-8)
-        for lo, hi in pair.bounds_history:
-            assert lo <= r + 1e-12
-            assert hi >= r - 1e-12
-
-
-def test_collatz_wielandt_bounds_contain_radius():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    lo, hi = collatz_wielandt_bounds(a, np.array([1.0, 2.0]))
-    assert lo == pytest.approx(2.5)
-    assert hi == pytest.approx(4.0)
-    assert lo <= 3.0 <= hi
+        lo, hi = pair.interval
+        assert lo <= r + 1e-12
+        assert hi >= r - 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,16 +125,22 @@ def test_collatz_wielandt_bounds_bracket_eigvals(data):
     n = data.draw(st.integers(1, 30))
     entries = data.draw(arrays(np.float64, (n, n), elements=st.floats(1e-3, 10.0)))
     v = data.draw(arrays(np.float64, n, elements=st.floats(1e-3, 10.0)))
-    lo, hi = collatz_wielandt_bounds(entries, v)
+    # D^-1 A D, D = diag(v), has the radius of A, and its ratio interval at
+    # the ones vector is that of A at v; a residual tolerance of one stops
+    # perron after that first step, since 0 < (D^-1 A D 1)_i <= its max
+    lo, hi = perron(entries * v[None, :] / v[:, None], tol_power=1.0).interval
     r = float(np.max(np.linalg.eigvals(entries).real))
     assert lo <= r * (1 + 1e-12)
     assert hi >= r * (1 - 1e-12)
 
 
-def test_perron_iteration_limit():
-    a = np.array([[1.0, 1e-12], [1e-12, 1.0]])
+def test_perron_iteration_limit(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 40)
+    # [[1, 1e-12], [1e-12, 1]] started from (1, 0.3), written as its diagonal
+    # similarity by (1, 0.3) started from the ones vector
+    a = np.array([[1.0, 1e-12 * 0.3], [1e-12 / 0.3, 1.0]])
     with pytest.raises(IterationLimitError) as exc:
-        perron(a, tol_power=1e-14, max_iter=40, v0=np.array([1.0, 0.3]))
+        perron(a, tol_power=1e-14)
     assert exc.value.residual is not None
     assert exc.value.residual < 1.0
 
@@ -159,10 +154,9 @@ def test_lambda1_equals_rho_times_shell_sum():
     # constant kernel: the normalized operator is rank one and its radius
     # is exactly rho * sum_j w_j / (a0 - a_j)
     prob = ball_problem(0.05, resolution=6, depth=8)
-    kt = assemble_ktilde(prob, CENTER3)
-    pair = perron(kt)
+    rep = classify_regime(prob, confirm=False)
     ih = float(np.sum(prob.grid.weights / (1.0 - prob.a_at_nodes)))
-    assert pair.value == pytest.approx(0.05 * ih, rel=1e-13)
+    assert rep.lambda1 == pytest.approx(0.05 * ih, rel=1e-13)
     assert ih == pytest.approx(4 * math.pi * (1 - 0.5**9), rel=1e-12)
 
 
@@ -243,18 +237,14 @@ def test_classify_unstable_between_levels():
         classify_regime(prob, tol_classify=1e-3)
 
 
-def test_classify_explicit_x0():
-    rep = classify_regime(ball_problem(0.05), x0=CENTER3)
-    assert rep.regime == "singular"
-    assert rep.x0 == CENTER3
-    assert rep.a0 == pytest.approx(1.0)
-    assert rep.argmax is None
-
-
 def test_classify_reports_detected_argmax_set():
     # the set x0 came from is the one a fresh detection finds on the grid
     prob = ball_problem(0.05)
-    assert classify_regime(prob).argmax == detect_argmax_set(prob.coeff, prob.grid)
+    rep = classify_regime(prob)
+    assert rep.regime == "singular"
+    assert rep.argmax == detect_argmax_set(prob.coeff, prob.grid)
+    assert rep.x0 == CENTER3
+    assert rep.a0 == pytest.approx(1.0)
 
 
 def dense_top_eigenvalue(prob):
@@ -264,6 +254,19 @@ def dense_top_eigenvalue(prob):
     sym = sw[:, None] * prob.kernel.evaluate(nodes, nodes) * sw[None, :]
     sym[np.diag_indices_from(sym)] += prob.a_at_nodes
     return eigh(sym, eigvals_only=True)[-1]
+
+
+def shifted_full(prob):
+    # the full operator plus max |a| on the diagonal, a nonnegative matrix,
+    # as the production path applies it
+    shift = float(np.max(np.abs(prob.a_at_nodes)))
+    return assemble_full(prob) + shift * np.eye(prob.grid.size), shift
+
+
+def ratio_bounds(entries, v):
+    # the Collatz-Wielandt interval of a positive vector
+    ratios = (entries @ v) / v
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def eigen_residual(entries, v):
@@ -294,13 +297,13 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     assert rep.lambda_p == estimate_lambda_p(prob).value
     v = rep.eigen_density
     assert np.all(v > 0) and v.max() == 1.0
-    full = assemble_full(prob)
-    assert eigen_residual(full.entries, v) <= 1e-10
-    lo, hi = collatz_wielandt_bounds(full.entries, v)
+    full, shift = shifted_full(prob)
+    assert eigen_residual(full, v) <= 1e-10
+    lo, hi = ratio_bounds(full, v)
     assert (spectral._kernel_operator(prob).dense is None) == (cap is None)
-    ulp = 16 * np.finfo(float).eps * full.shift
-    assert rep.lambda_p_interval[0] <= full.shift - hi + ulp
-    assert rep.lambda_p_interval[1] >= full.shift - lo - ulp
+    ulp = 16 * np.finfo(float).eps * shift
+    assert rep.lambda_p_interval[0] <= shift - hi + ulp
+    assert rep.lambda_p_interval[1] >= shift - lo - ulp
     if kernel.family == "constant":
         mu = secular_root(prob, kernel.params["rho"])
     else:
@@ -326,7 +329,7 @@ def test_classify_continuous_custom_kernel_keeps_power_run(caplog):
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob)
     assert rep.regime == "continuous"
-    full = assemble_full(prob)
+    full, shift = shifted_full(prob)
     pair = perron(full)
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
@@ -334,8 +337,8 @@ def test_classify_continuous_custom_kernel_keeps_power_run(caplog):
     assert f"; full n={n} iterations={pair.iterations} stopped_by=residual;" in line
     assert np.max(np.abs(rep.eigen_density - pair.vector)) <= 1e-12
     ulp = 16 * np.finfo(float).eps * pair.value
-    assert rep.lambda_p == pytest.approx(full.shift - pair.value, abs=ulp)
-    expected = (full.shift - pair.interval[1], full.shift - pair.interval[0])
+    assert rep.lambda_p == pytest.approx(shift - pair.value, abs=ulp)
+    expected = (shift - pair.interval[1], shift - pair.interval[0])
     assert rep.lambda_p_interval == pytest.approx(expected, abs=ulp)
     assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-9)
 
@@ -357,8 +360,8 @@ def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, lanczos)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "specmeasure.spectral" and r.levelno == logging.INFO]
     assert len(lines) == 1 and "fallback=power" in lines[0]
-    full = assemble_full(prob)
-    assert eigen_residual(full.entries, rep.eigen_density) <= 2e-14
+    full, _ = shifted_full(prob)
+    assert eigen_residual(full, rep.eigen_density) <= 2e-14
     lo, hi = rep.lambda_p_interval
     assert lo <= rep.lambda_p <= hi
     assert hi - lo <= 1e-12
@@ -484,6 +487,13 @@ def test_continuous_lambda_p_in_its_interval():
     assert hi - lo < 1e-8
 
 
+def assert_lambda1_width(line, rep):
+    # the log line carries the width of the certified lambda1 interval
+    lo, hi = rep.lambda1_interval
+    assert re.search(r"lambda1=\S+ in \[\S+, \S+\] width (\S+) lambda_p=",
+                     line).group(1) == f"{hi - lo:.3g}"
+
+
 def test_classify_logs_one_info_line(caplog):
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(ball_problem(0.05))
@@ -493,7 +503,8 @@ def test_classify_logs_one_info_line(caplog):
     line = lines[0]
     assert "regime=singular" in line
     assert f"lambda_p={rep.lambda_p:.12g}" in line
-    assert "width" in line
+    assert_lambda1_width(line, rep)
+    assert "width" in line.split("lambda_p=")[1]
     # both Kt runs, fine then coarse, are Lanczos runs certified at once
     assert re.findall(r"(ktilde\S*) n=\d+ lanczos matvecs=\d+ residual=", line) \
         == ["ktilde", "ktilde-coarse"]
@@ -552,6 +563,8 @@ def test_continuous_classify_evaluates_fine_grid_once(caplog):
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
     ranks = [int(r) for r in re.findall(r"kernel(?:-coarse)? factor rank=(\d+)", line)]
+    assert_lambda1_width(line, rep)
+    assert rep.lambda1_interval[1] > rep.lambda1_interval[0]
     sizes = (prob.grid.size, rep.coarse_size)
     assert len(ranks) == 2
     assert all(r <= spectral._FACTOR_CAP * math.sqrt(n) for r, n in zip(ranks, sizes))
