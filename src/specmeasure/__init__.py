@@ -70,13 +70,12 @@ from .spectral import (
     perron,
 )
 from .measure import (
-    CombinedDensity,
     DiscreteMeasure,
     FredholmSolution,
-    NystromDensity,
     build_atom_solution,
     build_singular_solution,
     cantor_approximant,
+    density_at,
     kernel_moment,
     normalize,
     solve_fredholm,

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Every error carries a short machine-readable ``code`` so the CLI can report
-``error[<code>]`` and exit with status 2.
+``error[<code>]``.  The CLI exits with status 1 on a ``ConfigurationError``
+(a usage problem) and with status 2 on every other error here.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class H3Violation(SpecmeasureError):
 
 
 class TooLargeError(SpecmeasureError):
-    """The grid is too large for a dense operator to fit in memory."""
+    """An allocation would not fit in physical memory: a dense kernel
+    operator, a kernel factor, the argmax-set adjacency or the atoms of a
+    Cantor approximant."""
 
     code = "too-large"
 
@@ -48,7 +51,8 @@ class SingularNodeError(SpecmeasureError):
 
 
 class IterationLimitError(SpecmeasureError):
-    """Power iteration hit max_iter before reaching the residual tolerance."""
+    """Power iteration hit its step cap (``spectral._MAX_ITER``) before
+    reaching the residual tolerance."""
 
     code = "iteration-limit"
 

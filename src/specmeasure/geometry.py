@@ -24,15 +24,12 @@ __all__ = [
     "Ball",
     "Cylinder",
     "Product",
-    "Domain",
     "Segment",
     "GradeSpec",
     "Grid",
     "volume",
     "build_grid",
     "distance_to_target",
-    "contains",
-    "project_to_closure",
 ]
 
 

@@ -13,16 +13,19 @@ I - Kt is the identity minus a compact operator, so the Krylov iteration
 converges in a few matvecs however fine the grid.  K W is the grid's one
 kernel operator (``spectral.KernelWeights``): a pivoted-Cholesky factor
 for the constant and Gaussian kernels, so the solve holds no N x N array,
-and a dense array otherwise.  Solutions carry a Nystrom extension so their
-densities can be evaluated off the construction grid; on the construction
-nodes the extension reproduces the solved values exactly.
+and a dense array otherwise.
+
+A solution is its data: atoms, grid and density values.  Off the grid the
+eigen-equation itself fixes the density, f(x) = integral K(x, y) dmu(y) /
+(a0 - a(x)) with a0 the value of a at the atoms (``density_at``); on the
+construction nodes that reproduces the solved values to the solver's
+residual.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +48,13 @@ log = logging.getLogger(__name__)
 __all__ = [
     "DiscreteMeasure",
     "FredholmSolution",
-    "NystromDensity",
-    "CombinedDensity",
     "solve_fredholm",
     "build_atom_solution",
     "build_singular_solution",
     "span_combination",
     "cantor_approximant",
     "kernel_moment",
+    "density_at",
     "normalize",
 ]
 
@@ -72,63 +74,13 @@ _ATOM_BYTES = 256 + 8 * _BLOCK
 
 
 @dataclass(frozen=True)
-class NystromDensity:
-    """Natural extension of a solved density beyond its grid.
-
-    g extends through the same identity the grid values satisfy, and the
-    density is g / (a0 - a); at construction nodes both reproduce the solved
-    values to roundoff.
-    """
-
-    problem: Problem
-    a0: float
-    g_values: np.ndarray
-    rhs: Callable[[np.ndarray], np.ndarray]
-
-    def g_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        grid = self.problem.grid
-        col = grid.weights * self.g_values / (self.a0 - self.problem.a_at_nodes)
-        return (np.asarray(self.rhs(pts), dtype=float)
-                + _kernel_apply(self.problem.kernel, pts, grid.nodes, col))
-
-    def density_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        denom = self.a0 - np.asarray(self.problem.coeff.evaluate(pts), dtype=float)
-        if np.any(denom <= 0):
-            raise ConfigurationError(
-                "density evaluation point touches the argmax set of the coefficient"
-            )
-        return self.g_at(pts) / denom
-
-
-@dataclass(frozen=True)
-class CombinedDensity:
-    parts: tuple[tuple[float, "NystromDensity | CombinedDensity"], ...]
-
-    def density_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for c, model in self.parts:
-            out += c * model.density_at(pts)
-        return out
-
-
-@dataclass(frozen=True)
 class DiscreteMeasure:
-    """Atoms plus an optional density sampled on a grid.
-
-    ``density_model`` supports off-grid evaluation and is carried alongside
-    the samples; file serialization keeps only atoms and sampled values.
-    """
+    """Atoms plus an optional density sampled on a grid; ``density_at``
+    evaluates the density off the grid."""
 
     atoms: tuple[Atom, ...] = ()
     grid: Grid | None = None
     density_values: np.ndarray | None = None
-    signed: bool = False
-    density_model: "NystromDensity | CombinedDensity | None" = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         if (self.grid is None) != (self.density_values is None):
@@ -145,6 +97,13 @@ class DiscreteMeasure:
             object.__setattr__(self, "density_values", vals)
         if not self.atoms and self.density_values is None:
             raise ConfigurationError("measure must carry atoms or a density")
+
+    @property
+    def signed(self) -> bool:
+        """True when some atom weight or density value is negative."""
+        return any(w < 0 for _, w in self.atoms) or (
+            self.density_values is not None and bool(np.any(self.density_values < 0))
+        )
 
     def atom_mass(self) -> float:
         return float(sum(w for _, w in self.atoms))
@@ -184,19 +143,10 @@ def _atom_arrays(atoms: tuple[Atom, ...]) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _atom_rhs(problem: Problem, atoms: tuple[Atom, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    pts0, wts0 = _atom_arrays(atoms)
-
-    def rhs(points: np.ndarray) -> np.ndarray:
-        return _kernel_apply(problem.kernel, np.atleast_2d(points), pts0, wts0)
-
-    return rhs
-
-
 def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
                   classified: tuple[RegimeReport, KernelWeights] | None = None
-                  ) -> tuple[float, Callable[[np.ndarray], np.ndarray], FredholmSolution]:
-    """Solve (I - Kt) g = rhs for prescribed atoms; return a0, rhs and g.
+                  ) -> tuple[float, FredholmSolution]:
+    """Solve (I - Kt) g = rhs for prescribed atoms; return a0 and g.
 
     Only the singular regime has a solution.  Regime and lambda1 are those
     of ``classified``, the grid's report and K W from ``spectral._classify``;
@@ -207,15 +157,14 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     of a factored K W carries its remainder bound.  Atom weights must be
     finite and not all zero; that is checked before any assembly.
     """
-    _, wts = _atom_arrays(atoms)
+    pts, wts = _atom_arrays(atoms)
     if not (np.all(np.isfinite(wts)) and np.any(wts != 0)):
         raise ConfigurationError(
             "atom weights must be finite and not all zero, got "
             + np.array2string(wts, threshold=6)
         )
     a0 = _check_support(problem, atoms)
-    rhs_fn = _atom_rhs(problem, atoms)
-    rhs_values = rhs_fn(problem.grid.nodes)
+    rhs_values = _kernel_apply(problem.kernel, problem.grid.nodes, pts, wts)
     gap = _gap(problem, a0)
     if classified is None:
         kw = _kernel_operator(problem)
@@ -226,12 +175,12 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
         lam1, regime = report.lambda1, report.regime
     if regime == "continuous":
         raise ConfigurationError(
-            f"normalized operator radius {lam1:.6f} exceeds one; the problem "
+            f"normalized operator radius {lam1:.6g} exceeds one; the problem "
             "is in the continuous regime and has no singular solution"
         )
     if regime == "l1":
         raise NearSingularSystemError(
-            f"normalized operator radius {lam1:.6f} is within the classification "
+            f"normalized operator radius {lam1:.6g} is within the classification "
             "tolerance of one; the resolvent is too close to singular"
         )
     n = gap.size
@@ -259,7 +208,7 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
         raise PositivityViolationError(
             "solved density factor is not strictly positive"
         )
-    return a0, rhs_fn, FredholmSolution(g, rhs_values, lam1, resid)
+    return a0, FredholmSolution(g, rhs_values, lam1, resid)
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -337,7 +286,7 @@ def _check_support(problem: Problem, atoms: tuple[Atom, ...]) -> float:
 def solve_fredholm(problem: Problem, x0: tuple[float, ...], alpha: float = 1.0,
                    tol_linear: float = 1e-10) -> FredholmSolution:
     """Solve (I - Kt) g = alpha K(., x0) for the density factor g."""
-    _, _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear)
+    _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear)
     return sol
 
 
@@ -366,14 +315,9 @@ def _singular_solution(problem: Problem, atoms, tol_linear: float,
         atom_list = tuple((tuple(float(v) for v in p), float(w)) for p, w in atoms)
     if not atom_list:
         raise UnsupportedMeasureError("at least one atom is required")
-    a0, rhs_fn, sol = _solve_linear(problem, atom_list, tol_linear, classified)
-    positive = all(w > 0 for _, w in atom_list)
-    f = sol.g_values / (a0 - problem.a_at_nodes)
-    model = NystromDensity(problem, a0, sol.g_values, rhs_fn)
-    signed = (not positive) or bool(np.any(f < 0))
+    a0, sol = _solve_linear(problem, atom_list, tol_linear, classified)
     return DiscreteMeasure(atoms=atom_list, grid=problem.grid,
-                           density_values=f, signed=signed,
-                           density_model=model)
+                           density_values=sol.g_values / (a0 - problem.a_at_nodes))
 
 
 def build_atom_solution(problem: Problem, x0: tuple[float, ...],
@@ -434,22 +378,11 @@ def span_combination(measures, coefficients) -> DiscreteMeasure:
 
     grid = grids[0] if grids else None
     density = None
-    model = None
     if grid is not None:
-        density = np.zeros(grid.size)
-        parts = []
-        for m, c in zip(measures, coefficients):
-            if m.density_values is not None:
-                density = density + c * m.density_values
-                if m.density_model is not None:
-                    parts.append((c, m.density_model))
-        model = CombinedDensity(tuple(parts)) if parts else None
-
-    signed = any(w < 0 for _, w in atoms) or (
-        density is not None and bool(np.any(density < 0))
-    )
-    return DiscreteMeasure(atoms=atoms, grid=grid, density_values=density,
-                           signed=signed, density_model=model)
+        density = sum(c * m.density_values
+                      for m, c in zip(measures, coefficients)
+                      if m.density_values is not None)
+    return DiscreteMeasure(atoms=atoms, grid=grid, density_values=density)
 
 
 def kernel_moment(problem: Problem, mu: DiscreteMeasure,
@@ -468,6 +401,30 @@ def kernel_moment(problem: Problem, mu: DiscreteMeasure,
                          np.concatenate(masses))
 
 
+def density_at(problem: Problem, mu: DiscreteMeasure,
+               points: np.ndarray) -> np.ndarray:
+    """The density of mu at each row of points, from the eigen-equation at
+    lambda = -a0: integral K(x, y) dmu(y) / (a0 - a(x)), with a0 the largest
+    value of a at mu's atoms.
+
+    A measure without atoms has no such eigenvalue, and a point on the
+    argmax set of a has no finite value; both raise ConfigurationError.
+    """
+    if not mu.atoms:
+        raise ConfigurationError(
+            "a measure without atoms has no eigenvalue to extend its density at"
+        )
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    apts, _ = _atom_arrays(mu.atoms)
+    a0 = float(np.max(problem.coeff.evaluate(apts)))
+    denom = a0 - np.asarray(problem.coeff.evaluate(pts), dtype=float)
+    if np.any(denom <= 0):
+        raise ConfigurationError(
+            "density evaluation point touches the argmax set of the coefficient"
+        )
+    return kernel_moment(problem, mu, pts) / denom
+
+
 def normalize(mu: DiscreteMeasure, target: float = 1.0) -> DiscreteMeasure:
     """Scale a measure so its total (signed) mass equals target."""
     mass = mu.total_mass()
@@ -481,11 +438,4 @@ def normalize(mu: DiscreteMeasure, target: float = 1.0) -> DiscreteMeasure:
         return mu
     atoms = tuple((p, scale * w) for p, w in mu.atoms)
     density = None if mu.density_values is None else scale * mu.density_values
-    model = mu.density_model
-    if model is not None:
-        model = CombinedDensity(((scale, model),))
-    signed = any(w < 0 for _, w in atoms) or (
-        density is not None and bool(np.any(density < 0))
-    )
-    return DiscreteMeasure(atoms=atoms, grid=mu.grid, density_values=density,
-                           signed=signed, density_model=model)
+    return DiscreteMeasure(atoms=atoms, grid=mu.grid, density_values=density)

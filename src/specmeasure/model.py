@@ -53,7 +53,6 @@ __all__ = [
     "ArgmaxComponent",
     "ArgmaxSet",
     "detect_argmax_set",
-    "argmax_point",
     "IntegrabilityResult",
     "check_recip_integrability",
     "Problem",

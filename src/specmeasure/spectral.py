@@ -129,7 +129,6 @@ class RegimeReport:
     lambda_p_interval: tuple[float, float] | None   # certified; None at "l1"
     sup_a: float
     x0: tuple[float, ...]
-    a0: float
     eigen_density: np.ndarray | None
     density_norm: str | None     # "max" | "mass"
     confirmed: bool
@@ -595,7 +594,7 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
             raise ClassificationUnstableError(
                 f"regime flips between grids: {regime_c} at resolution "
                 f"{coarse.grid.resolution} vs {regime} at {g.resolution} "
-                f"(lambda1 {coarse_lam1:.6f} vs {pair.value:.6f})"
+                f"(lambda1 {coarse_lam1:.6g} vs {pair.value:.6g})"
             )
 
     slack = 10.0 * tol_classify * max(1.0, abs(a0))
@@ -610,8 +609,8 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         interval = (-mu_hi, -mu_lo)
         if mu_hi > a0 + slack:
             raise InconsistencyError(
-                f"normalized radius {pair.value:.6f} is below one but the "
-                f"principal eigenvalue estimate {lambda_p:.6f} sits below {-a0:.6f}"
+                f"normalized radius {pair.value:.6g} is below one but the "
+                f"principal eigenvalue estimate {lambda_p:.6g} sits below {-a0:.6g}"
             )
     elif regime == "continuous":
         est, fpair = _full_pair(problem, kw, tol_power)
@@ -619,8 +618,8 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         lambda_p, interval = est.value, est.interval
         if -lambda_p < a0 - slack:
             raise InconsistencyError(
-                f"normalized radius {pair.value:.6f} exceeds one but the "
-                f"principal eigenvalue estimate {lambda_p:.6f} sits above {-a0:.6f}"
+                f"normalized radius {pair.value:.6g} exceeds one but the "
+                f"principal eigenvalue estimate {lambda_p:.6g} sits above {-a0:.6g}"
             )
         density = fpair.vector
         norm = "max"
@@ -650,7 +649,6 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         lambda_p_interval=interval,
         sup_a=a0,
         x0=tuple(float(v) for v in x0),
-        a0=a0,
         eigen_density=density,
         density_norm=norm,
         confirmed=confirm,

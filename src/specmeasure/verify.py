@@ -2,9 +2,10 @@
 
 Constructed solutions satisfy their discrete equations exactly, so residuals
 evaluated on the construction grid are roundoff and prove nothing.  Honest
-verification re-evaluates the solution on a finer grid through its density
-model and measures the equation there; refinement studies track how that
-error decays as the construction grid is refined against a fixed reference.
+verification re-evaluates the solution on a finer grid, where the
+eigen-equation gives its density (``measure.density_at``), and measures the
+equation there; refinement studies track how that error decays as the
+construction grid is refined against a fixed reference.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
-from .measure import DiscreteMeasure, _atom_arrays, kernel_moment
+from .measure import DiscreteMeasure, _atom_arrays, density_at, kernel_moment
 from .model import Problem, check_recip_integrability, detect_argmax_set
 from .spectral import _gap, _kernel_operator, _ktilde_pair, estimate_lambda_p
 
@@ -43,26 +44,21 @@ class ResidualReport:
 _TOL_ATOM = 1e-6
 
 
-def _density_on(mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
+def _density_on(problem: Problem, mu: DiscreteMeasure, grid: Grid) -> np.ndarray:
     if mu.density_values is None:
         return np.zeros(grid.size)
-    if mu.grid is not None and mu.grid.same_nodes(grid):
-        return np.asarray(mu.density_values, dtype=float)
-    if mu.density_model is None:
-        raise ConfigurationError(
-            "measure has no density model; it can only be evaluated on its own grid"
-        )
-    return np.asarray(mu.density_model.density_at(grid.nodes), dtype=float)
+    if mu.grid.same_nodes(grid):
+        return mu.density_values
+    return density_at(problem, mu, grid.nodes)
 
 
 def _moment_on(problem: Problem, mu: DiscreteMeasure,
                grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The density of mu on ``grid`` and the kernel moment of mu at its
     nodes, the density part quadratured on ``grid`` itself."""
-    f = _density_on(mu, grid)
+    f = _density_on(problem, mu, grid)
     if mu.density_values is not None and grid is not mu.grid:
-        mu = DiscreteMeasure(atoms=mu.atoms, grid=grid, density_values=f,
-                             signed=mu.signed)
+        mu = DiscreteMeasure(atoms=mu.atoms, grid=grid, density_values=f)
     return f, kernel_moment(problem, mu, grid.nodes)
 
 

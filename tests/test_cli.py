@@ -493,6 +493,15 @@ def test_solve_in_continuous_regime_exits_one(capsys):
     assert "error[configuration]" in err
 
 
+def test_huge_radius_error_is_short(capsys):
+    # lambda1 = rho * sum w / (1 - a) is about 1e301 here: the message gives
+    # it to six significant digits, not as a 300-digit fixed-point number
+    code, _, err = run(capsys, "solve", "--example", "ball", "--rho", "1e300")
+    assert code == 1
+    assert len(err.encode()) < 200
+    assert "1.25418e+301" in err
+
+
 def config_file(tmp_path, cfg) -> str:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

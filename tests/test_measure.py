@@ -34,6 +34,7 @@ from specmeasure import (
     cantor_approximant,
     constant_kernel,
     custom_kernel,
+    density_at,
     gaussian_kernel,
     kernel_moment,
     measure,
@@ -125,7 +126,7 @@ def test_solution_scales_linearly_in_alpha(ball05):
 
 def test_nystrom_extension_reproduces_grid_values(ball05):
     mu = build_atom_solution(ball05, CENTER, alpha=1.0)
-    back = mu.density_model.density_at(ball05.grid.nodes)
+    back = density_at(ball05, mu, ball05.grid.nodes)
     scale = np.max(np.abs(mu.density_values))
     assert np.max(np.abs(back - mu.density_values)) <= 1e-12 * scale
 
@@ -133,7 +134,48 @@ def test_nystrom_extension_reproduces_grid_values(ball05):
 def test_nystrom_extension_rejects_argmax_point(ball05):
     mu = build_atom_solution(ball05, CENTER, alpha=1.0)
     with pytest.raises(ConfigurationError):
-        mu.density_model.density_at(np.array([CENTER]))
+        density_at(ball05, mu, np.array([CENTER]))
+
+
+def skewed_kernel():
+    # K(x, y) != K(y, x)
+    def ev(x, y):
+        d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+        return (1.0 + 0.5 * x[:, 2:3]) * 0.2 * np.exp(-d2 / 0.72)
+
+    return custom_kernel(ev, positivity_witness=(0.2 * math.exp(-0.5), 0.6))
+
+
+@pytest.mark.parametrize("kernel",
+                         [constant_kernel(0.05), gaussian_kernel(0.2, 0.6),
+                          skewed_kernel()],
+                         ids=["constant", "gaussian", "non-symmetric"])
+def test_density_at_is_the_eigen_equation(kernel):
+    # f(x) = (K(x, x0) alpha + K(x, nodes) (w g / (a0 - a))) / (a0 - a(x)),
+    # with g the Fredholm solution and a0 = a(x0) = 1 on the cylinder axis
+    base = cylinder_problem(0.05, resolution=4, depth=5)
+    prob = Problem(base.domain, kernel, base.coeff, base.grid)
+    x0, alpha = (0.0, 0.0, 0.5), 1.5
+    mu = build_atom_solution(prob, x0, alpha=alpha)
+    g = solve_fredholm(prob, x0, alpha=alpha).g_values
+    probe = np.array([[0.3, 0.1, 0.4], [0.0, -0.5, 0.9],
+                      [0.7, 0.2, 0.05], [-0.2, -0.2, 0.5]])
+    col = prob.grid.weights * g / (1.0 - prob.a_at_nodes)
+    moment = (prob.kernel.evaluate(probe, np.array([x0])) @ np.array([alpha])
+              + prob.kernel.evaluate(probe, prob.grid.nodes) @ col)
+    oracle = moment / (1.0 - prob.coeff.evaluate(probe))
+    got = density_at(prob, mu, probe)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_signed_reads_the_data():
+    # a zero atom weight is not a negative one: the density here is positive
+    prob = cylinder_problem(0.05, resolution=4, depth=6)
+    mu = build_singular_solution(prob, [((0.0, 0.0, 0.25), 1.0),
+                                        ((0.0, 0.0, 0.75), 0.0)])
+    assert np.all(mu.density_values > 0)
+    assert not mu.signed
+    assert normalize(mu, target=-1.0).signed
 
 
 def test_kernel_moment_constant_kernel(ball05):
@@ -228,9 +270,9 @@ def test_span_combination_is_linear(cyl05):
     manual = 2.0 * one.density_values - 1.0 * two.density_values
     assert np.max(np.abs(combo.density_values - manual)) <= 1e-12
     probe = np.array([[0.3, 0.1, 0.4], [0.0, -0.5, 0.9]])
-    direct = combo.density_model.density_at(probe)
-    manual_probe = 2.0 * one.density_model.density_at(probe) \
-        - 1.0 * two.density_model.density_at(probe)
+    direct = density_at(cyl05, combo, probe)
+    manual_probe = 2.0 * density_at(cyl05, one, probe) \
+        - 1.0 * density_at(cyl05, two, probe)
     assert np.max(np.abs(direct - manual_probe)) <= 1e-12
 
 
@@ -259,9 +301,9 @@ def test_normalize_targets_mass(cyl05):
     assert abs(unit.atom_fraction() - mu.atom_fraction()) <= 1e-12
     scaled = normalize(mu, target=2.5)
     assert abs(scaled.total_mass() - 2.5) <= 1e-12
-    # the density model is rescaled along with the samples
+    # the off-grid density scales with the measure
     probe = np.array([[0.2, 0.0, 0.5]])
-    ratio = scaled.density_model.density_at(probe) / mu.density_model.density_at(probe)
+    ratio = density_at(cyl05, scaled, probe) / density_at(cyl05, mu, probe)
     assert abs(float(ratio[0]) - 2.5 / mu.total_mass()) <= 1e-12
     exact = DiscreteMeasure(atoms=(((0.0, 0.0, 0.25), 0.25), ((0.0, 0.0, 0.75), 0.75)))
     assert normalize(exact) is exact
@@ -302,7 +344,7 @@ def random_singular_problem(data):
 def test_gmres_matches_dense_solve(data):
     prob, x0 = random_singular_problem(data)
     alpha = data.draw(st.floats(0.1, 10.0))
-    _, _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10)
+    _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10)
     kt = assemble_ktilde(prob, 1.0)
     dense = np.linalg.solve(np.eye(kt.shape[0]) - kt, sol.rhs_values)
     scale = np.max(np.abs(dense))

@@ -214,7 +214,7 @@ def test_classify_threshold_l1():
     psi = rep.eigen_density
     w = prob.grid.weights
     assert float(np.sum(w * psi)) == pytest.approx(1.0, rel=1e-12)
-    exact = 1.0 / (rep.a0 - prob.a_at_nodes)
+    exact = 1.0 / (rep.sup_a - prob.a_at_nodes)
     exact /= float(np.sum(w * exact))
     np.testing.assert_allclose(psi, exact, rtol=1e-10)
 
@@ -244,7 +244,7 @@ def test_classify_reports_detected_argmax_set():
     assert rep.regime == "singular"
     assert rep.argmax == detect_argmax_set(prob.coeff, prob.grid)
     assert rep.x0 == CENTER3
-    assert rep.a0 == pytest.approx(1.0)
+    assert rep.sup_a == pytest.approx(1.0)
 
 
 def dense_top_eigenvalue(prob):
@@ -310,7 +310,7 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
         mu = dense_top_eigenvalue(prob)
     assert rep.lambda_p == pytest.approx(-mu, abs=1e-12)
     # lambda1 is certified the same way on either backend
-    lam1 = dense_lambda1(prob, rep.a0)
+    lam1 = dense_lambda1(prob, rep.sup_a)
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     assert hi - lo <= 1e-10
@@ -407,7 +407,7 @@ def test_singular_bracket_contains_secular_root(shape, resolution, depth, fracti
     assert lo - 1e-13 <= -root <= hi + 1e-13
     assert hi - lo <= 1e-4          # refined to tol_classify / 10
     assert rep.lambda_p == lo
-    assert rep.lambda_p > -rep.a0
+    assert rep.lambda_p > -rep.sup_a
 
 
 @settings(max_examples=20, deadline=None)
@@ -443,7 +443,7 @@ def test_regime_flips_at_grid_threshold(scale, power):
     for factor in (1.0 - 1e-2, 1.0 + 1e-2):
         prob = Problem(base.domain, constant_kernel(rho_h * factor), coeff, base.grid)
         rep = classify_regime(prob, confirm=False)
-        assert rep.a0 == 1.0
+        assert rep.sup_a == 1.0
         assert rep.lambda1 == pytest.approx(factor, rel=1e-12)
         regimes.append(rep.regime)
     assert regimes == ["singular", "continuous"]
@@ -651,7 +651,7 @@ def test_factor_matches_dense_oracle(make, regime, atom):
     assert rep.regime == rep_d.regime == regime
     # the factored intervals contain the dense eigenvalues, and overlap the
     # dense path's own certificates
-    lam1 = dense_lambda1(prob, rep.a0)
+    lam1 = dense_lambda1(prob, rep.sup_a)
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     assert max(lo, rep_d.lambda1_interval[0]) <= min(hi, rep_d.lambda1_interval[1]) + ROUND
@@ -663,8 +663,8 @@ def test_factor_matches_dense_oracle(make, regime, atom):
     assert lo - ROUND <= -mu <= hi + ROUND
     assert max(lo, rep_d.lambda_p_interval[0]) <= min(hi, rep_d.lambda_p_interval[1]) + ROUND
     if atom is not None:
-        g = measure._solve_linear(prob, ((atom, 1.0),), 1e-10)[2].g_values
-        g_d = measure._solve_linear(dense, ((atom, 1.0),), 1e-10)[2].g_values
+        g = measure._solve_linear(prob, ((atom, 1.0),), 1e-10)[1].g_values
+        g_d = measure._solve_linear(dense, ((atom, 1.0),), 1e-10)[1].g_values
         assert np.max(np.abs(g - g_d)) <= 1e-10 * np.max(np.abs(g_d))
 
 
@@ -680,7 +680,7 @@ def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
         lift_rank_cap(mp)
         assert spectral._kernel_operator(prob).dense is None
         rep = classify_regime(prob, confirm=False)
-    lam1 = dense_lambda1(prob, rep.a0)
+    lam1 = dense_lambda1(prob, rep.sup_a)
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     assert hi - lo <= 1e-10

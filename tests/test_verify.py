@@ -120,15 +120,23 @@ def test_atom_eigenvalue_gate(ball05, ball_solution):
         pointwise_residual(ball05, ball_solution, -0.9)
 
 
-def test_offgrid_density_needs_a_model(ball05, ball_solution):
+def test_offgrid_density_comes_from_the_data(ball05, ball_solution):
+    # a measure rebuilt from its atoms, grid and values is the solution: the
+    # eigen-equation gives its off-grid density, nothing else is carried
     finer = ball_problem(0.05, resolution=6).grid
     stripped = DiscreteMeasure(
         atoms=ball_solution.atoms,
         grid=ball_solution.grid,
         density_values=ball_solution.density_values,
     )
+    for residual in (pointwise_residual, weak_residual):
+        assert (residual(ball05, stripped, -1.0, eval_grid=finer)
+                == residual(ball05, ball_solution, -1.0, eval_grid=finer))
+    # without atoms there is no eigenvalue to extend the density at
+    no_atoms = DiscreteMeasure(grid=ball_solution.grid,
+                               density_values=ball_solution.density_values)
     with pytest.raises(ConfigurationError):
-        pointwise_residual(ball05, stripped, -1.0, eval_grid=finer)
+        pointwise_residual(ball05, no_atoms, -1.0, eval_grid=finer)
 
 
 def test_zero_variation_rejected(ball05, ball_solution):
@@ -265,7 +273,7 @@ def weak_residual_per_test_function(problem, mu, lam, grid):
     """The weak residual as first written: for each test function phi, the
     kernel term sum_x w_x phi_x K(x, y) at every node and atom y, from one
     dense K(grid, grid) block."""
-    f = _density_on(mu, grid)
+    f = _density_on(problem, mu, grid)
     a_eval = problem.coeff.evaluate(grid.nodes)
     tv = mu.total_variation()
     apts, awts = _atom_arrays(mu.atoms)
