@@ -77,7 +77,8 @@ _SCHEMA: dict = {
                lambda v: v is None or (_is_finite(v) and 0 <= v <= 1)),
         "cantor_level": (None, "the Cantor level must be an integer >= 0 or null",
                          lambda v: v is None or (_is_int(v) and v >= 0)),
-        "levels": (3, "the number of levels must be an integer", _is_int),
+        "levels": (3, "the number of levels must be an integer >= 2",
+                   lambda v: _is_int(v) and v >= 2),
         "quantity": ("lambda1", f"the study quantity must be one of {_QUANTITIES}",
                      _QUANTITIES.__contains__),
         "residual_kind": ("weak", f"the residual kind must be one of {_RESIDUAL_KINDS}",
@@ -286,11 +287,11 @@ def _build(cfg: dict) -> Problem:
     return build_problem(domain, kernel, coeff, resolution, grading=grading)
 
 
-def _auto_alpha(problem: Problem, kernel_cfg: dict, a0: float) -> float:
+def _auto_alpha(problem: Problem, a0: float) -> float:
     # constant kernels admit atom weight 1/rho - I with I the grid value of
     # the reciprocal-gap integral; that choice makes the density factor 1
-    if kernel_cfg.get("family") == "constant":
-        rho = float(kernel_cfg["rho"])
+    if problem.kernel.family == "constant":
+        rho = problem.kernel.params["rho"]
         i_h = float(np.sum(problem.grid.weights / (a0 - problem.a_at_nodes)))
         return 1.0 / rho - i_h
     return 1.0
@@ -318,7 +319,7 @@ def _prescribe(problem: Problem, cfg: dict,
         atoms = [(p, scale * w) for p, w in cantor.atoms]
     else:
         if alpha is None:
-            alpha = _auto_alpha(problem, cfg["problem"]["kernel"], amax.sup_value)
+            alpha = _auto_alpha(problem, amax.sup_value)
         atoms = [(x0, float(alpha))]
     return atoms, -amax.sup_value
 
@@ -421,19 +422,12 @@ def _write_density_csv(path: str, mu: DiscreteMeasure) -> None:
 
 def _run_convergence(cfg: dict) -> str:
     opts = cfg["options"]
-
-    def factory(level: int) -> Problem:
-        sub = copy.deepcopy(cfg)
-        sub["grid"]["resolution"] = cfg["grid"]["resolution"] + level
-        sub["grid"]["grading_depth"] = cfg["grid"]["grading_depth"] + level
-        return _build(sub)
-
     solution = None
     if opts["quantity"] == "residual":
         def solution(prob: Problem):
             return _measure(prob, cfg, confirm=False)[1:]
 
-    rows = refinement_study(factory, opts["levels"], opts["quantity"],
+    rows = refinement_study(_build(cfg), opts["levels"], opts["quantity"],
                             solution=solution,
                             residual_kind=opts["residual_kind"])
 

@@ -6,7 +6,8 @@ factor r^(d-1).  Grading places a geometric cascade of cells toward each
 target (ratio q per level) and truncates at the innermost cascade radius, so
 no node ever lands on a target and integrable singularities of the form
 dist(x, target)^(-p), p < d, are captured with an error that is geometric in
-the grading depth.
+the grading depth.  A grid keeps the ``GradeSpec`` it was built with as
+``Grid.grading`` (None when ungraded), so coarser and finer grids follow from it.
 """
 
 from __future__ import annotations
@@ -159,10 +160,8 @@ class Grid:
     mesh_size: float
     domain: Domain
     resolution: int = 0
-    graded_toward: tuple[Target, ...] | None = None
+    grading: GradeSpec | None = None      # the spec the grid was built with
     grade_spans: tuple[float, ...] = ()   # cascade span per target
-    grade_ratio: float = 0.5
-    grade_depth: int = 0
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -361,15 +360,15 @@ def _polar_sphere(n_u: int) -> tuple[np.ndarray, float, float]:
     return theta, du, max_dtheta
 
 
-def _radial_cells(radius: float, resolution: int, graded: bool,
-                  ratio: float, depth: int) -> list[tuple[float, float]]:
-    targets = (0.0,) if graded else ()
-    return _line_cells(0.0, radius, resolution, targets, ratio, depth if graded else 0)
+def _radial_cells(radius: float, resolution: int,
+                  grading: GradeSpec | None) -> list[tuple[float, float]]:
+    if grading is None:
+        return _line_cells(0.0, radius, resolution)
+    return _line_cells(0.0, radius, resolution, (0.0,), grading.ratio, grading.depth)
 
 
 def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Grid:
-    graded = grading is not None
-    if graded:
+    if grading is not None:
         for t in grading.targets:
             if isinstance(t, Segment) or not np.allclose(
                 t, domain.center, atol=1e-9 * domain.radius
@@ -377,9 +376,7 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
                 raise ConfigurationError(
                     "ball grids support grading toward the center only"
                 )
-    ratio = grading.ratio if graded else 0.5
-    depth = grading.depth if graded else 0
-    cells = _radial_cells(domain.radius, resolution, graded, ratio, depth)
+    cells = _radial_cells(domain.radius, resolution, grading)
     r_mid, r_w = _midpoints_widths(cells)
     center = np.asarray(domain.center, dtype=float)
 
@@ -409,15 +406,13 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
     nodes = center[None, :] + r_mid[:, None, None] * dirs[None, :, :]
     nodes = nodes.reshape(-1, domain.dim)
     weights = (radial_w[:, None] * ang_w[None, :]).ravel()
-    spans = (domain.radius / 2,) if graded else ()
+    spans = (domain.radius / 2,) if grading else ()
     return Grid(nodes, weights, mesh, domain, resolution=resolution,
-                graded_toward=grading.targets if graded else None,
-                grade_spans=spans, grade_ratio=ratio, grade_depth=depth)
+                grading=grading, grade_spans=spans)
 
 
 def _build_cylinder(domain: Cylinder, resolution: int, grading: GradeSpec | None) -> Grid:
-    graded = grading is not None
-    if graded:
+    if grading is not None:
         for t in grading.targets:
             if not isinstance(t, Segment):
                 raise ConfigurationError(
@@ -429,9 +424,7 @@ def _build_cylinder(domain: Cylinder, resolution: int, grading: GradeSpec | None
                 raise ConfigurationError(
                     "cylinder grading target must lie on the axis"
                 )
-    ratio = grading.ratio if graded else 0.5
-    depth = grading.depth if graded else 0
-    cells = _radial_cells(domain.radius, resolution, graded, ratio, depth)
+    cells = _radial_cells(domain.radius, resolution, grading)
     r_mid, r_w = _midpoints_widths(cells)
 
     n_phi = max(6, 2 * resolution)
@@ -452,10 +445,9 @@ def _build_cylinder(domain: Cylinder, resolution: int, grading: GradeSpec | None
     mesh = math.sqrt(
         float(np.max(r_w)) ** 2 + (domain.radius * dphi) ** 2 + float(np.max(z_w)) ** 2
     )
-    spans = tuple(domain.radius / 2 for _ in grading.targets) if graded else ()
+    spans = tuple(domain.radius / 2 for _ in grading.targets) if grading else ()
     return Grid(nodes, weights, mesh, domain, resolution=resolution,
-                graded_toward=grading.targets if graded else None,
-                grade_spans=spans, grade_ratio=ratio, grade_depth=depth)
+                grading=grading, grade_spans=spans)
 
 
 def _axis_targets(grading: GradeSpec | None, dim: int) -> list[tuple[float, ...]]:
@@ -505,8 +497,7 @@ def _build_tensor(lo: tuple[float, ...], hi: tuple[float, ...], domain: Domain,
         weights = weights * wg.ravel()
     mesh = math.sqrt(sum(float(np.max(w)) ** 2 for w in ws))
     return Grid(nodes, weights, mesh, domain, resolution=resolution,
-                graded_toward=grading.targets if grading else None,
-                grade_spans=tuple(spans), grade_ratio=ratio, grade_depth=depth)
+                grading=grading, grade_spans=tuple(spans))
 
 
 def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None) -> Grid:

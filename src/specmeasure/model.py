@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -219,7 +219,6 @@ _TOL_MAXSET = 1e-8
 class ArgmaxComponent:
     kind: str                         # "point" | "segment" | "cluster"
     representative: tuple[float, ...] | Segment
-    value: float
     node_count: int
 
 
@@ -227,7 +226,6 @@ class ArgmaxComponent:
 class ArgmaxSet:
     sup_value: float
     components: tuple[ArgmaxComponent, ...]
-    tol_used: float
 
     @property
     def targets(self) -> tuple[tuple[float, ...] | Segment, ...]:
@@ -347,7 +345,7 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
         ref_pt, ref_val = _refine_point(coeff, grid.domain, centroid)
         sup_value = max(sup_value, ref_val)
         if cluster.shape[0] == 1:
-            components.append(ArgmaxComponent("point", tuple(ref_pt), ref_val, 1))
+            components.append(ArgmaxComponent("point", tuple(ref_pt), 1))
             continue
         centered = cluster - centroid
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -365,20 +363,16 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
                               ref_val, tol_ref, scale)
         ext_len = float(np.linalg.norm(end_b - end_a))
         if ext_len < 0.02 * dscale:
-            components.append(
-                ArgmaxComponent("point", tuple(ref_pt), ref_val, cluster.shape[0])
-            )
+            components.append(ArgmaxComponent("point", tuple(ref_pt), cluster.shape[0]))
         elif resid <= 0.25 * max(extent, ext_len):
             components.append(
                 ArgmaxComponent("segment", Segment(tuple(end_a), tuple(end_b)),
-                                ref_val, cluster.shape[0])
+                                cluster.shape[0])
             )
         else:
-            components.append(
-                ArgmaxComponent("cluster", tuple(ref_pt), ref_val, cluster.shape[0])
-            )
+            components.append(ArgmaxComponent("cluster", tuple(ref_pt), cluster.shape[0]))
     components.sort(key=lambda c: -c.node_count)
-    return ArgmaxSet(sup_value, tuple(components), tau)
+    return ArgmaxSet(sup_value, tuple(components))
 
 
 def argmax_point(amax: ArgmaxSet, domain: Domain,
@@ -569,3 +563,24 @@ def build_problem(domain: Domain, kernel: Kernel, coeff: CoefficientField,
                   resolution: int, grading: GradeSpec | None = None) -> Problem:
     grid = build_grid(domain, resolution, grading)
     return Problem(domain, kernel, coeff, grid)
+
+
+def _refined(problem: Problem, step: int) -> Problem:
+    """The problem on the grid ``step`` levels finer (coarser when negative):
+    a level adds one to the resolution and to the grading depth, at least 2
+    and 1; targets and ratio stay, and an ungraded grid stays ungraded.  A
+    coarser level that gives back the problem's own grid is refused."""
+    if step == 0:
+        return problem
+    g = problem.grid
+    spec = None if g.grading is None else replace(
+        g.grading, depth=max(1, g.grading.depth + step))
+    resolution = max(2, g.resolution + step)
+    if resolution == g.resolution and spec == g.grading:
+        depth = "" if spec is None else f" and grading depth {spec.depth}"
+        raise ConfigurationError(
+            f"the grid at resolution {resolution}{depth} has no coarser grid "
+            "to confirm its regime on; refine it or set options.confirm to false"
+        )
+    return Problem(problem.domain, problem.kernel, problem.coeff,
+                   build_grid(problem.domain, resolution, spec))

@@ -61,8 +61,7 @@ from .errors import (
     IterationLimitError,
     SingularNodeError,
 )
-from .geometry import GradeSpec, build_grid
-from .model import ArgmaxSet, Kernel, Problem, argmax_point, detect_argmax_set
+from .model import ArgmaxSet, Kernel, Problem, _refined, argmax_point, detect_argmax_set
 
 log = logging.getLogger(__name__)
 
@@ -130,11 +129,17 @@ class RegimeReport:
     sup_a: float
     x0: tuple[float, ...]
     eigen_density: np.ndarray | None
-    density_norm: str | None     # "max" | "mass"
-    confirmed: bool
     argmax: ArgmaxSet            # detected on the grid; x0 is its argmax_point
     coarse_lambda1: float | None = None
     coarse_size: int | None = None
+
+    @property
+    def confirmed(self) -> bool:
+        return self.coarse_lambda1 is not None
+
+    @property
+    def density_norm(self) -> str | None:    # "max" | "mass"
+        return {"continuous": "max", "l1": "mass"}.get(self.regime)
 
 
 def _kernel_slabs(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
@@ -469,16 +474,6 @@ def _lanczos(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
     return None
 
 
-def _derive_problem(problem: Problem, resolution: int, depth: int) -> Problem:
-    spec = None
-    g = problem.grid
-    if g.graded_toward is not None:
-        spec = GradeSpec(targets=g.graded_toward, ratio=g.grade_ratio,
-                         depth=max(1, depth))
-    grid = build_grid(problem.domain, max(2, resolution), spec)
-    return Problem(problem.domain, problem.kernel, problem.coeff, grid)
-
-
 def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEstimate:
     """The generalized principal eigenvalue on the problem's grid.
 
@@ -542,8 +537,10 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
 
     The spectral radius of the normalized operator is compared against one
     at tolerance ``tol_classify``.  With ``confirm`` the label must agree
-    with a one-step-coarser grid, otherwise the classification is reported
-    unstable rather than silently trusted.
+    with the grid one level coarser (resolution and grading depth one
+    lower), otherwise the classification is reported unstable rather than
+    silently trusted; a grid with no coarser level raises
+    ``ConfigurationError``.
 
     lambda_p is certified per regime.  Singular: the Collatz-Wielandt
     bracket of the full operator from f = u / (a0 - a), u the Kt Perron
@@ -573,9 +570,7 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
     coarse_lam1 = coarse_size = None
     kernels = []                    # each grid's K W backend, for the log
     if confirm:
-        g = problem.grid
-        coarse = _derive_problem(problem, g.resolution - 1,
-                                 max(1, g.grade_depth - 1))
+        coarse = _refined(problem, -1)
         gap_c = _gap(coarse, a0)
         kw_c = _kernel_operator(coarse)
         pair_c = _ktilde_pair(kw_c, gap_c, coarse.kernel.symmetric, tol_power)
@@ -593,13 +588,12 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         if regime_c != regime:
             raise ClassificationUnstableError(
                 f"regime flips between grids: {regime_c} at resolution "
-                f"{coarse.grid.resolution} vs {regime} at {g.resolution} "
+                f"{coarse.grid.resolution} vs {regime} at {problem.grid.resolution} "
                 f"(lambda1 {coarse_lam1:.6g} vs {pair.value:.6g})"
             )
 
     slack = 10.0 * tol_classify * max(1.0, abs(a0))
     density = None
-    norm = None
     interval = None
     if regime == "singular":
         mu_lo, mu_hi, steps = _atom_bracket(kw, pair.vector, problem.a_at_nodes,
@@ -622,13 +616,11 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
                 f"principal eigenvalue estimate {lambda_p:.6g} sits above {-a0:.6g}"
             )
         density = fpair.vector
-        norm = "max"
     else:
         lambda_p = -a0
         psi = pair.vector / gap
         mass = float(np.sum(problem.grid.weights * psi))
         density = psi / mass
-        norm = "mass"
 
     lo1, hi1 = pair.interval
     if interval is None:
@@ -650,8 +642,6 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         sup_a=a0,
         x0=tuple(float(v) for v in x0),
         eigen_density=density,
-        density_norm=norm,
-        confirmed=confirm,
         argmax=amax,
         coarse_lambda1=coarse_lam1,
         coarse_size=coarse_size,

@@ -5,7 +5,9 @@ evaluated on the construction grid are roundoff and prove nothing.  Honest
 verification re-evaluates the solution on a finer grid, where the
 eigen-equation gives its density (``measure.density_at``), and measures the
 equation there; refinement studies track how that error decays as the
-construction grid is refined against a fixed reference.
+construction grid is refined against a fixed reference.  Every study grid
+comes from the problem's own: level k adds k to its resolution and to its
+grading depth (``model._refined``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, density_at, kernel_moment
-from .model import Problem, check_recip_integrability, detect_argmax_set
+from .model import Problem, _refined, check_recip_integrability, detect_argmax_set
 from .spectral import _gap, _kernel_operator, _ktilde_pair, estimate_lambda_p
 
 __all__ = [
@@ -179,16 +181,17 @@ _QUANTITIES = ("lambda_p", "lambda1", "recip_integral", "residual")
 _RESIDUAL_KINDS = ("pointwise", "weak")
 
 
-def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
-                     quantity: str, *,
+def refinement_study(problem: Problem, levels: int, quantity: str, *,
                      solution: Callable[[Problem], tuple[DiscreteMeasure, float]] | None = None,
                      residual_kind: str = "pointwise") -> list[dict]:
     """Track a quantity across grid levels 0 .. levels-1.
 
-    ``problem_factory(level)`` must return successively finer problems; for
-    the residual quantity it is also called with ``levels`` itself to build
-    the fixed reference grid, and ``solution`` maps each problem to the
-    (measure, eigenvalue) pair under test.
+    Level 0 is ``problem`` itself, and level k adds k to its grid's
+    resolution and grading depth; an ungraded grid stays ungraded.  The
+    residual quantity is measured on the fixed reference grid of level
+    ``levels``, and ``solution`` maps each level's problem to the
+    (measure, eigenvalue) pair under test.  The reciprocal-gap integral is
+    computed at each level's own grading depth, which must be at least 4.
 
     Each row reports value, difference to the previous level, and the decay
     ratio |previous difference| / |difference| (residuals: the values
@@ -211,13 +214,13 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
 
     ref_grid = None
     if quantity == "residual":
-        ref_grid = problem_factory(levels).grid
+        ref_grid = _refined(problem, levels).grid
 
     rows: list[dict] = []
     prev_value = None
     prev_delta = None
     for level in range(levels):
-        prob = problem_factory(level)
+        prob = _refined(problem, level)
         if quantity == "lambda_p":
             value = estimate_lambda_p(prob).value
         elif quantity == "lambda1":
@@ -225,10 +228,10 @@ def refinement_study(problem_factory: Callable[[int], Problem], levels: int,
             gap = _gap(prob, amax.sup_value)
             value = _ktilde_pair(_kernel_operator(prob), gap, prob.kernel.symmetric).value
         elif quantity == "recip_integral":
-            g = prob.grid
+            spec = prob.grid.grading
             res = check_recip_integrability(
-                prob.coeff, prob.domain, depth=max(4, g.grade_depth),
-                resolution=g.resolution, ratio=g.grade_ratio,
+                prob.coeff, prob.domain, depth=spec.depth if spec else 0,
+                resolution=prob.grid.resolution, ratio=spec.ratio if spec else 0.5,
             )
             value = res.value if res.status == "integrable" else None
         else:

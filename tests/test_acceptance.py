@@ -40,6 +40,7 @@ from specmeasure import (
     spectral,
     weak_residual,
 )
+from specmeasure.model import _refined
 
 CENTER = (0.0, 0.0, 0.0)
 AXIS = Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -78,10 +79,8 @@ def cylinder_problem(rho, resolution, depth):
 
 
 def test_criterion_1_ball_threshold():
-    def factory(level):
-        return ball_problem(0.05, resolution=5, depth=6 + level)
-
-    rows = refinement_study(factory, 3, "recip_integral")
+    rows = refinement_study(ball_problem(0.05, resolution=5, depth=6), 3,
+                            "recip_integral")
     final = rows[-1]["value"]
     ok = abs(final - 4.0 * math.pi) <= 0.01 * 4.0 * math.pi
 
@@ -97,10 +96,8 @@ def test_criterion_1_ball_threshold():
 
 
 def test_criterion_2_cylinder_threshold():
-    def factory(level):
-        return cylinder_problem(0.05, resolution=5, depth=6 + level)
-
-    rows = refinement_study(factory, 3, "recip_integral")
+    rows = refinement_study(cylinder_problem(0.05, resolution=5, depth=6), 3,
+                            "recip_integral")
     final = rows[-1]["value"]
     ok = abs(final - 2.0 * math.pi) <= 0.01 * 2.0 * math.pi
 
@@ -207,25 +204,21 @@ def test_criterion_6_positivity_and_linearity():
 
 
 def test_criterion_7_residual_decay():
-    problems = {}
-
-    def factory(level):
-        if level not in problems:
-            problems[level] = build_problem(
-                Cylinder(radius=1.0, height=1.0),
-                gaussian_kernel(amplitude=0.2, width=0.6),
-                radial_power(top=1.0, scale=1.0, power=1.0,
-                             center=(0.0, 0.0), axes=(0, 1)),
-                resolution=4 + level,
-                grading=GradeSpec(targets=(AXIS,), ratio=0.5, depth=5 + level),
-            )
-        return problems[level]
-
+    base = build_problem(
+        Cylinder(radius=1.0, height=1.0),
+        gaussian_kernel(amplitude=0.2, width=0.6),
+        radial_power(top=1.0, scale=1.0, power=1.0,
+                     center=(0.0, 0.0), axes=(0, 1)),
+        resolution=4,
+        grading=GradeSpec(targets=(AXIS,), ratio=0.5, depth=5),
+    )
     solutions = {}
 
     def cached(name, build):
+        # the study builds and frees each level's problem, so a later level
+        # may reuse an earlier one's id; the grid size tells levels apart
         def sol(prob):
-            key = (name, id(prob))
+            key = (name, prob.grid.size)
             if key not in solutions:
                 solutions[key] = build(prob)
             return solutions[key]
@@ -248,7 +241,7 @@ def test_criterion_7_residual_decay():
                         ("cantor", build_cantor)):
         sol = cached(name, build)
         for kind in ("pointwise", "weak"):
-            rows = refinement_study(factory, 3, "residual",
+            rows = refinement_study(base, 3, "residual",
                                     solution=sol, residual_kind=kind)
             values = [r["value"] for r in rows]
             ok = ok and all(f < c / 1.4 for c, f in zip(values, values[1:]))
@@ -256,7 +249,7 @@ def test_criterion_7_residual_decay():
                 ok = ok and values[-1] <= 1e-3
                 finest_weak = max(finest_weak, values[-1])
 
-    finest = factory(2)
+    finest = _refined(base, 2)
     mu, _ = cached("atom", build_atom)(finest)
     wrong_lambda = weak_residual(finest, mu, -0.9).value
     bad = DiscreteMeasure(atoms=mu.atoms, grid=mu.grid,

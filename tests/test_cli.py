@@ -334,6 +334,53 @@ def test_convergence_residual_csv(capsys):
     assert values[1] < values[0]
 
 
+def built(*args):
+    """The problem a command line builds."""
+    return cli._build(cli._assemble_config(cli._build_parser().parse_args(list(args))))
+
+
+def test_ungraded_study_stays_ungraded(capsys, tmp_path):
+    # grading depth 0 builds an ungraded ball, and every level of its study
+    # stays ungraded: lambda1 = rho * 4 pi, exact on the radial midpoint rule
+    args = ("convergence", "--example", "ball", "--quantity", "lambda1",
+            "--levels", "3", "--config",
+            config_file(tmp_path, {"grid": {"grading_depth": 0}}))
+    code, out, err = run(capsys, *args)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    base = built(*args)
+    levels = [model._refined(base, k) for k in range(3)]
+    assert all(p.grid.grading is None for p in levels)
+    assert [int(r[1]) for r in rows] == [p.grid.size for p in levels]
+    for row in rows:
+        assert float(row[2]) == pytest.approx(0.05 * 4.0 * math.pi, rel=1e-12)
+
+
+def test_classify_needs_a_coarser_grid_to_confirm(capsys, tmp_path):
+    # resolution 2 and depth 1 is the bottom of the ladder: the coarse check
+    # would compare the grid with itself
+    args = ("classify", "--example", "ball", "--resolution", "2", "--depth", "1")
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error[configuration]:")
+    assert "options.confirm" in err
+    code, out, err = run(capsys, *args, "--config",
+                         config_file(tmp_path, {"options": {"confirm": False}}))
+    assert code == 0, err
+    assert len(json.loads(out)["diagnostics"]) == 1
+
+
+def test_recip_integral_study_runs_at_each_level_depth(capsys):
+    # depth 2 at level 0 is too shallow for the integrability check; the
+    # study once ran every row at depth 4 and printed one value three times
+    code, out, err = run(capsys, "convergence", "--example", "ball",
+                         "--quantity", "recip_integral", "--levels", "3",
+                         "--depth", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error[configuration]:")
+    assert "depth >= 4, got 2" in err
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     args = ("classify", "--example", "cylinder", "--rho", "0.1",
             "--resolution", "3", "--depth", "4")
@@ -547,6 +594,7 @@ def test_unknown_config_key_exits_one(capsys, monkeypatch, tmp_path,
     ("classify", {"grid": {"resolution": 4.5}}, "grid.resolution"),
     ("classify", {"grid": {"grading_targets": "axis"}}, "grid.grading_targets"),
     ("classify", {"grid": 5}, "grid"),
+    ("convergence", {"options": {"levels": 1}}, "options.levels"),
 ])
 def test_ill_typed_config_value_exits_one(capsys, monkeypatch, tmp_path,
                                           command, cfg, key):

@@ -132,8 +132,7 @@ def test_interval_grid_matches_line_cells(resolution, targets, ratio, depth):
     assert g.mesh_size == float(np.max(widths))
     assert g.grade_spans == tuple(
         min(d for d in (t[0] - lo, hi - t[0], hi - lo) if d > 0) / 2 for t in targets)
-    assert (g.grade_ratio, g.grade_depth) == ((ratio, depth) if targets else (0.5, 0))
-    assert g.graded_toward == (targets if targets else None)
+    assert g.grading is grading
     with pytest.raises(ConfigurationError, match="interval grading targets"):
         build_grid(Interval(lo, hi), resolution,
                    GradeSpec(targets=(Segment((lo,), (hi,)),)))

@@ -13,6 +13,7 @@ from specmeasure import (
     Ball,
     ConfigurationError,
     Cylinder,
+    GradeSpec,
     H2Violation,
     H3Violation,
     Interval,
@@ -353,3 +354,32 @@ def test_refine_radial_power_is_closed_form(domain, coeff, start, expected):
     point, value = model._refine_point(coeff, domain, np.asarray(start))
     assert tuple(point) == expected
     assert value == coeff.params["top"]
+
+
+def test_refined_ladder():
+    # one level moves resolution and grading depth together; targets and
+    # ratio stay, an ungraded grid stays ungraded, step 0 is the problem
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    kernel = constant_kernel(0.05)
+    coeff = radial_power(top=1.0, scale=1.0, power=2.0, center=(0.0, 0.0, 0.0))
+    spec = GradeSpec(targets=((0.0, 0.0, 0.0),), ratio=0.4, depth=3)
+    prob = build_problem(ball, kernel, coeff, 4, spec)
+    assert model._refined(prob, 0) is prob
+    finer = model._refined(prob, 2)
+    assert (finer.kernel, finer.coeff) == (kernel, coeff)
+    assert finer.grid.resolution == 6
+    assert finer.grid.grading == GradeSpec(spec.targets, ratio=0.4, depth=5)
+    assert finer.grid.same_nodes(build_grid(ball, 6, finer.grid.grading))
+    coarse = model._refined(prob, -3).grid
+    assert (coarse.resolution, coarse.grading.depth) == (2, 1)
+    flat = build_problem(ball, kernel, coeff, 3)
+    assert model._refined(flat, 1).grid.grading is None
+    assert model._refined(flat, -1).grid.resolution == 2
+    # a coarser level that gives back the problem's own grid is refused
+    for bottom in (build_problem(ball, kernel, coeff, 2),
+                   build_problem(ball, kernel, coeff, 2, GradeSpec(spec.targets, depth=1))):
+        with pytest.raises(ConfigurationError, match="options.confirm"):
+            model._refined(bottom, -1)
+    assert model._refined(build_problem(ball, kernel, coeff, 2,
+                                        GradeSpec(spec.targets, depth=2)), -1
+                          ).grid.grading.depth == 1

@@ -204,6 +204,16 @@ def test_classify_ball_regimes():
     assert continuous.lambda_p < -1.0
 
 
+def test_coarse_grid_is_one_level_down():
+    prob = ball_problem(0.1, resolution=5, depth=6)
+    report = classify_regime(prob)
+    coarse = model._refined(prob, -1).grid
+    assert report.confirmed
+    assert report.coarse_size == coarse.size
+    assert (coarse.resolution, coarse.grading.depth) == (4, 5)
+    assert not classify_regime(prob, confirm=False).confirmed
+
+
 def test_classify_threshold_l1():
     rho_star = 1.0 / (2 * math.pi)
     prob = cylinder_problem(rho_star, depth=12)

@@ -40,6 +40,7 @@ from specmeasure import (
     weak_residual,
 )
 from specmeasure.measure import _atom_arrays
+from specmeasure.model import _refined
 from specmeasure.spectral import _BLOCK
 from specmeasure.verify import _density_on
 
@@ -163,7 +164,7 @@ def test_default_test_functions_cover_quadratics():
 
 
 def test_pointwise_residual_decays_under_refinement():
-    rows = refinement_study(cylinder_factory, 3, "residual",
+    rows = refinement_study(cylinder_factory(0), 3, "residual",
                             solution=axis_atom_solution,
                             residual_kind="pointwise")
     values = [r["value"] for r in rows]
@@ -175,7 +176,7 @@ def test_pointwise_residual_decays_under_refinement():
 
 
 def test_weak_residual_decays_under_refinement():
-    rows = refinement_study(cylinder_factory, 3, "residual",
+    rows = refinement_study(cylinder_factory(0), 3, "residual",
                             solution=axis_atom_solution,
                             residual_kind="weak")
     values = [r["value"] for r in rows]
@@ -191,7 +192,7 @@ def test_cantor_solution_residual_decays():
     def solution(prob):
         return build_singular_solution(prob, mu0), -1.0
 
-    rows = refinement_study(cylinder_factory, 3, "residual",
+    rows = refinement_study(cylinder_factory(0), 3, "residual",
                             solution=solution, residual_kind="weak")
     values = [r["value"] for r in rows]
     for coarse, fine in zip(values, values[1:]):
@@ -201,24 +202,20 @@ def test_cantor_solution_residual_decays():
 
 def test_lambda1_study_halves_depth_error():
     # with the depth growing one step per level the value error halves
-    def factory(level):
-        return ball_problem(0.05, resolution=4, depth=4 + level)
-
-    rows = refinement_study(factory, 3, "lambda1")
+    base = ball_problem(0.05, resolution=4, depth=4)
+    rows = refinement_study(base, 3, "lambda1")
     rho = 0.05
     for level, row in enumerate(rows):
         expected = rho * 4.0 * math.pi * (1.0 - 0.5 ** (5 + level))
         assert row["value"] == pytest.approx(expected, rel=1e-10)
         assert row["level"] == level
-        assert row["size"] == factory(level).grid.size
+        assert row["size"] == _refined(base, level).grid.size
     assert rows[2]["ratio"] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_recip_integral_study_converges_to_ball_value():
-    def factory(level):
-        return ball_problem(0.05, resolution=4, depth=6 + level)
-
-    rows = refinement_study(factory, 3, "recip_integral")
+    rows = refinement_study(ball_problem(0.05, resolution=4, depth=6), 3,
+                            "recip_integral")
     for level, row in enumerate(rows):
         expected = 4.0 * math.pi * (1.0 - 0.5 ** (7 + level))
         assert row["value"] == pytest.approx(expected, rel=1e-9)
@@ -228,20 +225,15 @@ def test_recip_integral_study_converges_to_ball_value():
 def test_lambda_p_study_reports_converged_values():
     # each row is the residual-converged lambda_p, not the midpoint of a
     # ratio interval
-    def factory(level):
-        return ball_problem(0.1, resolution=4, depth=4 + level)
-
-    rows = refinement_study(factory, 3, "lambda_p")
+    base = ball_problem(0.1, resolution=4, depth=4)
+    rows = refinement_study(base, 3, "lambda_p")
     for level, row in enumerate(rows):
-        exact = estimate_lambda_p(factory(level)).value
+        exact = estimate_lambda_p(_refined(base, level)).value
         assert row["value"] == pytest.approx(exact, abs=1e-12)
 
 
 def test_lambda_p_study_runs_in_continuous_regime():
-    def factory(level):
-        return ball_problem(0.2, resolution=4, depth=4 + level)
-
-    rows = refinement_study(factory, 2, "lambda_p")
+    rows = refinement_study(ball_problem(0.2, resolution=4, depth=4), 2, "lambda_p")
     assert len(rows) == 2
     for row in rows:
         assert isinstance(row["value"], float)
@@ -250,21 +242,19 @@ def test_lambda_p_study_runs_in_continuous_regime():
 
 
 def test_study_guards():
-    def factory(level):
-        return ball_problem(0.05, resolution=3, depth=4 + level)
-
+    base = ball_problem(0.05, resolution=3, depth=4)
     with pytest.raises(ConfigurationError):
-        refinement_study(factory, 1, "lambda1")
+        refinement_study(base, 1, "lambda1")
     with pytest.raises(ConfigurationError):
-        refinement_study(factory, 3, "spectral_gap")
+        refinement_study(base, 3, "spectral_gap")
     with pytest.raises(ConfigurationError):
-        refinement_study(factory, 3, "residual")
+        refinement_study(base, 3, "residual")
 
     def center_atom(prob):
         return build_atom_solution(prob, CENTER, alpha=1.0), -1.0
 
     with pytest.raises(ConfigurationError):
-        refinement_study(factory, 2, "residual",
+        refinement_study(base, 2, "residual",
                          solution=center_atom,
                          residual_kind="strong")
 
