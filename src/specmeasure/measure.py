@@ -68,8 +68,9 @@ _GMRES_RTOL = 1e-14
 _GMRES_RESTART = 50
 _GMRES_CYCLES = 10
 
-# a Cantor atom is a pair of Python tuples (about 250 bytes), and every
-# kernel apply against the atoms evaluates a _BLOCK-row slab of 8-byte values
+# a Cantor atom is a pair of Python tuples (about 250 bytes), and a kernel
+# without a structured apply evaluates a _BLOCK-row slab of 8-byte values
+# against the atoms
 _ATOM_BYTES = 256 + 8 * _BLOCK
 
 

@@ -75,6 +75,14 @@ class Kernel:
     constructor argument: only ``constant_kernel`` and ``gaussian_kernel``
     make it (Bochner), and ``dataclasses.replace`` drops it.  Validation
     checks the claims on grid node pairs.
+
+    ``structured_apply``, when set, computes K(rows, cols) @ x from the
+    kernel's structure, without forming the len(rows) x len(cols) block;
+    every product off the grid's own operator goes through it.  Like the
+    positive-definite claim it is no constructor argument and
+    ``dataclasses.replace`` drops it, so it never outlives the ``evaluate``
+    it stands for: only ``constant_kernel`` sets it, to rho * sum(x) on
+    every row.  Validation still checks ``evaluate``.
     """
 
     family: str
@@ -83,6 +91,8 @@ class Kernel:
     positivity_witness: tuple[float, float] | None = None
     symmetric: bool = False
     positive_definite: bool = field(default=False, init=False)
+    structured_apply: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                               np.ndarray] | None = field(default=None, init=False)
 
 
 def _positive_definite(kernel: Kernel) -> Kernel:
@@ -98,9 +108,15 @@ def constant_kernel(rho: float) -> Kernel:
     def ev(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full((x.shape[0], y.shape[0]), rho)
 
-    return _positive_definite(Kernel("constant", ev, {"rho": rho},
-                                     positivity_witness=(rho / 2, math.inf),
-                                     symmetric=True))
+    def apply(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # every row of the block is rho: one sum, rounded once
+        return np.full(x.shape[0], rho * np.sum(v))
+
+    kernel = _positive_definite(Kernel("constant", ev, {"rho": rho},
+                                       positivity_witness=(rho / 2, math.inf),
+                                       symmetric=True))
+    object.__setattr__(kernel, "structured_apply", apply)
+    return kernel
 
 
 # rows of a kernel slab evaluated at once, so every pass stays in cache
@@ -420,25 +436,46 @@ def check_recip_integrability(coeff: CoefficientField, domain: Domain,
 
     Integrates over nested shells excluding a geometrically shrinking
     neighborhood of the argmax set.  Decaying increments mean the integral
-    converges; non-decaying increments mean it diverges.
+    converges; non-decaying increments mean it diverges.  The argmax set is
+    detected on an ungraded grid at ``resolution``, and the shells are
+    summed on that grid graded toward it.
     """
+    _check_shell_depth(depth)
+    amax = detect_argmax_set(coeff, build_grid(domain, resolution))
+    grade = GradeSpec(targets=amax.targets, ratio=ratio, depth=depth)
+    return _recip_integrability(coeff, build_grid(domain, resolution, grade),
+                                amax.sup_value)
+
+
+def _check_shell_depth(depth: int) -> None:
     if depth < 4:
         raise ConfigurationError(
             f"integrability check needs grading depth >= 4, got {depth}"
         )
-    probe = build_grid(domain, resolution)
-    amax = detect_argmax_set(coeff, probe)
-    grade = GradeSpec(targets=amax.targets, ratio=ratio, depth=depth)
-    grid = build_grid(domain, resolution, grade)
+
+
+def _recip_integrability(coeff: CoefficientField, grid: Grid,
+                         sup_value: float | None = None) -> IntegrabilityResult:
+    """The shell sums of 1 / (sup_value - a) on ``grid``, one per level of
+    its grading cascade, excluding ever smaller neighborhoods of its
+    grading targets.  ``sup_value`` defaults to the largest value of a at
+    the targets, a segment taken at its ends."""
+    spec = grid.grading
+    _check_shell_depth(0 if spec is None else spec.depth)
+    depth, ratio = spec.depth, spec.ratio
+    if sup_value is None:
+        ends = [p for t in spec.targets
+                for p in ((t.start, t.end) if isinstance(t, Segment) else (t,))]
+        sup_value = float(np.max(coeff.evaluate(np.asarray(ends, dtype=float))))
     a_vals = np.asarray(coeff.evaluate(grid.nodes), dtype=float)
-    denom = amax.sup_value - a_vals
+    denom = sup_value - a_vals
     if np.any(denom <= 0):
         bad = int(np.sum(denom <= 0))
         raise ConfigurationError(
             f"{bad} graded nodes reach the coefficient sup"
         )
     dist = np.min(
-        np.stack([distance_to_target(grid.nodes, t) for t in amax.targets]),
+        np.stack([distance_to_target(grid.nodes, t) for t in spec.targets]),
         axis=0,
     )
     span = min(grid.grade_spans) if grid.grade_spans else grid.mesh_size
@@ -531,12 +568,19 @@ class Problem:
             if not np.all(diag == diag[0]):
                 raise H2Violation("kernel is marked positive definite but "
                                   "K(x, x) is not constant")
-        d = np.sqrt(_sq_distances(nodes[sample], nodes, np.empty_like(block)))
+
+        def within(radius: float) -> np.ndarray:
+            """The sampled kernel values at pairs at most ``radius`` apart;
+            an infinite radius takes them all without a distance slab."""
+            if radius == math.inf:
+                return block
+            d = np.sqrt(_sq_distances(nodes[sample], nodes, np.empty_like(block)))
+            return block[d <= radius]
+
         witness = self.kernel.positivity_witness
         if witness is not None:
             c0, eps0 = witness
-            near = d <= eps0
-            if np.any(block[near] < c0 * (1 - 1e-9)):
+            if np.any(within(eps0) < c0 * (1 - 1e-9)):
                 raise H2Violation(
                     f"kernel drops below its claimed bound {c0} within radius {eps0}"
                 )
@@ -546,8 +590,7 @@ class Problem:
                     self.grid.mesh_size, eps0,
                 )
         else:
-            near = d <= 2.0 * self.grid.mesh_size
-            if np.any(block[near] <= 0):
+            if np.any(within(2.0 * self.grid.mesh_size) <= 0):
                 raise H2Violation("kernel vanishes near the diagonal")
 
     @property

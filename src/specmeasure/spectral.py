@@ -154,7 +154,10 @@ def _kernel_slabs(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
 
 def _kernel_apply(kernel: Kernel, rows: np.ndarray, cols: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """K(rows, cols) @ x, one kernel slab at a time."""
+    """K(rows, cols) @ x: by the kernel's structured apply when it has one,
+    else one kernel slab at a time."""
+    if kernel.structured_apply is not None:
+        return kernel.structured_apply(rows, cols, x)
     return _kernel_slabs(kernel, rows, cols,
                          lambda block, out: np.matmul(block, x, out=out),
                          np.empty(rows.shape[0]))

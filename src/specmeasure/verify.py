@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, density_at, kernel_moment
-from .model import Problem, _refined, check_recip_integrability, detect_argmax_set
+from .model import Problem, _recip_integrability, _refined, detect_argmax_set
 from .spectral import _gap, _kernel_operator, _ktilde_pair, estimate_lambda_p
 
 __all__ = [
@@ -191,7 +191,8 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
     residual quantity is measured on the fixed reference grid of level
     ``levels``, and ``solution`` maps each level's problem to the
     (measure, eigenvalue) pair under test.  The reciprocal-gap integral is
-    computed at each level's own grading depth, which must be at least 4.
+    summed on each level's own graded grid, toward its grading targets and
+    down to its grading depth, which must be at least 4.
 
     Each row reports value, difference to the previous level, and the decay
     ratio |previous difference| / |difference| (residuals: the values
@@ -228,11 +229,7 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
             gap = _gap(prob, amax.sup_value)
             value = _ktilde_pair(_kernel_operator(prob), gap, prob.kernel.symmetric).value
         elif quantity == "recip_integral":
-            spec = prob.grid.grading
-            res = check_recip_integrability(
-                prob.coeff, prob.domain, depth=spec.depth if spec else 0,
-                resolution=prob.grid.resolution, ratio=spec.ratio if spec else 0.5,
-            )
+            res = _recip_integrability(prob.coeff, prob.grid)
             value = res.value if res.status == "integrable" else None
         else:
             mu, lam = solution(prob)

@@ -233,6 +233,40 @@ def test_positive_definite_claim_is_not_a_constructor_argument():
     assert not dataclasses.replace(g, evaluate=lambda x, y: -g.evaluate(x, y)).positive_definite
 
 
+
+def test_structured_apply_is_set_only_by_constant_kernel():
+    # the structured apply stands for evaluate, so nothing else may carry it:
+    # no constructor argument, dropped with a replaced field, and a custom
+    # kernel that takes the constant family's name has none
+    k = constant_kernel(0.1)
+    assert k.structured_apply is not None
+    assert gaussian_kernel(1.0, 0.5).structured_apply is None
+    assert dataclasses.replace(k, evaluate=lambda x, y: 2 * k.evaluate(x, y)
+                               ).structured_apply is None
+    assert custom_kernel(k.evaluate, name="constant",
+                         params={"rho": 0.1}).structured_apply is None
+    with pytest.raises(TypeError):
+        model.Kernel("constant", k.evaluate, structured_apply=k.structured_apply)
+
+
+def test_infinite_positivity_radius_takes_no_distance_slab(monkeypatch):
+    # every pair is within an infinite radius; a finite one needs distances
+    calls = []
+    sq = model._sq_distances
+    monkeypatch.setattr(model, "_sq_distances",
+                        lambda *args: calls.append(1) or sq(*args))
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    coeff = constant_coefficient(0.0)
+    flat = constant_kernel(0.1).evaluate
+    build_problem(ball, constant_kernel(0.1), coeff, resolution=4)
+    assert calls == []
+    build_problem(ball, custom_kernel(flat, positivity_witness=(0.05, 0.5)),
+                  coeff, resolution=4)
+    assert len(calls) == 1
+    lying = custom_kernel(flat, positivity_witness=(0.2, math.inf))
+    with pytest.raises(H2Violation, match="claimed bound"):
+        build_problem(ball, lying, coeff, resolution=4)
+
 def test_argmax_adjacency_checked_before_it_allocates(monkeypatch):
     # the near-maximal nodes get a dense m x m adjacency of 17 m^2 bytes;
     # the budget is lowered below it, so nothing of that size is built

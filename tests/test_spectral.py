@@ -764,3 +764,41 @@ def test_dense_fallback_checked_before_it_allocates(monkeypatch):
         Problem(prob.domain, dense_twin(prob).kernel, prob.coeff, prob.grid)
     monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n)
     assert spectral._kernel_operator(prob).dense is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.floats(1e-3, 1e3), rows=st.integers(1, 2 * spectral._BLOCK + 40),
+       cols=st.integers(1, 300), dim=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_constant_structured_apply_matches_slab_matmul(rho, rows, cols, dim, seed):
+    # rho * sum(x) is the slab product's sum rounded once, so the two agree
+    # to the slab's own round-off, a few ulps of rho * sum(|x|)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (rows, dim))
+    y = rng.uniform(-1.0, 1.0, (cols, dim))
+    v = rng.standard_normal(cols) * 10.0 ** rng.uniform(-3.0, 3.0, cols)
+    kernel = constant_kernel(rho)
+    slab = spectral._kernel_slabs(kernel, x, y,
+                                  lambda block, out: np.matmul(block, v, out=out),
+                                  np.empty(rows))
+    fast = spectral._kernel_apply(kernel, x, y, v)
+    assert fast.shape == (rows,)
+    tol = 8 * np.finfo(float).eps * rho * float(np.sum(np.abs(v)))
+    assert np.max(np.abs(fast - slab)) <= tol
+
+
+def test_kernel_apply_follows_evaluate_without_structured_apply():
+    # a replaced evaluate, or a custom kernel named "constant", takes the
+    # slab loop: the apply goes by the structured apply, never by family
+    rho = 0.3
+    doubled = dataclasses.replace(constant_kernel(rho),
+                                  evaluate=lambda x, y: np.full((len(x), len(y)), 2 * rho))
+    named = custom_kernel(constant_kernel(rho).evaluate, name="constant",
+                          params={"rho": rho})
+    x, y, v = np.zeros((3, 2)), np.ones((4, 2)), np.arange(4.0)
+    np.testing.assert_allclose(spectral._kernel_apply(doubled, x, y, v), 2 * rho * 6.0)
+    calls = []
+    counted = custom_kernel(lambda a, b: calls.append(1) or named.evaluate(a, b),
+                            name="constant", params={"rho": rho})
+    np.testing.assert_allclose(spectral._kernel_apply(counted, x, y, v), rho * 6.0)
+    assert calls == [1]

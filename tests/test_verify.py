@@ -39,6 +39,7 @@ from specmeasure import (
     span_combination,
     weak_residual,
 )
+from specmeasure import model
 from specmeasure.measure import _atom_arrays
 from specmeasure.model import _refined
 from specmeasure.spectral import _BLOCK
@@ -222,6 +223,23 @@ def test_recip_integral_study_converges_to_ball_value():
     assert rows[2]["ratio"] == pytest.approx(2.0, rel=1e-6)
 
 
+
+def test_recip_integral_study_sums_on_the_level_grids(monkeypatch):
+    # the sums run on each level's own graded grid and toward its targets:
+    # no probe grid, no second graded grid beside it, no re-detection
+    base = ball_problem(0.05, resolution=5, depth=6)
+    builds, detections = [], []
+    build, detect = model.build_grid, model.detect_argmax_set
+    monkeypatch.setattr(model, "build_grid",
+                        lambda *a, **k: builds.append(1) or build(*a, **k))
+    monkeypatch.setattr(model, "detect_argmax_set",
+                        lambda *a, **k: detections.append(1) or detect(*a, **k))
+    rows = refinement_study(base, 3, "recip_integral")
+    assert len(builds) == 2 and detections == []
+    for level, row in enumerate(rows):
+        assert row["value"] == pytest.approx(
+            4.0 * math.pi * (1.0 - 0.5 ** (7 + level)), rel=1e-9)
+
 def test_lambda_p_study_reports_converged_values():
     # each row is the residual-converged lambda_p, not the midpoint of a
     # ratio interval
@@ -322,6 +340,24 @@ def test_residuals_are_scale_invariant(cylinder_solution, c):
             after = residual(prob, scaled, -1.0, eval_grid=grid).value
             assert after == pytest.approx(before, rel=1e-10, abs=1e-13)
 
+
+
+def test_constant_kernel_residuals_evaluate_nothing_off_the_grid():
+    # both residuals on a finer grid go through the constant kernel's
+    # structured apply; evaluate is swapped in place, since replacing the
+    # field would drop the structured apply with it
+    kernel = constant_kernel(0.05)
+    calls = []
+    evaluate = kernel.evaluate
+    object.__setattr__(kernel, "evaluate",
+                       lambda x, y: calls.append(1) or evaluate(x, y))
+    prob = cylinder_problem(kernel, 2)
+    mu = build_singular_solution(prob, cantor_approximant(AXIS, level=3))
+    fine = cylinder_problem(constant_kernel(0.05), 3).grid
+    calls.clear()
+    pointwise_residual(prob, mu, -1.0, eval_grid=fine)
+    weak_residual(prob, mu, -1.0, eval_grid=fine)
+    assert calls == []
 
 @pytest.mark.parametrize("kernel",
                          [constant_kernel(0.05), gaussian_kernel(0.05, 1.0)],
