@@ -169,7 +169,7 @@ def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
     gap = _gap(problem, a0)
     if classified is None:
         kw = _kernel_operator(problem)
-        lam1 = _ktilde_pair(kw, gap, problem.kernel.symmetric).value
+        lam1 = _ktilde_pair(kw, gap).value
         regime = _regime(lam1, _TOL_CLASSIFY)
     else:
         report, kw = classified

@@ -65,12 +65,12 @@ class Kernel:
     """Dispersal kernel K(x, y) evaluated in (rows, cols) blocks.
 
     ``positivity_witness`` is an optional pair (c0, eps0): K is claimed to be
-    at least c0 whenever |x - y| <= eps0.  ``symmetric`` claims
-    K(x, y) = K(y, x); the full operator is then similar to a symmetric
-    matrix and its top eigenpair is found by Lanczos.  ``positive_definite``
-    claims K(x, y) = phi(x - y) with phi a positive-definite function, so
-    every Gram matrix K(X, X) is positive semidefinite with the constant
-    diagonal phi(0); K W is then applied through a pivoted-Cholesky factor.
+    at least c0 whenever |x - y| <= eps0.  K(x, y) and K(y, x) may differ:
+    the eigensolver and its certificate take any nonnegative kernel.
+    ``positive_definite`` claims K(x, y) = phi(x - y) with phi a
+    positive-definite function, so every Gram matrix K(X, X) is positive
+    semidefinite with the constant diagonal phi(0); K W is then applied
+    through a pivoted-Cholesky factor.
     Validation cannot detect an indefinite kernel, so the claim is no
     constructor argument: only ``constant_kernel`` and ``gaussian_kernel``
     make it (Bochner), and ``dataclasses.replace`` drops it.  Validation
@@ -89,7 +89,6 @@ class Kernel:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     positivity_witness: tuple[float, float] | None = None
-    symmetric: bool = False
     positive_definite: bool = field(default=False, init=False)
     structured_apply: Callable[[np.ndarray, np.ndarray, np.ndarray],
                                np.ndarray] | None = field(default=None, init=False)
@@ -113,8 +112,7 @@ def constant_kernel(rho: float) -> Kernel:
         return np.full(x.shape[0], rho * np.sum(v))
 
     kernel = _positive_definite(Kernel("constant", ev, {"rho": rho},
-                                       positivity_witness=(rho / 2, math.inf),
-                                       symmetric=True))
+                                       positivity_witness=(rho / 2, math.inf)))
     object.__setattr__(kernel, "structured_apply", apply)
     return kernel
 
@@ -155,8 +153,7 @@ def gaussian_kernel(amplitude: float, width: float) -> Kernel:
     c0 = amplitude * math.exp(-0.5) * (1.0 - 1e-12)
     return _positive_definite(Kernel("gaussian", ev,
                                      {"amplitude": amplitude, "width": width},
-                                     positivity_witness=(c0, width),
-                                     symmetric=True))
+                                     positivity_witness=(c0, width)))
 
 
 def custom_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -559,12 +556,8 @@ class Problem:
             raise H2Violation("kernel takes non-finite values")
         if np.any(block < 0):
             raise H2Violation("kernel takes negative values")
-        among = block[:, sample]
-        if self.kernel.symmetric:
-            if not np.allclose(among, among.T, rtol=1e-12, atol=0.0):
-                raise H2Violation("kernel is marked symmetric but K(x, y) != K(y, x)")
         if self.kernel.positive_definite:
-            diag = np.diagonal(among)
+            diag = block[np.arange(sample.size), sample]
             if not np.all(diag == diag[0]):
                 raise H2Violation("kernel is marked positive definite but "
                                   "K(x, x) is not constant")

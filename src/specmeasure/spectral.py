@@ -27,15 +27,18 @@ constant kernel.  Other kernels, and a factor that would need more than
 8 sqrt(N) rows, keep the dense N x N array.
 
 Every top eigenpair, of Kt and of the full operator, comes from one
-routine.  A symmetric kernel makes both similar to symmetric matrices, Kt
-to sqrt(b) K sqrt(b) with b = w / (a0 - a) and A to W^1/2 K W^1/2 + diag(a),
-so Lanczos (plain numpy: full reorthogonalization, a fixed start, explicit
-restarts from the Ritz vector until its residual reaches round-off) finds
-the top eigenvector in a few dozen matvecs.  The vector v is certified on
-the operator itself by its ratio interval [min_i (Av)_i / v_i,
-max_i (Av)_i / v_i], which brackets the spectral radius of a nonnegative
-irreducible matrix for any positive v.  Power iteration is only the
-fallback, for kernels not marked symmetric and for a Lanczos vector that
+route, whatever the kernel: Arnoldi, then a certificate.  Restarted
+Arnoldi (plain numpy: Gram-Schmidt twice, a fixed start, explicit restarts
+from the Ritz pair of largest real part until its residual reaches
+round-off) runs on a diagonal similarity of the operator, Kt as
+sqrt(b) K sqrt(b) with b = w / (a0 - a) and A as W^1/2 K W^1/2 + diag(a).
+For a symmetric kernel these are symmetric matrices and Arnoldi does what
+Lanczos would; for any other they are the same spectrum in other
+coordinates.  It finds the top eigenvector in a few dozen matvecs.  The
+vector v is certified on the operator itself by its ratio interval
+[min_i (Av)_i / v_i, max_i (Av)_i / v_i], which brackets the spectral
+radius of a nonnegative irreducible matrix for any positive v, symmetric
+or not.  Power iteration is only the fallback, for an Arnoldi vector that
 is not positive or misses the residual tolerance; the public ``perron``
 runs it on a dense matrix.
 
@@ -77,10 +80,10 @@ __all__ = [
 ]
 
 _BLOCK = 512
-# power-iteration steps before IterationLimitError; Lanczos gets as many matvecs
+# power-iteration steps before IterationLimitError; Arnoldi gets as many matvecs
 _MAX_ITER = 100_000
-# Lanczos basis size per restart cycle
-_LANCZOS_BASIS = 24
+# Arnoldi basis size per restart cycle
+_ARNOLDI_BASIS = 24
 # by default classify_regime calls a lambda1 within this of one "l1"
 _TOL_CLASSIFY = 1e-3
 # a kernel factor stops once every remainder diagonal E_ii is this share of
@@ -107,9 +110,9 @@ class PerronPair:
     residual: float
     interval: tuple[float, float]
     stopped_by: str              # "residual", the one stopping rule
-    # matvecs of a Lanczos run and its certification before ``iterations``
-    # power steps; 0 when no Lanczos run was made
-    lanczos_matvecs: int = 0
+    # matvecs of an Arnoldi run and its certification before ``iterations``
+    # power steps
+    arnoldi_matvecs: int = 0
 
 
 @dataclass(frozen=True)
@@ -369,30 +372,26 @@ def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
     return _power(lambda v: entries @ v, np.ones(entries.shape[0]), tol_power)
 
 
-def _top_pair(matvec, s: np.ndarray, slack, tol_power: float,
-              symmetric: bool) -> PerronPair:
+def _top_pair(matvec, s: np.ndarray, slack, tol_power: float) -> PerronPair:
     """Certified top eigenpair of a nonnegative operator A, given as
-    ``matvec``, that is similar to the symmetric S A S^-1, S = diag(s).
+    ``matvec``, run on its similarity S A S^-1, S = diag(s).
 
-    Lanczos, applied matrix-free from the fixed start s (so reruns are
+    Arnoldi, applied matrix-free from the fixed start s (so reruns are
     byte-identical), finds the top eigenvector y of S A S^-1; v = y / s is
     accepted under power iteration's own contract: strictly positive and,
     with lam = max A v, |A v - lam v|_inf / lam <= ``tol_power``, the ratio
     interval of v, widened by ``slack(v)``, being the certificate.
-    Otherwise, and when A is not ``symmetric``, power iteration runs,
-    warm-started from v when v is positive.
+    Otherwise power iteration runs, warm-started from v when v is positive.
+    The choice of s changes the matvec count, never the certificate.
     """
-    n = s.size
-    if not symmetric:
-        return _power(matvec, np.ones(n), tol_power, slack=slack)
     matvecs = 0
 
-    def sym_matvec(y: np.ndarray) -> np.ndarray:
+    def similar(y: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
         return s * matvec(y / s)
 
-    y = _lanczos(sym_matvec, s, _MAX_ITER)
+    y = _arnoldi(similar, s, _MAX_ITER)
     v = None
     if y is not None:
         v = y / s
@@ -408,71 +407,77 @@ def _top_pair(matvec, s: np.ndarray, slack, tol_power: float,
             err = slack(v)
             return PerronPair(lam, v, 0, res, (float(np.min((w - err) / v)),
                                                float(np.max((w + err) / v))),
-                              "residual", lanczos_matvecs=matvecs)
-    pair = _power(matvec, np.ones(n) if v is None else v, tol_power, slack=slack)
-    return replace(pair, lanczos_matvecs=matvecs)
+                              "residual", arnoldi_matvecs=matvecs)
+    pair = _power(matvec, np.ones(s.size) if v is None else v, tol_power, slack=slack)
+    return replace(pair, arnoldi_matvecs=matvecs)
 
 
-def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, symmetric: bool,
+def _ktilde_pair(kw: KernelWeights, gap: np.ndarray,
                  tol_power: float = 1e-10) -> PerronPair:
-    """Top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap);
-    Kt is similar to sqrt(b) K sqrt(b), b = w / gap."""
+    """Top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap)
+    and run on its similarity sqrt(b) K sqrt(b), b = w / gap."""
     return _top_pair(lambda v: kw @ (v / gap), np.sqrt(kw.weights / gap),
-                     lambda v: kw.slack(v / gap), tol_power, symmetric)
+                     lambda v: kw.slack(v / gap), tol_power)
 
 
 def _full_pair(problem: Problem, kw: KernelWeights,
                tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
     """lambda_p and the top eigenpair of the full operator
-    A = K W + diag(a + shift), applied as K W v + (a + shift) v; A is
-    similar to W^1/2 K W^1/2 + diag(a + shift)."""
+    A = K W + diag(a + shift), applied as K W v + (a + shift) v and run on
+    its similarity W^1/2 K W^1/2 + diag(a + shift)."""
     a = problem.a_at_nodes
     shift = float(np.max(np.abs(a)))
     pair = _top_pair(lambda v: kw @ v + (a + shift) * v, np.sqrt(problem.grid.weights),
-                     kw.slack, tol_power, problem.kernel.symmetric)
+                     kw.slack, tol_power)
     lo, hi = pair.interval
     return LambdaPEstimate(shift - pair.value, (shift - hi, shift - lo),
-                           pair.iterations + pair.lanczos_matvecs), pair
+                           pair.iterations + pair.arnoldi_matvecs), pair
 
 
-def _lanczos(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
-    """Unit top eigenvector of a symmetric operator, or None when ``budget``
-    matvecs do not converge it or a step overflows.
+def _arnoldi(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
+    """Unit top eigenvector of an operator whose eigenvalue of largest real
+    part is real and simple, as Perron-Frobenius makes it for a nonnegative
+    irreducible matrix and its similarities; None when ``budget`` matvecs
+    do not converge it or a step overflows.
 
-    Lanczos with full reorthogonalization builds up to ``_LANCZOS_BASIS``
-    vectors from v0, then restarts from the top Ritz vector.  It stops when
-    the Ritz residual |beta_j s_j| reaches round-off relative to the Ritz
-    value, as it does at once when the Krylov space is invariant.
+    Arnoldi with Gram-Schmidt twice builds up to ``_ARNOLDI_BASIS`` vectors
+    from v0, the coefficients of both passes forming the Hessenberg matrix,
+    then restarts from the Ritz vector of the Ritz value of largest real
+    part.  It stops when that Ritz value is real and its residual
+    |h_{j+1,j} y_j| reaches round-off relative to it, as it does at once
+    when the Krylov space is invariant.
     """
     n = v0.size
-    m = min(n, _LANCZOS_BASIS)
+    m = min(n, _ARNOLDI_BASIS)
     tol = np.finfo(float).eps
     q = v0 / np.linalg.norm(v0)
     basis = np.empty((m, n))
+    hess = np.zeros((m, m))
     used = 0
     while used < budget:
         basis[0] = q
-        alpha, beta = [], []
         for j in range(min(m, budget - used)):
             w = matvec(basis[j])
             used += 1
-            alpha.append(float(basis[j] @ w))
             active = basis[:j + 1]
-            w -= active.T @ (active @ w)         # twice is enough
-            w -= active.T @ (active @ w)
+            coef = active @ w
+            w -= active.T @ coef                # twice is enough
+            again = active @ w
+            w -= active.T @ again
+            hess[:j + 1, j] = coef + again
             with np.errstate(over="ignore"):
                 b = float(np.linalg.norm(w))
             if not math.isfinite(b):        # |A| near the overflow threshold
                 return None
-            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-            theta, vecs = np.linalg.eigh(tri)
-            top = vecs[:, -1]
+            theta, vecs = np.linalg.eig(hess[:j + 1, :j + 1])
+            k = int(np.argmax(theta.real))
+            top = vecs[:, k].real
             q = top @ active
             q /= np.linalg.norm(q)
-            if b * abs(top[-1]) <= tol * abs(theta[-1]):
+            if theta[k].imag == 0 and b * abs(top[-1]) <= tol * abs(theta[k].real):
                 return q
             if j + 1 < m:
-                beta.append(b)
+                hess[j + 1, j] = b
                 basis[j + 1] = w / b
     return None
 
@@ -481,7 +486,7 @@ def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEsti
     """The generalized principal eigenvalue on the problem's grid.
 
     It is minus the largest eigenvalue of the full operator, converged to
-    the ``tol_power`` residual (by Lanczos where the kernel is symmetric);
+    the ``tol_power`` residual by Arnoldi (power iteration as fallback);
     the interval is certified by the ratio bounds of the returned vector,
     widened by the kernel factor's remainder bound.
     """
@@ -524,13 +529,10 @@ def _regime(lam1: float, tol_classify: float) -> str:
 
 
 def _fmt_run(name: str, pair: PerronPair) -> str:
-    head = f"{name} n={pair.vector.size}"
-    if pair.lanczos_matvecs:
-        head += f" lanczos matvecs={pair.lanczos_matvecs}"
-        if pair.iterations == 0:
-            return f"{head} residual={pair.residual:.3g}"
-        head += " fallback=power"
-    return (f"{head} iterations={pair.iterations} "
+    head = f"{name} n={pair.vector.size} arnoldi matvecs={pair.arnoldi_matvecs}"
+    if pair.iterations == 0:
+        return f"{head} residual={pair.residual:.3g}"
+    return (f"{head} fallback=power iterations={pair.iterations} "
             f"stopped_by={pair.stopped_by}")
 
 
@@ -551,8 +553,8 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
     ``tol_classify / 10`` (on a graded grid usually after the first);
     lambda_p is its lower end, the value at which the test function is a
     positive supersolution.  Continuous: the residual-converged top
-    eigenpair of the full operator (Lanczos for a symmetric kernel, power
-    iteration otherwise), whose ratio interval is the bracket.
+    eigenpair of the full operator (Arnoldi, power iteration as fallback),
+    whose ratio interval is the bracket.
     Threshold: -a0 itself, where the discrete spectrum clusters; no
     bracket is claimed (``lambda_p_interval`` is None).
 
@@ -576,13 +578,13 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         coarse = _refined(problem, -1)
         gap_c = _gap(coarse, a0)
         kw_c = _kernel_operator(coarse)
-        pair_c = _ktilde_pair(kw_c, gap_c, coarse.kernel.symmetric, tol_power)
+        pair_c = _ktilde_pair(kw_c, gap_c, tol_power)
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
         kernels.append(f"kernel-coarse {kw_c.describe()}")
         del kw_c
     kw = _kernel_operator(problem)
     kernels.insert(0, f"kernel {kw.describe()}")
-    pair = _ktilde_pair(kw, gap, problem.kernel.symmetric, tol_power)
+    pair = _ktilde_pair(kw, gap, tol_power)
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
     if confirm:

@@ -91,6 +91,10 @@ def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray],
     def scaled(pts: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(pts) - c) / span
 
+    def quad(pts: np.ndarray, i: int, j: int) -> np.ndarray:
+        z = scaled(pts)
+        return z[:, i] * z[:, j]
+
     dim = grid.nodes.shape[1]
     fns: list[tuple[str, Callable[[np.ndarray], np.ndarray]]] = [
         ("one", lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
@@ -99,10 +103,7 @@ def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray],
         fns.append((f"lin{i}", lambda pts, i=i: scaled(pts)[:, i]))
     for i in range(dim):
         for j in range(i, dim):
-            fns.append(
-                (f"quad{i}{j}",
-                 lambda pts, i=i, j=j: scaled(pts)[:, i] * scaled(pts)[:, j])
-            )
+            fns.append((f"quad{i}{j}", lambda pts, i=i, j=j: quad(pts, i, j)))
     fns.append(
         ("cosprod",
          lambda pts: np.prod(np.cos(math.pi * scaled(pts)), axis=1))
@@ -227,7 +228,7 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
         elif quantity == "lambda1":
             amax = detect_argmax_set(prob.coeff, prob.grid)
             gap = _gap(prob, amax.sup_value)
-            value = _ktilde_pair(_kernel_operator(prob), gap, prob.kernel.symmetric).value
+            value = _ktilde_pair(_kernel_operator(prob), gap).value
         elif quantity == "recip_integral":
             res = _recip_integrability(prob.coeff, prob.grid)
             value = res.value if res.status == "integrable" else None

@@ -43,8 +43,8 @@ def test_classify_report_schema(capsys):
 
 
 def test_classify_huge_kernel_falls_back_to_power_iteration(capsys, caplog):
-    # at rho = 1e200 a Lanczos step overflows the 2-norm; the run counts as
-    # failed Lanczos and power iteration certifies lambda1 = rho I_h instead
+    # at rho = 1e200 an Arnoldi step overflows the 2-norm; the run counts as
+    # failed Arnoldi and power iteration certifies lambda1 = rho I_h instead
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         code, out, err = run(capsys, "classify", "--example", "ball", "--rho", "1e200")
     assert code == 0, err
@@ -54,7 +54,7 @@ def test_classify_huge_kernel_falls_back_to_power_iteration(capsys, caplog):
     assert payload["lambda1_ktilde"] == pytest.approx(expected, rel=1e-12)
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
-    assert re.search(r"perron: ktilde n=\d+ lanczos matvecs=\d+ fallback=power ", line)
+    assert re.search(r"perron: ktilde n=\d+ arnoldi matvecs=\d+ fallback=power ", line)
 
 
 def test_classify_singular_regime(capsys):

@@ -326,11 +326,10 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     assert hi - lo <= 1e-10
 
 
-def test_classify_continuous_custom_kernel_keeps_power_run(caplog):
-    # a kernel not marked symmetric takes the cold-start power iteration:
-    # as many steps as perron on the assembled full operator, and the same
-    # vector and ratio interval up to round-off (K W v + (a + shift) v is
-    # summed in another order than the assembled matrix product)
+def test_classify_continuous_custom_kernel_runs_arnoldi(caplog):
+    # a custom kernel carries no claim beyond nonnegativity, and its
+    # full-operator run is Arnoldi certified at once, as for the built-in
+    # kernels: no power steps
     rho = 0.1
     kernel = custom_kernel(lambda x, y: np.full((x.shape[0], y.shape[0]), rho),
                            positivity_witness=(rho / 2, math.inf))
@@ -339,31 +338,31 @@ def test_classify_continuous_custom_kernel_keeps_power_run(caplog):
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob)
     assert rep.regime == "continuous"
-    full, shift = shifted_full(prob)
-    pair = perron(full)
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
     n = prob.grid.size
-    assert f"; full n={n} iterations={pair.iterations} stopped_by=residual;" in line
-    assert np.max(np.abs(rep.eigen_density - pair.vector)) <= 1e-12
-    ulp = 16 * np.finfo(float).eps * pair.value
-    assert rep.lambda_p == pytest.approx(shift - pair.value, abs=ulp)
-    expected = (shift - pair.interval[1], shift - pair.interval[0])
-    assert rep.lambda_p_interval == pytest.approx(expected, abs=ulp)
-    assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-9)
+    matvecs = int(re.search(rf"; full n={n} arnoldi matvecs=(\d+) residual=\S+;",
+                            line).group(1))
+    assert matvecs <= 100
+    assert "fallback=power" not in line
+    full, shift = shifted_full(prob)
+    assert eigen_residual(full, rep.eigen_density) <= 1e-10
+    lo, hi = rep.lambda_p_interval
+    assert lo <= rep.lambda_p <= hi
+    assert rep.lambda_p == pytest.approx(-secular_root(prob, rho), abs=1e-12)
 
 
-@pytest.mark.parametrize("lanczos", ["perturbed", "no-convergence"])
-def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, lanczos):
-    real_lanczos = spectral._lanczos
+@pytest.mark.parametrize("arnoldi", ["perturbed", "no-convergence"])
+def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, arnoldi):
+    real_arnoldi = spectral._arnoldi
 
-    def rough_lanczos(matvec, v0, budget):
-        if lanczos == "no-convergence":
-            return real_lanczos(matvec, v0, 3)
-        y = real_lanczos(matvec, v0, budget)
+    def rough_arnoldi(matvec, v0, budget):
+        if arnoldi == "no-convergence":
+            return real_arnoldi(matvec, v0, 3)
+        y = real_arnoldi(matvec, v0, budget)
         return y * (1.0 + 1e-6 * np.cos(np.arange(v0.size)))
 
-    monkeypatch.setattr(spectral, "_lanczos", rough_lanczos)
+    monkeypatch.setattr(spectral, "_arnoldi", rough_arnoldi)
     prob = ball_problem(0.1, resolution=5, depth=5)
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob, tol_power=1e-14, confirm=False)
@@ -515,8 +514,8 @@ def test_classify_logs_one_info_line(caplog):
     assert f"lambda_p={rep.lambda_p:.12g}" in line
     assert_lambda1_width(line, rep)
     assert "width" in line.split("lambda_p=")[1]
-    # both Kt runs, fine then coarse, are Lanczos runs certified at once
-    assert re.findall(r"(ktilde\S*) n=\d+ lanczos matvecs=\d+ residual=", line) \
+    # both Kt runs, fine then coarse, are Arnoldi runs certified at once
+    assert re.findall(r"(ktilde\S*) n=\d+ arnoldi matvecs=\d+ residual=", line) \
         == ["ktilde", "ktilde-coarse"]
     assert "stopped_by=" not in line
     assert "bracket matvecs=1" in line
@@ -665,7 +664,7 @@ def test_factor_matches_dense_oracle(make, regime, atom):
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     assert max(lo, rep_d.lambda1_interval[0]) <= min(hi, rep_d.lambda1_interval[1]) + ROUND
-    # the dense twin is not marked symmetric: its Kt run is power iteration
+    # the dense twin's Kt run applies the dense K W, not the factor
     lo, hi = rep_d.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     mu = dense_top_eigenvalue(prob)
@@ -705,6 +704,39 @@ def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
     assert lo - ROUND <= -mu <= hi + ROUND
     if rep.regime == "continuous":
         assert hi - lo <= 1e-10
+
+
+def top_real_eigenvalue(entries):
+    # the Perron root: real, and of largest real part
+    return float(np.max(np.linalg.eigvals(entries).real))
+
+
+@settings(max_examples=15, deadline=None)
+@given(amplitude=st.floats(0.15, 0.3), width=st.floats(1.0, 2.0),
+       beta=st.floats(-0.9, 0.9))
+def test_non_symmetric_kernel_intervals_contain_dense_eigvals(amplitude, width, beta):
+    # Gaussian x (1 + beta y_1) is positive on the unit ball and, for
+    # beta != 0, K(x, y) != K(y, x); the dense K W goes through Arnoldi
+    gauss = gaussian_kernel(amplitude, width)
+    kernel = custom_kernel(lambda x, y: gauss.evaluate(x, y) * (1.0 + beta * y[:, 0]))
+    prob = build_problem(
+        Ball(center=CENTER3, radius=1.0), kernel,
+        radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
+        resolution=4, grading=GradeSpec(targets=(CENTER3,), depth=5),
+    )
+    rep = classify_regime(prob, confirm=False)
+    assert rep.regime == "continuous"
+    lam1 = top_real_eigenvalue(assemble_ktilde(prob, rep.sup_a))
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    mu = top_real_eigenvalue(assemble_full(prob))
+    lo, hi = rep.lambda_p_interval
+    assert lo - ROUND <= -mu <= hi + ROUND
+    assert hi - lo <= 1e-10
+    est = estimate_lambda_p(prob)
+    assert est.interval == rep.lambda_p_interval
+    # tens of Arnoldi matvecs, where power iteration takes about 1,100 steps
+    assert est.iterations <= 100
 
 
 def test_factor_storage_checked_as_it_grows(monkeypatch):
