@@ -71,14 +71,11 @@ from .spectral import (
 )
 from .measure import (
     DiscreteMeasure,
-    FredholmSolution,
-    build_atom_solution,
     build_singular_solution,
     cantor_approximant,
     density_at,
     kernel_moment,
     normalize,
-    solve_fredholm,
     span_combination,
 )
 from .verify import (

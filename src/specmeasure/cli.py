@@ -354,14 +354,12 @@ def _spectral_payload(report: RegimeReport, problem: Problem,
 
 
 def _classify_eigenobject(report: RegimeReport, problem: Problem) -> dict:
-    if report.regime == "continuous":
-        return {"kind": "function_values", "normalization": "max",
-                "size": problem.grid.size}
-    if report.regime == "l1":
-        return {"kind": "l1_density", "normalization": "mass",
-                "size": problem.grid.size}
-    return {"kind": "singular_measure",
-            "x0": [float(v) for v in report.x0]}
+    if report.density_norm is None:
+        return {"kind": "singular_measure",
+                "x0": [float(v) for v in report.x0]}
+    kind = "function_values" if report.regime == "continuous" else "l1_density"
+    return {"kind": kind, "normalization": report.density_norm,
+            "size": problem.grid.size}
 
 
 def _run_classify(cfg: dict) -> dict:

@@ -7,13 +7,17 @@ the density solves the linear system
 
     (I - Kt) g = rhs,      rhs(x) = integral K(x, y) dmu0(y),
 
-which this module solves by restarted GMRES (numpy, modified Gram-Schmidt
-Arnoldi) with Kt v = K W (v / (a0 - a)): for a radius of Kt below one,
-I - Kt is the identity minus a compact operator, so the Krylov iteration
-converges in a few matvecs however fine the grid.  K W is the grid's one
-kernel operator (``spectral.KernelWeights``): a pivoted-Cholesky factor
-for the constant and Gaussian kernels, so the solve holds no N x N array,
-and a dense array otherwise.
+with mu0 = sum alpha_i delta_{x_i}, the atoms on the argmax set.
+``build_singular_solution`` is the one constructor of that measure, for one
+atom, several, or a pure-atom measure such as a Cantor approximant.  It
+solves the system by restarted GMRES (numpy, modified Gram-Schmidt Arnoldi)
+with Kt v = K W (v / (a0 - a)): for a radius of Kt below one, I - Kt is
+the identity minus a compact operator, so the Krylov iteration converges in
+a few matvecs however fine the grid, and it logs one ``fredholm:`` line
+with the matvecs and the residual.  K W is the grid's one kernel operator
+(``spectral.KernelWeights``): a pivoted-Cholesky factor for the constant
+and Gaussian kernels, so the solve holds no N x N array, and a dense array
+otherwise.
 
 A solution is its data: atoms, grid and density values.  Off the grid the
 eigen-equation itself fixes the density, f(x) = integral K(x, y) dmu(y) /
@@ -47,9 +51,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "DiscreteMeasure",
-    "FredholmSolution",
-    "solve_fredholm",
-    "build_atom_solution",
     "build_singular_solution",
     "span_combination",
     "cantor_approximant",
@@ -130,86 +131,12 @@ class DiscreteMeasure:
         return float(sum(abs(w) for _, w in self.atoms)) / tv
 
 
-@dataclass(frozen=True)
-class FredholmSolution:
-    g_values: np.ndarray
-    rhs_values: np.ndarray
-    lambda1: float
-    solver_residual: float
-
-
 def _atom_arrays(atoms: tuple[Atom, ...]) -> tuple[np.ndarray, np.ndarray]:
+    if len({len(p) for p, _ in atoms}) > 1:
+        raise UnsupportedMeasureError("atoms must all have the same dimension")
     pts = np.asarray([p for p, _ in atoms], dtype=float)
     wts = np.asarray([w for _, w in atoms], dtype=float)
     return pts, wts
-
-
-def _solve_linear(problem: Problem, atoms: tuple[Atom, ...], tol_linear: float,
-                  classified: tuple[RegimeReport, KernelWeights] | None = None
-                  ) -> tuple[float, FredholmSolution]:
-    """Solve (I - Kt) g = rhs for prescribed atoms; return a0 and g.
-
-    Only the singular regime has a solution.  Regime and lambda1 are those
-    of ``classified``, the grid's report and K W from ``spectral._classify``;
-    without it, lambda1 is the certified Kt Perron root, classified at
-    ``classify_regime``'s default tolerance.  GMRES runs on
-    v -> v - Kt v; its result is accepted on the explicit check
-    |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf, where the residual
-    of a factored K W carries its remainder bound.  Atom weights must be
-    finite and not all zero; that is checked before any assembly.
-    """
-    pts, wts = _atom_arrays(atoms)
-    if not (np.all(np.isfinite(wts)) and np.any(wts != 0)):
-        raise ConfigurationError(
-            "atom weights must be finite and not all zero, got "
-            + np.array2string(wts, threshold=6)
-        )
-    a0 = _check_support(problem, atoms)
-    rhs_values = _kernel_apply(problem.kernel, problem.grid.nodes, pts, wts)
-    gap = _gap(problem, a0)
-    if classified is None:
-        kw = _kernel_operator(problem)
-        lam1 = _ktilde_pair(kw, gap).value
-        regime = _regime(lam1, _TOL_CLASSIFY)
-    else:
-        report, kw = classified
-        lam1, regime = report.lambda1, report.regime
-    if regime == "continuous":
-        raise ConfigurationError(
-            f"normalized operator radius {lam1:.6g} exceeds one; the problem "
-            "is in the continuous regime and has no singular solution"
-        )
-    if regime == "l1":
-        raise NearSingularSystemError(
-            f"normalized operator radius {lam1:.6g} is within the classification "
-            "tolerance of one; the resolvent is too close to singular"
-        )
-    n = gap.size
-    matvecs = 0
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return v - kw @ (v / gap)
-
-    g = _gmres(apply, rhs_values,
-               max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)))
-    scale = float(np.max(np.abs(rhs_values)))
-    resid = float(np.max(np.abs(g - kw @ (g / gap) - rhs_values)
-                         + kw.slack(g / gap)))
-    log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
-             "(tol_linear %.3g); kernel %s", n, lam1, matvecs,
-             resid / scale if scale > 0 else resid, tol_linear, kw.describe())
-    if scale > 0 and resid > tol_linear * scale:
-        raise NearSingularSystemError(
-            f"linear solve residual {resid:.3e} exceeds {tol_linear:.1e} "
-            "relative to the data"
-        )
-    if all(w > 0 for _, w in atoms) and np.any(g <= 0):
-        raise PositivityViolationError(
-            "solved density factor is not strictly positive"
-        )
-    return a0, FredholmSolution(g, rhs_values, lam1, resid)
 
 
 def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -263,8 +190,7 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
     return x
 
 
-def _check_support(problem: Problem, atoms: tuple[Atom, ...]) -> float:
-    pts, _ = _atom_arrays(atoms)
+def _check_support(problem: Problem, pts: np.ndarray) -> float:
     if pts.shape[1] != problem.grid.nodes.shape[1]:
         raise UnsupportedMeasureError("atom dimension does not match the domain")
     inside = contains(problem.domain, pts, tol=1e-12)
@@ -284,13 +210,6 @@ def _check_support(problem: Problem, atoms: tuple[Atom, ...]) -> float:
     return a0
 
 
-def solve_fredholm(problem: Problem, x0: tuple[float, ...], alpha: float = 1.0,
-                   tol_linear: float = 1e-10) -> FredholmSolution:
-    """Solve (I - Kt) g = alpha K(., x0) for the density factor g."""
-    _, sol = _solve_linear(problem, ((tuple(x0), alpha),), tol_linear)
-    return sol
-
-
 def build_singular_solution(problem: Problem, atoms, *,
                             tol_linear: float = 1e-10) -> DiscreteMeasure:
     """Singular eigensolution with the given atoms on the argmax set.
@@ -304,27 +223,79 @@ def build_singular_solution(problem: Problem, atoms, *,
 def _singular_solution(problem: Problem, atoms, tol_linear: float,
                        classified: tuple[RegimeReport, KernelWeights] | None = None
                        ) -> DiscreteMeasure:
-    """``build_singular_solution``, deciding the regime from the problem
-    grid's classification and reusing its K W when ``classified`` is given."""
+    """``build_singular_solution``: solve (I - Kt) g = rhs for the atoms and
+    return them with the density g / (a0 - a).
+
+    Atom weights must be finite and not all zero; that is checked before
+    any assembly.  Only the singular regime has a solution.  Regime and
+    lambda1 are those of ``classified``, the grid's report and K W from
+    ``spectral._classify``; without it, lambda1 is the certified Kt Perron
+    root, classified at ``classify_regime``'s default tolerance.  GMRES runs
+    on v -> v - Kt v; its result is accepted on the explicit check
+    |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf, where the residual
+    of a factored K W carries its remainder bound.
+    """
     if isinstance(atoms, DiscreteMeasure):
         if atoms.density_values is not None:
             raise UnsupportedMeasureError(
                 "the prescribed singular part must be purely atomic"
             )
-        atom_list = atoms.atoms
+        atoms = atoms.atoms
     else:
-        atom_list = tuple((tuple(float(v) for v in p), float(w)) for p, w in atoms)
-    if not atom_list:
+        atoms = tuple((tuple(float(v) for v in p), float(w)) for p, w in atoms)
+    if not atoms:
         raise UnsupportedMeasureError("at least one atom is required")
-    a0, sol = _solve_linear(problem, atom_list, tol_linear, classified)
-    return DiscreteMeasure(atoms=atom_list, grid=problem.grid,
-                           density_values=sol.g_values / (a0 - problem.a_at_nodes))
+    pts, wts = _atom_arrays(atoms)
+    if not (np.all(np.isfinite(wts)) and np.any(wts != 0)):
+        raise ConfigurationError(
+            "atom weights must be finite and not all zero, got "
+            + np.array2string(wts, threshold=6)
+        )
+    a0 = _check_support(problem, pts)
+    rhs_values = _kernel_apply(problem.kernel, problem.grid.nodes, pts, wts)
+    gap = _gap(problem, a0)
+    if classified is None:
+        kw = _kernel_operator(problem)
+        lam1 = _ktilde_pair(kw, gap).value
+        regime = _regime(lam1, _TOL_CLASSIFY)
+    else:
+        report, kw = classified
+        lam1, regime = report.lambda1, report.regime
+    if regime == "continuous":
+        raise ConfigurationError(
+            f"normalized operator radius {lam1:.6g} exceeds one; the problem "
+            "is in the continuous regime and has no singular solution"
+        )
+    if regime == "l1":
+        raise NearSingularSystemError(
+            f"normalized operator radius {lam1:.6g} is within the classification "
+            "tolerance of one; the resolvent is too close to singular"
+        )
+    matvecs = 0
 
+    def apply(v: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return v - kw @ (v / gap)
 
-def build_atom_solution(problem: Problem, x0: tuple[float, ...],
-                        alpha: float, **kwargs) -> DiscreteMeasure:
-    """Single atom of weight alpha at x0 plus the induced density."""
-    return build_singular_solution(problem, [(tuple(x0), alpha)], **kwargs)
+    g = _gmres(apply, rhs_values,
+               max(_GMRES_RTOL, 4.0 * np.finfo(float).eps / (1.0 - lam1)))
+    scale = float(np.max(np.abs(rhs_values)))
+    resid = float(np.max(np.abs(g - kw @ (g / gap) - rhs_values)
+                         + kw.slack(g / gap)))
+    log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
+             "(tol_linear %.3g); kernel %s", gap.size, lam1, matvecs,
+             resid / scale if scale > 0 else resid, tol_linear, kw.describe())
+    if scale > 0 and resid > tol_linear * scale:
+        raise NearSingularSystemError(
+            f"linear solve residual {resid:.3e} exceeds {tol_linear:.1e} "
+            "relative to the data"
+        )
+    if np.all(wts > 0) and np.any(g <= 0):
+        raise PositivityViolationError(
+            "solved density factor is not strictly positive"
+        )
+    return DiscreteMeasure(atoms=atoms, grid=problem.grid, density_values=g / gap)
 
 
 def cantor_approximant(segment: Segment, level: int) -> DiscreteMeasure:
@@ -386,10 +357,21 @@ def span_combination(measures, coefficients) -> DiscreteMeasure:
     return DiscreteMeasure(atoms=atoms, grid=grid, density_values=density)
 
 
+def _points(problem: Problem, points) -> np.ndarray:
+    """points as rows of the domain's dimension, else ConfigurationError."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = problem.grid.nodes.shape[1]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ConfigurationError(
+            f"points must be rows of {dim} coordinates, got shape {pts.shape}"
+        )
+    return pts
+
+
 def kernel_moment(problem: Problem, mu: DiscreteMeasure,
                   points: np.ndarray) -> np.ndarray:
     """integral K(x, y) dmu(y) evaluated at each row of points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(problem, points)
     cols, masses = [], []
     if mu.atoms:
         apts, awts = _atom_arrays(mu.atoms)
@@ -409,13 +391,14 @@ def density_at(problem: Problem, mu: DiscreteMeasure,
     value of a at mu's atoms.
 
     A measure without atoms has no such eigenvalue, and a point on the
-    argmax set of a has no finite value; both raise ConfigurationError.
+    argmax set of a has no finite value; both raise ConfigurationError, as
+    do points of another dimension than the domain's.
     """
     if not mu.atoms:
         raise ConfigurationError(
             "a measure without atoms has no eigenvalue to extend its density at"
         )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(problem, points)
     apts, _ = _atom_arrays(mu.atoms)
     a0 = float(np.max(problem.coeff.evaluate(apts)))
     denom = a0 - np.asarray(problem.coeff.evaluate(pts), dtype=float)

@@ -20,7 +20,6 @@ from specmeasure import (
     Cylinder,
     GradeSpec,
     Segment,
-    build_atom_solution,
     build_problem,
     build_singular_solution,
     cantor_approximant,
@@ -35,7 +34,6 @@ from specmeasure import (
     pointwise_residual,
     radial_power,
     refinement_study,
-    solve_fredholm,
     span_combination,
     spectral,
     weak_residual,
@@ -185,15 +183,17 @@ def test_criterion_6_positivity_and_linearity():
             i_exact = 2.0 * math.pi * (1.0 - 0.5 ** (depth + 1))
             prob = cylinder_problem(u / i_exact, resolution, depth)
             x0 = (0.0, 0.0, float(rng.uniform(0.05, 0.95)))
-        unit = solve_fredholm(prob, x0, alpha=1.0)
-        scaled = solve_fredholm(prob, x0, alpha=alpha)
-        ok = ok and bool(np.all(scaled.g_values > 0))
-        scale = float(np.max(np.abs(scaled.g_values)))
-        ok = ok and float(np.max(np.abs(
-            scaled.g_values - alpha * unit.g_values))) <= 1e-12 * scale
+        # the density factor g = (a0 - a) f, a0 = 1 on both argmax sets
+        gap = 1.0 - prob.a_at_nodes
+        unit = build_singular_solution(prob, [(x0, 1.0)]).density_values * gap
+        scaled_mu = build_singular_solution(prob, [(x0, alpha)])
+        scaled = scaled_mu.density_values * gap
+        ok = ok and bool(np.all(scaled > 0))
+        scale = float(np.max(np.abs(scaled)))
+        ok = ok and float(np.max(np.abs(scaled - alpha * unit))) <= 1e-12 * scale
         if index % 10 == 0:
-            mu_a = normalize(build_atom_solution(prob, x0, alpha=alpha))
-            mu_b = normalize(build_atom_solution(prob, x0, alpha=3.0 * alpha))
+            mu_a = normalize(scaled_mu)
+            mu_b = normalize(build_singular_solution(prob, [(x0, 3.0 * alpha)]))
             ok = ok and abs(mu_a.atoms[0][1] - mu_b.atoms[0][1]) <= 1e-10
             dscale = float(np.max(np.abs(mu_a.density_values)))
             ok = ok and float(np.max(np.abs(
@@ -225,11 +225,11 @@ def test_criterion_7_residual_decay():
         return sol
 
     def build_atom(prob):
-        return build_atom_solution(prob, (0.0, 0.0, 0.5), alpha=1.0), -1.0
+        return build_singular_solution(prob, [((0.0, 0.0, 0.5), 1.0)]), -1.0
 
     def build_span(prob):
-        one = build_atom_solution(prob, (0.0, 0.0, 0.25), alpha=1.0)
-        two = build_atom_solution(prob, (0.0, 0.0, 0.75), alpha=1.0)
+        one = build_singular_solution(prob, [((0.0, 0.0, 0.25), 1.0)])
+        two = build_singular_solution(prob, [((0.0, 0.0, 0.75), 1.0)])
         return span_combination([one, two], [0.5, 0.5]), -1.0
 
     def build_cantor(prob):

@@ -12,9 +12,36 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specmeasure import cli, measure, model, spectral, verify
+from specmeasure import (
+    Ball,
+    GradeSpec,
+    build_problem,
+    build_singular_solution,
+    classify_regime,
+    cli,
+    constant_kernel,
+    measure,
+    model,
+    radial_power,
+    spectral,
+    verify,
+)
+
+
+def readme_ball(rho, resolution=6, depth=8):
+    """The README library problem, which is also the CLI's ``--example ball``
+    at its default grid."""
+    center = (0.0, 0.0, 0.0)
+    return build_problem(
+        Ball(center=center, radius=1.0),
+        constant_kernel(rho),
+        radial_power(top=1.0, scale=1.0, power=2.0, center=center),
+        resolution=resolution,
+        grading=GradeSpec(targets=(center,), ratio=0.5, depth=depth),
+    )
 
 
 def run(capsys, *args):
@@ -137,6 +164,35 @@ def test_solve_density_csv(capsys, tmp_path):
     assert len(lines) == size + 1
     first = [float(v) for v in lines[1].split(",")]
     assert len(first) == 5 and first[4] > 0
+
+
+def test_library_builds_the_cli_measure(capsys, tmp_path):
+    # the CLI's automatic alpha 1/rho - I_h makes the density factor one;
+    # the library builder, given the same atom, writes the same density
+    path = tmp_path / "density.csv"
+    code, out, _ = run(capsys, "solve", "--example", "ball", "--rho", "0.05",
+                       "--density-csv", str(path))
+    assert code == 0
+    prob = readme_ball(0.05)
+    alpha = 1.0 / 0.05 - float(np.sum(prob.grid.weights / (1.0 - prob.a_at_nodes)))
+    atom, = json.loads(out)["eigenobject"]["atoms"]
+    assert (atom["point"], atom["weight"]) == ([0.0, 0.0, 0.0], alpha)
+    mu = build_singular_solution(prob, [((0.0, 0.0, 0.0), alpha)])
+    table = np.array([[float(v) for v in line.split(",")]
+                      for line in path.read_text().splitlines()[1:]])
+    assert np.array_equal(table[:, :3], prob.grid.nodes)
+    assert np.array_equal(table[:, 4], mu.density_values)
+
+
+@pytest.mark.parametrize("regime, kind, norm", [
+    ("continuous", "function_values", "max"),
+    ("l1", "l1_density", "mass"),
+])
+def test_classify_eigenobject_normalization(regime, kind, norm):
+    prob = readme_ball(0.1, resolution=3, depth=4)
+    report = dataclasses.replace(classify_regime(prob, confirm=False), regime=regime)
+    assert cli._classify_eigenobject(report, prob) == {
+        "kind": kind, "normalization": norm, "size": prob.grid.size}
 
 
 def test_readme_config_example_runs(capsys, tmp_path):

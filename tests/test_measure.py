@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specmeasure import (
@@ -28,10 +28,10 @@ from specmeasure import (
     Segment,
     TooLargeError,
     UnsupportedMeasureError,
-    build_atom_solution,
     build_problem,
     build_singular_solution,
     cantor_approximant,
+    cli,
     constant_kernel,
     custom_kernel,
     density_at,
@@ -41,8 +41,9 @@ from specmeasure import (
     model,
     normalize,
     radial_power,
-    solve_fredholm,
     span_combination,
+    spectral,
+    verify,
 )
 from specmeasure.spectral import _kernel_operator, _ktilde_pair, assemble_ktilde
 
@@ -75,6 +76,33 @@ def cylinder_problem(rho, resolution=5, depth=DEPTH):
     )
 
 
+def density_factor(mu, problem):
+    """g = (a0 - a) f on the grid, the unknown of (I - Kt) g = rhs, with
+    a0 = 1 on the argmax sets of both test coefficients."""
+    return mu.density_values * (1.0 - problem.a_at_nodes)
+
+
+def log_fields(line):
+    return dict(re.findall(r"(n|lambda1|matvecs|residual|tol_linear)[= ]([^ )]+)",
+                           line))
+
+
+def spy(monkeypatch, owner, name, modules):
+    """Count the calls of owner.name and keep their results, through every
+    module in ``modules`` that binds it."""
+    original = getattr(owner, name)
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return results
+
+
 @pytest.fixture(scope="module")
 def ball05():
     return ball_problem(0.05)
@@ -85,27 +113,41 @@ def cyl05():
     return cylinder_problem(0.05)
 
 
-def test_rank_one_constant_density_factor(ball05):
+def test_rank_one_constant_density_factor(ball05, monkeypatch):
     # constant kernel: rhs is constant, Kt has rank one, so g is constant
     rho = 0.05
-    sol = solve_fredholm(ball05, CENTER, alpha=1.0)
+    pairs = spy(monkeypatch, measure, "_ktilde_pair", (measure,))
+    mu = build_singular_solution(ball05, [(CENTER, 1.0)])
+    g = density_factor(mu, ball05)
     expected = rho / (1.0 - rho * I_BALL)
-    assert abs(sol.lambda1 - rho * I_BALL) <= 1e-13 * rho * I_BALL
-    assert np.max(np.abs(sol.g_values - expected)) <= 1e-12 * expected
-    assert sol.solver_residual <= 1e-12
+    assert abs(pairs[0].value - rho * I_BALL) <= 1e-13 * rho * I_BALL
+    assert np.max(np.abs(g - expected)) <= 1e-12 * expected
+    # (I - Kt) g - rhs = g - rho (density mass + alpha) for the constant kernel
+    assert np.max(np.abs(g - rho * mu.total_mass())) <= 1e-12
+
+
+def test_library_solve_does_no_classification_work(ball05, monkeypatch):
+    # without a classification the builder assembles K W once, runs one
+    # certified Kt Perron solve, and detects no argmax set
+    modules = (cli, model, spectral, measure, verify)
+    operators = spy(monkeypatch, spectral, "_kernel_operator", modules)
+    pairs = spy(monkeypatch, spectral, "_ktilde_pair", modules)
+    argmax = spy(monkeypatch, model, "detect_argmax_set", modules)
+    build_singular_solution(ball05, [(CENTER, 1.0)])
+    assert (len(operators), len(pairs), len(argmax)) == (1, 1, 0)
 
 
 def test_unit_density_factor_at_special_weight(ball05):
     rho = 0.05
     alpha = 1.0 / rho - I_BALL
-    sol = solve_fredholm(ball05, CENTER, alpha=alpha)
-    assert np.max(np.abs(sol.g_values - 1.0)) <= 1e-12
+    mu = build_singular_solution(ball05, [(CENTER, alpha)])
+    assert np.max(np.abs(density_factor(mu, ball05) - 1.0)) <= 1e-12
 
 
 def test_atom_fraction_closed_form(ball05):
     rho = 0.05
     alpha = 1.0 / rho - I_BALL
-    mu = build_atom_solution(ball05, CENTER, alpha=alpha)
+    mu = build_singular_solution(ball05, [(CENTER, alpha)])
     assert mu.atoms == ((CENTER, alpha),)
     assert not mu.signed
     assert np.all(mu.density_values > 0)
@@ -118,21 +160,23 @@ def test_solution_scales_linearly_in_alpha(ball05):
     rng = np.random.default_rng(20240817)
     for _ in range(4):
         alpha = float(rng.uniform(0.2, 3.0))
-        one = solve_fredholm(ball05, CENTER, alpha=alpha)
-        two = solve_fredholm(ball05, CENTER, alpha=2.0 * alpha)
-        scale = np.max(np.abs(one.g_values))
-        assert np.max(np.abs(two.g_values - 2.0 * one.g_values)) <= 1e-12 * scale
+        one = density_factor(build_singular_solution(ball05, [(CENTER, alpha)]),
+                             ball05)
+        two = density_factor(
+            build_singular_solution(ball05, [(CENTER, 2.0 * alpha)]), ball05)
+        scale = np.max(np.abs(one))
+        assert np.max(np.abs(two - 2.0 * one)) <= 1e-12 * scale
 
 
 def test_nystrom_extension_reproduces_grid_values(ball05):
-    mu = build_atom_solution(ball05, CENTER, alpha=1.0)
+    mu = build_singular_solution(ball05, [(CENTER, 1.0)])
     back = density_at(ball05, mu, ball05.grid.nodes)
     scale = np.max(np.abs(mu.density_values))
     assert np.max(np.abs(back - mu.density_values)) <= 1e-12 * scale
 
 
 def test_nystrom_extension_rejects_argmax_point(ball05):
-    mu = build_atom_solution(ball05, CENTER, alpha=1.0)
+    mu = build_singular_solution(ball05, [(CENTER, 1.0)])
     with pytest.raises(ConfigurationError):
         density_at(ball05, mu, np.array([CENTER]))
 
@@ -152,12 +196,13 @@ def skewed_kernel():
                          ids=["constant", "gaussian", "non-symmetric"])
 def test_density_at_is_the_eigen_equation(kernel):
     # f(x) = (K(x, x0) alpha + K(x, nodes) (w g / (a0 - a))) / (a0 - a(x)),
-    # with g the Fredholm solution and a0 = a(x0) = 1 on the cylinder axis
+    # with g = (a0 - a) f the Fredholm solution and a0 = a(x0) = 1 on the
+    # cylinder axis
     base = cylinder_problem(0.05, resolution=4, depth=5)
     prob = Problem(base.domain, kernel, base.coeff, base.grid)
     x0, alpha = (0.0, 0.0, 0.5), 1.5
-    mu = build_atom_solution(prob, x0, alpha=alpha)
-    g = solve_fredholm(prob, x0, alpha=alpha).g_values
+    mu = build_singular_solution(prob, [(x0, alpha)])
+    g = density_factor(mu, prob)
     probe = np.array([[0.3, 0.1, 0.4], [0.0, -0.5, 0.9],
                       [0.7, 0.2, 0.05], [-0.2, -0.2, 0.5]])
     col = prob.grid.weights * g / (1.0 - prob.a_at_nodes)
@@ -181,7 +226,7 @@ def test_signed_reads_the_data():
 def test_kernel_moment_constant_kernel(ball05):
     rho = 0.05
     alpha = 1.0 / rho - I_BALL
-    mu = build_atom_solution(ball05, CENTER, alpha=alpha)
+    mu = build_singular_solution(ball05, [(CENTER, alpha)])
     # integral K dmu = rho * total mass = 1 at the special weight
     km = kernel_moment(ball05, mu, ball05.grid.nodes[:7])
     assert np.max(np.abs(km - 1.0)) <= 1e-12
@@ -194,7 +239,7 @@ def test_continuous_regime_has_no_singular_solution():
     # rho * I exceeds one here
     prob = ball_problem(0.1, resolution=4, depth=6)
     with pytest.raises(ConfigurationError):
-        solve_fredholm(prob, CENTER, alpha=1.0)
+        build_singular_solution(prob, [(CENTER, 1.0)])
 
 
 def test_near_threshold_is_rejected():
@@ -202,17 +247,17 @@ def test_near_threshold_is_rejected():
     rho = 1.0 / (4.0 * math.pi * (1.0 - 0.5 ** (depth + 1)))
     prob = ball_problem(rho, resolution=4, depth=depth)
     with pytest.raises(NearSingularSystemError):
-        solve_fredholm(prob, CENTER, alpha=1.0)
+        build_singular_solution(prob, [(CENTER, 1.0)])
 
 
 def test_zero_weight_is_rejected(ball05):
     with pytest.raises(ConfigurationError):
-        solve_fredholm(ball05, CENTER, alpha=0.0)
+        build_singular_solution(ball05, [(CENTER, 0.0)])
 
 
 def test_atom_off_argmax_is_rejected(ball05):
     with pytest.raises(UnsupportedMeasureError):
-        solve_fredholm(ball05, (0.5, 0.0, 0.0), alpha=1.0)
+        build_singular_solution(ball05, [((0.5, 0.0, 0.0), 1.0)])
 
 
 def test_atom_outside_domain_is_rejected(ball05):
@@ -220,8 +265,27 @@ def test_atom_outside_domain_is_rejected(ball05):
         build_singular_solution(ball05, [((2.0, 0.0, 0.0), 1.0)])
 
 
+def test_atoms_of_mixed_dimension_are_rejected(ball05):
+    with pytest.raises(UnsupportedMeasureError, match="same dimension"):
+        build_singular_solution(ball05, [((0.0, 0.0), 1.0), ((0.0, 0.0, 0.0), 1.0)])
+
+
+@pytest.mark.parametrize("kernel", [constant_kernel(0.05), gaussian_kernel(0.05, 1.0)],
+                         ids=["constant", "gaussian"])
+def test_points_of_another_dimension_are_rejected(kernel):
+    base = ball_problem(0.05, resolution=4, depth=5)
+    prob = Problem(base.domain, kernel, base.coeff, base.grid)
+    mu = build_singular_solution(prob, [(CENTER, 1.0)])
+    good = np.array([[0.5, 0.0, 0.0]])
+    assert kernel_moment(prob, mu, good).shape == density_at(prob, mu, good).shape == (1,)
+    for bad in ([[0.5, 0.0]], [[0.5, 0.0, 0.0, 0.0]], [0.5, 0.0], np.zeros((1, 3, 1))):
+        for fn in (kernel_moment, density_at):
+            with pytest.raises(ConfigurationError, match="coordinates"):
+                fn(prob, mu, bad)
+
+
 def test_prescribed_part_must_be_atomic(ball05):
-    mu = build_atom_solution(ball05, CENTER, alpha=1.0)
+    mu = build_singular_solution(ball05, [(CENTER, 1.0)])
     with pytest.raises(UnsupportedMeasureError):
         build_singular_solution(ball05, mu)
 
@@ -260,8 +324,8 @@ def test_cantor_solution_on_cylinder(cyl05):
 
 
 def test_span_combination_is_linear(cyl05):
-    one = build_atom_solution(cyl05, (0.0, 0.0, 0.25), alpha=1.0)
-    two = build_atom_solution(cyl05, (0.0, 0.0, 0.75), alpha=1.0)
+    one = build_singular_solution(cyl05, [((0.0, 0.0, 0.25), 1.0)])
+    two = build_singular_solution(cyl05, [((0.0, 0.0, 0.75), 1.0)])
     combo = span_combination([one, two], [2.0, -1.0])
     assert combo.signed
     weights = dict(combo.atoms)
@@ -277,7 +341,7 @@ def test_span_combination_is_linear(cyl05):
 
 
 def test_span_cancellation_drops_atoms(cyl05):
-    one = build_atom_solution(cyl05, (0.0, 0.0, 0.25), alpha=1.0)
+    one = build_singular_solution(cyl05, [((0.0, 0.0, 0.25), 1.0)])
     combo = span_combination([one, one], [1.0, -1.0])
     assert combo.atoms == ()
     assert np.max(np.abs(combo.density_values)) <= 1e-15
@@ -286,8 +350,8 @@ def test_span_cancellation_drops_atoms(cyl05):
 
 
 def test_span_requires_matching_grids(cyl05, ball05):
-    a = build_atom_solution(cyl05, (0.0, 0.0, 0.25), alpha=1.0)
-    b = build_atom_solution(ball05, CENTER, alpha=1.0)
+    a = build_singular_solution(cyl05, [((0.0, 0.0, 0.25), 1.0)])
+    b = build_singular_solution(ball05, [(CENTER, 1.0)])
     with pytest.raises(ConfigurationError):
         span_combination([a, b], [1.0, 1.0])
     with pytest.raises(ConfigurationError):
@@ -295,7 +359,7 @@ def test_span_requires_matching_grids(cyl05, ball05):
 
 
 def test_normalize_targets_mass(cyl05):
-    mu = build_atom_solution(cyl05, (0.0, 0.0, 0.5), alpha=1.0)
+    mu = build_singular_solution(cyl05, [((0.0, 0.0, 0.5), 1.0)])
     unit = normalize(mu)
     assert abs(unit.total_mass() - 1.0) <= 1e-12
     assert abs(unit.atom_fraction() - mu.atom_fraction()) <= 1e-12
@@ -339,29 +403,35 @@ def random_singular_problem(data):
     return Problem(unit.domain, kernel, unit.coeff, unit.grid), x0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_gmres_matches_dense_solve(data):
+def test_gmres_matches_dense_solve(data, caplog):
     prob, x0 = random_singular_problem(data)
     alpha = data.draw(st.floats(0.1, 10.0))
-    _, sol = measure._solve_linear(prob, ((x0, alpha),), 1e-10)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
+        mu = build_singular_solution(prob, [(x0, alpha)])
+    rhs = kernel_moment(prob, DiscreteMeasure(atoms=((x0, alpha),)),
+                        prob.grid.nodes)
     kt = assemble_ktilde(prob, 1.0)
-    dense = np.linalg.solve(np.eye(kt.shape[0]) - kt, sol.rhs_values)
+    dense = np.linalg.solve(np.eye(kt.shape[0]) - kt, rhs)
     scale = np.max(np.abs(dense))
-    assert np.max(np.abs(sol.g_values - dense)) <= 1e-12 * scale
-    assert sol.solver_residual <= 1e-12 * np.max(np.abs(sol.rhs_values))
+    assert np.max(np.abs(density_factor(mu, prob) - dense)) <= 1e-12 * scale
+    # the logged residual is relative to |rhs|_inf
+    line, = [r.getMessage() for r in caplog.records if r.name == "specmeasure.measure"]
+    assert float(log_fields(line)["residual"]) <= 1e-12
 
 
 def test_fredholm_solve_logs_one_info_line(ball05, caplog):
     with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
-        sol = solve_fredholm(ball05, CENTER, alpha=1.0, tol_linear=1e-10)
+        build_singular_solution(ball05, [(CENTER, 1.0)], tol_linear=1e-10)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "specmeasure.measure" and r.levelno == logging.INFO]
     assert len(lines) == 1
-    fields = dict(re.findall(r"(n|lambda1|matvecs|residual|tol_linear)[= ]([^ )]+)",
-                             lines[0]))
+    fields = log_fields(lines[0])
     assert int(fields["n"]) == ball05.grid.size
-    assert float(fields["lambda1"]) == pytest.approx(sol.lambda1, rel=1e-11)
+    assert float(fields["lambda1"]) == pytest.approx(0.05 * I_BALL, rel=1e-11)
     # Kt is rank one and the data is its Perron vector: one Krylov step
     assert 1 <= int(fields["matvecs"]) <= 3
     assert float(fields["residual"]) <= 1e-12

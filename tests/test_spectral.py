@@ -27,6 +27,7 @@ from specmeasure import (
     assemble_full,
     assemble_ktilde,
     build_problem,
+    build_singular_solution,
     classify_regime,
     constant_kernel,
     coordinate_linear,
@@ -34,7 +35,6 @@ from specmeasure import (
     detect_argmax_set,
     estimate_lambda_p,
     gaussian_kernel,
-    measure,
     model,
     perron,
     radial_power,
@@ -672,8 +672,10 @@ def test_factor_matches_dense_oracle(make, regime, atom):
     assert lo - ROUND <= -mu <= hi + ROUND
     assert max(lo, rep_d.lambda_p_interval[0]) <= min(hi, rep_d.lambda_p_interval[1]) + ROUND
     if atom is not None:
-        g = measure._solve_linear(prob, ((atom, 1.0),), 1e-10)[1].g_values
-        g_d = measure._solve_linear(dense, ((atom, 1.0),), 1e-10)[1].g_values
+        # the density factor g = (a0 - a) f, a0 = a(atom)
+        gap = float(prob.coeff.evaluate(np.array([atom]))[0]) - prob.a_at_nodes
+        g = build_singular_solution(prob, [(atom, 1.0)]).density_values * gap
+        g_d = build_singular_solution(dense, [(atom, 1.0)]).density_values * gap
         assert np.max(np.abs(g - g_d)) <= 1e-10 * np.max(np.abs(g_d))
 
 

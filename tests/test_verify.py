@@ -22,7 +22,6 @@ from specmeasure import (
     GradeSpec,
     InvalidEigenpairError,
     Segment,
-    build_atom_solution,
     build_grid,
     build_problem,
     build_singular_solution,
@@ -77,7 +76,7 @@ def cylinder_factory(level):
 
 
 def axis_atom_solution(prob):
-    return build_atom_solution(prob, (0.0, 0.0, 0.5), alpha=1.0), -1.0
+    return build_singular_solution(prob, [((0.0, 0.0, 0.5), 1.0)]), -1.0
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +88,7 @@ def ball05():
 def ball_solution(ball05):
     rho = 0.05
     alpha = 1.0 / rho - 4.0 * math.pi * (1.0 - 0.5**9)
-    return build_atom_solution(ball05, CENTER, alpha=alpha)
+    return build_singular_solution(ball05, [(CENTER, alpha)])
 
 
 def test_same_grid_residuals_are_roundoff(ball05, ball_solution):
@@ -269,7 +268,7 @@ def test_study_guards():
         refinement_study(base, 3, "residual")
 
     def center_atom(prob):
-        return build_atom_solution(prob, CENTER, alpha=1.0), -1.0
+        return build_singular_solution(prob, [(CENTER, 1.0)]), -1.0
 
     with pytest.raises(ConfigurationError):
         refinement_study(base, 2, "residual",
@@ -325,7 +324,7 @@ def test_weak_residual_matches_per_test_function_formula(kernel):
 @pytest.fixture(scope="module")
 def cylinder_solution():
     prob = cylinder_factory(0)
-    return prob, build_atom_solution(prob, (0.0, 0.0, 0.5), alpha=1.0)
+    return prob, build_singular_solution(prob, [((0.0, 0.0, 0.5), 1.0)])
 
 
 @settings(max_examples=20, deadline=None)
