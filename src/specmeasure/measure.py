@@ -131,9 +131,12 @@ class DiscreteMeasure:
         return float(sum(abs(w) for _, w in self.atoms)) / tv
 
 
-def _atom_arrays(atoms: tuple[Atom, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _atom_arrays(atoms: tuple[Atom, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atom points and weights as arrays; the points must be ``dim``-D."""
     if len({len(p) for p, _ in atoms}) > 1:
         raise UnsupportedMeasureError("atoms must all have the same dimension")
+    if len(atoms[0][0]) != dim:
+        raise UnsupportedMeasureError("atom dimension does not match the domain")
     pts = np.asarray([p for p, _ in atoms], dtype=float)
     wts = np.asarray([w for _, w in atoms], dtype=float)
     return pts, wts
@@ -191,8 +194,6 @@ def _gmres(apply, b: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def _check_support(problem: Problem, pts: np.ndarray) -> float:
-    if pts.shape[1] != problem.grid.nodes.shape[1]:
-        raise UnsupportedMeasureError("atom dimension does not match the domain")
     inside = contains(problem.domain, pts, tol=1e-12)
     if not bool(np.all(inside)):
         raise UnsupportedMeasureError("an atom lies outside the closed domain")
@@ -245,7 +246,7 @@ def _singular_solution(problem: Problem, atoms, tol_linear: float,
         atoms = tuple((tuple(float(v) for v in p), float(w)) for p, w in atoms)
     if not atoms:
         raise UnsupportedMeasureError("at least one atom is required")
-    pts, wts = _atom_arrays(atoms)
+    pts, wts = _atom_arrays(atoms, problem.grid.nodes.shape[1])
     if not (np.all(np.isfinite(wts)) and np.any(wts != 0)):
         raise ConfigurationError(
             "atom weights must be finite and not all zero, got "
@@ -370,11 +371,12 @@ def _points(problem: Problem, points) -> np.ndarray:
 
 def kernel_moment(problem: Problem, mu: DiscreteMeasure,
                   points: np.ndarray) -> np.ndarray:
-    """integral K(x, y) dmu(y) evaluated at each row of points."""
+    """integral K(x, y) dmu(y) evaluated at each row of points; atoms of
+    another dimension than the domain's raise UnsupportedMeasureError."""
     pts = _points(problem, points)
     cols, masses = [], []
     if mu.atoms:
-        apts, awts = _atom_arrays(mu.atoms)
+        apts, awts = _atom_arrays(mu.atoms, pts.shape[1])
         cols.append(apts)
         masses.append(awts)
     if mu.density_values is not None:
@@ -392,14 +394,15 @@ def density_at(problem: Problem, mu: DiscreteMeasure,
 
     A measure without atoms has no such eigenvalue, and a point on the
     argmax set of a has no finite value; both raise ConfigurationError, as
-    do points of another dimension than the domain's.
+    do points of another dimension than the domain's.  Atoms of another
+    dimension raise UnsupportedMeasureError, as in ``kernel_moment``.
     """
     if not mu.atoms:
         raise ConfigurationError(
             "a measure without atoms has no eigenvalue to extend its density at"
         )
     pts = _points(problem, points)
-    apts, _ = _atom_arrays(mu.atoms)
+    apts, _ = _atom_arrays(mu.atoms, pts.shape[1])
     a0 = float(np.max(problem.coeff.evaluate(apts)))
     denom = a0 - np.asarray(problem.coeff.evaluate(pts), dtype=float)
     if np.any(denom <= 0):

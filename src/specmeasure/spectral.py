@@ -23,8 +23,12 @@ Peters and Schneider 2012): one for the constant kernel, a few hundred for
 a Gaussian, whatever the grid size.  Its remainder E = K - L L^T is
 positive semidefinite, so |(E W u)_i| <= sqrt(E_ii) sum_j sqrt(E_jj) w_j |u_j|,
 an O(N) bound that widens every ratio interval below; it is zero for the
-constant kernel.  Other kernels, and a factor that would need more than
-8 sqrt(N) rows, keep the dense N x N array.
+constant kernel.  The factor is stored as row blocks of L^T, a first block
+of 64 rows and then blocks just below 4 MiB, so each pivot step and each
+matvec makes few BLAS calls.  The fine grid's factor stops at remainder
+1e-12 K(x, x); the coarse confirmation grid's, whose lambda1 only decides a
+regime, at 1e-4 tol_classify.  Other kernels, and a factor that would need
+more than 8 sqrt(N) rows, keep the dense N x N array.
 
 Every top eigenpair, of Kt and of the full operator, comes from one
 route, whatever the kernel: Arnoldi, then a certificate.  Restarted
@@ -90,16 +94,28 @@ _TOL_CLASSIFY = 1e-3
 # K(x, x): two decades below the default power and linear tolerances, so the
 # certificates it widens stay inside them
 _FACTOR_RTOL = 1e-12
+# the coarse confirmation grid only decides a regime at tol_classify, so its
+# factor stops at this share of tol_classify (or at _FACTOR_RTOL if higher):
+# its lambda1 interval stays two decades inside the decision tolerance
+_COARSE_FACTOR_SHARE = 1e-4
 # a kernel factor holds at most _FACTOR_CAP * sqrt(N) rows.  Building r
 # rows streams about r^2 N / 2 factor entries, against N^2 kernel values for
-# dense K W; on Gaussians at N = 864-6624 classify and solve take as long
-# on either backend at 7-10 sqrt(N) rows
+# dense K W; measured on Gaussians at N = 864-6624 with 64-row blocks,
+# classify and solve took as long on either backend at 7-10 sqrt(N) rows.
+# With taller blocks a continuous classify at N = 1920-3600 still gains
+# from a factor of up to 10.8 sqrt(N) rows, and a singular one loses at 12.6
 _FACTOR_CAP = 8
-# share of the way (in log) to _FACTOR_RTOL that a factor's remainder must
-# have covered at half the cap; see _factor
+# share of the way (in log) to the factor's tolerance that its remainder
+# must have covered at half the cap; see _factor
 _FACTOR_PACE = 0.4
-# rows of a kernel factor allocated at a time
+# rows in the first block of a kernel factor, so a rank-one factor stays small
 _FACTOR_BLOCK = 64
+# every later block holds as many rows as fit below this size (but at least
+# _FACTOR_BLOCK): each pivot step and each matvec makes one gemv per block,
+# and a taller block pays the fixed cost of a BLAS call fewer times.  numpy
+# asks for transparent huge pages from 4 MiB on, which would make a partly
+# written block resident, so a block stays below that
+_FACTOR_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -224,67 +240,69 @@ class KernelWeights:
         return f"factor rank={self.rank} remainder={bound:.3g}"
 
 
-def _kernel_operator(problem: Problem) -> KernelWeights:
+def _kernel_operator(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights:
     """K W on the problem grid, the one grid x grid kernel operator.
 
     A kernel that claims positive definiteness gets a pivoted-Cholesky
     factor (Harbrecht-Peters-Schneider 2012) of at most ``_FACTOR_CAP``
-    sqrt(N) rows; every other kernel, and one whose factor would need more
-    rows, gets the dense array.
+    sqrt(N) rows, stopped at remainder ``rtol`` K(x, x); every other kernel,
+    and one whose factor would need more rows, gets the dense array.
     """
     if problem.kernel.positive_definite:
-        op = _factor(problem)
+        op = _factor(problem, rtol)
         if op is not None:
             return op
     entries = _kernel_weights(problem)
     return KernelWeights(problem.grid.weights, np.diagonal(entries), dense=entries)
 
 
-def _factor(problem: Problem) -> KernelWeights | None:
+def _factor(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights | None:
     """Pivoted Cholesky K = L L^T + E, or None past the rank cap.
 
     Each step takes the node of largest remainder diagonal E_pp as pivot and
     evaluates one kernel row against the grid; it stops once every E_ii is
-    at most ``_FACTOR_RTOL`` K(x, x).  The remainder diagonal is updated as
+    at most ``rtol`` K(x, x).  The remainder diagonal is updated as
     E_ii - c_i (c_i / c_p), so a constant kernel leaves exactly zero after
-    one step.  Storage grows by ``_FACTOR_BLOCK`` rows, each block checked
-    against physical memory first.
+    one step.  Storage grows by one block of rows at a time, each checked
+    against physical memory first: ``_FACTOR_BLOCK`` rows, then blocks just
+    below ``_FACTOR_BLOCK_BYTES`` (145 rows at N = 3600).
 
     The largest remainder decays ever more slowly, so at half the cap it
     has covered about half its way (in log) to where it ends at the cap.
     On Gaussians measured at N = 224-6624, every factor that finished
     within the cap had covered at least 48% of its way to ``_FACTOR_RTOL``
     by half the cap, and every one that needed 1.5 times the cap at most
-    39%.  A factor still above ``_FACTOR_RTOL ** _FACTOR_PACE`` K(x, x) at
-    half the cap is given up there, having spent a quarter of the cap's
-    cost.
+    39%.  A factor still above ``rtol ** _FACTOR_PACE`` K(x, x) at half the
+    cap is given up there, having spent a quarter of the cap's cost.
     """
     nodes = problem.grid.nodes
     n = nodes.shape[0]
     evaluate = problem.kernel.evaluate
+    cols = np.asfortranarray(nodes)     # contiguous coordinate columns, once
     cap = min(n, int(_FACTOR_CAP * n ** 0.5))
+    height = max(_FACTOR_BLOCK, (_FACTOR_BLOCK_BYTES - 1) // (8 * n))
     phi0 = float(np.asarray(evaluate(nodes[:1], nodes[:1]), dtype=float)[0, 0])
     if not phi0 > 0:
         return None
     remainder = np.full(n, phi0)
     blocks: list[np.ndarray] = []
-    rank = 0
+    rank = k = 0                        # k: rows filled in blocks[-1]
     while True:
         p = int(np.argmax(remainder))
-        if remainder[p] <= _FACTOR_RTOL * phi0:
+        if rank and remainder[p] <= rtol * phi0:     # at least one row
             break
         if rank == cap or (rank == cap // 2
-                           and remainder[p] > _FACTOR_RTOL ** _FACTOR_PACE * phi0):
+                           and remainder[p] > rtol ** _FACTOR_PACE * phi0):
             log.info("kernel factor: remainder %.3g K(x, x) at rank %d of cap %d "
                      "on %d nodes; dense K W", remainder[p] / phi0, rank, cap, n)
             return None
-        k = rank % _FACTOR_BLOCK
-        if k == 0:
-            size = min(_FACTOR_BLOCK, cap - rank)
+        if not blocks or k == blocks[-1].shape[0]:
+            size = min(height if blocks else _FACTOR_BLOCK, cap - rank)
             _model._check_memory(8 * (rank + size) * n,
                                  f"a rank-{rank + size} kernel factor on {n} grid nodes")
             blocks.append(np.empty((size, n)))
-        c = np.asarray(evaluate(nodes[p:p + 1], nodes), dtype=float)[0]
+            k = 0
+        c = np.asarray(evaluate(nodes[p:p + 1], cols), dtype=float)[0]
         for rows in blocks[:-1] + [blocks[-1][:k]]:
             c = c - rows[:, p] @ rows
         pivot = c[p]
@@ -294,7 +312,8 @@ def _factor(problem: Problem) -> KernelWeights | None:
         remainder -= c * (c / pivot)
         blocks[-1][k] = c / np.sqrt(pivot)
         rank += 1
-    blocks[-1] = blocks[-1][:rank - (len(blocks) - 1) * _FACTOR_BLOCK]
+        k += 1
+    blocks[-1] = blocks[-1][:k]
     root = np.sqrt(np.maximum(remainder, 0.0))
     return KernelWeights(problem.grid.weights, phi0 * problem.grid.weights,
                          factor=tuple(blocks),
@@ -577,7 +596,8 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
     if confirm:
         coarse = _refined(problem, -1)
         gap_c = _gap(coarse, a0)
-        kw_c = _kernel_operator(coarse)
+        kw_c = _kernel_operator(coarse, max(_FACTOR_RTOL,
+                                            _COARSE_FACTOR_SHARE * tol_classify))
         pair_c = _ktilde_pair(kw_c, gap_c, tol_power)
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
         kernels.append(f"kernel-coarse {kw_c.describe()}")
@@ -588,7 +608,9 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
     if confirm:
-        runs.append(_fmt_run("ktilde-coarse", pair_c))
+        lo_c, hi_c = pair_c.interval
+        runs.append(f"{_fmt_run('ktilde-coarse', pair_c)} lambda1={coarse_lam1:.12g} "
+                    f"in [{lo_c:.12g}, {hi_c:.12g}] width {hi_c - lo_c:.3g}")
         regime_c = _regime(coarse_lam1, tol_classify)
         if regime_c != regime:
             raise ClassificationUnstableError(

@@ -136,7 +136,7 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
     """The residual reports of ``kinds`` ("pointwise", "weak", in that
     order) on ``grid``, all from one kernel moment of mu."""
     if mu.atoms:
-        apts, awts = _atom_arrays(mu.atoms)
+        apts, awts = _atom_arrays(mu.atoms, problem.grid.nodes.shape[1])
         a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
         off = np.max(np.abs(a_atoms + lam))
         if "pointwise" in kinds and off > _TOL_ATOM * max(1.0, abs(lam)):

@@ -284,6 +284,18 @@ def test_points_of_another_dimension_are_rejected(kernel):
                 fn(prob, mu, bad)
 
 
+@pytest.mark.parametrize("kernel", [constant_kernel(0.05), gaussian_kernel(0.05, 1.0)],
+                         ids=["constant", "gaussian"])
+def test_atoms_of_another_dimension_are_rejected(kernel):
+    # the constant kernel's rho * sum(x) never reads the atom coordinates
+    base = ball_problem(0.05, resolution=4, depth=5)
+    prob = Problem(base.domain, kernel, base.coeff, base.grid)
+    flat = DiscreteMeasure(atoms=(((0.0, 0.0), 1.0),))
+    for fn in (kernel_moment, density_at):
+        with pytest.raises(UnsupportedMeasureError, match="atom dimension"):
+            fn(prob, flat, prob.grid.nodes)
+
+
 def test_prescribed_part_must_be_atomic(ball05):
     mu = build_singular_solution(ball05, [(CENTER, 1.0)])
     with pytest.raises(UnsupportedMeasureError):

@@ -608,8 +608,72 @@ def test_continuous_classify_holds_one_kernel_array():
     finally:
         tracemalloc.stop()
     assert rep.regime == "continuous"
-    # the Gaussian factor has about 340 rows, stored in 64-row blocks
+    # the Gaussian factor has about 340 rows, stored in a 64-row block and
+    # then blocks just below 4 MiB (145 rows here)
     assert peak <= 0.2 * 8 * n * n
+
+
+def test_coarse_factor_only_as_accurate_as_its_regime_check(caplog):
+    # the coarse grid only confirms the regime at tol_classify, so its factor
+    # stops at a larger remainder than the fine one; the log line gives the
+    # coarse lambda1 interval, which stays well inside the decision tolerance
+    prob = gaussian_ball(10, 12)
+    tol = spectral._TOL_CLASSIFY
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, tol_classify=tol, confirm=True)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    lo, hi, width = re.search(r"ktilde-coarse [^;]* lambda1=\S+ "
+                              r"in \[(\S+), (\S+)\] width (\S+);", line).groups()
+    assert float(lo) <= rep.coarse_lambda1 <= float(hi)
+    assert float(width) <= tol / 100
+    coarse = model._refined(prob, -1)
+    full = spectral._kernel_operator(coarse)
+    rank_c = int(re.search(r"kernel-coarse factor rank=(\d+)", line).group(1))
+    assert rank_c < full.rank
+    # a coarse factor built to _FACTOR_RTOL confirms the same regime
+    lam_c = spectral._ktilde_pair(full, spectral._gap(coarse, rep.sup_a)).value
+    assert rep.regime == "continuous" == spectral._regime(lam_c, tol)
+    assert abs(rep.coarse_lambda1 - lam_c) <= 1e-8
+
+
+def test_coarse_factor_keeps_one_row_at_a_huge_tolerance(caplog):
+    # tol_classify = 1e5 puts the coarse factor's stopping remainder above
+    # K(x, x) itself; the factor still takes its first row
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(gaussian_ball(4, 5), tol_classify=1e5)
+    assert rep.regime == "l1"
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert "kernel-coarse factor rank=1 " in line
+
+
+def test_factor_passes_the_nodes_once_in_fortran_order():
+    # every factor row is evaluated against one Fortran-order copy of the
+    # nodes, so the Gaussian's np.asfortranarray copies nothing; the factor
+    # has the same bits as when each row gets C-order nodes
+    seen = []
+
+    def recording(evaluate):
+        def ev(x, y):
+            seen.append(y)
+            return evaluate(x, y)
+        return ev
+
+    def c_order(evaluate):
+        return lambda x, y: evaluate(x, np.ascontiguousarray(y))
+
+    prob = gaussian_ball(5, 6, recording)
+    seen.clear()                    # drop the validation samples
+    kw = spectral._factor(prob)
+    rows = [y for y in seen if y.shape[0] == prob.grid.size]
+    assert len(rows) == kw.rank > spectral._FACTOR_BLOCK
+    assert all(y is rows[0] for y in rows)
+    assert np.asfortranarray(rows[0]) is rows[0]
+    kw_c = spectral._factor(gaussian_ball(5, 6, c_order))
+    assert [b.shape for b in kw.factor] == [b.shape for b in kw_c.factor]
+    assert all(np.array_equal(a, b) for a, b in zip(kw.factor, kw_c.factor))
+    assert np.array_equal(kw.root_remainder, kw_c.root_remainder)
 
 
 # -- the factored K W against the dense oracle ----------------------------
@@ -739,6 +803,30 @@ def test_non_symmetric_kernel_intervals_contain_dense_eigvals(amplitude, width, 
     assert est.interval == rep.lambda_p_interval
     # tens of Arnoldi matvecs, where power iteration takes about 1,100 steps
     assert est.iterations <= 100
+
+
+def test_factor_blocks_of_unequal_height_match_dense_oracle(monkeypatch):
+    # later blocks of 70 rows: the rank-144 factor spans 64 + 70 + 10 rows
+    prob = gaussian_ball(5, 6)
+    n = prob.grid.size
+    monkeypatch.setattr(spectral, "_FACTOR_BLOCK_BYTES", 8 * 70 * n + 1)
+    kw = spectral._kernel_operator(prob)
+    heights = [rows.shape[0] for rows in kw.factor]
+    assert len(heights) >= 3 and heights[:2] == [64, 70]
+    assert len(set(heights)) == len(heights)
+    dense = spectral._kernel_operator(dense_twin(prob))
+    assert dense.dense is not None
+    rng = np.random.default_rng(7)
+    for v in (np.ones(n), rng.uniform(0.1, 1.0, n), rng.standard_normal(n)):
+        exact = dense @ v
+        err = np.abs(kw @ v - exact)
+        assert np.all(err <= kw.slack(v) + ROUND * np.max(np.abs(exact)))
+    # the slack's remainder diagonal is that of K - L L^T
+    nodes = prob.grid.nodes
+    lt = np.vstack(kw.factor)
+    phi0 = prob.kernel.evaluate(nodes[:1], nodes[:1])[0, 0]
+    remainder = np.diagonal(prob.kernel.evaluate(nodes, nodes) - lt.T @ lt)
+    assert np.max(np.abs(kw.root_remainder ** 2 - remainder)) <= ROUND * phi0
 
 
 def test_factor_storage_checked_as_it_grows(monkeypatch):

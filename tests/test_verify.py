@@ -283,7 +283,7 @@ def weak_residual_per_test_function(problem, mu, lam, grid):
     f = _density_on(problem, mu, grid)
     a_eval = problem.coeff.evaluate(grid.nodes)
     tv = mu.total_variation()
-    apts, awts = _atom_arrays(mu.atoms)
+    apts, awts = _atom_arrays(mu.atoms, grid.nodes.shape[1])
     a_atoms = problem.coeff.evaluate(apts)
     katoms = problem.kernel.evaluate(grid.nodes, apts)
     kblock = problem.kernel.evaluate(grid.nodes, grid.nodes)
