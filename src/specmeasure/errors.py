@@ -38,8 +38,8 @@ class H3Violation(SpecmeasureError):
 
 class TooLargeError(SpecmeasureError):
     """An allocation would not fit in physical memory: a dense kernel
-    operator, a kernel factor, the argmax-set adjacency or the atoms of a
-    Cantor approximant."""
+    operator, a kernel factor, a chunk of argmax-set distances or the atoms
+    of a Cantor approximant."""
 
     code = "too-large"
 

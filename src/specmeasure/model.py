@@ -7,8 +7,13 @@ assume they hold.
 
 The argmax set of a is detected from grid values: near-maximal nodes are
 clustered into the components of the graph linking nodes at most two mesh
-widths apart, and each cluster is refined to a maximizer, in closed form for ``radial_power`` and by
-Nelder-Mead otherwise, the one use of scipy in the package.
+widths apart, binned into cells so the clustering is linear in the nodes.
+Each cluster is refined to a maximizer, in closed form for ``radial_power``
+and ``coordinate_linear`` and by Nelder-Mead otherwise (the one use of scipy
+in the package), and marched along its principal axis to tell a point from
+a segment; the march stops as soon as it proves a point.  A refinement
+ladder detects once: its finer grids reuse the set when their own clusters
+match it.
 """
 
 from __future__ import annotations
@@ -28,9 +33,14 @@ from .errors import (
     TooLargeError,
 )
 from .geometry import (
+    Ball,
+    Box,
+    Cylinder,
     Domain,
     GradeSpec,
     Grid,
+    Interval,
+    Product,
     Segment,
     build_grid,
     contains,
@@ -245,14 +255,47 @@ class ArgmaxSet:
         return tuple(c.representative for c in self.components)
 
 
+def _linear_maximizer(domain: Domain, c: np.ndarray,
+                      start: np.ndarray) -> np.ndarray:
+    """A maximizer of x -> c . x over the closed domain: a face or corner of
+    a box, center + r c / |c| on a ball, the same per factor of a cylinder or
+    product.  Directions that c leaves free keep ``start``, projected."""
+    if isinstance(domain, Product):
+        k = domain.first.dim
+        return np.concatenate([_linear_maximizer(domain.first, c[:k], start[:k]),
+                               _linear_maximizer(domain.second, c[k:], start[k:])])
+    best = project_to_closure(domain, start[None, :])[0]
+    match domain:
+        case Interval(lo=lo, hi=hi) | Box(lo=lo, hi=hi):
+            best = np.where(c > 0, hi, np.where(c < 0, lo, best))
+        case Ball(center=center, radius=r):
+            norm = float(np.linalg.norm(c))
+            if norm > 0:
+                best = np.asarray(center, dtype=float) + r * (c / norm)
+        case Cylinder(radius=r, height=h):
+            norm = float(np.linalg.norm(c[:2]))
+            if norm > 0:
+                best[:2] = r * (c[:2] / norm)
+            if c[2] != 0:
+                best[2] = h if c[2] > 0 else 0.0
+    return best
+
+
 def _refine_point(coeff: CoefficientField, domain: Domain,
                   start: np.ndarray) -> tuple[np.ndarray, float]:
     """Local maximization of a from ``start``, constrained to the closure.
 
-    A radial_power coefficient attains its sup ``top`` where the selected
-    coordinates equal ``center``: that point, taken from ``start``, is used
-    when the closed domain contains it.  Otherwise Nelder-Mead runs.
+    Closed forms serve the built-in families: a radial_power coefficient
+    attains its sup ``top`` where the selected coordinates equal ``center``
+    (used when the closed domain contains that point), and a
+    coordinate_linear one on the face, corner or boundary point of
+    ``_linear_maximizer``.  Otherwise Nelder-Mead runs, the one use of scipy
+    in the package.
     """
+    if coeff.family == "coordinate_linear":
+        best = _linear_maximizer(domain, np.asarray(coeff.params["coeffs"], dtype=float),
+                                 np.asarray(start, dtype=float))
+        return best, float(coeff.evaluate(best[None, :])[0])
     if coeff.family == "radial_power":
         center = coeff.params["center"]
         axes = coeff.params["axes"]
@@ -274,67 +317,241 @@ def _refine_point(coeff: CoefficientField, domain: Domain,
     return best, float(coeff.evaluate(best[None, :])[0])
 
 
+# a march doubles its first step at most this often: 2^20 is the first power
+# of two past the 1e6 steps at which an extension is refused
+_MARCH_DOUBLINGS = 20
+# bisection steps per end of a march, and the steps one coefficient call
+# evaluates: all 2^10 - 1 midpoints of ten levels of the bisection tree
+_MARCH_STEPS = 80
+_TREE_LEVELS = 10
+
+
+def _bisection_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every bracket end of ``_TREE_LEVELS`` bisection steps of the brackets
+    [lo[i], hi[i]], along every path: row i cuts [lo[i], hi[i]] into
+    2^L brackets, the midpoints of step l at the odd multiples of
+    2^(L - l - 1).  Each midpoint is 0.5 * (lo + hi) of the bracket it
+    halves, as a bisection step computes it."""
+    n = 2 ** _TREE_LEVELS
+    pts = np.empty((lo.size, n + 1))
+    pts[:, 0], pts[:, n] = lo, hi
+    step = n
+    while step > 1:
+        half = step // 2
+        np.multiply(0.5, pts[:, :-1:step] + pts[:, step::step], out=pts[:, half::step])
+        step = half
+    return pts
+
+
+def _walk(points: np.ndarray, inside: np.ndarray) -> tuple[int, list[float]]:
+    """One bracket's ``_TREE_LEVELS`` bisection steps through its row of
+    ``_bisection_points``, given which of ``points[1:-1]`` lie in the set:
+    where the final bracket starts, and the upper end after each step."""
+    at, his = 0, []
+    half = 2 ** _TREE_LEVELS
+    while half > 1:
+        half //= 2
+        if inside[at + half - 1]:
+            at += half
+        his.append(points[at + half])
+    return at, his
+
+
 def _extend_along(coeff: CoefficientField, domain: Domain, origin: np.ndarray,
                   direction: np.ndarray, sup_value: float, tol: float,
-                  scale: float) -> np.ndarray:
-    """March from origin along direction while staying in the argmax set."""
+                  scale: float, point_len: float
+                  ) -> tuple[np.ndarray | None, float]:
+    """March from ``origin`` along -direction and +direction while staying
+    in the argmax set: in the closed domain, a at most ``tol`` below
+    ``sup_value``.
 
-    def good(t: float) -> bool:
-        p = origin + t * direction
-        if not bool(contains(domain, p[None, :], tol=1e-12 * (1 + scale))[0]):
-            return False
-        return float(coeff.evaluate(p[None, :])[0]) >= sup_value - tol
+    Each side doubles its step from ``scale`` until it leaves the set, then
+    bisects that bracket ``_MARCH_STEPS`` times.  The two sides share every
+    coefficient call: one for the doubling, then one per ``_TREE_LEVELS``
+    bisection steps, at every point those steps could visit
+    (``_bisection_points``), so the ends are those of step-by-step
+    bisection, bit for bit, in 9 calls instead of about 85 per side.
 
-    if not good(0.0):
-        return origin
-    t_lo, t_hi = 0.0, scale
-    while good(t_hi):
-        t_lo, t_hi = t_hi, 2.0 * t_hi
-        if t_hi > 1e6 * scale:
-            raise ConfigurationError("argmax segment extension does not terminate")
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if good(mid):
-            t_lo = mid
-        else:
-            t_hi = mid
-    return origin + t_lo * direction
+    Returns the ends (the -direction end first) and their distance.  Once
+    the two brackets' upper ends sum to less than ``point_len`` the
+    extension is proved shorter than that: the march stops and returns
+    None with that sum.
+    """
+    sides = np.stack([-direction, direction])
+
+    def inside(t: np.ndarray) -> np.ndarray:
+        """Whether origin + t[i, j] * sides[i] lies in the argmax set."""
+        pts = (origin + t[:, :, None] * sides[:, None, :]).reshape(-1, origin.size)
+        ok = contains(domain, pts, tol=1e-12 * (1 + scale))
+        if ok.any():
+            ok[ok] = np.asarray(coeff.evaluate(pts[ok]), dtype=float) >= sup_value - tol
+        return ok.reshape(t.shape)
+
+    steps = scale * 2.0 ** np.arange(_MARCH_DOUBLINGS)
+    ok = inside(np.tile(np.concatenate(([0.0], steps)), (2, 1)))
+    live = ok[:, 0]             # a side whose origin is outside stays there
+    out = ~ok[:, 1:]
+    if np.any(live & ~out.any(axis=1)):
+        raise ConfigurationError("argmax segment extension does not terminate")
+    k = out.argmax(axis=1)
+    hi = np.where(live, steps[k], 0.0)
+    lo = np.where(live & (k > 0), steps[k - 1], 0.0)
+    if hi[0] + hi[1] < point_len:
+        return None, float(hi[0] + hi[1])
+    for _ in range(_MARCH_STEPS // _TREE_LEVELS):
+        points = _bisection_points(lo, hi)
+        ok = inside(points[:, 1:-1])
+        (at_a, his_a), (at_b, his_b) = map(_walk, points, ok)
+        for hi_a, hi_b in zip(his_a, his_b):
+            if hi_a + hi_b < point_len:
+                return None, float(hi_a + hi_b)
+        lo = np.array([points[0, at_a], points[1, at_b]])
+        hi = np.array([points[0, at_a + 1], points[1, at_b + 1]])
+    ends = np.where(live[:, None], origin + lo[:, None] * sides, origin)
+    return ends, float(np.linalg.norm(ends[1] - ends[0]))
+
+
+# point pairs whose distances one chunk of the clustering computes, and the
+# bytes each pair takes there: indices, coordinates and the distance
+_PAIR_CHUNK = 1 << 15
+_PAIR_BYTES = 160
+
+
+def _sum_squares(diff: np.ndarray) -> np.ndarray:
+    """Squared row norms, summed coordinate by coordinate as
+    ``_sq_distances`` sums them."""
+    out = np.square(diff[:, 0])
+    for k in range(1, diff.shape[1]):
+        out += np.square(diff[:, k])
+    return out
+
+
+def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, int, np.ndarray]:
+    """Each point's cell as one int64 key, the reach, and the key strides.
+
+    Cells have side radius / sqrt(d), so two points at most ``radius``
+    apart lie at most ``reach`` = floor(sqrt(d)) + 1 cells apart along every
+    axis, rounding included.  Along each axis, gaps wider than the reach
+    between occupied cells close to reach + 1, which keeps every neighbour
+    relation and bounds each coordinate by (reach + 1) times the point
+    count.  When the keys still do not fit in int64, or the cell
+    coordinates grow too large to round to the right cell, the side
+    doubles.
+    """
+    d = pts.shape[1]
+    side = radius / math.sqrt(d)
+    while True:
+        reach = math.floor(radius / side) + 1
+        coords = np.floor((pts - pts.min(axis=0)) / side)
+        packed = np.empty(coords.shape, dtype=np.int64)
+        for k in range(d):
+            order = np.argsort(coords[:, k], kind="stable")
+            steps = np.minimum(np.diff(coords[order, k]), reach + 1)
+            packed[order, k] = np.concatenate(([0.0], np.cumsum(steps)))
+        spans = [int(s) + 2 * reach + 1 for s in packed.max(axis=0)]
+        if float(coords.max()) <= 2.0 ** 40 and math.prod(spans) < 2 ** 62:
+            break
+        side *= 2.0
+    strides = np.array([math.prod(spans[k + 1:]) for k in range(d)], dtype=np.int64)
+    return (packed + reach) @ strides, reach, strides
+
+
+def _link(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Join the components of u[k] and v[k] in place.  Each label is the
+    smallest point of its component found so far: each round hooks every
+    root onto the smallest root it is linked to, then follows labels
+    until every point holds its root again."""
+    while u.size:
+        ru, rv = labels[u], labels[v]
+        apart = ru != rv
+        if not apart.any():
+            return
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(labels, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels[:] = up
 
 
 def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarray]:
     """Connected components of the graph linking points at most ``radius``
-    apart, numbered in the order of their first point.
+    apart (squared distance, summed coordinate by coordinate, at most
+    radius^2), numbered in the order of their first point.
 
-    The graph is a dense m x m adjacency: the near-maximal nodes number tens
-    to hundreds (72-288 on the example, bench and coordinate_linear configs).
-    Each label takes the smallest label among its neighbours, then jumps to
-    that label's own label, until each component holds its first index.
-    The distances take two m x m float arrays, the labelling a boolean and
-    an integer one: at most 17 m^2 bytes, checked against physical memory
-    first.
+    The points are binned into cells of side radius / sqrt(d) (``_cell_keys``).
+    A cell, or a pair of cells at most the reach apart, whose points'
+    bounding box has a diagonal of at most ``radius`` is linked whole, at
+    no cost; a pair whose boxes lie farther apart cannot link.  Only the
+    remaining pairs get point distances, in chunks of ``_PAIR_CHUNK``
+    pairs, checked against physical memory first.  Rounding is monotone,
+    so the box tests decide exactly as the distances would: the time and
+    memory are linear in the points unless many of them crowd the
+    boundary between two cells.
     """
-    m = pts.shape[0]
-    _check_memory(17 * m * m, f"the adjacency of {m} near-maximal grid nodes")
-    near = _sq_distances(pts, pts, np.empty((m, m))) <= radius * radius
-    labels = np.arange(m)
-    while True:
-        new = np.where(near, labels, m).min(axis=1)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    roots, labels = np.unique(labels, return_inverse=True)
-    return roots.size, labels
+    m, d = pts.shape
+    r2 = radius * radius
+    keys, reach, strides = _cell_keys(pts, radius)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    cells = sorted_keys[first]
+    count = np.diff(np.append(first, m))
+    sorted_pts = pts[order]
+    lo = np.minimum.reduceat(sorted_pts, first, axis=0)
+    hi = np.maximum.reduceat(sorted_pts, first, axis=0)
+    whole = _sum_squares(hi - lo) <= r2
+    # every point of a whole cell starts at the cell's first (smallest) point
+    rep = order[first]
+    cell_of = np.repeat(np.arange(cells.size), count)
+    labels = np.empty(m, dtype=np.int64)
+    labels[order] = np.where(whole[cell_of], rep[cell_of], order)
+
+    offsets = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
+    deltas = offsets[offsets.shape[0] // 2 + 1:] @ strides   # one of +-o
+    rows = max(1, _PAIR_CHUNK // deltas.size)
+    near_a, near_b = [np.flatnonzero(~whole)], [np.flatnonzero(~whole)]
+    for start in range(0, cells.size, rows):
+        wanted = cells[start:start + rows, None] + deltas
+        pos = np.minimum(np.searchsorted(cells, wanted), cells.size - 1)
+        hit = cells[pos] == wanted
+        a, b = np.nonzero(hit)[0] + start, pos[hit]
+        joined = _sum_squares(np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])) <= r2
+        _link(labels, rep[a[joined]], rep[b[joined]])
+        gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+        near = ~joined & (_sum_squares(gap) <= r2)
+        near_a.append(a[near])
+        near_b.append(b[near])
+
+    a, b = np.concatenate(near_a), np.concatenate(near_b)
+    size = count[a] * count[b]
+    ends = np.cumsum(size)
+    total = int(ends[-1]) if ends.size else 0
+    if total:
+        _check_memory(_PAIR_BYTES * min(total, _PAIR_CHUNK),
+                      f"a chunk of the distances among {m} near-maximal grid nodes")
+    for start in range(0, total, _PAIR_CHUNK):
+        flat = np.arange(start, min(start + _PAIR_CHUNK, total))
+        q = np.searchsorted(ends, flat, side="right")
+        flat -= ends[q] - size[q]           # the pair's place in its block
+        cols = count[b[q]]
+        i = first[a[q]] + flat // cols
+        j = first[b[q]] + flat % cols
+        del flat, q, cols
+        near = _sum_squares(sorted_pts[i] - sorted_pts[j]) <= r2
+        _link(labels, order[i[near]], order[j[near]])
+
+    roots = labels == np.arange(m)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[labels]
 
 
-def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
-    """Locate the argmax set of the coefficient from its grid values.
-
-    Nodes within ``_TOL_MAXSET`` of the range of a below the grid maximum
-    are clustered by proximity; each cluster is classified by its extent as
-    a point, a line segment, or a general cluster, and refined by local
-    optimization.
-    """
+def _near_max_clusters(coeff: CoefficientField, grid: Grid
+                       ) -> tuple[float, float, list[np.ndarray]]:
+    """The grid maximum and range of a, and the near-maximal nodes (within
+    ``_TOL_MAXSET`` of the range below the maximum) clustered by proximity:
+    each cluster's nodes in grid order, clusters in the order of their
+    first node."""
     a_vals = np.asarray(coeff.evaluate(grid.nodes), dtype=float)
     a_max = float(np.max(a_vals))
     a_rng = a_max - float(np.min(a_vals))
@@ -343,49 +560,139 @@ def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
             "coefficient is constant on the grid; its argmax set is the whole domain"
         )
     tau = max(_TOL_MAXSET * a_rng, 4.0 * np.finfo(float).eps * max(1.0, abs(a_max)))
-    mask = a_vals >= a_max - tau
-    pts = grid.nodes[mask]
-
+    pts = grid.nodes[a_vals >= a_max - tau]
     count, labels = _proximity_components(pts, 2.0 * grid.mesh_size)
+    sizes = np.bincount(labels, minlength=count)
+    clusters = np.split(pts[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
+    return a_max, a_rng, clusters
 
-    scale = grid.mesh_size
-    dscale = float(np.linalg.norm(np.ptp(grid.nodes, axis=0)))
+
+def _principal_axis(cluster: np.ndarray, centroid: np.ndarray
+                    ) -> tuple[np.ndarray, float, float]:
+    """The cluster's principal direction, its extent along it, and the
+    largest distance of a node from the line through the centroid."""
+    centered = cluster - centroid
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    direction = vt[0]
+    t = centered @ direction
+    extent = float(t.max() - t.min())
+    resid = float(np.max(np.linalg.norm(centered - np.outer(t, direction), axis=1)))
+    return direction, extent, resid
+
+
+# a cluster is a point when the argmax set extends along its principal axis
+# less than this share of the grid's diameter
+_POINT_SHARE = 0.02
+
+
+def _kind(extension: float, extent: float, resid: float, dscale: float) -> str:
+    """A multi-node cluster's kind.  A point argmax can mask a whole shell of
+    nodes; what makes a segment is that the level set itself extends along
+    the fitted line."""
+    if extension < _POINT_SHARE * dscale:
+        return "point"
+    if resid <= 0.25 * max(extent, extension):
+        return "segment"
+    return "cluster"
+
+
+def _diameter(grid: Grid) -> float:
+    return float(np.linalg.norm(np.ptp(grid.nodes, axis=0)))
+
+
+def detect_argmax_set(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
+    """Locate the argmax set of the coefficient from its grid values.
+
+    Nodes within ``_TOL_MAXSET`` of the range of a below the grid maximum
+    are clustered by proximity; each cluster is refined to a maximizer and
+    marched along its principal axis (``_extend_along``), then classified
+    as a point, a line segment, or a general cluster.  A march stops as
+    soon as it proves the cluster a point.
+    """
+    a_max, a_rng, clusters = _near_max_clusters(coeff, grid)
+    dscale = _diameter(grid)
     components = []
     sup_value = a_max
-    for k in range(count):
-        cluster = pts[labels == k]
+    for cluster in clusters:
         centroid = cluster.mean(axis=0)
         ref_pt, ref_val = _refine_point(coeff, grid.domain, centroid)
         sup_value = max(sup_value, ref_val)
         if cluster.shape[0] == 1:
             components.append(ArgmaxComponent("point", tuple(ref_pt), 1))
             continue
-        centered = cluster - centroid
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        direction = vt[0]
-        t = centered @ direction
-        extent = float(t.max() - t.min())
-        resid = float(np.max(np.linalg.norm(centered - np.outer(t, direction), axis=1)))
-        # a point argmax can mask a whole shell of nodes; what distinguishes a
-        # segment is that the level set itself extends along the fitted line
+        direction, extent, resid = _principal_axis(cluster, centroid)
         tol_ref = max(_TOL_MAXSET * a_rng,
                       8.0 * np.finfo(float).eps * max(1.0, abs(ref_val)))
-        end_a = _extend_along(coeff, grid.domain, ref_pt, -direction,
-                              ref_val, tol_ref, scale)
-        end_b = _extend_along(coeff, grid.domain, ref_pt, direction,
-                              ref_val, tol_ref, scale)
-        ext_len = float(np.linalg.norm(end_b - end_a))
-        if ext_len < 0.02 * dscale:
-            components.append(ArgmaxComponent("point", tuple(ref_pt), cluster.shape[0]))
-        elif resid <= 0.25 * max(extent, ext_len):
-            components.append(
-                ArgmaxComponent("segment", Segment(tuple(end_a), tuple(end_b)),
-                                cluster.shape[0])
-            )
-        else:
-            components.append(ArgmaxComponent("cluster", tuple(ref_pt), cluster.shape[0]))
+        ends, extension = _extend_along(coeff, grid.domain, ref_pt, direction,
+                                        ref_val, tol_ref, grid.mesh_size,
+                                        _POINT_SHARE * dscale)
+        kind = _kind(extension, extent, resid, dscale)
+        rep = (Segment(tuple(ends[0]), tuple(ends[1])) if kind == "segment"
+               else tuple(ref_pt))
+        components.append(ArgmaxComponent(kind, rep, cluster.shape[0]))
     components.sort(key=lambda c: -c.node_count)
     return ArgmaxSet(sup_value, tuple(components))
+
+
+def _same_kind(comp: ArgmaxComponent, cluster: np.ndarray, radius: float,
+               dscale: float) -> bool:
+    """Whether detection would give ``cluster`` the kind of ``comp``, judged
+    without a march: a point's cluster is one node or narrower than the
+    point test; a segment's lies within ``radius`` of it and passes the
+    segment test with the segment's length for the extension.  A general
+    cluster is never judged."""
+    if comp.kind == "point":
+        return (cluster.shape[0] == 1
+                or _principal_axis(cluster, cluster.mean(axis=0))[1] < _POINT_SHARE * dscale)
+    if comp.kind != "segment" or cluster.shape[0] == 1:
+        return False
+    seg = comp.representative
+    if np.max(distance_to_target(cluster, seg)) > radius:
+        return False
+    _, extent, resid = _principal_axis(cluster, cluster.mean(axis=0))
+    return _kind(math.dist(seg.start, seg.end), extent, resid, dscale) == "segment"
+
+
+def _reuse(root: ArgmaxSet, coeff: CoefficientField, grid: Grid) -> ArgmaxSet | None:
+    """``root``'s components with this grid's node counts, or None.
+
+    The grid's near-maximal clusters must match the components one to one:
+    each lies within the link radius of its nearest component's
+    representative, no two share one, and each has that component's kind
+    (``_same_kind``).  The sup is the larger of the root's and this grid's
+    maximum.
+    """
+    a_max, _, clusters = _near_max_clusters(coeff, grid)
+    if len(clusters) != len(root.components):
+        return None
+    radius, dscale = 2.0 * grid.mesh_size, _diameter(grid)
+    components, taken = [], set()
+    for cluster in clusters:
+        dist = [float(np.min(distance_to_target(cluster, t))) for t in root.targets]
+        k = int(np.argmin(dist))
+        comp = root.components[k]
+        if k in taken or dist[k] > radius or not _same_kind(comp, cluster, radius, dscale):
+            return None
+        taken.add(k)
+        components.append(ArgmaxComponent(comp.kind, comp.representative,
+                                          cluster.shape[0]))
+    components.sort(key=lambda c: -c.node_count)
+    return ArgmaxSet(max(root.sup_value, a_max), tuple(components))
+
+
+def _argmax_set(problem: Problem) -> ArgmaxSet:
+    """The argmax set of a on the problem's grid, detected once per
+    refinement ladder: a problem from ``_refined`` takes its ladder root's
+    set when the two match (``_reuse``), and is detected in full otherwise,
+    as is a problem with no root."""
+    if problem._argmax is None:
+        root = problem._root
+        amax = None if root is None else _reuse(_argmax_set(root), problem.coeff,
+                                                  problem.grid)
+        if amax is None:
+            amax = detect_argmax_set(problem.coeff, problem.grid)
+        object.__setattr__(problem, "_argmax", amax)
+    return problem._argmax
 
 
 def argmax_point(amax: ArgmaxSet, domain: Domain,
@@ -540,6 +847,10 @@ class Problem:
             raise H3Violation("coefficient takes non-finite values on the grid")
         a_vals.setflags(write=False)
         object.__setattr__(self, "_a_at_nodes", a_vals)
+        # the argmax set, detected on first use (_argmax_set), and the
+        # problem whose ladder this one's grid belongs to (_refined)
+        object.__setattr__(self, "_argmax", None)
+        object.__setattr__(self, "_root", None)
         self._check_kernel()
 
     def _check_kernel(self):
@@ -562,18 +873,26 @@ class Problem:
                 raise H2Violation("kernel is marked positive definite but "
                                   "K(x, x) is not constant")
 
-        def within(radius: float) -> np.ndarray:
-            """The sampled kernel values at pairs at most ``radius`` apart;
-            an infinite radius takes them all without a distance slab."""
+        def any_within(radius: float, bad: Callable[[np.ndarray], np.ndarray]) -> bool:
+            """Whether ``bad`` holds for a sampled kernel value at a pair at
+            most ``radius`` apart.  The distances come in ``_CHUNK``-row
+            slabs; an infinite radius takes every pair without them."""
             if radius == math.inf:
-                return block
-            d = np.sqrt(_sq_distances(nodes[sample], nodes, np.empty_like(block)))
-            return block[d <= radius]
+                return bool(np.any(bad(block)))
+            rows, cols = nodes[sample], np.asfortranarray(nodes)
+            slab = np.empty((_CHUNK, n))
+            for start in range(0, sample.size, _CHUNK):
+                d = _sq_distances(rows[start:start + _CHUNK], cols,
+                                  slab[:min(_CHUNK, sample.size - start)])
+                np.sqrt(d, out=d)
+                if np.any(bad(block[start:start + _CHUNK]) & (d <= radius)):
+                    return True
+            return False
 
         witness = self.kernel.positivity_witness
         if witness is not None:
             c0, eps0 = witness
-            if np.any(within(eps0) < c0 * (1 - 1e-9)):
+            if any_within(eps0, lambda k: k < c0 * (1 - 1e-9)):
                 raise H2Violation(
                     f"kernel drops below its claimed bound {c0} within radius {eps0}"
                 )
@@ -583,7 +902,7 @@ class Problem:
                     self.grid.mesh_size, eps0,
                 )
         else:
-            if np.any(within(2.0 * self.grid.mesh_size) <= 0):
+            if any_within(2.0 * self.grid.mesh_size, lambda k: k <= 0):
                 raise H2Violation("kernel vanishes near the diagonal")
 
     @property
@@ -605,7 +924,9 @@ def _refined(problem: Problem, step: int) -> Problem:
     """The problem on the grid ``step`` levels finer (coarser when negative):
     a level adds one to the resolution and to the grading depth, at least 2
     and 1; targets and ratio stay, and an ungraded grid stays ungraded.  A
-    coarser level that gives back the problem's own grid is refused."""
+    coarser level that gives back the problem's own grid is refused.  The
+    refined problem belongs to the ladder of ``problem``'s root, whose
+    argmax set it reuses when it matches (``_argmax_set``)."""
     if step == 0:
         return problem
     g = problem.grid
@@ -618,5 +939,8 @@ def _refined(problem: Problem, step: int) -> Problem:
             f"the grid at resolution {resolution}{depth} has no coarser grid "
             "to confirm its regime on; refine it or set options.confirm to false"
         )
-    return Problem(problem.domain, problem.kernel, problem.coeff,
-                   build_grid(problem.domain, resolution, spec))
+    refined = Problem(problem.domain, problem.kernel, problem.coeff,
+                      build_grid(problem.domain, resolution, spec))
+    object.__setattr__(refined, "_root",
+                       problem if problem._root is None else problem._root)
+    return refined

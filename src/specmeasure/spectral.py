@@ -68,7 +68,7 @@ from .errors import (
     IterationLimitError,
     SingularNodeError,
 )
-from .model import ArgmaxSet, Kernel, Problem, _refined, argmax_point, detect_argmax_set
+from .model import ArgmaxSet, Kernel, Problem, _argmax_set, _refined, argmax_point
 
 log = logging.getLogger(__name__)
 
@@ -578,7 +578,9 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
     bracket is claimed (``lambda_p_interval`` is None).
 
     The argmax set of a is detected on the grid and reported as ``argmax``;
-    x0 is its ``argmax_point`` and a0 its sup.
+    x0 is its ``argmax_point`` and a0 its sup.  A problem on a finer grid of
+    another's refinement ladder reuses that problem's set when its own
+    near-maximal clusters match it.
     """
     return _classify(problem, tol_classify, tol_power, confirm)[0]
 
@@ -588,7 +590,7 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
     """``classify_regime``'s report and the problem grid's K W for a solve to
     reuse.  The coarse grid's K W is freed before the fine one is built, so
     the two never coexist."""
-    amax = detect_argmax_set(problem.coeff, problem.grid)
+    amax = _argmax_set(problem)
     x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     gap = _gap(problem, a0)
     coarse_lam1 = coarse_size = None

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, density_at, kernel_moment
-from .model import Problem, _recip_integrability, _refined, detect_argmax_set
+from .model import Problem, _argmax_set, _recip_integrability, _refined
 from .spectral import _gap, _kernel_operator, _ktilde_pair, estimate_lambda_p
 
 __all__ = [
@@ -82,14 +82,26 @@ def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
 
 
 def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
-    """Polynomials to degree two plus a cosine bump, scaled to the grid box."""
+    """Polynomials to degree two plus a cosine bump, scaled to the grid box.
+
+    The functions share the scaled copies of the last two read-only point
+    arrays they were called on, such as a residual's grid nodes and atoms,
+    so each is scaled once."""
     lo = grid.nodes.min(axis=0)
     hi = grid.nodes.max(axis=0)
     c = 0.5 * (lo + hi)
     span = np.maximum(hi - lo, 1e-30)
+    recent: list[tuple[np.ndarray, np.ndarray]] = []
 
     def scaled(pts: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(pts) - c) / span
+        for seen, z in recent:
+            if seen is pts:
+                return z
+        z = (np.atleast_2d(pts) - c) / span
+        if isinstance(pts, np.ndarray) and not pts.flags.writeable:
+            z.setflags(write=False)
+            recent[:] = recent[-1:] + [(pts, z)]
+        return z
 
     def quad(pts: np.ndarray, i: int, j: int) -> np.ndarray:
         z = scaled(pts)
@@ -137,6 +149,7 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
     order) on ``grid``, all from one kernel moment of mu."""
     if mu.atoms:
         apts, awts = _atom_arrays(mu.atoms, problem.grid.nodes.shape[1])
+        apts.setflags(write=False)      # the test functions scale it once
         a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
         off = np.max(np.abs(a_atoms + lam))
         if "pointwise" in kinds and off > _TOL_ATOM * max(1.0, abs(lam)):
@@ -202,6 +215,10 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
     lambda1 and lambda_p are residual-converged values with certified
     intervals, so the deltas and ratios measure the grids, not a stopping
     rule.
+
+    The argmax set is detected and refined on level 0 only: the lambda1
+    study and a ``solution`` that classifies its problem reuse it on every
+    finer level whose near-maximal clusters match it in count and kind.
     """
     if quantity not in _QUANTITIES:
         raise ConfigurationError(
@@ -226,8 +243,7 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
         if quantity == "lambda_p":
             value = estimate_lambda_p(prob).value
         elif quantity == "lambda1":
-            amax = detect_argmax_set(prob.coeff, prob.grid)
-            gap = _gap(prob, amax.sup_value)
+            gap = _gap(prob, _argmax_set(prob).sup_value)
             value = _ktilde_pair(_kernel_operator(prob), gap).value
         elif quantity == "recip_integral":
             res = _recip_integrability(prob.coeff, prob.grid)

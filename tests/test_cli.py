@@ -719,17 +719,27 @@ def test_selector_range_checked_before_any_grid(capsys, monkeypatch, flags, key)
 
 
 def test_cli_paths_never_import_scipy(tmp_path):
-    # scipy is loaded only to refine the argmax of a coefficient without a
-    # closed form; every CLI path here runs on numpy alone
+    # scipy is loaded only to refine the argmax of a custom coefficient;
+    # every CLI path here runs on numpy alone
     cfg = json.loads((Path(__file__).resolve().parents[1] / "bench"
                       / "gaussian_ball.json").read_text())
     cfg["problem"]["kernel"]["amplitude"] = 0.15
     cfg["grid"].update(resolution=4, grading_depth=6)
+    # a coordinate_linear coefficient on a box: its maximizer is a corner,
+    # an edge or a face in closed form
+    box = {"problem": {"domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                       "kernel": {"family": "constant", "rho": 0.05},
+                       "coefficient": {"family": "coordinate_linear",
+                                       "coeffs": [1.0, 0.0]}},
+           "grid": {"resolution": 8, "grading_depth": 6, "grading_targets": "auto"}}
+    box_file = tmp_path / "box.json"
+    box_file.write_text(json.dumps(box))
     commands = [
         ["classify", "--config", config_file(tmp_path, cfg)],
         ["solve", "--example", "ball"],
         ["convergence", "--example", "cylinder", "--quantity", "residual",
          "--cantor-level", "2"],
+        ["solve", "--config", str(box_file)],
     ]
     script = textwrap.dedent("""
         import contextlib, io, json, sys

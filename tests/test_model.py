@@ -11,17 +11,20 @@ from scipy.sparse import csgraph
 
 from specmeasure import (
     Ball,
+    Box,
     ConfigurationError,
     Cylinder,
     GradeSpec,
     H2Violation,
     H3Violation,
     Interval,
+    Product,
     Segment,
     TooLargeError,
     build_grid,
 )
 from specmeasure import model
+from specmeasure.geometry import contains
 from specmeasure.model import (
     Problem,
     build_problem,
@@ -256,30 +259,33 @@ def test_infinite_positivity_radius_takes_no_distance_slab(monkeypatch):
     assert calls == []
     build_problem(ball, custom_kernel(flat, positivity_witness=(0.05, 0.5)),
                   coeff, resolution=4)
-    assert len(calls) == 1
+    # one slab per _CHUNK rows of the 96 sampled rows
+    assert len(calls) == 96 // model._CHUNK
     lying = custom_kernel(flat, positivity_witness=(0.2, math.inf))
     with pytest.raises(H2Violation, match="claimed bound"):
         build_problem(ball, lying, coeff, resolution=4)
 
 def test_argmax_adjacency_checked_before_it_allocates(monkeypatch):
-    # the near-maximal nodes get a dense m x m adjacency of 17 m^2 bytes;
-    # the budget is lowered below it, so nothing of that size is built
-    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
-    grid = build_grid(ball, 6)
-    coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
-    m = sum(c.node_count for c in detect_argmax_set(coeff, grid).components)
-    assert m > 1
-    monkeypatch.setattr(model, "_memory_budget", lambda: 17 * m * m)
-    detect_argmax_set(coeff, grid)
-    monkeypatch.setattr(model, "_memory_budget", lambda: 17 * m * m - 1)
+    # points crowding the boundaries of their cells get their distances in
+    # chunks of _PAIR_CHUNK pairs; with the budget one byte below a chunk
+    # nothing of that size is built, and a whole run stays within one chunk
+    pts = np.zeros((1200, 3))
+    pts[:, 2] = np.linspace(0.0, 2.0, 1200)
+    chunk = model._PAIR_BYTES * model._PAIR_CHUNK
+    monkeypatch.setattr(model, "_memory_budget", lambda: chunk)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLargeError, match=f"adjacency of {m} near-maximal"):
-            detect_argmax_set(coeff, grid)
+        assert model._proximity_components(pts, 1.0)[0] == 1
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(model, "_memory_budget", lambda: chunk - 1)
+        with pytest.raises(TooLargeError, match="distances among 1200 near-maximal"):
+            model._proximity_components(pts, 1.0)
+        _, refused = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * m * m
+    assert peak < chunk
+    assert refused < chunk / 8
 
 
 def test_problem_rejects_grid_beyond_memory(monkeypatch):
@@ -411,3 +417,258 @@ def test_refined_ladder():
     assert model._refined(build_problem(ball, kernel, coeff, 2,
                                         GradeSpec(spec.targets, depth=2)), -1
                           ).grid.grading.depth == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data(), radius=st.floats(0.05, 1.0))
+def test_proximity_components_match_csgraph_on_clumps(dim, data, radius):
+    # dense clumps, some narrower than a cell and some straddling cell
+    # boundaries, so whole cells, whole cell pairs and point distances all
+    # decide links
+    centres = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), dim),
+                               elements=st.floats(-2.0, 2.0, width=32)))
+    clumps = []
+    for centre in centres:
+        size = data.draw(st.integers(1, 40))
+        spread = radius * data.draw(st.sampled_from([1e-3, 0.1, 0.5, 1.5]))
+        offsets = data.draw(arrays(np.float64, (size, dim),
+                                   elements=st.floats(-1.0, 1.0, width=32)))
+        clumps.append(centre + spread * offsets)
+    pts = np.concatenate(clumps)
+    diff = pts[:, None, :] - pts[None, :, :]
+    link = np.sum(diff * diff, axis=2) <= radius * radius
+    expected = csgraph.connected_components(link, directed=False)
+    count, labels = model._proximity_components(pts, radius)
+    assert count == expected[0]
+    np.testing.assert_array_equal(labels, expected[1])
+
+
+def ball_near_max(resolution, depth):
+    """The ball example's coefficient, grid and near-maximal nodes."""
+    grid = build_grid(Ball(center=(0.0, 0.0, 0.0), radius=1.0), resolution,
+                      GradeSpec(targets=((0.0, 0.0, 0.0),), ratio=0.5, depth=depth))
+    coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
+    a = coeff.evaluate(grid.nodes)
+    return coeff, grid, grid.nodes[a >= a.max() - model._TOL_MAXSET * np.ptp(a)]
+
+
+def test_clustering_memory_is_linear_in_the_nodes():
+    # about 5,000 near-maximal nodes of the ball at resolution 18 / depth 20
+    # lie in one cell: no m x m array, and far below its 8 m^2 bytes
+    _, grid, pts = ball_near_max(18, 20)
+    m = pts.shape[0]
+    assert m > 5000
+    tracemalloc.start()
+    try:
+        count, labels = model._proximity_components(pts, 2.0 * grid.mesh_size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 1 and not labels.any()
+    assert peak < 0.01 * 8 * m * m
+
+
+def scalar_march(coeff, domain, origin, direction, sup_value, tol, scale):
+    """One end of the argmax set by step-by-step bisection: double from
+    scale until outside, then 80 bisection steps."""
+    def good(t):
+        p = origin + t * direction
+        if not bool(contains(domain, p[None, :], tol=1e-12 * (1 + scale))[0]):
+            return False
+        return float(coeff.evaluate(p[None, :])[0]) >= sup_value - tol
+
+    if not good(0.0):
+        return origin
+    t_lo, t_hi = 0.0, scale
+    while good(t_hi):
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        if good(mid):
+            t_lo = mid
+        else:
+            t_hi = mid
+    return origin + t_lo * direction
+
+
+@pytest.mark.parametrize("domain, coeff, resolution", [
+    (Cylinder(radius=1.0, height=1.0),
+     radial_power(1.0, 1.0, 1.0, (0.0, 0.0), axes=(0, 1)), 8),
+    (Box(lo=(0.0, -1.0, 0.0), hi=(2.0, 1.0, 0.5)),
+     coordinate_linear((0.0, 1.0, 3.0), offset=1.0), 6),   # an edge
+    (Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), coordinate_linear((1.0, 0.0)), 9),
+])
+def test_segment_march_is_bisection_bit_for_bit(domain, coeff, resolution):
+    # the batched march gives the very ends of two scalar bisections from
+    # the detected cluster's maximizer along its principal axis
+    grid = build_grid(domain, resolution)
+    amax = detect_argmax_set(coeff, grid)
+    a_max, a_rng, (cluster,) = model._near_max_clusters(coeff, grid)
+    centroid = cluster.mean(axis=0)
+    origin, sup_value = model._refine_point(coeff, domain, centroid)
+    direction = model._principal_axis(cluster, centroid)[0]
+    tol = max(model._TOL_MAXSET * a_rng, 8.0 * np.finfo(float).eps * max(1.0, abs(sup_value)))
+    expected = [scalar_march(coeff, domain, origin, sign * direction, sup_value,
+                             tol, grid.mesh_size) for sign in (-1.0, 1.0)]
+    ends, length = model._extend_along(coeff, domain, origin, direction,
+                                       sup_value, tol, grid.mesh_size, 0.0)
+    np.testing.assert_array_equal(ends, expected)
+    assert length == float(np.linalg.norm(expected[1] - expected[0]))
+    (comp,) = amax.components
+    assert comp.kind == "segment"
+    assert comp.representative == Segment(tuple(expected[0]), tuple(expected[1]))
+
+
+def test_point_detection_stops_its_march_early():
+    # the ball's near-maximal nodes form one cluster about 1e-3 wide; its
+    # march stops once the brackets prove the extension shorter than the
+    # point test, where bisecting both sides to the end took 166 calls
+    coeff, grid, _ = ball_near_max(8, 10)
+    calls = []
+    counting = dataclasses.replace(
+        coeff, evaluate=lambda x: calls.append(1) or coeff.evaluate(x))
+    amax = detect_argmax_set(counting, grid)
+    assert amax == detect_argmax_set(coeff, grid)
+    assert [c.kind for c in amax.components] == ["point"]
+    assert amax.components[0].representative == (0.0, 0.0, 0.0)
+    assert len(calls) <= 20
+
+
+LINEAR_CASES = [
+    (Box(lo=(0.0, 0.0), hi=(1.0, 2.0)), (1.0, -0.5), 8),          # corner
+    (Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)), (1.0, 0.0, 0.0), 5),   # face
+    (Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), (0.0, 1.0), 8),           # edge
+    (Ball(center=(0.5, 0.0, 0.0), radius=1.0), (1.0, 2.0, -0.5), 6),
+    (Cylinder(radius=1.0, height=1.0), (1.0, 1.0, 0.0), 6),
+    (Cylinder(radius=1.0, height=1.0), (0.0, 0.0, -1.0), 5),
+    (Product(Interval(0.0, 1.0), Ball(center=(0.0, 0.0), radius=1.0)),
+     (-1.0, 0.0, 1.0), 5),
+]
+
+
+@pytest.mark.parametrize("domain, coeffs, resolution", LINEAR_CASES)
+def test_coordinate_linear_closed_form_keeps_every_kind(domain, coeffs, resolution):
+    # the closed-form maximizer against Nelder-Mead on the same values: the
+    # same components, kinds and node counts, and maximizers that agree to
+    # Nelder-Mead's tolerance
+    grid = build_grid(domain, resolution)
+    linear = coordinate_linear(coeffs, offset=0.25)
+    closed = detect_argmax_set(linear, grid)
+    searched = detect_argmax_set(custom_coefficient(linear.evaluate), grid)
+    assert [(c.kind, c.node_count) for c in closed.components] == \
+           [(c.kind, c.node_count) for c in searched.components]
+    assert closed.sup_value == pytest.approx(searched.sup_value, abs=1e-9)
+    for mine, theirs in zip(closed.components, searched.components):
+        if mine.kind == "cluster":
+            # a face maximizes a anywhere on it
+            assert linear.evaluate(np.asarray(mine.representative)) == \
+                pytest.approx(closed.sup_value, abs=1e-12)
+            continue
+        ends = (lambda c: (c.representative.start, c.representative.end)
+                if c.kind == "segment" else c.representative)
+        np.testing.assert_allclose(ends(mine), ends(theirs), atol=1e-5)
+
+
+def test_coordinate_linear_maximizer_in_closed_form():
+    c = np.array([3.0, -4.0, 0.0])
+    start = np.array([0.2, 0.1, 0.7])
+    ball = Ball(center=(1.0, 0.0, 0.0), radius=2.0)
+    np.testing.assert_allclose(model._linear_maximizer(ball, c, start),
+                               [1.0 + 1.2, -1.6, 0.0], rtol=0, atol=1e-15)
+    box = Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.5))
+    assert tuple(model._linear_maximizer(box, c, start)) == (1.0, 0.0, 0.5)
+    cyl = Cylinder(radius=2.0, height=1.0)
+    assert tuple(model._linear_maximizer(cyl, c, start)) == (1.2, -1.6, 0.7)
+    prod = Product(Interval(-1.0, 1.0), Ball(center=(0.0, 0.0), radius=1.0))
+    assert tuple(model._linear_maximizer(prod, c, start)) == (1.0, -1.0, 0.0)
+
+
+def two_peaks(x):
+    t = np.atleast_2d(x)[:, 0]
+    return 1.0 - np.minimum(np.abs(t - 0.3), np.abs(t - 0.7))
+
+
+def test_reuse_needs_clusters_that_match_in_count_and_kind():
+    grid = build_grid(Interval(0.0, 1.0), 100)
+    two = custom_coefficient(two_peaks)
+    root = detect_argmax_set(two, grid)
+    assert model._reuse(root, two, grid) == root
+    # clusters wider than the point test: a march would have to decide
+    coarse = build_grid(Interval(0.0, 1.0), 10)
+    assert [c.kind for c in detect_argmax_set(two, coarse).components] == ["point"] * 2
+    assert model._reuse(root, two, coarse) is None
+    # one cluster against two components
+    assert model._reuse(root, radial_power(1.0, 1.0, 1.0, (0.3,)), grid) is None
+    # plateaus where the root has points: same count, another kind
+    assert model._reuse(root, plateaus((0.1, 0.4), (0.6, 0.9)),
+                        build_grid(Interval(0.0, 1.0), 40)) is None
+    # a general cluster is never reused
+    face = coordinate_linear((1.0, 0.0, 0.0))
+    cube = build_grid(Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0)), 5)
+    assert [c.kind for c in detect_argmax_set(face, cube).components] == ["cluster"]
+    assert model._reuse(detect_argmax_set(face, cube), face, cube) is None
+    # two clusters, nowhere near the root's representatives
+    apart = custom_coefficient(lambda x: two_peaks(0.5 + 2.0 * (np.atleast_2d(x) - 0.5)))
+    assert len(detect_argmax_set(apart, grid).components) == 2
+    assert model._reuse(root, apart, grid) is None
+
+
+@pytest.mark.parametrize("problem", [
+    build_problem(Ball(center=(0.0, 0.0, 0.0), radius=1.0), constant_kernel(0.05),
+                  radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0)), 5,
+                  GradeSpec(targets=((0.0, 0.0, 0.0),), depth=6)),
+    build_problem(Cylinder(radius=1.0, height=1.0), constant_kernel(0.05),
+                  radial_power(1.0, 1.0, 1.0, (0.0, 0.0), axes=(0, 1)), 5,
+                  GradeSpec(targets=(Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),),
+                            depth=6)),
+])
+def test_refined_problem_reuses_its_roots_argmax_set(problem):
+    # a finer level takes the root's representatives with its own node
+    # counts: what a full detection finds there, up to the round-off of
+    # the marched segment ends
+    root = model._argmax_set(problem)
+    assert root == detect_argmax_set(problem.coeff, problem.grid)
+    assert model._argmax_set(problem) is root
+    for step in (1, 2):
+        finer = model._refined(problem, step)
+        reused = model._argmax_set(finer)
+        full = detect_argmax_set(finer.coeff, finer.grid)
+        assert reused.targets == root.targets
+        assert reused.sup_value == full.sup_value
+        assert [(c.kind, c.node_count) for c in reused.components] == \
+               [(c.kind, c.node_count) for c in full.components]
+        for mine, theirs in zip(reused.targets, full.targets):
+            ends = (lambda t: sorted([t.start, t.end], key=lambda p: p[-1])
+                    if isinstance(t, Segment) else t)
+            np.testing.assert_allclose(ends(mine), ends(theirs), rtol=0, atol=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), scale=st.floats(1e-3, 0.5), point_len=st.floats(0.0, 0.5))
+def test_march_is_bisection_for_any_predicate(data, scale, point_len):
+    # the set need not be convex along the line: a union of random intervals
+    # in the unit square's first coordinate; each end is the scalar
+    # bisection's, and a march stopped early bounds the full one's length
+    cuts = np.sort(data.draw(arrays(np.float64, data.draw(st.integers(1, 4)) * 2,
+                                    elements=st.floats(0.0, 1.0))))
+
+    def inside(x):
+        t = np.atleast_2d(x)[:, 0]
+        return np.any((t[:, None] >= cuts[0::2]) & (t[:, None] <= cuts[1::2]), axis=1)
+
+    coeff = custom_coefficient(lambda x: inside(x).astype(float))
+    square = Box(lo=(0.0, 0.0), hi=(1.0, 1.0))
+    origin = np.array(data.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+    direction = np.array([math.cos(angle), math.sin(angle)])
+    expected = [scalar_march(coeff, square, origin, sign * direction, 1.0, 0.5, scale)
+                for sign in (-1.0, 1.0)]
+    ends, length = model._extend_along(coeff, square, origin, direction, 1.0, 0.5,
+                                       scale, 0.0)
+    np.testing.assert_array_equal(ends, expected)
+    stopped, bound = model._extend_along(coeff, square, origin, direction, 1.0, 0.5,
+                                         scale, point_len)
+    if stopped is None:
+        assert bound < point_len and length <= bound * (1 + 1e-12)
+    else:
+        np.testing.assert_array_equal(stopped, ends)

@@ -26,6 +26,7 @@ from specmeasure import (
     build_problem,
     build_singular_solution,
     cantor_approximant,
+    classify_regime,
     constant_kernel,
     custom_kernel,
     default_test_functions,
@@ -238,6 +239,32 @@ def test_recip_integral_study_sums_on_the_level_grids(monkeypatch):
     for level, row in enumerate(rows):
         assert row["value"] == pytest.approx(
             4.0 * math.pi * (1.0 - 0.5 ** (7 + level)), rel=1e-9)
+
+@pytest.mark.parametrize("quantity", ["residual", "lambda1"])
+def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
+    # level 0 detects the argmax set, refines its maximizer and marches its
+    # segment; the finer levels cluster their own near-maximal nodes and
+    # reuse level 0's segment, as the classification inside the solution does
+    base = cylinder_problem(constant_kernel(0.05), 0)
+    counts = dict.fromkeys(("detect_argmax_set", "_refine_point", "_extend_along"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(model, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(model, name, counted)
+    atoms = []
+
+    def solution(prob):
+        report = classify_regime(prob, confirm=False)
+        atoms.append(report.argmax.targets)
+        return build_singular_solution(prob, [(report.x0, 1.0)]), -report.sup_a
+
+    rows = refinement_study(base, 3, quantity, solution=solution)
+    assert counts == dict.fromkeys(counts, 1)
+    assert len(rows) == 3
+    assert len(atoms) == (3 if quantity == "residual" else 0)
+    assert len(set(atoms)) <= 1
+
 
 def test_lambda_p_study_reports_converged_values():
     # each row is the residual-converged lambda_p, not the midpoint of a
