@@ -429,17 +429,19 @@ def _sum_squares(diff: np.ndarray) -> np.ndarray:
 def _cell_keys(pts: np.ndarray, radius: float) -> tuple[np.ndarray, int, np.ndarray]:
     """Each point's cell as one int64 key, the reach, and the key strides.
 
-    Cells have side radius / sqrt(d), so two points at most ``radius``
-    apart lie at most ``reach`` = floor(sqrt(d)) + 1 cells apart along every
-    axis, rounding included.  Along each axis, gaps wider than the reach
-    between occupied cells close to reach + 1, which keeps every neighbour
-    relation and bounds each coordinate by (reach + 1) times the point
-    count.  When the keys still do not fit in int64, or the cell
-    coordinates grow too large to round to the right cell, the side
-    doubles.
+    Cells have side radius / sqrt(d + 3): the points of one cell, and of
+    two cells adjacent along an axis, span a box of diagonal at most
+    ``radius``, so a run of occupied cells links whole.  Two points at most
+    ``radius`` apart lie at most ``reach`` = floor(radius / side) + 1 cells
+    apart along every axis, rounding included.  Along each axis, gaps wider
+    than the reach between occupied cells close to reach + 1, which keeps
+    every neighbour relation and bounds each coordinate by (reach + 1)
+    times the point count.  When the keys still do not fit in int64, or
+    the cell coordinates grow too large to round to the right cell, the
+    side doubles.
     """
     d = pts.shape[1]
-    side = radius / math.sqrt(d)
+    side = radius / math.sqrt(d + 3)
     while True:
         reach = math.floor(radius / side) + 1
         coords = np.floor((pts - pts.min(axis=0)) / side)
@@ -480,15 +482,16 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
     apart (squared distance, summed coordinate by coordinate, at most
     radius^2), numbered in the order of their first point.
 
-    The points are binned into cells of side radius / sqrt(d) (``_cell_keys``).
-    A cell, or a pair of cells at most the reach apart, whose points'
-    bounding box has a diagonal of at most ``radius`` is linked whole, at
-    no cost; a pair whose boxes lie farther apart cannot link.  Only the
-    remaining pairs get point distances, in chunks of ``_PAIR_CHUNK``
-    pairs, checked against physical memory first.  Rounding is monotone,
-    so the box tests decide exactly as the distances would: the time and
-    memory are linear in the points unless many of them crowd the
-    boundary between two cells.
+    The points are binned into cells (``_cell_keys``).  A cell, or a pair
+    of cells at most the reach apart, whose points' bounding box has a
+    diagonal of at most ``radius`` is linked whole, at no cost; a pair
+    whose boxes lie farther apart cannot link, and a pair of whole cells
+    already linked needs nothing more.  Only the remaining pairs get point
+    distances, in chunks of ``_PAIR_CHUNK`` pairs, checked against
+    physical memory first.  Rounding is monotone, so the box tests decide
+    exactly as the distances would.  Time and memory are linear in the
+    points unless many of them sit in cells that are near each other but
+    not linked whole.
     """
     m, d = pts.shape
     r2 = radius * radius
@@ -508,6 +511,11 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
     labels = np.empty(m, dtype=np.int64)
     labels[order] = np.where(whole[cell_of], rep[cell_of], order)
 
+    def unlinked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell pairs (a, b) not both whole and linked already."""
+        keep = ~(whole[a] & whole[b] & (labels[rep[a]] == labels[rep[b]]))
+        return a[keep], b[keep]
+
     offsets = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
     deltas = offsets[offsets.shape[0] // 2 + 1:] @ strides   # one of +-o
     rows = max(1, _PAIR_CHUNK // deltas.size)
@@ -516,7 +524,7 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
         wanted = cells[start:start + rows, None] + deltas
         pos = np.minimum(np.searchsorted(cells, wanted), cells.size - 1)
         hit = cells[pos] == wanted
-        a, b = np.nonzero(hit)[0] + start, pos[hit]
+        a, b = unlinked(np.nonzero(hit)[0] + start, pos[hit])
         joined = _sum_squares(np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])) <= r2
         _link(labels, rep[a[joined]], rep[b[joined]])
         gap = np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
@@ -524,7 +532,7 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
         near_a.append(a[near])
         near_b.append(b[near])
 
-    a, b = np.concatenate(near_a), np.concatenate(near_b)
+    a, b = unlinked(np.concatenate(near_a), np.concatenate(near_b))
     size = count[a] * count[b]
     ends = np.cumsum(size)
     total = int(ends[-1]) if ends.size else 0

@@ -266,11 +266,13 @@ def test_infinite_positivity_radius_takes_no_distance_slab(monkeypatch):
         build_problem(ball, lying, coeff, resolution=4)
 
 def test_argmax_adjacency_checked_before_it_allocates(monkeypatch):
-    # points crowding the boundaries of their cells get their distances in
-    # chunks of _PAIR_CHUNK pairs; with the budget one byte below a chunk
-    # nothing of that size is built, and a whole run stays within one chunk
+    # two dense runs of points 0.9 apart, too far apart for their cells to
+    # link whole, get their distances in chunks of _PAIR_CHUNK pairs; with
+    # the budget one byte below a chunk nothing of that size is built, and a
+    # whole run stays within one chunk
     pts = np.zeros((1200, 3))
-    pts[:, 2] = np.linspace(0.0, 2.0, 1200)
+    pts[:600, 2] = np.linspace(0.0, 0.3, 600)
+    pts[600:, 2] = np.linspace(1.2, 1.5, 600)
     chunk = model._PAIR_BYTES * model._PAIR_CHUNK
     monkeypatch.setattr(model, "_memory_budget", lambda: chunk)
     tracemalloc.start()
