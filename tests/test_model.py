@@ -260,7 +260,7 @@ def test_infinite_positivity_radius_takes_no_distance_slab(monkeypatch):
     build_problem(ball, custom_kernel(flat, positivity_witness=(0.05, 0.5)),
                   coeff, resolution=4)
     # one slab per _CHUNK rows of the 96 sampled rows
-    assert len(calls) == 96 // model._CHUNK
+    assert len(calls) == math.ceil(96 / model._CHUNK)
     lying = custom_kernel(flat, positivity_witness=(0.2, math.inf))
     with pytest.raises(H2Violation, match="claimed bound"):
         build_problem(ball, lying, coeff, resolution=4)

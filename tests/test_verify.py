@@ -240,6 +240,7 @@ def test_recip_integral_study_sums_on_the_level_grids(monkeypatch):
         assert row["value"] == pytest.approx(
             4.0 * math.pi * (1.0 - 0.5 ** (7 + level)), rel=1e-9)
 
+
 @pytest.mark.parametrize("quantity", ["residual", "lambda1"])
 def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
     # level 0 detects the argmax set, refines its maximizer and marches its
@@ -252,18 +253,18 @@ def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
             counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(model, name, counted)
-    atoms = []
+    targets = []
 
     def solution(prob):
         report = classify_regime(prob, confirm=False)
-        atoms.append(report.argmax.targets)
+        targets.append(report.argmax.targets)
         return build_singular_solution(prob, [(report.x0, 1.0)]), -report.sup_a
 
     rows = refinement_study(base, 3, quantity, solution=solution)
     assert counts == dict.fromkeys(counts, 1)
     assert len(rows) == 3
-    assert len(atoms) == (3 if quantity == "residual" else 0)
-    assert len(set(atoms)) <= 1
+    assert len(targets) == (3 if quantity == "residual" else 0)
+    assert len(set(targets)) <= 1
 
 
 def test_lambda_p_study_reports_converged_values():
