@@ -174,11 +174,22 @@ def custom_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Continuous coefficient a(x), vectorized over rows of points."""
+    """Continuous coefficient a(x), vectorized over rows of points.
+
+    ``maximizer``, when set, is a closed form for a maximizer of a over a
+    closed domain: ``maximizer(domain, start)`` gives a point of the closure
+    near ``start``, or None where the closed form does not apply.  Like a
+    kernel's ``structured_apply`` it is no constructor argument and
+    ``dataclasses.replace`` drops it, so it never outlives the ``evaluate``
+    it stands for: only ``coordinate_linear`` and ``radial_power`` set it,
+    and a custom coefficient is searched whatever its name.
+    """
 
     family: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
+    maximizer: Callable[[Domain, np.ndarray], np.ndarray | None] | None = field(
+        default=None, init=False)
 
 
 def constant_coefficient(value: float) -> CoefficientField:
@@ -194,8 +205,11 @@ def coordinate_linear(coeffs: tuple[float, ...], offset: float = 0.0) -> Coeffic
     def ev(x: np.ndarray) -> np.ndarray:
         return offset + np.atleast_2d(x) @ c
 
-    return CoefficientField("coordinate_linear", ev,
-                            {"coeffs": tuple(coeffs), "offset": offset})
+    coeff = CoefficientField("coordinate_linear", ev,
+                             {"coeffs": tuple(coeffs), "offset": offset})
+    object.__setattr__(coeff, "maximizer",
+                       lambda domain, start: _linear_maximizer(domain, c, start))
+    return coeff
 
 
 def radial_power(top: float, scale: float, power: float,
@@ -218,11 +232,20 @@ def radial_power(top: float, scale: float, power: float,
         d = np.linalg.norm(pts[:, sel] - c[sel], axis=1)
         return top - scale * d**power
 
-    return CoefficientField(
+    def maximizer(domain: Domain, start: np.ndarray) -> np.ndarray | None:
+        # a attains its sup ``top`` where the selected coordinates equal
+        # the center's, if the closed domain holds that point
+        best = np.array(start, dtype=float)
+        best[sel] = c[sel]
+        return best if bool(contains(domain, best[None, :])[0]) else None
+
+    coeff = CoefficientField(
         "radial_power", ev,
         {"top": top, "scale": scale, "power": power,
          "center": tuple(center), "axes": None if axes is None else tuple(axes)},
     )
+    object.__setattr__(coeff, "maximizer", maximizer)
+    return coeff
 
 
 def custom_coefficient(fn: Callable[[np.ndarray], np.ndarray],
@@ -285,24 +308,15 @@ def _refine_point(coeff: CoefficientField, domain: Domain,
                   start: np.ndarray) -> tuple[np.ndarray, float]:
     """Local maximization of a from ``start``, constrained to the closure.
 
-    Closed forms serve the built-in families: a radial_power coefficient
-    attains its sup ``top`` where the selected coordinates equal ``center``
-    (used when the closed domain contains that point), and a
-    coordinate_linear one on the face, corner or boundary point of
-    ``_linear_maximizer``.  Otherwise Nelder-Mead runs, the one use of scipy
-    in the package.
+    The coefficient's closed-form ``maximizer`` serves when it has one and
+    it applies: a radial_power coefficient attains its sup ``top`` where the
+    selected coordinates equal ``center``, and a coordinate_linear one on
+    the face, corner or boundary point of ``_linear_maximizer``.  Otherwise
+    Nelder-Mead runs, the one use of scipy in the package.
     """
-    if coeff.family == "coordinate_linear":
-        best = _linear_maximizer(domain, np.asarray(coeff.params["coeffs"], dtype=float),
-                                 np.asarray(start, dtype=float))
-        return best, float(coeff.evaluate(best[None, :])[0])
-    if coeff.family == "radial_power":
-        center = coeff.params["center"]
-        axes = coeff.params["axes"]
-        best = np.array(start, dtype=float)
-        for ax in range(len(center)) if axes is None else axes:
-            best[ax] = center[ax]
-        if bool(contains(domain, best[None, :])[0]):
+    if coeff.maximizer is not None:
+        best = coeff.maximizer(domain, np.asarray(start, dtype=float))
+        if best is not None:
             return best, float(coeff.evaluate(best[None, :])[0])
     from scipy import optimize
 

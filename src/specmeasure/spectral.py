@@ -24,8 +24,12 @@ a Gaussian, whatever the grid size.  Its remainder E = K - L L^T is
 positive semidefinite, so |(E W u)_i| <= sqrt(E_ii) sum_j sqrt(E_jj) w_j |u_j|,
 an O(N) bound that widens every ratio interval below; it is zero for the
 constant kernel.  The factor is stored as row blocks of L^T, a first block
-of 64 rows and then blocks just below 4 MiB, so each pivot step and each
-matvec makes few BLAS calls.  The fine grid's factor stops at remainder
+of 64 rows and then blocks just below 4 MiB, so each matvec makes few BLAS
+calls.  Its pivots come in panels of up to 8, chosen greedily among the
+largest remainders; a panel's kernel rows are one kernel call, and the
+stored factor is read once per panel, by gemm, not once per pivot.  The
+greedy order is the one-row build's wherever rounding does not decide a
+near-tie.  The fine grid's factor stops at remainder
 1e-12 K(x, x); the coarse confirmation grid's, whose lambda1 only decides a
 regime, at 1e-4 tol_classify.  Other kernels, and a factor that would need
 more than 8 sqrt(N) rows, keep the dense N x N array.
@@ -99,11 +103,11 @@ _FACTOR_RTOL = 1e-12
 # its lambda1 interval stays two decades inside the decision tolerance
 _COARSE_FACTOR_SHARE = 1e-4
 # a kernel factor holds at most _FACTOR_CAP * sqrt(N) rows.  Building r
-# rows streams about r^2 N / 2 factor entries, against N^2 kernel values for
-# dense K W; measured on Gaussians at N = 864-6624 with 64-row blocks,
-# classify and solve took as long on either backend at 7-10 sqrt(N) rows.
-# With taller blocks a continuous classify at N = 1920-3600 still gains
-# from a factor of up to 10.8 sqrt(N) rows, and a singular one loses at 12.6
+# rows takes about r^2 N multiply-adds, read from the factor once per panel,
+# against N^2 kernel values for dense K W.  Measured on Gaussians with the
+# panel build, a continuous classify at N = 1920-3600 runs two to three
+# times faster on a factor of 8.7-10.8 sqrt(N) rows than dense, and a
+# singular one at 12.6 sqrt(N) a fifth slower
 _FACTOR_CAP = 8
 # share of the way (in log) to the factor's tolerance that its remainder
 # must have covered at half the cap; see _factor
@@ -111,11 +115,24 @@ _FACTOR_PACE = 0.4
 # rows in the first block of a kernel factor, so a rank-one factor stays small
 _FACTOR_BLOCK = 64
 # every later block holds as many rows as fit below this size (but at least
-# _FACTOR_BLOCK): each pivot step and each matvec makes one gemv per block,
-# and a taller block pays the fixed cost of a BLAS call fewer times.  numpy
-# asks for transparent huge pages from 4 MiB on, which would make a partly
-# written block resident, so a block stays below that
+# _FACTOR_BLOCK): each matvec makes one gemv per block, and a taller block
+# pays the fixed cost of a BLAS call fewer times.  numpy asks for
+# transparent huge pages from 4 MiB on, which would make a partly written
+# block resident, so a block stays below that
 _FACTOR_BLOCK_BYTES = 4 << 20
+# pivots per panel: each of a panel's stored-block gemms reads the block
+# once for all of them, and its kernel rows are one evaluate call; a taller
+# panel holds more full rows in flight
+_FACTOR_PANEL = 8
+# a panel picks its pivots among the N / _FACTOR_CANDIDATES largest
+# remainders, whose factor columns it gathers into one cache-sized array
+_FACTOR_CANDIDATES = 32
+# stored rows per gemm of a panel's reduction.  OpenBLAS packs 512 columns
+# of every row a gemm reads, per thread, into a buffer that then stays
+# resident: on the bench Gaussian (N = 3600, two threads) 145-row gemms
+# raised the peak RSS by 0.9 MB over the one-row build, 32-row ones by
+# 0.3-0.45 MB, at the same speed
+_FACTOR_GEMM_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -211,6 +228,7 @@ class KernelWeights:
     dense: np.ndarray | None = None
     factor: tuple[np.ndarray, ...] = ()
     root_remainder: np.ndarray | None = None
+    panels: int = 0              # pivot panels the factor was built in
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self.dense is not None:
@@ -237,7 +255,7 @@ class KernelWeights:
         if self.dense is not None:
             return "dense"
         bound = float(np.max(self.slack(np.ones(self.weights.size)), initial=0.0))
-        return f"factor rank={self.rank} remainder={bound:.3g}"
+        return f"factor rank={self.rank} remainder={bound:.3g} panels={self.panels}"
 
 
 def _kernel_operator(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights:
@@ -259,13 +277,21 @@ def _kernel_operator(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeig
 def _factor(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights | None:
     """Pivoted Cholesky K = L L^T + E, or None past the rank cap.
 
-    Each step takes the node of largest remainder diagonal E_pp as pivot and
-    evaluates one kernel row against the grid; it stops once every E_ii is
-    at most ``rtol`` K(x, x).  The remainder diagonal is updated as
+    Each step takes the node of largest remainder diagonal E_pp as pivot
+    (the first such node on a tie); the factor stops once every E_ii is at
+    most ``rtol`` K(x, x).  The remainder diagonal is updated as
     E_ii - c_i (c_i / c_p), so a constant kernel leaves exactly zero after
     one step.  Storage grows by one block of rows at a time, each checked
     against physical memory first: ``_FACTOR_BLOCK`` rows, then blocks just
     below ``_FACTOR_BLOCK_BYTES`` (145 rows at N = 3600).
+
+    Pivots come in panels of up to ``_FACTOR_PANEL`` (see ``_panel_pivots``).
+    A panel's kernel rows are evaluated in one call, written straight into
+    the current block, and reduced by one gemm per ``_FACTOR_GEMM_ROWS``
+    stored rows; a triangular recurrence over the panel then finishes its
+    rows, checks each pivot and updates the remainder.  A panel ends at a
+    block's end, at half the cap and at the cap, so the tests there see the
+    exact largest remainder.
 
     The largest remainder decays ever more slowly, so at half the cap it
     has covered about half its way (in log) to where it ends at the cap.
@@ -286,7 +312,7 @@ def _factor(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights | Non
         return None
     remainder = np.full(n, phi0)
     blocks: list[np.ndarray] = []
-    rank = k = 0                        # k: rows filled in blocks[-1]
+    rank = k = panels = 0               # k: rows filled in blocks[-1]
     while True:
         p = int(np.argmax(remainder))
         if rank and remainder[p] <= rtol * phi0:     # at least one row
@@ -302,22 +328,95 @@ def _factor(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights | Non
                                  f"a rank-{rank + size} kernel factor on {n} grid nodes")
             blocks.append(np.empty((size, n)))
             k = 0
-        c = np.asarray(evaluate(nodes[p:p + 1], cols), dtype=float)[0]
-        for rows in blocks[:-1] + [blocks[-1][:k]]:
-            c = c - rows[:, p] @ rows
-        pivot = c[p]
-        if not pivot > 0:
-            log.info("kernel factor: pivot %.3g on %d nodes; dense K W", pivot, n)
-            return None
-        remainder -= c * (c / pivot)
-        blocks[-1][k] = c / np.sqrt(pivot)
-        rank += 1
-        k += 1
+        block = blocks[-1]
+        stored = blocks[:-1] + [block[:k]] if k else blocks[:-1]
+        room = block.shape[0] - k
+        if rank < cap // 2:
+            room = min(room, cap // 2 - rank)
+        pivots = _panel_pivots(evaluate, nodes, stored, remainder, p,
+                               min(room, _FACTOR_PANEL), rtol * phi0)
+        panel = block[k:k + len(pivots)]
+        panel[...] = evaluate(nodes[pivots], cols)
+        if stored:
+            product = np.empty_like(panel)
+            for rows in stored:
+                for start in range(0, rows.shape[0], _FACTOR_GEMM_ROWS):
+                    part = rows[start:start + _FACTOR_GEMM_ROWS]
+                    panel -= np.matmul(part[:, pivots].T, part, out=product)
+            del product                 # before the next panel gathers
+        for j, q in enumerate(pivots):
+            c = panel[j]
+            if j:
+                c -= panel[:j, q] @ panel[:j]
+            pivot = c[q]
+            if not pivot > 0:
+                log.info("kernel factor: pivot %.3g on %d nodes; dense K W", pivot, n)
+                return None
+            remainder -= c * (c / pivot)
+            c /= np.sqrt(pivot)
+        rank += len(pivots)
+        k += len(pivots)
+        panels += 1
     blocks[-1] = blocks[-1][:k]
     root = np.sqrt(np.maximum(remainder, 0.0))
     return KernelWeights(problem.grid.weights, phi0 * problem.grid.weights,
                          factor=tuple(blocks),
-                         root_remainder=root if np.any(root > 0) else None)
+                         root_remainder=root if np.any(root > 0) else None,
+                         panels=panels)
+
+
+def _panel_pivots(evaluate, nodes: np.ndarray, stored: list[np.ndarray],
+                  remainder: np.ndarray, p: int, size: int,
+                  floor: float) -> list[int]:
+    """Up to ``size`` pivots in greedy order, the first p = argmax remainder,
+    each later one the first node of largest remainder once the ones before
+    it are eliminated, and each above ``floor``.
+
+    They are chosen among the candidates S, the N / ``_FACTOR_CANDIDATES``
+    largest remainders (at least ``size``), sorted by node so that ties go
+    as they do on the whole grid.  Each pivot updates the remainders on S
+    alone, from its kernel row on S and the factor's rows gathered on S.  A
+    remainder only decreases, so every node outside S stays at most the
+    largest one outside S at the start; a candidate above that bound is the
+    pivot the whole grid would take, up to the rounding of the gathered
+    products, and the panel ends at the first that is not.  When p itself
+    is not above it, the panel is p alone.
+    """
+    n = remainder.size
+    if size == 1:
+        return [p]
+    m = max(size, n // _FACTOR_CANDIDATES)
+    if m < n:
+        part = np.argpartition(remainder, n - m - 1)
+        bound = remainder[part[n - m - 1]]
+        if not remainder[p] > bound:
+            return [p]
+        cand = np.sort(part[n - m:])    # holds every node above the bound
+    else:
+        cand, bound = np.arange(n), -np.inf
+    rank = sum(rows.shape[0] for rows in stored)
+    gathered = np.empty((rank + size - 1, cand.size))
+    start = 0
+    for rows in stored:
+        gathered[start:start + rows.shape[0]] = rows[:, cand]
+        start += rows.shape[0]
+    points = np.asfortranarray(nodes[cand])
+    rem = remainder[cand]
+    s = int(np.searchsorted(cand, p))
+    pivots = [p]
+    for j in range(rank, rank + size - 1):
+        c = np.asarray(evaluate(nodes[cand[s]:cand[s] + 1], points), dtype=float)[0]
+        c -= gathered[:j, s] @ gathered[:j]
+        pivot = c[s]
+        if not pivot > 0:
+            break
+        rem -= c * (c / pivot)
+        gathered[j] = c / np.sqrt(pivot)
+        s = int(np.argmax(rem))
+        if not (rem[s] > bound and rem[s] > floor):
+            break
+        pivots.append(int(cand[s]))
+    return pivots
 
 
 def _gap(problem: Problem, a0: float) -> np.ndarray:

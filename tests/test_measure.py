@@ -449,7 +449,7 @@ def test_fredholm_solve_logs_one_info_line(ball05, caplog):
     assert float(fields["residual"]) <= 1e-12
     assert float(fields["tol_linear"]) == 1e-10
     # the constant kernel is an exact rank-one factor
-    assert lines[0].endswith("; kernel factor rank=1 remainder=0")
+    assert lines[0].endswith("; kernel factor rank=1 remainder=0 panels=1")
 
 
 def cylinder_peak(kernel):

@@ -529,6 +529,9 @@ def test_point_detection_stops_its_march_early():
     calls = []
     counting = dataclasses.replace(
         coeff, evaluate=lambda x: calls.append(1) or coeff.evaluate(x))
+    # replace drops the closed-form maximizer; this copy counts the calls
+    # of the same function, so it keeps it
+    object.__setattr__(counting, "maximizer", coeff.maximizer)
     amax = detect_argmax_set(counting, grid)
     assert amax == detect_argmax_set(coeff, grid)
     assert [c.kind for c in amax.components] == ["point"]
@@ -569,6 +572,24 @@ def test_coordinate_linear_closed_form_keeps_every_kind(domain, coeffs, resoluti
         ends = (lambda c: (c.representative.start, c.representative.end)
                 if c.kind == "segment" else c.representative)
         np.testing.assert_allclose(ends(mine), ends(theirs), atol=1e-5)
+
+
+@pytest.mark.parametrize("name", ["coordinate_linear", "radial_power"])
+def test_custom_coefficient_named_like_a_family_is_searched(name):
+    # a name claims no closed form: only the built-in constructors set one,
+    # and dataclasses.replace drops it with the evaluate it stood for
+    grid = build_grid(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 5)
+
+    def bump(x):
+        return 1.0 - np.sum((np.atleast_2d(x) - (0.2, 0.0, 0.0)) ** 2, axis=1)
+
+    named = custom_coefficient(bump, name=name)
+    assert named.family == name and named.maximizer is None
+    assert detect_argmax_set(named, grid) == detect_argmax_set(custom_coefficient(bump), grid)
+    built_in = {"coordinate_linear": coordinate_linear((1.0, 0.0, 0.0)),
+                "radial_power": radial_power(1.0, 1.0, 2.0, (0.2, 0.0, 0.0))}[name]
+    assert built_in.maximizer is not None
+    assert dataclasses.replace(built_in, evaluate=bump).maximizer is None
 
 
 def test_coordinate_linear_maximizer_in_closed_form():

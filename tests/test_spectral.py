@@ -519,9 +519,10 @@ def test_classify_logs_one_info_line(caplog):
         == ["ktilde", "ktilde-coarse"]
     assert "stopped_by=" not in line
     assert "bracket matvecs=1" in line
-    # each grid's K W backend: the constant kernel is an exact rank-one factor
-    assert line.endswith("; kernel factor rank=1 remainder=0; "
-                         "kernel-coarse factor rank=1 remainder=0")
+    # each grid's K W backend: the constant kernel is an exact rank-one
+    # factor, built in one panel of one row
+    assert line.endswith("; kernel factor rank=1 remainder=0 panels=1; "
+                         "kernel-coarse factor rank=1 remainder=0 panels=1")
 
 
 def test_classify_logs_dense_backend(caplog):
@@ -649,14 +650,14 @@ def test_coarse_factor_keeps_one_row_at_a_huge_tolerance(caplog):
 
 
 def test_factor_passes_the_nodes_once_in_fortran_order():
-    # every factor row is evaluated against one Fortran-order copy of the
-    # nodes, so the Gaussian's np.asfortranarray copies nothing; the factor
-    # has the same bits as when each row gets C-order nodes
+    # every panel of full factor rows is evaluated against one Fortran-order
+    # copy of the nodes, so the Gaussian's np.asfortranarray copies nothing;
+    # the factor has the same bits as when each panel gets C-order nodes
     seen = []
 
     def recording(evaluate):
         def ev(x, y):
-            seen.append(y)
+            seen.append((x.shape[0], y))
             return evaluate(x, y)
         return ev
 
@@ -666,8 +667,10 @@ def test_factor_passes_the_nodes_once_in_fortran_order():
     prob = gaussian_ball(5, 6, recording)
     seen.clear()                    # drop the validation samples
     kw = spectral._factor(prob)
-    rows = [y for y in seen if y.shape[0] == prob.grid.size]
-    assert len(rows) == kw.rank > spectral._FACTOR_BLOCK
+    full = [(k, y) for k, y in seen if y.shape[0] == prob.grid.size]
+    rows = [y for _, y in full]
+    assert sum(k for k, _ in full) == kw.rank > spectral._FACTOR_BLOCK
+    assert len(rows) == kw.panels < kw.rank
     assert all(y is rows[0] for y in rows)
     assert np.asfortranarray(rows[0]) is rows[0]
     kw_c = spectral._factor(gaussian_ball(5, 6, c_order))
@@ -853,6 +856,102 @@ def test_hopeless_factor_given_up_at_half_the_cap():
     assert rows[n] - before == cap // 2
     # at width 1 the remainder keeps pace and the factor finishes
     assert cap // 2 < spectral._kernel_operator(gaussian_ball(4, 5)).rank <= cap
+
+
+def greedy_reference(prob, rtol=spectral._FACTOR_RTOL):
+    # the one-row-per-pivot greedy factor: each step takes the first node of
+    # largest remainder and evaluates its whole kernel row; it stops, gives
+    # up at half the cap and stops at the cap as _factor does.  Returns the
+    # pivots and L^T, or the pivots and None where it gives up
+    nodes = prob.grid.nodes
+    n = nodes.shape[0]
+    cap = min(n, int(spectral._FACTOR_CAP * math.sqrt(n)))
+    phi0 = prob.kernel.evaluate(nodes[:1], nodes[:1])[0, 0]
+    remainder = np.full(n, phi0)
+    lt = np.empty((0, n))
+    pivots = []
+    while True:
+        p = int(np.argmax(remainder))
+        if pivots and remainder[p] <= rtol * phi0:
+            return pivots, lt
+        if len(pivots) == cap or (len(pivots) == cap // 2 and
+                                  remainder[p] > rtol ** spectral._FACTOR_PACE * phi0):
+            return pivots, None
+        c = prob.kernel.evaluate(nodes[p:p + 1], nodes)[0] - lt[:, p] @ lt
+        remainder -= c * (c / c[p])
+        lt = np.vstack([lt, c / np.sqrt(c[p])])
+        pivots.append(p)
+
+
+def factor_pivots(prob):
+    # _factor, and its pivots in order, read off the full rows it evaluates
+    nodes = prob.grid.nodes
+    seen = []
+
+    def ev(x, y):
+        if y.shape[0] == nodes.shape[0]:
+            seen.extend(int(np.flatnonzero((nodes == row).all(axis=1))[0]) for row in x)
+        return prob.kernel.evaluate(x, y)
+
+    # replace drops the positive-definite claim of the built-in family
+    kernel = model._positive_definite(dataclasses.replace(prob.kernel, evaluate=ev))
+    recorded = Problem(prob.domain, kernel, prob.coeff, prob.grid)
+    seen.clear()                        # drop the validation samples
+    return spectral._factor(recorded), seen
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gaussian_ball(5, 6),
+    lambda: build_problem(Ball(center=CENTER3, radius=1.0), gaussian_kernel(0.15, 1.5),
+                          radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
+                          resolution=6),
+    lambda: ball_problem(0.1, resolution=5, depth=6),
+    lambda: gaussian_ball(6, 6, width=0.8),
+], ids=["graded", "ungraded", "constant", "cap"])
+def test_factor_pivots_match_one_row_greedy(make):
+    # panels keep the greedy order: _factor takes the pivots of the one-row
+    # reference, in order, to the same rank.  The ungraded grid ties at
+    # every node at the start and at two mirror nodes later, and both break
+    # a tie toward the first node.  Where only rounding separates two
+    # remainders, gemm and gemv may round them apart either way; these grids
+    # have no such near-tie.  The width-0.8 factor stops at the cap, having
+    # evaluated exactly cap rows
+    prob = make()
+    kw, pivots = factor_pivots(prob)
+    expected, lt = greedy_reference(prob)
+    assert pivots == expected
+    if lt is None:
+        n = prob.grid.size
+        assert kw is None and len(pivots) == int(spectral._FACTOR_CAP * math.sqrt(n))
+        return
+    assert kw.rank == len(expected) and kw.panels <= kw.rank
+    # the remainder diagonal is that of K - L L^T, K(x, x) = phi0
+    rows = np.vstack(kw.factor)
+    nodes = prob.grid.nodes
+    phi0 = prob.kernel.evaluate(nodes[:1], nodes[:1])[0, 0]
+    exact = phi0 - np.einsum("ij,ij->j", rows, rows)
+    held = 0.0 if kw.root_remainder is None else kw.root_remainder ** 2
+    assert np.max(np.abs(held - exact)) <= ROUND * phi0
+
+
+def test_factor_holds_one_panel_beside_its_rows():
+    # beyond the blocks it returns, a factor holds a panel's b kernel rows
+    # in flight with the kernel's scratch (2 b N doubles), the candidates'
+    # gathered columns ((r + b) m doubles) and O(N) vectors: the nodes in
+    # Fortran order, the remainder and a row update's temporaries.  On the
+    # bench Gaussian (N = 3600, rank 338, d = 3) that bound is 972,416
+    # bytes, and the build peaks 591,824 bytes above its blocks
+    prob = gaussian_ball(10, 12)
+    n, d = prob.grid.nodes.shape
+    tracemalloc.start()
+    try:
+        kw = spectral._factor(prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(rows.nbytes if rows.base is None else rows.base.nbytes for rows in kw.factor)
+    b, m = spectral._FACTOR_PANEL, n // spectral._FACTOR_CANDIDATES
+    assert peak - held <= 8 * (2 * b * n + (kw.rank + b) * m + (d + 4) * n)
 
 
 def test_dense_kernel_weights_hold_one_slab():
