@@ -34,26 +34,22 @@ near-tie.  The fine grid's factor stops at remainder
 regime, at 1e-4 tol_classify.  Other kernels, and a factor that would need
 more than 8 sqrt(N) rows, keep the dense N x N array.
 
-Every top eigenpair, of Kt and of the full operator, comes from one
-route, whatever the kernel: Arnoldi, then a certificate.  Restarted
-Arnoldi (plain numpy: Gram-Schmidt twice, a fixed start, explicit restarts
-from the Ritz pair of largest real part until its residual reaches
-round-off) runs on a diagonal similarity of the operator, Kt as
-sqrt(b) K sqrt(b) with b = w / (a0 - a) and A as W^1/2 K W^1/2 + diag(a).
-For a symmetric kernel these are symmetric matrices and Arnoldi does what
-Lanczos would; for any other they are the same spectrum in other
-coordinates.  It finds the top eigenvector in a few dozen matvecs.  The
-vector v is certified on the operator itself by its ratio interval
-[min_i (Av)_i / v_i, max_i (Av)_i / v_i], which brackets the spectral
-radius of a nonnegative irreducible matrix for any positive v, symmetric
-or not.  Power iteration is only the fallback, for an Arnoldi vector that
-is not positive or misses the residual tolerance; the public ``perron``
-runs it on a dense matrix.
+Every top eigenpair comes from one route, whatever the kernel: restarted
+Arnoldi (plain numpy: Gram-Schmidt twice, a fixed start, restarts from the
+Ritz pair of largest real part until its residual reaches round-off) on the
+similarity sqrt(b) K sqrt(b), b = w / (a0 - a), of Kt, which is symmetric
+for a symmetric kernel; then a certificate on Kt itself, the ratio interval
+[min_i (Kt v)_i / v_i, max_i (Kt v)_i / v_i] of the vector v, which brackets
+the spectral radius of a nonnegative irreducible matrix for any positive v.
+Power iteration is only the fallback, for an Arnoldi vector that is not
+positive or misses the residual tolerance; the public ``perron`` runs it on
+a dense matrix.
 
-Below one, the full operator is never formed: with u the Perron vector
-of the normalized operator, f = u / (a0 - a) is a positive test function
-whose ratio interval for the full operator brackets -lambda_p at the cost
-of one K W matvec, and each further matvec narrows it.
+The full operator is never formed.  Its top eigenvalue is the one mu > max a
+at which the Perron root f(mu) of B(mu) = K W diag(1 / (mu - a)) is one
+(Birman-Schwinger).  B(mu) is Kt with a0 - a replaced by mu - a, so B(a0) is
+Kt; each solve's test function v / (mu - a) brackets -lambda_p at no extra
+matvec, and safeguarded Newton on log f picks the next mu.
 """
 
 from __future__ import annotations
@@ -90,6 +86,11 @@ __all__ = [
 _BLOCK = 512
 # power-iteration steps before IterationLimitError; Arnoldi gets as many matvecs
 _MAX_ITER = 100_000
+# B(mu) solves the lambda_p root may run before IterationLimitError;
+# bisection alone narrows a bracket by 2^-64
+_ROOT_STEPS = 64
+# a continuous lambda_p root stops at this width relative to max(1, |mu|)
+_ROOT_RTOL = 1e-12
 # Arnoldi basis size per restart cycle
 _ARNOLDI_BASIS = 24
 # by default classify_regime calls a lambda1 within this of one "l1"
@@ -146,6 +147,7 @@ class PerronPair:
     # matvecs of an Arnoldi run and its certification before ``iterations``
     # power steps
     arnoldi_matvecs: int = 0
+    product: np.ndarray | None = None    # Kt v, when Arnoldi's v was accepted
 
 
 @dataclass(frozen=True)
@@ -490,66 +492,46 @@ def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
     return _power(lambda v: entries @ v, np.ones(entries.shape[0]), tol_power)
 
 
-def _top_pair(matvec, s: np.ndarray, slack, tol_power: float) -> PerronPair:
-    """Certified top eigenpair of a nonnegative operator A, given as
-    ``matvec``, run on its similarity S A S^-1, S = diag(s).
+def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
+                 start: np.ndarray | None = None) -> PerronPair:
+    """Certified top eigenpair of Kt = K W diag(1 / gap), applied as
+    v -> K W (v / gap).
 
-    Arnoldi, applied matrix-free from the fixed start s (so reruns are
-    byte-identical), finds the top eigenvector y of S A S^-1; v = y / s is
-    accepted under power iteration's own contract: strictly positive and,
-    with lam = max A v, |A v - lam v|_inf / lam <= ``tol_power``, the ratio
-    interval of v, widened by ``slack(v)``, being the certificate.
-    Otherwise power iteration runs, warm-started from v when v is positive.
-    The choice of s changes the matvec count, never the certificate.
+    Arnoldi runs matrix-free on the similarity sqrt(b) K sqrt(b), b = w / gap,
+    from sqrt(b) times ``start`` (ones by default), so reruns are
+    byte-identical.  Its vector v, in Kt's coordinates, is accepted under
+    power iteration's own contract: strictly positive and, with
+    lam = max Kt v, |Kt v - lam v|_inf / lam <= ``tol_power``, its ratio
+    interval widened by the slack being the certificate.  Otherwise power
+    iteration runs, warm-started from v when v is positive.
     """
+    s = np.sqrt(kw.weights / gap)
     matvecs = 0
 
     def similar(y: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return s * matvec(y / s)
+        return s * (kw @ (y / s / gap))
 
-    y = _arnoldi(similar, s, _MAX_ITER)
-    v = None
-    if y is not None:
-        v = y / s
+    y = _arnoldi(similar, s if start is None else s * start, _MAX_ITER)
+    v = None if y is None else y / s
+    if v is not None:
         v = v / v[np.argmax(np.abs(v))]
         if not bool(np.all(v > 0)):
             v = None
     if v is not None:
         matvecs += 1
-        w = matvec(v)
+        w = kw @ (v / gap)
         lam = float(np.max(w))
         res = float(np.max(np.abs(w - lam * v))) / lam
         if res <= tol_power:
-            err = slack(v)
+            err = kw.slack(v / gap)
             return PerronPair(lam, v, 0, res, (float(np.min((w - err) / v)),
                                                float(np.max((w + err) / v))),
-                              "residual", arnoldi_matvecs=matvecs)
-    pair = _power(matvec, np.ones(s.size) if v is None else v, tol_power, slack=slack)
+                              "residual", arnoldi_matvecs=matvecs, product=w)
+    pair = _power(lambda u: kw @ (u / gap), np.ones(s.size) if v is None else v,
+                  tol_power, slack=lambda u: kw.slack(u / gap))
     return replace(pair, arnoldi_matvecs=matvecs)
-
-
-def _ktilde_pair(kw: KernelWeights, gap: np.ndarray,
-                 tol_power: float = 1e-10) -> PerronPair:
-    """Top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap)
-    and run on its similarity sqrt(b) K sqrt(b), b = w / gap."""
-    return _top_pair(lambda v: kw @ (v / gap), np.sqrt(kw.weights / gap),
-                     lambda v: kw.slack(v / gap), tol_power)
-
-
-def _full_pair(problem: Problem, kw: KernelWeights,
-               tol_power: float) -> tuple[LambdaPEstimate, PerronPair]:
-    """lambda_p and the top eigenpair of the full operator
-    A = K W + diag(a + shift), applied as K W v + (a + shift) v and run on
-    its similarity W^1/2 K W^1/2 + diag(a + shift)."""
-    a = problem.a_at_nodes
-    shift = float(np.max(np.abs(a)))
-    pair = _top_pair(lambda v: kw @ v + (a + shift) * v, np.sqrt(problem.grid.weights),
-                     kw.slack, tol_power)
-    lo, hi = pair.interval
-    return LambdaPEstimate(shift - pair.value, (shift - hi, shift - lo),
-                           pair.iterations + pair.arnoldi_matvecs), pair
 
 
 def _arnoldi(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
@@ -600,42 +582,71 @@ def _arnoldi(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
     return None
 
 
+def _newton(mu: float, gap: np.ndarray, weights: np.ndarray, pair: PerronPair) -> float:
+    """Newton step on log f(mu) = 0 from ``pair``, the solve of B(mu) at
+    gap = mu - a: d log f / d mu = -sum_i y_i^2 / gap_i, y the unit top
+    vector of its similarity (only a step rule for a nonsymmetric kernel)."""
+    y2 = weights / gap * pair.vector ** 2
+    return mu + math.log(pair.value) * float(np.sum(y2)) / float(np.sum(y2 / gap))
+
+
+def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, pair: PerronPair | None,
+                   lo: float, hi: float, width_tol: float,
+                   tol_power: float) -> tuple[float, float, np.ndarray, int, int]:
+    """Bracket (lo, hi) on the top eigenvalue of K W + diag(a), the test
+    function phi of the last step, and the B(mu) solves and matvecs run.
+
+    Each step solves B(mu) = K W diag(1 / (mu - a)) by ``_ktilde_pair`` from
+    the last step's vector v (``pair``, when given, is the first mu's solve).
+    K W phi, phi = v / (mu - a), is the product that certified v, so phi's
+    Collatz-Wielandt interval on K W + diag(a), widened by the slack,
+    narrows (lo, hi) at no matvec.  The next mu is ``_newton``'s, or the
+    midpoint when that leaves (max(lo, max a), hi).  The root stops at width
+    ``width_tol`` max(1, |hi|), or at the floor the slack and the residuals
+    set, where a step no longer narrows the bracket."""
+    top = float(np.max(a))
+    steps = matvecs = 0
+    v = np.ones(a.size)             # the first solve's start, when it runs
+    while True:
+        gap = mu - a
+        if pair is None:
+            if steps == _ROOT_STEPS:
+                raise IterationLimitError(f"lambda_p root: bracket [{lo:.12g}, {hi:.12g}] "
+                                          f"is still {hi - lo:.3g} wide after {steps} solves")
+            pair = _ktilde_pair(kw, gap, tol_power, start=v)
+            steps += 1
+            matvecs += pair.arnoldi_matvecs + pair.iterations
+        v = pair.vector
+        phi = v / gap
+        if pair.product is None:    # power iteration's vector: one more matvec
+            pair, matvecs = replace(pair, product=kw @ phi), matvecs + 1
+        err = kw.slack(phi)
+        width = hi - lo
+        lo = max(lo, float(np.min((pair.product - err) / phi + a)))
+        hi = min(hi, float(np.max((pair.product + err) / phi + a)))
+        if hi - lo <= width_tol * max(1.0, abs(hi)) or not hi - lo < width:
+            return lo, hi, phi, steps, matvecs
+        mu = _newton(mu, gap, kw.weights, pair)
+        if not max(lo, top) < mu < hi:
+            mu = 0.5 * (lo + hi)
+        pair = None
+
+
 def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEstimate:
-    """The generalized principal eigenvalue on the problem's grid.
-
-    It is minus the largest eigenvalue of the full operator, converged to
-    the ``tol_power`` residual by Arnoldi (power iteration as fallback);
-    the interval is certified by the ratio bounds of the returned vector,
-    widened by the kernel factor's remainder bound.
-    """
-    return _full_pair(problem, _kernel_operator(problem), tol_power)[0]
-
-
-def _atom_bracket(kw: KernelWeights, u: np.ndarray, a: np.ndarray, gap: np.ndarray,
-                  width_tol: float) -> tuple[float, float, int]:
-    """Collatz-Wielandt bracket (lo, hi, steps) on the full operator's
-    largest eigenvalue mu (unshifted), starting from the test function
-    f = u / gap, u > 0, gap = a0 - a.
-
-    A g = K W g + a g, so each step costs one K W matvec; its ratios are
-    widened by the operator's slack.  The largest diagonal entry
-    (K W)_ii + a_i of A is a lower bound from the start.
-    While the bracket is wider than ``width_tol`` the next test function is
-    (A g - a g) / (hi - a), positive because hi >= mu > max a.  The test
-    function that gave ``hi`` is a positive supersolution at lambda = -hi.
-    """
+    """The generalized principal eigenvalue on the problem's grid, minus the
+    top eigenvalue of K W + diag(a), by ``_lambda_p_root`` on the problem's
+    own K W from the midpoint of its bracket [max_i (K W)_ii + a_i, max_i
+    ((K W 1)_i + a_i)] to a width of about 1e-12; no argmax set is needed.
+    ``value`` is the certified interval's lower end; ``iterations`` counts
+    matvecs."""
+    kw = _kernel_operator(problem)
+    a = problem.a_at_nodes
+    ones = np.ones(a.size)
     lo = float(np.max(kw.diagonal + a))
-    hi = np.inf
-    g = u / gap
-    for step in range(1, _MAX_ITER + 1):
-        h = kw @ g
-        err = kw.slack(g)
-        lo = max(lo, float(np.min((h - err) / g + a)))
-        hi = min(hi, float(np.max((h + err) / g + a)))
-        if hi - lo <= width_tol:
-            break
-        g = h / (hi - a)
-    return lo, hi, step
+    hi = float(np.max(kw @ ones + kw.slack(ones) + a))
+    mu_lo, mu_hi, _, _, matvecs = _lambda_p_root(kw, a, 0.5 * (lo + hi), None, lo, hi,
+                                                 _ROOT_RTOL, tol_power)
+    return LambdaPEstimate(-mu_hi, (-mu_hi, -mu_lo), matvecs + 1)
 
 
 def _regime(lam1: float, tol_classify: float) -> str:
@@ -665,16 +676,13 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
     silently trusted; a grid with no coarser level raises
     ``ConfigurationError``.
 
-    lambda_p is certified per regime.  Singular: the Collatz-Wielandt
-    bracket of the full operator from f = u / (a0 - a), u the Kt Perron
-    vector, one K W matvec per step until it is no wider than
-    ``tol_classify / 10`` (on a graded grid usually after the first);
-    lambda_p is its lower end, the value at which the test function is a
-    positive supersolution.  Continuous: the residual-converged top
-    eigenpair of the full operator (Arnoldi, power iteration as fallback),
-    whose ratio interval is the bracket.
-    Threshold: -a0 itself, where the discrete spectrum clusters; no
-    bracket is claimed (``lambda_p_interval`` is None).
+    Off the threshold lambda_p comes from ``_lambda_p_root``, started from
+    the Kt pair, whose test function u / (a0 - a) brackets it for free, and
+    narrowed to ``tol_classify / 10`` (singular) or about 1e-12
+    (continuous).  It is the bracket's lower end, where a positive
+    supersolution is exhibited; the continuous density is the last test
+    function, at max 1.  Threshold: -a0 itself, where the discrete spectrum
+    clusters; no bracket is claimed (``lambda_p_interval`` is None).
 
     The argmax set of a is detected on the grid and reported as ``argmax``;
     x0 is its ``argmax_point`` and a0 its sup.  A problem on a finer grid of
@@ -720,42 +728,28 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
                 f"(lambda1 {coarse_lam1:.6g} vs {pair.value:.6g})"
             )
 
-    slack = 10.0 * tol_classify * max(1.0, abs(a0))
-    density = None
-    interval = None
-    if regime == "singular":
-        mu_lo, mu_hi, steps = _atom_bracket(kw, pair.vector, problem.a_at_nodes,
-                                            gap, tol_classify / 10.0)
-        runs.append(f"bracket matvecs={steps}")
-        lambda_p = -mu_hi
-        interval = (-mu_hi, -mu_lo)
-        if mu_hi > a0 + slack:
-            raise InconsistencyError(
-                f"normalized radius {pair.value:.6g} is below one but the "
-                f"principal eigenvalue estimate {lambda_p:.6g} sits below {-a0:.6g}"
-            )
-    elif regime == "continuous":
-        est, fpair = _full_pair(problem, kw, tol_power)
-        runs.append(_fmt_run("full", fpair))
-        lambda_p, interval = est.value, est.interval
-        if -lambda_p < a0 - slack:
-            raise InconsistencyError(
-                f"normalized radius {pair.value:.6g} exceeds one but the "
-                f"principal eigenvalue estimate {lambda_p:.6g} sits above {-a0:.6g}"
-            )
-        density = fpair.vector
-    else:
+    density = interval = None
+    if regime == "l1":
         lambda_p = -a0
         psi = pair.vector / gap
-        mass = float(np.sum(problem.grid.weights * psi))
-        density = psi / mass
+        density = psi / float(np.sum(problem.grid.weights * psi))
+    else:
+        a = problem.a_at_nodes
+        mu_lo, mu_hi, phi, steps, matvecs = _lambda_p_root(
+            kw, a, a0, pair, float(np.max(kw.diagonal + a)), np.inf,
+            tol_classify / 10.0 if regime == "singular" else _ROOT_RTOL, tol_power)
+        runs.append(f"root steps={steps} matvecs={matvecs} width={mu_hi - mu_lo:.3g}")
+        lambda_p, interval = -mu_hi, (-mu_hi, -mu_lo)
+        side = 1.0 if regime == "singular" else -1.0
+        if side * (mu_hi - a0) > 10.0 * tol_classify * max(1.0, abs(a0)):
+            raise InconsistencyError(f"lambda1 {pair.value:.6g} gives the {regime} regime "
+                                     f"but lambda_p {lambda_p:.6g} lies across {-a0:.6g}")
+        if regime == "continuous":
+            density = phi / float(np.max(phi))
 
     lo1, hi1 = pair.interval
-    if interval is None:
-        certificate = "threshold value, no bracket"
-    else:
-        certificate = (f"in [{interval[0]:.12g}, {interval[1]:.12g}] "
-                       f"width {interval[1] - interval[0]:.3g}")
+    certificate = ("threshold value, no bracket" if interval is None else
+                   f"in [{-mu_hi:.12g}, {-mu_lo:.12g}] width {mu_hi - mu_lo:.3g}")
     log.info("classify_regime: regime=%s n=%d lambda1=%.12g in [%.12g, %.12g] "
              "width %.3g lambda_p=%.12g %s; perron: %s; %s", regime,
              problem.grid.size, pair.value, lo1, hi1, hi1 - lo1, lambda_p,

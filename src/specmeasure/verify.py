@@ -212,9 +212,9 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
     ratio |previous difference| / |difference| (residuals: the values
     themselves take the place of differences).
 
-    lambda1 and lambda_p are residual-converged values with certified
-    intervals, so the deltas and ratios measure the grids, not a stopping
-    rule.
+    lambda1 is a residual-converged value with a certified interval, and
+    lambda_p the lower end of ``estimate_lambda_p``'s bracket, about 1e-12
+    wide, so the deltas and ratios measure the grids, not a stopping rule.
 
     The argmax set is detected and refined on level 0 only: the lambda1
     study and a ``solution`` that classifies its problem reuse it on every

@@ -84,6 +84,14 @@ def test_classify_huge_kernel_falls_back_to_power_iteration(capsys, caplog):
     assert re.search(r"perron: ktilde n=\d+ arnoldi matvecs=\d+ fallback=power ", line)
 
 
+def test_classify_lambda_p_root_budget_exits_2(capsys, monkeypatch):
+    # the lambda_p root's step budget is a named failure, not a traceback
+    monkeypatch.setattr(spectral, "_ROOT_STEPS", 1)
+    code, out, err = run(capsys, "classify", "--example", "ball", "--rho", "0.1")
+    assert code == 2 and out == ""
+    assert err.startswith("error[iteration-limit]: lambda_p root: bracket [")
+
+
 def test_classify_singular_regime(capsys):
     code, out, _ = run(capsys, "classify", "--example", "ball",
                        "--rho", "0.05", "--resolution", "4", "--depth", "5")
@@ -799,12 +807,14 @@ def test_solve_builds_what_its_report_calls_singular(capsys, tmp_path):
 
 def test_solve_runs_two_ktilde_perron_solves(capsys, monkeypatch):
     # the coarse and the fine classification; the Fredholm solve takes the
-    # fine report's lambda1 instead of a third run
+    # fine report's lambda1 instead of a third run.  The lambda_p root's
+    # B(mu) solves go through the same routine and are not Kt runs
     sizes = []
     real = spectral._ktilde_pair
 
     def counted(kw, *args, **kwargs):
-        sizes.append(kw.weights.size)
+        if sys._getframe(1).f_code.co_name != "_lambda_p_root":
+            sizes.append(kw.weights.size)
         return real(kw, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_ktilde_pair", counted)

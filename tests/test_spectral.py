@@ -290,10 +290,11 @@ def eigen_residual(entries, v):
     (gaussian_kernel(0.15, 1.0), 0),
 ], ids=["constant", "gaussian", "gaussian-dense"])
 def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
-    # lambda_p is the residual-converged full-operator estimate; the density
-    # is a certified top eigenvector of the full operator whose ratio
-    # interval is lambda_p_interval (an interval holding the ratio bounds of
-    # the assembled operator up to round-off), and lambda_p matches the
+    # lambda_p is the lower end of the lambda_p root's bracket, which
+    # overlaps estimate_lambda_p's (the two roots start from different
+    # brackets); the density is a top eigenvector of the full operator to
+    # the power tolerance whose ratio interval on the assembled operator
+    # meets lambda_p_interval up to round-off, and lambda_p matches the
     # oracle; a rank cap of 0 sends the Gaussian to its dense fallback
     if cap is not None:
         monkeypatch.setattr(spectral, "_FACTOR_CAP", cap)
@@ -304,7 +305,10 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     )
     rep = classify_regime(prob)
     assert rep.regime == "continuous"
-    assert rep.lambda_p == estimate_lambda_p(prob).value
+    assert rep.lambda_p == rep.lambda_p_interval[0]
+    est = estimate_lambda_p(prob)
+    assert max(rep.lambda_p_interval[0], est.interval[0]) \
+        <= min(rep.lambda_p_interval[1], est.interval[1])
     v = rep.eigen_density
     assert np.all(v > 0) and v.max() == 1.0
     full, shift = shifted_full(prob)
@@ -312,8 +316,8 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     lo, hi = ratio_bounds(full, v)
     assert (spectral._kernel_operator(prob).dense is None) == (cap is None)
     ulp = 16 * np.finfo(float).eps * shift
-    assert rep.lambda_p_interval[0] <= shift - hi + ulp
-    assert rep.lambda_p_interval[1] >= shift - lo - ulp
+    assert rep.lambda_p_interval[0] <= shift - lo + ulp
+    assert rep.lambda_p_interval[1] >= shift - hi - ulp
     if kernel.family == "constant":
         mu = secular_root(prob, kernel.params["rho"])
     else:
@@ -327,9 +331,9 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
 
 
 def test_classify_continuous_custom_kernel_runs_arnoldi(caplog):
-    # a custom kernel carries no claim beyond nonnegativity, and its
-    # full-operator run is Arnoldi certified at once, as for the built-in
-    # kernels: no power steps
+    # a custom kernel carries no claim beyond nonnegativity, and the B(mu)
+    # solves of its lambda_p root are Arnoldi runs certified at once, as for
+    # the built-in kernels: no power steps
     rho = 0.1
     kernel = custom_kernel(lambda x, y: np.full((x.shape[0], y.shape[0]), rho),
                            positivity_witness=(rho / 2, math.inf))
@@ -341,8 +345,8 @@ def test_classify_continuous_custom_kernel_runs_arnoldi(caplog):
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
     n = prob.grid.size
-    matvecs = int(re.search(rf"; full n={n} arnoldi matvecs=(\d+) residual=\S+;",
-                            line).group(1))
+    assert f"ktilde n={n} " in line
+    matvecs = int(re.search(r"; root steps=\d+ matvecs=(\d+) width=\S+;", line).group(1))
     assert matvecs <= 100
     assert "fallback=power" not in line
     full, shift = shifted_full(prob)
@@ -358,7 +362,7 @@ def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, arnoldi)
 
     def rough_arnoldi(matvec, v0, budget):
         if arnoldi == "no-convergence":
-            return real_arnoldi(matvec, v0, 3)
+            return real_arnoldi(matvec, v0, 0)
         y = real_arnoldi(matvec, v0, budget)
         return y * (1.0 + 1e-6 * np.cos(np.arange(v0.size)))
 
@@ -518,7 +522,10 @@ def test_classify_logs_one_info_line(caplog):
     assert re.findall(r"(ktilde\S*) n=\d+ arnoldi matvecs=\d+ residual=", line) \
         == ["ktilde", "ktilde-coarse"]
     assert "stopped_by=" not in line
-    assert "bracket matvecs=1" in line
+    # the Kt pair's test function already brackets lambda_p to
+    # tol_classify / 10: the root runs no B(mu) solve
+    lo, hi = rep.lambda_p_interval
+    assert f"; root steps=0 matvecs=0 width={hi - lo:.3g};" in line
     # each grid's K W backend: the constant kernel is an exact rank-one
     # factor, built in one panel of one row
     assert line.endswith("; kernel factor rank=1 remainder=0 panels=1; "
@@ -803,9 +810,105 @@ def test_non_symmetric_kernel_intervals_contain_dense_eigvals(amplitude, width, 
     assert lo - ROUND <= -mu <= hi + ROUND
     assert hi - lo <= 1e-10
     est = estimate_lambda_p(prob)
-    assert est.interval == rep.lambda_p_interval
+    lo, hi = est.interval
+    assert lo - ROUND <= -mu <= hi + ROUND
+    assert est.value == lo and hi - lo <= 1e-10
     # tens of Arnoldi matvecs, where power iteration takes about 1,100 steps
     assert est.iterations <= 100
+
+
+# -- the lambda_p root against the dense oracle ---------------------------
+
+def scaled_problem(family, width, beta, resolution):
+    # the unit-amplitude kernel of the family on a graded ball, and a maker
+    # of the same problem with the kernel scaled by an amplitude
+    base = ball_problem(1.0, resolution=resolution, depth=5)
+    if family == "constant":
+        make = constant_kernel
+    elif family == "gaussian":
+        def make(amplitude):
+            return gaussian_kernel(amplitude, width)
+    else:
+        def make(amplitude):
+            gauss = gaussian_kernel(amplitude, width)
+            return custom_kernel(lambda x, y: gauss.evaluate(x, y) * (1.0 + beta * y[:, 0]))
+    return lambda amplitude: Problem(base.domain, make(amplitude), base.coeff, base.grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["constant", "gaussian", "non-symmetric"]),
+       width=st.floats(0.7, 2.0), beta=st.floats(-0.9, 0.9),
+       resolution=st.integers(4, 5), side=st.sampled_from([-1.0, 1.0]),
+       near=st.booleans(), distance=st.floats(0.0, 1.0))
+def test_lambda_p_root_contains_dense_eigvals(family, width, beta, resolution,
+                                               side, near, distance):
+    # lambda1 is linear in the kernel's amplitude, so the amplitude puts it
+    # on either side of one: far from it, or within 1.1-3 tol_classify of it
+    # and still outside the l1 band.  -max Re eigvals of the assembled full
+    # operator lies in lambda_p_interval, lambda_p is its lower end, and
+    # estimate_lambda_p, on its own bracket, passes the same checks
+    tol = spectral._TOL_CLASSIFY
+    make = scaled_problem(family, width, beta, resolution)
+    unit = top_real_eigenvalue(assemble_ktilde(make(1.0), 1.0))
+    offset = tol * (1.1 + 1.9 * distance) if near else 0.05 + 0.6 * distance
+    prob = make((1.0 + side * offset) / unit)
+    rep = classify_regime(prob, confirm=False)
+    assert rep.regime == ("continuous" if side > 0 else "singular")
+    mu = top_real_eigenvalue(assemble_full(prob))
+    lo, hi = rep.lambda_p_interval
+    assert lo - 1e-12 <= -mu <= hi + 1e-12
+    assert rep.lambda_p == lo
+    assert hi - lo <= (1e-10 if side > 0 else tol / 10)
+    est = estimate_lambda_p(prob)
+    lo, hi = est.interval
+    assert lo - 1e-12 <= -mu <= hi + 1e-12
+    assert est.value == lo and hi - lo <= 1e-10
+
+
+def test_lambda_p_root_budget_raises(monkeypatch):
+    # a root that has not reached its width after _ROOT_STEPS B(mu) solves
+    # raises instead of running on; the Kt pair is step 0 and free
+    prob = ball_problem(0.1, resolution=4, depth=4)
+    monkeypatch.setattr(spectral, "_ROOT_STEPS", 2)
+    with pytest.raises(IterationLimitError, match="after 2 solves"):
+        classify_regime(prob, confirm=False)
+    with pytest.raises(IterationLimitError, match="after 2 solves"):
+        estimate_lambda_p(prob)
+
+
+@pytest.mark.parametrize("proposal", ["below-max-a", "at-max-a"])
+@pytest.mark.parametrize("make", [
+    lambda: cylinder_problem(0.155, resolution=4, depth=6),
+    lambda: gaussian_ball(4, 5, width=0.7),
+], ids=["cylinder-singular", "gaussian-continuous"])
+def test_lambda_p_root_step_outside_bracket_bisects(monkeypatch, make, proposal):
+    # a step rule that proposes mu <= max a, as an unguarded secant once did,
+    # is replaced by bisection: every B(mu) solve keeps mu - a > 0 and finite
+    # similarity weights, and the bracket still holds the dense eigenvalue
+    def step(mu, gap, weights, pair):
+        return mu - (2.0 * float(np.max(gap)) if proposal == "below-max-a"
+                     else float(np.min(gap)))
+
+    real = spectral._ktilde_pair
+    gaps = []
+
+    def checked(kw, gap, *args, **kwargs):
+        gaps.append(float(np.min(gap)))
+        assert np.all(np.isfinite(np.sqrt(kw.weights / gap)))
+        return real(kw, gap, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_newton", step)
+    monkeypatch.setattr(spectral, "_ktilde_pair", checked)
+    prob = make()
+    with pytest.MonkeyPatch.context() as mp:
+        lift_rank_cap(mp)
+        rep = classify_regime(prob, confirm=False)
+    assert rep.regime in ("singular", "continuous")
+    assert len(gaps) > 2 and min(gaps) > 0
+    mu = top_real_eigenvalue(assemble_full(prob))
+    lo, hi = rep.lambda_p_interval
+    assert lo - 1e-12 <= -mu <= hi + 1e-12
+    assert rep.lambda_p == lo
 
 
 def test_factor_blocks_of_unequal_height_match_dense_oracle(monkeypatch):

@@ -268,8 +268,8 @@ def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
 
 
 def test_lambda_p_study_reports_converged_values():
-    # each row is the residual-converged lambda_p, not the midpoint of a
-    # ratio interval
+    # each row is estimate_lambda_p's certified lambda_p, the lower end of
+    # its bracket, not the midpoint of a ratio interval
     base = ball_problem(0.1, resolution=4, depth=4)
     rows = refinement_study(base, 3, "lambda_p")
     for level, row in enumerate(rows):
