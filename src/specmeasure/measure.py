@@ -257,7 +257,7 @@ def _singular_solution(problem: Problem, atoms, tol_linear: float,
     gap = _gap(problem, a0)
     if classified is None:
         kw = _kernel_operator(problem)
-        lam1 = _ktilde_pair(kw, gap).value
+        lam1 = _ktilde_pair(kw, gap)[0].value
         regime = _regime(lam1, _TOL_CLASSIFY)
     else:
         report, kw = classified

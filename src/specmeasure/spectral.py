@@ -147,7 +147,6 @@ class PerronPair:
     # matvecs of an Arnoldi run and its certification before ``iterations``
     # power steps
     arnoldi_matvecs: int = 0
-    product: np.ndarray | None = None    # Kt v, when Arnoldi's v was accepted
 
 
 @dataclass(frozen=True)
@@ -493,9 +492,9 @@ def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
 
 
 def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
-                 start: np.ndarray | None = None) -> PerronPair:
-    """Certified top eigenpair of Kt = K W diag(1 / gap), applied as
-    v -> K W (v / gap).
+                 start: np.ndarray | None = None) -> tuple[PerronPair, np.ndarray | None]:
+    """Certified top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap),
+    and the product Kt v that certified its vector (None after a power fallback).
 
     Arnoldi runs matrix-free on the similarity sqrt(b) K sqrt(b), b = w / gap,
     from sqrt(b) times ``start`` (ones by default), so reruns are
@@ -528,10 +527,10 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
             err = kw.slack(v / gap)
             return PerronPair(lam, v, 0, res, (float(np.min((w - err) / v)),
                                                float(np.max((w + err) / v))),
-                              "residual", arnoldi_matvecs=matvecs, product=w)
+                              "residual", arnoldi_matvecs=matvecs), w
     pair = _power(lambda u: kw @ (u / gap), np.ones(s.size) if v is None else v,
                   tol_power, slack=lambda u: kw.slack(u / gap))
-    return replace(pair, arnoldi_matvecs=matvecs)
+    return replace(pair, arnoldi_matvecs=matvecs), None
 
 
 def _arnoldi(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
@@ -590,46 +589,48 @@ def _newton(mu: float, gap: np.ndarray, weights: np.ndarray, pair: PerronPair) -
     return mu + math.log(pair.value) * float(np.sum(y2)) / float(np.sum(y2 / gap))
 
 
-def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, pair: PerronPair | None,
-                   lo: float, hi: float, width_tol: float,
+def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | None,
+                   lo: float, hi: float, tol: tuple[float, float],
                    tol_power: float) -> tuple[float, float, np.ndarray, int, int]:
     """Bracket (lo, hi) on the top eigenvalue of K W + diag(a), the test
     function phi of the last step, and the B(mu) solves and matvecs run.
 
     Each step solves B(mu) = K W diag(1 / (mu - a)) by ``_ktilde_pair`` from
-    the last step's vector v (``pair``, when given, is the first mu's solve).
-    K W phi, phi = v / (mu - a), is the product that certified v, so phi's
-    Collatz-Wielandt interval on K W + diag(a), widened by the slack,
-    narrows (lo, hi) at no matvec.  The next mu is ``_newton``'s, or the
-    midpoint when that leaves (max(lo, max a), hi).  The root stops at width
-    ``width_tol`` max(1, |hi|), or at the floor the slack and the residuals
-    set, where a step no longer narrows the bracket."""
+    the last step's vector v (``solve``, when given, is the first mu's
+    pair and product).  K W phi, phi = v / (mu - a), is the product that
+    certified v, so phi's Collatz-Wielandt interval on K W + diag(a),
+    widened by the slack, narrows (lo, hi) at no matvec.  The next mu is
+    ``_newton``'s, or the midpoint when that leaves (max(lo, max a), hi).
+    With ``tol`` = (absolute, relative), the root stops at width absolute +
+    relative max(1, |hi|), or at the floor the slack and the residuals set,
+    where a step no longer narrows the bracket."""
     top = float(np.max(a))
     steps = matvecs = 0
     v = np.ones(a.size)             # the first solve's start, when it runs
     while True:
         gap = mu - a
-        if pair is None:
+        if solve is None:
             if steps == _ROOT_STEPS:
                 raise IterationLimitError(f"lambda_p root: bracket [{lo:.12g}, {hi:.12g}] "
                                           f"is still {hi - lo:.3g} wide after {steps} solves")
-            pair = _ktilde_pair(kw, gap, tol_power, start=v)
+            solve = _ktilde_pair(kw, gap, tol_power, start=v)
             steps += 1
-            matvecs += pair.arnoldi_matvecs + pair.iterations
+            matvecs += solve[0].arnoldi_matvecs + solve[0].iterations
+        pair, product = solve
         v = pair.vector
         phi = v / gap
-        if pair.product is None:    # power iteration's vector: one more matvec
-            pair, matvecs = replace(pair, product=kw @ phi), matvecs + 1
+        if product is None:         # power iteration's vector: one more matvec
+            product, matvecs = kw @ phi, matvecs + 1
         err = kw.slack(phi)
         width = hi - lo
-        lo = max(lo, float(np.min((pair.product - err) / phi + a)))
-        hi = min(hi, float(np.max((pair.product + err) / phi + a)))
-        if hi - lo <= width_tol * max(1.0, abs(hi)) or not hi - lo < width:
+        lo = max(lo, float(np.min((product - err) / phi + a)))
+        hi = min(hi, float(np.max((product + err) / phi + a)))
+        if hi - lo <= tol[0] + tol[1] * max(1.0, abs(hi)) or not hi - lo < width:
             return lo, hi, phi, steps, matvecs
         mu = _newton(mu, gap, kw.weights, pair)
         if not max(lo, top) < mu < hi:
             mu = 0.5 * (lo + hi)
-        pair = None
+        solve = None
 
 
 def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEstimate:
@@ -645,7 +646,7 @@ def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEsti
     lo = float(np.max(kw.diagonal + a))
     hi = float(np.max(kw @ ones + kw.slack(ones) + a))
     mu_lo, mu_hi, _, _, matvecs = _lambda_p_root(kw, a, 0.5 * (lo + hi), None, lo, hi,
-                                                 _ROOT_RTOL, tol_power)
+                                                 (0.0, _ROOT_RTOL), tol_power)
     return LambdaPEstimate(-mu_hi, (-mu_hi, -mu_lo), matvecs + 1)
 
 
@@ -707,13 +708,14 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         gap_c = _gap(coarse, a0)
         kw_c = _kernel_operator(coarse, max(_FACTOR_RTOL,
                                             _COARSE_FACTOR_SHARE * tol_classify))
-        pair_c = _ktilde_pair(kw_c, gap_c, tol_power)
+        pair_c = _ktilde_pair(kw_c, gap_c, tol_power)[0]
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
         kernels.append(f"kernel-coarse {kw_c.describe()}")
         del kw_c
     kw = _kernel_operator(problem)
     kernels.insert(0, f"kernel {kw.describe()}")
-    pair = _ktilde_pair(kw, gap, tol_power)
+    solve = _ktilde_pair(kw, gap, tol_power)
+    pair = solve[0]
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
     if confirm:
@@ -735,9 +737,9 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         density = psi / float(np.sum(problem.grid.weights * psi))
     else:
         a = problem.a_at_nodes
+        tol = (tol_classify / 10.0, 0.0) if regime == "singular" else (0.0, _ROOT_RTOL)
         mu_lo, mu_hi, phi, steps, matvecs = _lambda_p_root(
-            kw, a, a0, pair, float(np.max(kw.diagonal + a)), np.inf,
-            tol_classify / 10.0 if regime == "singular" else _ROOT_RTOL, tol_power)
+            kw, a, a0, solve, float(np.max(kw.diagonal + a)), np.inf, tol, tol_power)
         runs.append(f"root steps={steps} matvecs={matvecs} width={mu_hi - mu_lo:.3g}")
         lambda_p, interval = -mu_hi, (-mu_hi, -mu_lo)
         side = 1.0 if regime == "singular" else -1.0

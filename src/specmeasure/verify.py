@@ -244,7 +244,7 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
             value = estimate_lambda_p(prob).value
         elif quantity == "lambda1":
             gap = _gap(prob, _argmax_set(prob).sup_value)
-            value = _ktilde_pair(_kernel_operator(prob), gap).value
+            value = _ktilde_pair(_kernel_operator(prob), gap)[0].value
         elif quantity == "recip_integral":
             res = _recip_integrability(prob.coeff, prob.grid)
             value = res.value if res.status == "integrable" else None

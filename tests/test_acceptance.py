@@ -308,7 +308,7 @@ def test_criterion_9_shift_invariance():
     ok = ok and classify_regime(sing_moved).regime == "singular"
     v_base, v_moved = (
         spectral._ktilde_pair(spectral._kernel_operator(prob), top - prob.a_at_nodes,
-                              tol_power=1e-12).vector
+                              tol_power=1e-12)[0].vector
         for prob, top in ((sing_base, 1.0), (sing_moved, 1.5)))
     ok = ok and float(np.max(np.abs(v_base - v_moved))) <= 1e-9
     verdict(9, ok, f"a + 0.5 shifts lambda_p by -0.5 (gap {gap:.1e}), leaves "

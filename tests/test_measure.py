@@ -120,7 +120,7 @@ def test_rank_one_constant_density_factor(ball05, monkeypatch):
     mu = build_singular_solution(ball05, [(CENTER, 1.0)])
     g = density_factor(mu, ball05)
     expected = rho / (1.0 - rho * I_BALL)
-    assert abs(pairs[0].value - rho * I_BALL) <= 1e-13 * rho * I_BALL
+    assert abs(pairs[0][0].value - rho * I_BALL) <= 1e-13 * rho * I_BALL
     assert np.max(np.abs(g - expected)) <= 1e-12 * expected
     # (I - Kt) g - rhs = g - rho (density mass + alpha) for the constant kernel
     assert np.max(np.abs(g - rho * mu.total_mass())) <= 1e-12
@@ -410,7 +410,7 @@ def random_singular_problem(data):
     else:
         # Kt is linear in the amplitude
         unit = Problem(unit.domain, gaussian_kernel(1.0, 0.6), unit.coeff, unit.grid)
-        scale = _ktilde_pair(_kernel_operator(unit), 1.0 - unit.a_at_nodes, True).value
+        scale = _ktilde_pair(_kernel_operator(unit), 1.0 - unit.a_at_nodes)[0].value
         kernel = gaussian_kernel(radius / scale, 0.6)
     return Problem(unit.domain, kernel, unit.coeff, unit.grid), x0
 

@@ -267,8 +267,7 @@ def dense_top_eigenvalue(prob):
 
 
 def shifted_full(prob):
-    # the full operator plus max |a| on the diagonal, a nonnegative matrix,
-    # as the production path applies it
+    # the full operator plus max |a| on the diagonal, a nonnegative matrix
     shift = float(np.max(np.abs(prob.a_at_nodes)))
     return assemble_full(prob) + shift * np.eye(prob.grid.size), shift
 
@@ -293,9 +292,11 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     # lambda_p is the lower end of the lambda_p root's bracket, which
     # overlaps estimate_lambda_p's (the two roots start from different
     # brackets); the density is a top eigenvector of the full operator to
-    # the power tolerance whose ratio interval on the assembled operator
-    # meets lambda_p_interval up to round-off, and lambda_p matches the
-    # oracle; a rank cap of 0 sends the Gaussian to its dense fallback
+    # the power tolerance, lambda_p_interval lies inside its ratio interval
+    # on the assembled operator up to round-off and twice the factor's
+    # slack (the root's last step bracketed with the factor's product), and
+    # lambda_p matches the oracle; a rank cap of 0 sends the Gaussian to its
+    # dense fallback
     if cap is not None:
         monkeypatch.setattr(spectral, "_FACTOR_CAP", cap)
     prob = build_problem(
@@ -314,10 +315,11 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     full, shift = shifted_full(prob)
     assert eigen_residual(full, v) <= 1e-10
     lo, hi = ratio_bounds(full, v)
-    assert (spectral._kernel_operator(prob).dense is None) == (cap is None)
-    ulp = 16 * np.finfo(float).eps * shift
-    assert rep.lambda_p_interval[0] <= shift - lo + ulp
-    assert rep.lambda_p_interval[1] >= shift - hi - ulp
+    kw = spectral._kernel_operator(prob)
+    assert (kw.dense is None) == (cap is None)
+    margin = 16 * np.finfo(float).eps * shift + 2.0 * float(np.max(kw.slack(v) / v))
+    assert shift - hi - margin <= rep.lambda_p_interval[0]
+    assert rep.lambda_p_interval[1] <= shift - lo + margin
     if kernel.family == "constant":
         mu = secular_root(prob, kernel.params["rho"])
     else:
@@ -421,6 +423,22 @@ def test_singular_bracket_contains_secular_root(shape, resolution, depth, fracti
     assert hi - lo <= 1e-4          # refined to tol_classify / 10
     assert rep.lambda_p == lo
     assert rep.lambda_p > -rep.sup_a
+
+
+def test_singular_bracket_width_is_absolute():
+    # the singular bracket is narrowed to tol_classify / 10 whatever the size
+    # of a: the cylinder near its threshold with a and K scaled by 100 keeps
+    # its lambda1, and its bracket must not widen with |sup a|
+    base = cylinder_problem(0.155)
+    coeff = radial_power(top=100.0, scale=100.0, power=1.0, center=CENTER3, axes=(0, 1))
+    prob = Problem(base.domain, constant_kernel(15.5), coeff, base.grid)
+    rep = classify_regime(prob)
+    assert rep.regime == "singular" and rep.sup_a == 100.0
+    lo, hi = rep.lambda_p_interval
+    assert hi - lo <= spectral._TOL_CLASSIFY / 10
+    root = 100.0 * secular_root(base, 0.155)    # the unscaled root, scaled
+    assert lo - 1e-11 <= -root <= hi + 1e-11
+    assert rep.lambda_p == lo
 
 
 @settings(max_examples=20, deadline=None)
@@ -640,7 +658,7 @@ def test_coarse_factor_only_as_accurate_as_its_regime_check(caplog):
     rank_c = int(re.search(r"kernel-coarse factor rank=(\d+)", line).group(1))
     assert rank_c < full.rank
     # a coarse factor built to _FACTOR_RTOL confirms the same regime
-    lam_c = spectral._ktilde_pair(full, spectral._gap(coarse, rep.sup_a)).value
+    lam_c = spectral._ktilde_pair(full, spectral._gap(coarse, rep.sup_a))[0].value
     assert rep.regime == "continuous" == spectral._regime(lam_c, tol)
     assert abs(rep.coarse_lambda1 - lam_c) <= 1e-8
 
