@@ -51,8 +51,9 @@ class SingularNodeError(SpecmeasureError):
 
 
 class IterationLimitError(SpecmeasureError):
-    """Power iteration hit its step cap (``spectral._MAX_ITER``) before
-    reaching the residual tolerance."""
+    """The power loop missed its residual tolerance in ``spectral._MAX_ITER``
+    matvecs (an Arnoldi run that fails in as many hands over to it from
+    ones), or the lambda_p root its width in ``spectral._ROOT_STEPS`` solves."""
 
     code = "iteration-limit"
 

@@ -38,12 +38,12 @@ Every top eigenpair comes from one route, whatever the kernel: restarted
 Arnoldi (plain numpy: Gram-Schmidt twice, a fixed start, restarts from the
 Ritz pair of largest real part until its residual reaches round-off) on the
 similarity sqrt(b) K sqrt(b), b = w / (a0 - a), of Kt, which is symmetric
-for a symmetric kernel; then a certificate on Kt itself, the ratio interval
-[min_i (Kt v)_i / v_i, max_i (Kt v)_i / v_i] of the vector v, which brackets
-the spectral radius of a nonnegative irreducible matrix for any positive v.
-Power iteration is only the fallback, for an Arnoldi vector that is not
-positive or misses the residual tolerance; the public ``perron`` runs it on
-a dense matrix.
+for a symmetric kernel; then one loop certifies it on Kt itself: power
+iteration from that vector if it is strictly positive, else from ones, until
+an iterate v meets the residual tolerance.  v's ratio interval
+[min_i (Kt v)_i / v_i, max_i (Kt v)_i / v_i] brackets the spectral radius of
+a nonnegative irreducible matrix for any positive v.  The public ``perron``
+runs the same loop on a dense matrix.
 
 The full operator is never formed.  Its top eigenvalue is the one mu > max a
 at which the Perron root f(mu) of B(mu) = K W diag(1 / (mu - a)) is one
@@ -84,8 +84,10 @@ __all__ = [
 ]
 
 _BLOCK = 512
-# power-iteration steps before IterationLimitError; Arnoldi gets as many matvecs
-_MAX_ITER = 100_000
+# matvecs of a power loop, or of an Arnoldi run, before IterationLimitError:
+# on narrow Gaussians (width 0.02-0.05) a loop that converged took at most
+# 705 steps (a fourteenth of this cap) and an Arnoldi run 101 matvecs
+_MAX_ITER = 10_000
 # B(mu) solves the lambda_p root may run before IterationLimitError;
 # bisection alone narrows a bracket by 2^-64
 _ROOT_STEPS = 64
@@ -144,9 +146,9 @@ class PerronPair:
     residual: float
     interval: tuple[float, float]
     stopped_by: str              # "residual", the one stopping rule
-    # matvecs of an Arnoldi run and its certification before ``iterations``
-    # power steps
+    # matvecs of an Arnoldi run before the ``iterations`` of power iteration
     arnoldi_matvecs: int = 0
+    start: str = "ones"          # the power loop's first vector: "arnoldi" | "ones"
 
 
 @dataclass(frozen=True)
@@ -455,10 +457,10 @@ def assemble_ktilde(problem: Problem, a0: float) -> np.ndarray:
     return entries
 
 
-def _power(matvec, v0: np.ndarray, tol_resid: float, slack=None) -> PerronPair:
-    """Power iteration until the eigen-residual reaches ``tol_resid``;
-    ``slack(v)`` bounds the error of ``matvec(v)`` at every node, and widens
-    each ratio interval by it."""
+def _power(matvec, v0: np.ndarray, tol_resid: float, slack=None) -> tuple[PerronPair, np.ndarray]:
+    """The first power iterate v from v0 whose eigen-residual reaches
+    ``tol_resid``, certified by the ratio interval of w = ``matvec(v)``
+    widened by ``slack(v)``, a bound on its error at every node; and w."""
     v = v0 / float(np.max(v0))
     res = np.inf
     for it in range(1, _MAX_ITER + 1):
@@ -466,16 +468,16 @@ def _power(matvec, v0: np.ndarray, tol_resid: float, slack=None) -> PerronPair:
         lam = float(np.max(w))
         if lam <= 0:
             raise ConfigurationError("iteration collapsed; matrix has no positive cycle")
-        pos = v > 0
-        err = 0.0 if slack is None else slack(v)
-        lo = float(np.min((w - err)[pos] / v[pos]))
-        hi = float(np.max((w + err)[pos] / v[pos])) if bool(np.all(pos)) else np.inf
         res = float(np.max(np.abs(w - lam * v))) / lam
-        v = w / lam
         if res <= tol_resid:
-            return PerronPair(lam, v, it, res, (lo, hi), "residual")
+            pos = v > 0
+            err = 0.0 if slack is None else slack(v)
+            lo = float(np.min((w - err)[pos] / v[pos]))
+            hi = float(np.max((w + err)[pos] / v[pos])) if bool(np.all(pos)) else np.inf
+            return PerronPair(lam, v, it, res, (lo, hi), "residual"), w
+        v = w / lam
     raise IterationLimitError(
-        f"no convergence in {_MAX_ITER} iterations (residual {res:.3e})",
+        f"power iteration: no convergence in {_MAX_ITER} matvecs (residual {res:.3e})",
         residual=res,
     )
 
@@ -488,21 +490,19 @@ def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
         raise ConfigurationError("matrix must be square")
     if np.any(entries < 0):
         raise ConfigurationError("Perron iteration needs a nonnegative matrix")
-    return _power(lambda v: entries @ v, np.ones(entries.shape[0]), tol_power)
+    return _power(lambda v: entries @ v, np.ones(entries.shape[0]), tol_power)[0]
 
 
 def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
-                 start: np.ndarray | None = None) -> tuple[PerronPair, np.ndarray | None]:
+                 start: np.ndarray | None = None) -> tuple[PerronPair, np.ndarray]:
     """Certified top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap),
-    and the product Kt v that certified its vector (None after a power fallback).
+    and the product Kt v that certified its vector.
 
     Arnoldi runs matrix-free on the similarity sqrt(b) K sqrt(b), b = w / gap,
     from sqrt(b) times ``start`` (ones by default), so reruns are
-    byte-identical.  Its vector v, in Kt's coordinates, is accepted under
-    power iteration's own contract: strictly positive and, with
-    lam = max Kt v, |Kt v - lam v|_inf / lam <= ``tol_power``, its ratio
-    interval widened by the slack being the certificate.  Otherwise power
-    iteration runs, warm-started from v when v is positive.
+    byte-identical.  ``_power`` certifies its vector, in Kt's coordinates,
+    at one matvec, or runs from it if it misses ``tol_power``; from ones if
+    it is not strictly positive (on narrow kernels, a round-off tail).
     """
     s = np.sqrt(kw.weights / gap)
     matvecs = 0
@@ -516,21 +516,11 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
     v = None if y is None else y / s
     if v is not None:
         v = v / v[np.argmax(np.abs(v))]
-        if not bool(np.all(v > 0)):
-            v = None
-    if v is not None:
-        matvecs += 1
-        w = kw @ (v / gap)
-        lam = float(np.max(w))
-        res = float(np.max(np.abs(w - lam * v))) / lam
-        if res <= tol_power:
-            err = kw.slack(v / gap)
-            return PerronPair(lam, v, 0, res, (float(np.min((w - err) / v)),
-                                               float(np.max((w + err) / v))),
-                              "residual", arnoldi_matvecs=matvecs), w
-    pair = _power(lambda u: kw @ (u / gap), np.ones(s.size) if v is None else v,
-                  tol_power, slack=lambda u: kw.slack(u / gap))
-    return replace(pair, arnoldi_matvecs=matvecs), None
+    positive = v is not None and bool(np.all(v > 0))
+    pair, product = _power(lambda u: kw @ (u / gap), v if positive else np.ones(s.size),
+                           tol_power, slack=lambda u: kw.slack(u / gap))
+    return replace(pair, arnoldi_matvecs=matvecs,
+                   start="arnoldi" if positive else "ones"), product
 
 
 def _arnoldi(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
@@ -619,8 +609,6 @@ def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | N
         pair, product = solve
         v = pair.vector
         phi = v / gap
-        if product is None:         # power iteration's vector: one more matvec
-            product, matvecs = kw @ phi, matvecs + 1
         err = kw.slack(phi)
         width = hi - lo
         lo = max(lo, float(np.min((product - err) / phi + a)))
@@ -659,11 +647,11 @@ def _regime(lam1: float, tol_classify: float) -> str:
 
 
 def _fmt_run(name: str, pair: PerronPair) -> str:
-    head = f"{name} n={pair.vector.size} arnoldi matvecs={pair.arnoldi_matvecs}"
-    if pair.iterations == 0:
-        return f"{head} residual={pair.residual:.3g}"
-    return (f"{head} fallback=power iterations={pair.iterations} "
-            f"stopped_by={pair.stopped_by}")
+    head = f"{name} n={pair.vector.size} arnoldi matvecs="
+    if pair.start == "arnoldi" and pair.iterations == 1:    # accepted as it came
+        return f"{head}{pair.arnoldi_matvecs + 1} residual={pair.residual:.3g}"
+    return (f"{head}{pair.arnoldi_matvecs} fallback=power start={pair.start} "
+            f"iterations={pair.iterations} stopped_by={pair.stopped_by}")
 
 
 def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,

@@ -92,6 +92,22 @@ def test_classify_lambda_p_root_budget_exits_2(capsys, monkeypatch):
     assert err.startswith("error[iteration-limit]: lambda_p root: bracket [")
 
 
+def test_classify_power_budget_exits_2(capsys, monkeypatch, tmp_path):
+    # the power loop's matvec cap is a named failure: a narrow Gaussian whose
+    # Kt loop needs 57 steps, run under a cap of 30
+    monkeypatch.setattr(spectral, "_MAX_ITER", 30)
+    cfg = {"problem": {"domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                       "kernel": {"family": "gaussian", "amplitude": 5.0, "width": 0.03},
+                       "coefficient": {"family": "coordinate_linear", "coeffs": [1.0, 0.5]}},
+           "grid": {"resolution": 12, "grading_depth": 8,
+                    "grading_targets": [{"point": [1.0, 1.0]}]},
+           "options": {"confirm": False}}
+    code, out, err = run(capsys, "classify", "--config", config_file(tmp_path, cfg))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        "error[iteration-limit]: power iteration: no convergence in 30 matvecs")
+
+
 def test_classify_singular_regime(capsys):
     code, out, _ = run(capsys, "classify", "--example", "ball",
                        "--rho", "0.05", "--resolution", "4", "--depth", "5")

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 from specmeasure import (
     Ball,
+    Box,
     ClassificationUnstableError,
     ConfigurationError,
     Cylinder,
@@ -143,6 +144,19 @@ def test_perron_iteration_limit(monkeypatch):
         perron(a, tol_power=1e-14)
     assert exc.value.residual is not None
     assert exc.value.residual < 1.0
+
+
+def test_perron_returns_the_iterate_it_certified():
+    # a residual tolerance of one accepts the ones vector at the first
+    # matvec; the interval and residual reported are the returned vector's
+    # own, not those of the iterate before it
+    a = np.array([[2.0, 1.0], [0.5, 1.0]])
+    pair = perron(a, tol_power=1.0)
+    w = a @ pair.vector
+    assert pair.interval == (float(np.min(w / pair.vector)), float(np.max(w / pair.vector)))
+    assert pair.residual == float(np.max(np.abs(w - pair.value * pair.vector))) / pair.value
+    assert pair.interval == (1.5, 3.0) and pair.residual == 0.5
+    assert pair.iterations == 1
 
 
 def test_perron_rejects_negative_matrix():
@@ -381,6 +395,29 @@ def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, arnoldi)
     assert lo <= rep.lambda_p <= hi
     assert hi - lo <= 1e-12
     assert rep.lambda_p == pytest.approx(-secular_root(prob, 0.1), abs=1e-12)
+
+
+def test_narrow_gaussian_fallback_to_power_is_certified(caplog):
+    # nothing patched: a width-0.03 Gaussian's Arnoldi vector carries a
+    # round-off tail of non-positive entries, so the power loop certifies
+    # lambda1 (57 steps from the ones vector on N = 289), and the lambda_p
+    # root reuses the product that certified it
+    prob = build_problem(
+        Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), gaussian_kernel(5.0, 0.03),
+        coordinate_linear((1.0, 0.5)), resolution=12,
+        grading=GradeSpec(targets=((1.0, 1.0),), depth=8),
+    )
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, confirm=False)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert re.search(r"perron: ktilde n=289 arnoldi matvecs=\d+ fallback=power ", line)
+    lam1 = top_real_eigenvalue(assemble_ktilde(prob, rep.sup_a))
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    lambda_p = -top_real_eigenvalue(assemble_full(prob))
+    lo, hi = rep.lambda_p_interval
+    assert lo - ROUND * abs(lambda_p) <= lambda_p <= hi + ROUND * abs(lambda_p)
 
 
 def test_full_operator_shift_invariance():
