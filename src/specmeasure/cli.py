@@ -35,7 +35,7 @@ from .model import (
     gaussian_kernel,
     radial_power,
 )
-from .spectral import RegimeReport, _classify, classify_regime
+from .spectral import _TOL_CLASSIFY, RegimeReport, _classify, classify_regime
 from .verify import _QUANTITIES, _RESIDUAL_KINDS, _verify, refinement_study
 
 __all__ = ["main"]
@@ -55,9 +55,6 @@ def _is_finite(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
-_TOLERANCE = ("tolerances must be finite numbers > 0", lambda v: _is_finite(v) and v > 0)
-
-
 # section -> key -> (default, the rule its values keep, a test of the rule);
 # a key not listed here is refused
 _SCHEMA: dict = {
@@ -68,8 +65,8 @@ _SCHEMA: dict = {
         "grading_targets": ("auto", 'grading targets must be "auto", null or a list',
                             lambda v: v in ("auto", None) or isinstance(v, list)),
     },
-    "tolerances": {"power": (1e-10, *_TOLERANCE), "linear": (1e-10, *_TOLERANCE),
-                   "classify": (1e-3, *_TOLERANCE)},
+    "tolerances": {"classify": (_TOL_CLASSIFY, "tolerances must be finite numbers > 0",
+                                lambda v: _is_finite(v) and v > 0)},
     "options": {
         "alpha": (None, "atom weights must be finite and not all zero",
                   lambda v: v is None or (_is_finite(v) and v != 0)),
@@ -142,7 +139,7 @@ def _deep_update(base: dict, extra: dict) -> None:
 
 
 def _check_config(cfg: dict) -> None:
-    """Refuse a key the schema lacks and a value of the wrong type."""
+    """Refuse an unknown key, an ill-typed value, and x0 with a Cantor level."""
     for key in sorted(cfg.keys() - _DEFAULTS.keys()):
         raise ConfigurationError(f"unknown config key {key}; the keys are "
                                  f"{', '.join(_DEFAULTS)}")
@@ -158,6 +155,10 @@ def _check_config(cfg: dict) -> None:
             _, rule, test = fields[key]
             if not test(value):
                 raise ConfigurationError(f"{rule}, got {section}.{key} = {value!r}")
+    opts = cfg["options"]
+    if opts["x0"] is not None and opts["cantor_level"] is not None:
+        raise ConfigurationError("options.x0 places one atom, and a Cantor part "
+                                 "(options.cantor_level) has none; pass one of them")
 
 
 def _object(value, where: str) -> dict:
@@ -301,12 +302,11 @@ def _prescribe(problem: Problem, cfg: dict,
                amax: ArgmaxSet) -> tuple[list, float]:
     """Atoms of the prescribed singular part, and the eigenvalue -sup a.
 
-    One atom at the resolved argmax point, or a Cantor approximant on a
-    segment argmax set; ``alpha`` sets or scales the weights in both cases.
+    One atom at the argmax point ``x0`` selects, or (without x0) a Cantor
+    approximant on a segment argmax set; ``alpha`` sets or scales the weights.
     ``amax`` is the argmax set detected on the problem grid.
     """
     opts = cfg["options"]
-    x0 = argmax_point(amax, problem.domain, opts["x0"])
     alpha = opts["alpha"]
     if opts["cantor_level"] is not None:
         comp = amax.components[0]
@@ -320,7 +320,7 @@ def _prescribe(problem: Problem, cfg: dict,
     else:
         if alpha is None:
             alpha = _auto_alpha(problem, amax.sup_value)
-        atoms = [(x0, float(alpha))]
+        atoms = [(argmax_point(amax, problem.domain, opts["x0"]), float(alpha))]
     return atoms, -amax.sup_value
 
 
@@ -364,10 +364,7 @@ def _classify_eigenobject(report: RegimeReport, problem: Problem) -> dict:
 
 def _run_classify(cfg: dict) -> dict:
     problem = _build(cfg)
-    tol = cfg["tolerances"]
-    report = classify_regime(problem,
-                             tol_classify=tol["classify"],
-                             tol_power=tol["power"],
+    report = classify_regime(problem, tol_classify=cfg["tolerances"]["classify"],
                              confirm=cfg["options"]["confirm"])
     return _spectral_payload(report, problem,
                              _classify_eigenobject(report, problem))
@@ -378,10 +375,9 @@ def _measure(problem: Problem, cfg: dict, confirm: bool
     """The grid's classification report, and the singular measure and
     eigenvalue it allows: the report's regime decides whether a measure
     exists, and its argmax set, lambda1 and the grid's K W are reused."""
-    tol = cfg["tolerances"]
-    report, kw = _classify(problem, tol["classify"], tol["power"], confirm)
+    report, kw = _classify(problem, cfg["tolerances"]["classify"], confirm)
     atoms, lam = _prescribe(problem, cfg, report.argmax)
-    return report, _singular_solution(problem, atoms, tol["linear"], (report, kw)), lam
+    return report, _singular_solution(problem, atoms, (report, kw)), lam
 
 
 def _run_solve(cfg: dict, density_csv: str | None) -> dict:

@@ -39,7 +39,6 @@ from .errors import (
     NearSingularSystemError,
     NormalizationError,
     PositivityViolationError,
-    TooLargeError,
     UnsupportedMeasureError,
 )
 from .geometry import Grid, Segment, contains
@@ -68,6 +67,9 @@ Atom = tuple[tuple[float, ...], float]
 _GMRES_RTOL = 1e-14
 _GMRES_RESTART = 50
 _GMRES_CYCLES = 10
+# the result must pass |(I - Kt) g - rhs|_inf <= _TOL_LINEAR |rhs|_inf, far
+# above that floor (at most 3.4e-13 on the benchmarks and at lambda1 = 0.9985)
+_TOL_LINEAR = 1e-10
 
 # a Cantor atom is a pair of Python tuples (about 250 bytes), and a kernel
 # without a structured apply evaluates a _BLOCK-row slab of 8-byte values
@@ -211,17 +213,16 @@ def _check_support(problem: Problem, pts: np.ndarray) -> float:
     return a0
 
 
-def build_singular_solution(problem: Problem, atoms, *,
-                            tol_linear: float = 1e-10) -> DiscreteMeasure:
+def build_singular_solution(problem: Problem, atoms) -> DiscreteMeasure:
     """Singular eigensolution with the given atoms on the argmax set.
 
     ``atoms`` is a sequence of (point, weight) pairs, or a pure-atom
     DiscreteMeasure (a Cantor approximant, for instance).
     """
-    return _singular_solution(problem, atoms, tol_linear)
+    return _singular_solution(problem, atoms)
 
 
-def _singular_solution(problem: Problem, atoms, tol_linear: float,
+def _singular_solution(problem: Problem, atoms,
                        classified: tuple[RegimeReport, KernelWeights] | None = None
                        ) -> DiscreteMeasure:
     """``build_singular_solution``: solve (I - Kt) g = rhs for the atoms and
@@ -233,7 +234,7 @@ def _singular_solution(problem: Problem, atoms, tol_linear: float,
     ``spectral._classify``; without it, lambda1 is the certified Kt Perron
     root, classified at ``classify_regime``'s default tolerance.  GMRES runs
     on v -> v - Kt v; its result is accepted on the explicit check
-    |(I - Kt) g - rhs|_inf <= ``tol_linear`` |rhs|_inf, where the residual
+    |(I - Kt) g - rhs|_inf <= ``_TOL_LINEAR`` |rhs|_inf, where the residual
     of a factored K W carries its remainder bound.
     """
     if isinstance(atoms, DiscreteMeasure):
@@ -286,10 +287,10 @@ def _singular_solution(problem: Problem, atoms, tol_linear: float,
                          + kw.slack(g / gap)))
     log.info("fredholm: n=%d lambda1=%.12g gmres matvecs=%d residual=%.3g "
              "(tol_linear %.3g); kernel %s", gap.size, lam1, matvecs,
-             resid / scale if scale > 0 else resid, tol_linear, kw.describe())
-    if scale > 0 and resid > tol_linear * scale:
+             resid / scale if scale > 0 else resid, _TOL_LINEAR, kw.describe())
+    if scale > 0 and resid > _TOL_LINEAR * scale:
         raise NearSingularSystemError(
-            f"linear solve residual {resid:.3e} exceeds {tol_linear:.1e} "
+            f"linear solve residual {resid:.3e} exceeds {_TOL_LINEAR:.1e} "
             "relative to the data"
         )
     if np.all(wts > 0) and np.any(g <= 0):
@@ -307,13 +308,10 @@ def cantor_approximant(segment: Segment, level: int) -> DiscreteMeasure:
     """
     if level < 0:
         raise ConfigurationError(f"level must be >= 0, got {level}")
-    budget = _model._memory_budget()
-    if _ATOM_BYTES << level > budget:
-        raise TooLargeError(
-            f"a level-{level} Cantor approximant has 2^{level} atoms of about "
-            f"{_ATOM_BYTES} bytes each, more than the {budget / 2**30:.3g} GiB "
-            "of physical memory; lower the Cantor level"
-        )
+    _model._check_memory(_ATOM_BYTES << level,
+                         f"a level-{level} Cantor approximant has 2^{level} atoms "
+                         f"of about {_ATOM_BYTES} bytes each and",
+                         "lower the Cantor level")
     start = np.asarray(segment.start, dtype=float)
     end = np.asarray(segment.end, dtype=float)
     ts = [(0.0, 1.0)]

@@ -831,14 +831,15 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(nbytes: int, what: str) -> None:
-    """Refuse to allocate ``what``, ``nbytes`` bytes, beyond physical memory."""
+def _check_memory(nbytes: int, what: str,
+                  advice: str = "lower the resolution or grading depth") -> None:
+    """Refuse to allocate ``what``, ``nbytes`` bytes, beyond physical memory;
+    the error ends with ``advice``."""
     budget = _memory_budget()
     if nbytes > budget:
         raise TooLargeError(
             f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
-            f"{budget / 2**30:.3g} GiB of physical memory; lower the "
-            "resolution or grading depth"
+            f"{budget / 2**30:.3g} GiB of physical memory; {advice}"
         )
 
 

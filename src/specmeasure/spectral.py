@@ -97,8 +97,11 @@ _ROOT_RTOL = 1e-12
 _ARNOLDI_BASIS = 24
 # by default classify_regime calls a lambda1 within this of one "l1"
 _TOL_CLASSIFY = 1e-3
+# the eigen-residual that ends every Kt and B(mu) solve; a converged Arnoldi
+# vector meets it at the loop's first matvec, at round-off, so it moves no answer
+_TOL_POWER = 1e-10
 # a kernel factor stops once every remainder diagonal E_ii is this share of
-# K(x, x): two decades below the default power and linear tolerances, so the
+# K(x, x): two decades below _TOL_POWER and measure._TOL_LINEAR, so the
 # certificates it widens stay inside them
 _FACTOR_RTOL = 1e-12
 # the coarse confirmation grid only decides a regime at tol_classify, so its
@@ -482,7 +485,7 @@ def _power(matvec, v0: np.ndarray, tol_resid: float, slack=None) -> tuple[Perron
     )
 
 
-def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
+def perron(matrix: np.ndarray, tol_power: float = _TOL_POWER) -> PerronPair:
     """Perron root and vector of a dense nonnegative matrix by power
     iteration from the ones vector, stopped at the ``tol_power`` residual."""
     entries = np.asarray(matrix, dtype=float)
@@ -493,7 +496,7 @@ def perron(matrix: np.ndarray, tol_power: float = 1e-10) -> PerronPair:
     return _power(lambda v: entries @ v, np.ones(entries.shape[0]), tol_power)[0]
 
 
-def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
+def _ktilde_pair(kw: KernelWeights, gap: np.ndarray,
                  start: np.ndarray | None = None) -> tuple[PerronPair, np.ndarray]:
     """Certified top eigenpair of Kt = K W diag(1 / gap), applied as v -> K W (v / gap),
     and the product Kt v that certified its vector.
@@ -501,7 +504,7 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
     Arnoldi runs matrix-free on the similarity sqrt(b) K sqrt(b), b = w / gap,
     from sqrt(b) times ``start`` (ones by default), so reruns are
     byte-identical.  ``_power`` certifies its vector, in Kt's coordinates,
-    at one matvec, or runs from it if it misses ``tol_power``; from ones if
+    at one matvec, or runs from it if it misses ``_TOL_POWER``; from ones if
     it is not strictly positive (on narrow kernels, a round-off tail).
     """
     s = np.sqrt(kw.weights / gap)
@@ -518,7 +521,7 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray, tol_power: float = 1e-10,
         v = v / v[np.argmax(np.abs(v))]
     positive = v is not None and bool(np.all(v > 0))
     pair, product = _power(lambda u: kw @ (u / gap), v if positive else np.ones(s.size),
-                           tol_power, slack=lambda u: kw.slack(u / gap))
+                           _TOL_POWER, slack=lambda u: kw.slack(u / gap))
     return replace(pair, arnoldi_matvecs=matvecs,
                    start="arnoldi" if positive else "ones"), product
 
@@ -580,8 +583,8 @@ def _newton(mu: float, gap: np.ndarray, weights: np.ndarray, pair: PerronPair) -
 
 
 def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | None,
-                   lo: float, hi: float, tol: tuple[float, float],
-                   tol_power: float) -> tuple[float, float, np.ndarray, int, int]:
+                   lo: float, hi: float, tol: tuple[float, float]
+                   ) -> tuple[float, float, np.ndarray, int, int]:
     """Bracket (lo, hi) on the top eigenvalue of K W + diag(a), the test
     function phi of the last step, and the B(mu) solves and matvecs run.
 
@@ -603,7 +606,7 @@ def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | N
             if steps == _ROOT_STEPS:
                 raise IterationLimitError(f"lambda_p root: bracket [{lo:.12g}, {hi:.12g}] "
                                           f"is still {hi - lo:.3g} wide after {steps} solves")
-            solve = _ktilde_pair(kw, gap, tol_power, start=v)
+            solve = _ktilde_pair(kw, gap, start=v)
             steps += 1
             matvecs += solve[0].arnoldi_matvecs + solve[0].iterations
         pair, product = solve
@@ -621,7 +624,7 @@ def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | N
         solve = None
 
 
-def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEstimate:
+def estimate_lambda_p(problem: Problem) -> LambdaPEstimate:
     """The generalized principal eigenvalue on the problem's grid, minus the
     top eigenvalue of K W + diag(a), by ``_lambda_p_root`` on the problem's
     own K W from the midpoint of its bracket [max_i (K W)_ii + a_i, max_i
@@ -634,7 +637,7 @@ def estimate_lambda_p(problem: Problem, tol_power: float = 1e-10) -> LambdaPEsti
     lo = float(np.max(kw.diagonal + a))
     hi = float(np.max(kw @ ones + kw.slack(ones) + a))
     mu_lo, mu_hi, _, _, matvecs = _lambda_p_root(kw, a, 0.5 * (lo + hi), None, lo, hi,
-                                                 (0.0, _ROOT_RTOL), tol_power)
+                                                 (0.0, _ROOT_RTOL))
     return LambdaPEstimate(-mu_hi, (-mu_hi, -mu_lo), matvecs + 1)
 
 
@@ -654,12 +657,13 @@ def _fmt_run(name: str, pair: PerronPair) -> str:
             f"iterations={pair.iterations} stopped_by={pair.stopped_by}")
 
 
-def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
-                    tol_power: float = 1e-10, confirm: bool = True) -> RegimeReport:
+def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY, *,
+                    confirm: bool = True) -> RegimeReport:
     """Decide which kind of principal eigenfunction the problem admits.
 
-    The spectral radius of the normalized operator is compared against one
-    at tolerance ``tol_classify``.  With ``confirm`` the label must agree
+    The spectral radius of the normalized operator (solved to the residual
+    ``_TOL_POWER``) is compared against one at tolerance ``tol_classify``,
+    the one tolerance a caller sets.  With ``confirm`` the label must agree
     with the grid one level coarser (resolution and grading depth one
     lower), otherwise the classification is reported unstable rather than
     silently trusted; a grid with no coarser level raises
@@ -678,10 +682,10 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY,
     another's refinement ladder reuses that problem's set when its own
     near-maximal clusters match it.
     """
-    return _classify(problem, tol_classify, tol_power, confirm)[0]
+    return _classify(problem, tol_classify, confirm)[0]
 
 
-def _classify(problem: Problem, tol_classify: float, tol_power: float,
+def _classify(problem: Problem, tol_classify: float,
               confirm: bool) -> tuple[RegimeReport, KernelWeights]:
     """``classify_regime``'s report and the problem grid's K W for a solve to
     reuse.  The coarse grid's K W is freed before the fine one is built, so
@@ -696,13 +700,13 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         gap_c = _gap(coarse, a0)
         kw_c = _kernel_operator(coarse, max(_FACTOR_RTOL,
                                             _COARSE_FACTOR_SHARE * tol_classify))
-        pair_c = _ktilde_pair(kw_c, gap_c, tol_power)[0]
+        pair_c = _ktilde_pair(kw_c, gap_c)[0]
         coarse_lam1, coarse_size = pair_c.value, coarse.grid.size
         kernels.append(f"kernel-coarse {kw_c.describe()}")
         del kw_c
     kw = _kernel_operator(problem)
     kernels.insert(0, f"kernel {kw.describe()}")
-    solve = _ktilde_pair(kw, gap, tol_power)
+    solve = _ktilde_pair(kw, gap)
     pair = solve[0]
     regime = _regime(pair.value, tol_classify)
     runs = [_fmt_run("ktilde", pair)]
@@ -727,7 +731,7 @@ def _classify(problem: Problem, tol_classify: float, tol_power: float,
         a = problem.a_at_nodes
         tol = (tol_classify / 10.0, 0.0) if regime == "singular" else (0.0, _ROOT_RTOL)
         mu_lo, mu_hi, phi, steps, matvecs = _lambda_p_root(
-            kw, a, a0, solve, float(np.max(kw.diagonal + a)), np.inf, tol, tol_power)
+            kw, a, a0, solve, float(np.max(kw.diagonal + a)), np.inf, tol)
         runs.append(f"root steps={steps} matvecs={matvecs} width={mu_hi - mu_lo:.3g}")
         lambda_p, interval = -mu_hi, (-mu_hi, -mu_lo)
         side = 1.0 if regime == "singular" else -1.0

@@ -124,14 +124,14 @@ def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray],
 
 
 def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
-                  eval_grid: Grid | None = None,
-                  test_functions=None) -> ResidualReport:
+                  eval_grid: Grid | None = None) -> ResidualReport:
     """Worst tested-against-functions residual, relative to total variation.
 
-    Pairs the measure with L phi + lambda phi for each test function phi,
-    quadratures on ``eval_grid`` (default: the problem grid).  Normalization
-    by total variation keeps the report linear in the measure, including for
-    signed combinations with zero net mass.
+    Pairs the measure with L phi + lambda phi for each test function phi of
+    ``default_test_functions``, quadratures on ``eval_grid`` (default: the
+    problem grid).  Normalization by total variation keeps the report
+    linear in the measure, including for signed combinations with zero net
+    mass.
 
     The kernel term is summed in the other order (discrete Fubini):
     sum_y m_y sum_x w_x phi_x K(x, y) = sum_x w_x phi_x (K mu)(x), with m the
@@ -139,12 +139,11 @@ def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     moment of mu serves every test function, and K need not be symmetric.
     """
     grid = eval_grid if eval_grid is not None else problem.grid
-    return _verify(problem, mu, lam, grid, ("weak",),
-                   test_functions=test_functions)[0]
+    return _verify(problem, mu, lam, grid, ("weak",))[0]
 
 
 def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
-            kinds: tuple[str, ...], test_functions=None) -> list[ResidualReport]:
+            kinds: tuple[str, ...]) -> list[ResidualReport]:
     """The residual reports of ``kinds`` ("pointwise", "weak", in that
     order) on ``grid``, all from one kernel moment of mu."""
     if mu.atoms:
@@ -175,10 +174,9 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
         reports.append(ResidualReport(raw / normalizer, raw, normalizer,
                                       grid.size, "pointwise"))
     if "weak" in kinds:
-        fns = test_functions if test_functions is not None else default_test_functions(grid)
         resid = grid.weights * eq
         worst = 0.0
-        for _, fn in fns:
+        for _, fn in default_test_functions(grid):
             phi = np.asarray(fn(grid.nodes), dtype=float)
             val = float(np.sum(resid * phi))
             scale = float(np.max(np.abs(phi))) if phi.size else 0.0

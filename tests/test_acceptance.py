@@ -291,8 +291,8 @@ def test_criterion_9_shift_invariance():
     shift = 0.5
     base = ball_problem(0.2, resolution=4, depth=5)
     moved = ball_problem(0.2, resolution=4, depth=5, top=1.5)
-    est_base = estimate_lambda_p(base, tol_power=1e-12)
-    est_moved = estimate_lambda_p(moved, tol_power=1e-12)
+    est_base = estimate_lambda_p(base)
+    est_moved = estimate_lambda_p(moved)
     gap = abs(est_moved.value - (est_base.value - shift))
     ok = gap <= 1e-10
 
@@ -307,8 +307,8 @@ def test_criterion_9_shift_invariance():
     ok = ok and classify_regime(sing_base).regime == "singular"
     ok = ok and classify_regime(sing_moved).regime == "singular"
     v_base, v_moved = (
-        spectral._ktilde_pair(spectral._kernel_operator(prob), top - prob.a_at_nodes,
-                              tol_power=1e-12)[0].vector
+        spectral._ktilde_pair(spectral._kernel_operator(prob),
+                              top - prob.a_at_nodes)[0].vector
         for prob, top in ((sing_base, 1.0), (sing_moved, 1.5)))
     ok = ok and float(np.max(np.abs(v_base - v_moved))) <= 1e-9
     verdict(9, ok, f"a + 0.5 shifts lambda_p by -0.5 (gap {gap:.1e}), leaves "

@@ -231,6 +231,25 @@ def test_readme_config_example_runs(capsys, tmp_path):
     assert json.loads(out)["regime"] == "singular_measure"
 
 
+def test_readme_config_example_uses_the_schema():
+    # every key of the README config is one the schema takes, at its
+    # default value (grading targets aside), and the README sentence on the
+    # tolerance keys names exactly the schema's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
+    assert set(cfg) <= set(cli._DEFAULTS)
+    for section, values in cfg.items():
+        if section == "problem":
+            continue
+        assert set(values) <= set(cli._SCHEMA[section]), section
+        for key, value in values.items():
+            if key != "grading_targets":
+                assert value == cli._SCHEMA[section][key][0], (section, key)
+    sentence = re.search(r"The `tolerances` section takes exactly ([^.;]*)",
+                         " ".join(readme.split())).group(1)
+    assert re.findall(r"`(\w+)`", sentence) == list(cli._SCHEMA["tolerances"])
+
+
 def test_readme_library_example_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
@@ -580,7 +599,7 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     assert code == 1
 
     cfg2 = tmp_path / "tol.json"
-    cfg2.write_text(json.dumps({"tolerances": {"power": 0.0}}))
+    cfg2.write_text(json.dumps({"tolerances": {"classify": 0.0}}))
     code, _, err = run(capsys, "classify", "--example", "ball",
                        "--config", str(cfg2))
     assert code == 1 and "tolerance" in err
@@ -648,6 +667,10 @@ def refuse_build(monkeypatch):
     ("convergence", {"options": {"levles": 3}}, "options.levles"),
     ("solve", {"grid": {"depth": 4}}, "grid.depth"),
     ("classify", {"tolerance": {"power": 1e-10}}, "key tolerance;"),
+    # the Perron and Fredholm tolerances are module constants
+    ("classify", {"tolerances": {"power": "x"}}, "tolerances.power"),
+    ("solve", {"tolerances": {"linear": -1e-10}}, "tolerances.linear"),
+    ("solve", {"tolerances": {"linear": math.inf}}, "tolerances.linear"),
 ])
 def test_unknown_config_key_exits_one(capsys, monkeypatch, tmp_path,
                                       command, cfg, key):
@@ -661,10 +684,10 @@ def test_unknown_config_key_exits_one(capsys, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("command, cfg, key", [
-    ("classify", {"tolerances": {"power": "x"}}, "tolerances.power"),
+    ("classify", {"tolerances": {"classify": "x"}}, "tolerances.classify"),
     ("classify", {"tolerances": {"classify": True}}, "tolerances.classify"),
-    ("solve", {"tolerances": {"linear": -1e-10}}, "tolerances.linear"),
-    ("solve", {"tolerances": {"linear": math.inf}}, "tolerances.linear"),
+    ("solve", {"tolerances": {"classify": -1e-3}}, "tolerances.classify"),
+    ("solve", {"tolerances": {"classify": math.inf}}, "tolerances.classify"),
     ("convergence", {"options": {"levels": "x"}}, "options.levels"),
     ("solve", {"options": {"x0": "mid"}}, "options.x0"),
     ("solve", {"options": {"cantor_level": 2.5}}, "options.cantor_level"),
@@ -740,6 +763,21 @@ def test_selector_range_checked_before_any_grid(capsys, monkeypatch, flags, key)
         assert out == ""
         assert err.startswith("error[configuration]:")
         assert key in err
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_x0_with_cantor_level_exits_one(capsys, monkeypatch, tmp_path, command):
+    # x0 places the one atom, and a Cantor part has none: the selector was
+    # once checked and then ignored
+    refuse_build(monkeypatch)
+    for extra in (["--x0", "0.5", "--cantor-level", "4"],
+                  ["--config", config_file(tmp_path, {"options": {"x0": 0.1,
+                                                                  "cantor_level": 2}})]):
+        code, out, err = run(capsys, command, "--example", "cylinder", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[configuration]: options.x0")
+        assert "options.cantor_level" in err
 
 
 def test_cli_paths_never_import_scipy(tmp_path):
@@ -880,3 +918,44 @@ def test_cli_paths_never_call_the_dense_public_api(capsys, monkeypatch):
                   "--levels", "2", "--x0", "0.5"]):
         code, _, err = run(capsys, *args, *small)
         assert code == 0, (args, err)
+
+
+def test_perron_and_fredholm_tolerances_are_never_reached(capsys, caplog, monkeypatch,
+                                                          tmp_path):
+    # the Perron residual and the Fredholm residual are module constants
+    # (1e-10) because no command comes near them: every Kt and B(mu) solve
+    # accepts the Arnoldi vector at the power loop's first matvec, at a
+    # residual near round-off, and every Fredholm residual sits far below
+    solves = []
+    real = spectral._ktilde_pair
+
+    def kept(*args, **kwargs):
+        pair, product = real(*args, **kwargs)
+        solves.append(pair)
+        return pair, product
+
+    monkeypatch.setattr(spectral, "_ktilde_pair", kept)
+    monkeypatch.setattr(measure, "_ktilde_pair", kept)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                      / "gaussian_ball.json").read_text())
+    cfg["problem"]["kernel"]["amplitude"] = 0.15
+    small = ["--resolution", "5", "--depth", "6"]
+    commands = [
+        ["classify", "--config", config_file(tmp_path, cfg)],
+        ["solve", "--example", "ball"],
+        ["classify", "--example", "cylinder", "--rho", "0.155"],
+        ["convergence", "--example", "cylinder", "--quantity", "residual",
+         "--levels", "2", "--cantor-level", "4"],
+    ]
+    with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
+        for args in commands:
+            count = len(solves)
+            code, _, err = run(capsys, *args, *small)
+            assert code == 0, (args, err)
+            assert len(solves) > count, args
+    assert [(p.start, p.iterations) for p in solves] == [("arnoldi", 1)] * len(solves)
+    assert max(p.residual for p in solves) <= 1e-13
+    fredholm = [float(re.search(r" residual=(\S+)", r.getMessage()).group(1))
+                for r in caplog.records if r.getMessage().startswith("fredholm:")]
+    assert len(fredholm) == 3           # solve, and one per convergence level
+    assert max(fredholm) <= 1e-12

@@ -17,8 +17,7 @@ EXAMPLES = {
     "classify_ball_rho0.1.json": "classify --example ball --rho 0.1",
     "classify_ball_rho0.05.json": "classify --example ball --rho 0.05",
     "solve_ball_rho0.05.json": "solve --example ball --rho 0.05",
-    "solve_cylinder_x0.5_cantor4.json":
-        "solve --example cylinder --x0 0.5 --cantor-level 4",
+    "solve_cylinder_cantor4.json": "solve --example cylinder --cantor-level 4",
     "convergence_ball_lambda1_levels3.csv":
         "convergence --example ball --quantity lambda1 --levels 3",
 }

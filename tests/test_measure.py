@@ -437,7 +437,7 @@ def test_gmres_matches_dense_solve(data, caplog):
 
 def test_fredholm_solve_logs_one_info_line(ball05, caplog):
     with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
-        build_singular_solution(ball05, [(CENTER, 1.0)], tol_linear=1e-10)
+        build_singular_solution(ball05, [(CENTER, 1.0)])
     lines = [r.getMessage() for r in caplog.records
              if r.name == "specmeasure.measure" and r.levelno == logging.INFO]
     assert len(lines) == 1

@@ -385,7 +385,7 @@ def test_continuous_fallback_to_power_is_certified(monkeypatch, caplog, arnoldi)
     monkeypatch.setattr(spectral, "_arnoldi", rough_arnoldi)
     prob = ball_problem(0.1, resolution=5, depth=5)
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
-        rep = classify_regime(prob, tol_power=1e-14, confirm=False)
+        rep = classify_regime(prob, confirm=False)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "specmeasure.spectral" and r.levelno == logging.INFO]
     assert len(lines) == 1 and "fallback=power" in lines[0]
@@ -422,13 +422,13 @@ def test_narrow_gaussian_fallback_to_power_is_certified(caplog):
 
 def test_full_operator_shift_invariance():
     prob = ball_problem(0.1, resolution=4, depth=4)
-    est = estimate_lambda_p(prob, tol_power=1e-12)
+    est = estimate_lambda_p(prob)
     shifted = build_problem(
         prob.domain, prob.kernel,
         radial_power(top=1.5, scale=1.0, power=2.0, center=CENTER3),
         resolution=4, grading=GradeSpec(targets=(CENTER3,), depth=4),
     )
-    est2 = estimate_lambda_p(shifted, tol_power=1e-12)
+    est2 = estimate_lambda_p(shifted)
     assert est2.value == pytest.approx(est.value - 0.5, abs=1e-10)
 
 
