@@ -2,7 +2,8 @@
 
 Three commands share one JSON config schema: ``classify`` prints a spectral
 report, ``solve`` constructs a singular solution and checks its residuals,
-``convergence`` prints a refinement-study CSV.  Reruns with the same inputs
+``convergence`` prints a refinement-study CSV.  Each refuses an option it
+would ignore.  Reruns with the same inputs
 produce byte-identical output: iteration starts are fixed, dict keys are
 sorted, and no timestamps enter the payload.  The only environment knob is
 SPECMEASURE_LOG for log verbosity.
@@ -88,6 +89,15 @@ _DEFAULTS: dict = {"problem": None, **{
     section: {key: entry[0] for key, entry in fields.items()}
     for section, fields in _SCHEMA.items()}}
 
+# command -> the options it reads; convergence reads the atom options only
+# for the residual study
+_ATOM_OPTIONS = ("alpha", "x0", "cantor_level")
+_READS = {
+    "classify": ("confirm",),
+    "solve": _ATOM_OPTIONS + ("confirm",),
+    "convergence": ("levels", "quantity", "residual_kind"),
+}
+
 
 def _example_config(name: str) -> dict:
     if name == "ball":
@@ -138,8 +148,10 @@ def _deep_update(base: dict, extra: dict) -> None:
             raise ConfigurationError(f"config key {key} must hold a JSON object")
 
 
-def _check_config(cfg: dict) -> None:
-    """Refuse an unknown key, an ill-typed value, and x0 with a Cantor level."""
+def _check_config(cfg: dict, command: str) -> None:
+    """Refuse an unknown key, an ill-typed value, x0 with a Cantor level, and
+    an option ``command`` does not read; an option at its default counts as
+    unset."""
     for key in sorted(cfg.keys() - _DEFAULTS.keys()):
         raise ConfigurationError(f"unknown config key {key}; the keys are "
                                  f"{', '.join(_DEFAULTS)}")
@@ -159,6 +171,16 @@ def _check_config(cfg: dict) -> None:
     if opts["x0"] is not None and opts["cantor_level"] is not None:
         raise ConfigurationError("options.x0 places one atom, and a Cantor part "
                                  "(options.cantor_level) has none; pass one of them")
+    reads = _READS[command]
+    if command == "convergence" and opts["quantity"] == "residual":
+        reads += _ATOM_OPTIONS
+    for key, value in opts.items():
+        if key in reads or value == _DEFAULTS["options"][key]:
+            continue
+        study = (" outside the residual study"
+                 if command == "convergence" and key in _ATOM_OPTIONS else "")
+        raise ConfigurationError(f"{command} ignores options.{key}{study}; it reads "
+                                 f"{', '.join('options.' + k for k in reads)}")
 
 
 def _object(value, where: str) -> dict:
@@ -501,7 +523,7 @@ def _assemble_config(args: argparse.Namespace) -> dict:
         for section in ("grid", "options"):
             if value is not None and key in _SCHEMA[section]:
                 cfg[section][key] = value
-    _check_config(cfg)
+    _check_config(cfg, args.command)
     if args.rho is not None:
         kernel = (cfg["problem"] or {}).get("kernel")
         if not isinstance(kernel, dict) or kernel.get("family") != "constant":

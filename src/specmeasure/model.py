@@ -877,56 +877,63 @@ class Problem:
         self._check_kernel()
 
     def _check_kernel(self):
+        """Sample evenly spaced kernel rows against every node, ``_CHUNK``
+        rows at a time.  A wrong shape raises at once; the other faults are
+        collected over the slabs and the first in this order raises:
+        non-finite values, negative values, a non-constant diagonal under the
+        positive-definite claim, then the witness bound (or, without a
+        witness, a value <= 0) failing at a pair within its radius."""
         nodes = self.grid.nodes
         n = nodes.shape[0]
         # evenly spaced distinct rows, in integer arithmetic: np.unique would
         # import numpy.ma (about 15 ms) on every cold run
         k = min(n, 96)
         sample = np.arange(k) * (n - 1) // max(k - 1, 1)
-        block = np.asarray(self.kernel.evaluate(nodes[sample], nodes), dtype=float)
-        if block.shape != (sample.size, n):
-            raise ConfigurationError("kernel evaluation returned a wrong shape")
-        if not np.all(np.isfinite(block)):
-            raise H2Violation("kernel takes non-finite values")
-        if np.any(block < 0):
-            raise H2Violation("kernel takes negative values")
-        if self.kernel.positive_definite:
-            diag = block[np.arange(sample.size), sample]
-            if not np.all(diag == diag[0]):
-                raise H2Violation("kernel is marked positive definite but "
-                                  "K(x, x) is not constant")
-
-        def any_within(radius: float, bad: Callable[[np.ndarray], np.ndarray]) -> bool:
-            """Whether ``bad`` holds for a sampled kernel value at a pair at
-            most ``radius`` apart.  The distances come in ``_CHUNK``-row
-            slabs; an infinite radius takes every pair without them."""
-            if radius == math.inf:
-                return bool(np.any(bad(block)))
-            rows, cols = nodes[sample], np.asfortranarray(nodes)
-            slab = np.empty((_CHUNK, n))
-            for start in range(0, sample.size, _CHUNK):
-                d = _sq_distances(rows[start:start + _CHUNK], cols,
-                                  slab[:min(_CHUNK, sample.size - start)])
-                np.sqrt(d, out=d)
-                if np.any(bad(block[start:start + _CHUNK]) & (d <= radius)):
-                    return True
-            return False
-
         witness = self.kernel.positivity_witness
-        if witness is not None:
-            c0, eps0 = witness
-            if any_within(eps0, lambda k: k < c0 * (1 - 1e-9)):
-                raise H2Violation(
-                    f"kernel drops below its claimed bound {c0} within radius {eps0}"
-                )
-            if math.isfinite(eps0) and self.grid.mesh_size >= eps0:
-                log.warning(
-                    "mesh size %.3g does not resolve the kernel positivity radius %.3g",
-                    self.grid.mesh_size, eps0,
-                )
+        if witness is None:
+            radius, floor = 2.0 * self.grid.mesh_size, 0.0
         else:
-            if any_within(2.0 * self.grid.mesh_size, lambda k: k <= 0):
-                raise H2Violation("kernel vanishes near the diagonal")
+            radius, floor = witness[1], witness[0] * (1 - 1e-9)
+        # an infinite radius takes every pair without distances
+        near = radius != math.inf
+        if near:
+            cols, dist = np.asfortranarray(nodes), np.empty((_CHUNK, n))
+        nonfinite = negative = uneven = low = False
+        diag0 = None
+        for start in range(0, k, _CHUNK):
+            rows = sample[start:start + _CHUNK]
+            block = np.asarray(self.kernel.evaluate(nodes[rows], nodes), dtype=float)
+            if block.shape != (rows.size, n):
+                raise ConfigurationError("kernel evaluation returned a wrong shape")
+            nonfinite |= not np.all(np.isfinite(block))
+            negative |= bool(np.any(block < 0))
+            if self.kernel.positive_definite:
+                diag = block[np.arange(rows.size), rows]
+                diag0 = diag[0] if diag0 is None else diag0
+                uneven |= not np.all(diag == diag0)
+            if not low:
+                bad = block < floor if witness is not None else block <= floor
+                if near:
+                    d = _sq_distances(nodes[rows], cols, dist[:rows.size])
+                    bad &= np.sqrt(d, out=d) <= radius
+                low = bool(np.any(bad))
+        if nonfinite:
+            raise H2Violation("kernel takes non-finite values")
+        if negative:
+            raise H2Violation("kernel takes negative values")
+        if uneven:
+            raise H2Violation("kernel is marked positive definite but "
+                              "K(x, x) is not constant")
+        if low and witness is None:
+            raise H2Violation("kernel vanishes near the diagonal")
+        if low:
+            raise H2Violation(f"kernel drops below its claimed bound {witness[0]} "
+                              f"within radius {radius}")
+        if witness is not None and math.isfinite(radius) and self.grid.mesh_size >= radius:
+            log.warning(
+                "mesh size %.3g does not resolve the kernel positivity radius %.3g",
+                self.grid.mesh_size, radius,
+            )
 
     @property
     def a_at_nodes(self) -> np.ndarray:
@@ -943,27 +950,32 @@ def build_problem(domain: Domain, kernel: Kernel, coeff: CoefficientField,
     return Problem(domain, kernel, coeff, grid)
 
 
-def _refined(problem: Problem, step: int) -> Problem:
-    """The problem on the grid ``step`` levels finer (coarser when negative):
-    a level adds one to the resolution and to the grading depth, at least 2
-    and 1; targets and ratio stay, and an ungraded grid stays ungraded.  A
-    coarser level that gives back the problem's own grid is refused.  The
-    refined problem belongs to the ladder of ``problem``'s root, whose
-    argmax set it reuses when it matches (``_argmax_set``)."""
-    if step == 0:
-        return problem
-    g = problem.grid
-    spec = None if g.grading is None else replace(
-        g.grading, depth=max(1, g.grading.depth + step))
-    resolution = max(2, g.resolution + step)
-    if resolution == g.resolution and spec == g.grading:
+def _refined_grid(grid: Grid, step: int) -> Grid:
+    """The grid ``step`` levels finer (coarser when negative): a level adds
+    one to the resolution and to the grading depth, at least 2 and 1;
+    targets and ratio stay, and an ungraded grid stays ungraded.  A coarser
+    level that gives back the grid itself is refused."""
+    spec = None if grid.grading is None else replace(
+        grid.grading, depth=max(1, grid.grading.depth + step))
+    resolution = max(2, grid.resolution + step)
+    if resolution == grid.resolution and spec == grid.grading:
         depth = "" if spec is None else f" and grading depth {spec.depth}"
         raise ConfigurationError(
             f"the grid at resolution {resolution}{depth} has no coarser grid "
             "to confirm its regime on; refine it or set options.confirm to false"
         )
+    return build_grid(grid.domain, resolution, spec)
+
+
+def _refined(problem: Problem, step: int) -> Problem:
+    """The problem on ``_refined_grid(problem.grid, step)``, the problem
+    itself at step 0.  The refined problem belongs to the ladder of
+    ``problem``'s root, whose argmax set it reuses when it matches
+    (``_argmax_set``)."""
+    if step == 0:
+        return problem
     refined = Problem(problem.domain, problem.kernel, problem.coeff,
-                      build_grid(problem.domain, resolution, spec))
+                      _refined_grid(problem.grid, step))
     object.__setattr__(refined, "_root",
                        problem if problem._root is None else problem._root)
     return refined

@@ -49,7 +49,11 @@ The full operator is never formed.  Its top eigenvalue is the one mu > max a
 at which the Perron root f(mu) of B(mu) = K W diag(1 / (mu - a)) is one
 (Birman-Schwinger).  B(mu) is Kt with a0 - a replaced by mu - a, so B(a0) is
 Kt; each solve's test function v / (mu - a) brackets -lambda_p at no extra
-matvec, and safeguarded Newton on log f picks the next mu.
+matvec, and safeguarded Newton on log f picks the next mu.  The Newton step
+is taken in s = sqrt(mu - max a), because near a quadratic maximum of a in
+3-D, f - f(max a) behaves like s and steps in mu creep.  The root stops at
+its tolerance plus the floor 2 max_i err_i / phi_i that the factor's slack
+err leaves around even an exact eigenvector phi.
 """
 
 from __future__ import annotations
@@ -575,11 +579,17 @@ def _arnoldi(matvec, v0: np.ndarray, budget: int) -> np.ndarray | None:
 
 
 def _newton(mu: float, gap: np.ndarray, weights: np.ndarray, pair: PerronPair) -> float:
-    """Newton step on log f(mu) = 0 from ``pair``, the solve of B(mu) at
-    gap = mu - a: d log f / d mu = -sum_i y_i^2 / gap_i, y the unit top
-    vector of its similarity (only a step rule for a nonsymmetric kernel)."""
+    """Newton step on log f = 0 from ``pair``, the solve of B(mu) at
+    gap = mu - a, taken in s = sqrt(mu - max a): near a quadratic maximum of
+    a in 3-D, f - f(max a) behaves like s, and Newton in mu creeps.
+    d log f / ds = 2 s d log f / d mu, with d log f / d mu = -sum_i y_i^2 /
+    gap_i over sum_i y_i^2, y the top vector of its similarity (only a step
+    rule for a nonsymmetric kernel).  A step to s <= 0 gives -inf."""
     y2 = weights / gap * pair.vector ** 2
-    return mu + math.log(pair.value) * float(np.sum(y2)) / float(np.sum(y2 / gap))
+    g = float(np.min(gap))
+    s = math.sqrt(g)
+    s += math.log(pair.value) * float(np.sum(y2)) / (2.0 * s * float(np.sum(y2 / gap)))
+    return mu - g + s * s if s > 0 else -math.inf
 
 
 def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | None,
@@ -595,8 +605,10 @@ def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | N
     widened by the slack, narrows (lo, hi) at no matvec.  The next mu is
     ``_newton``'s, or the midpoint when that leaves (max(lo, max a), hi).
     With ``tol`` = (absolute, relative), the root stops at width absolute +
-    relative max(1, |hi|), or at the floor the slack and the residuals set,
-    where a step no longer narrows the bracket."""
+    relative max(1, |hi|) + 2 max_i err_i / phi_i, err the slack at phi:
+    the width that the slack leaves even for an exact eigenvector, so
+    further solves narrow it by round-off only.  It also stops where a step no longer
+    narrows the bracket, at the floor the residuals set."""
     top = float(np.max(a))
     steps = matvecs = 0
     v = np.ones(a.size)             # the first solve's start, when it runs
@@ -616,7 +628,8 @@ def _lambda_p_root(kw: KernelWeights, a: np.ndarray, mu: float, solve: tuple | N
         width = hi - lo
         lo = max(lo, float(np.min((product - err) / phi + a)))
         hi = min(hi, float(np.max((product + err) / phi + a)))
-        if hi - lo <= tol[0] + tol[1] * max(1.0, abs(hi)) or not hi - lo < width:
+        floor = 2.0 * float(np.max(err / phi))
+        if hi - lo <= tol[0] + tol[1] * max(1.0, abs(hi)) + floor or not hi - lo < width:
             return lo, hi, phi, steps, matvecs
         mu = _newton(mu, gap, kw.weights, pair)
         if not max(lo, top) < mu < hi:
@@ -672,10 +685,11 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY, *,
     Off the threshold lambda_p comes from ``_lambda_p_root``, started from
     the Kt pair, whose test function u / (a0 - a) brackets it for free, and
     narrowed to ``tol_classify / 10`` (singular) or about 1e-12
-    (continuous).  It is the bracket's lower end, where a positive
-    supersolution is exhibited; the continuous density is the last test
-    function, at max 1.  Threshold: -a0 itself, where the discrete spectrum
-    clusters; no bracket is claimed (``lambda_p_interval`` is None).
+    (continuous), plus the width the factor's remainder bound leaves.  It
+    is the bracket's lower end, where a positive supersolution is
+    exhibited; the continuous density is the last test function, at max 1.
+    Threshold: -a0 itself, where the discrete spectrum clusters; no bracket
+    is claimed (``lambda_p_interval`` is None).
 
     The argmax set of a is detected on the grid and reported as ``argmax``;
     x0 is its ``argmax_point`` and a0 its sup.  A problem on a finer grid of

@@ -7,7 +7,7 @@ eigen-equation gives its density (``measure.density_at``), and measures the
 equation there; refinement studies track how that error decays as the
 construction grid is refined against a fixed reference.  Every study grid
 comes from the problem's own: level k adds k to its resolution and to its
-grading depth (``model._refined``).
+grading depth (``model._refined_grid``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidEigenpairError
 from .geometry import Grid
 from .measure import DiscreteMeasure, _atom_arrays, density_at, kernel_moment
-from .model import Problem, _argmax_set, _recip_integrability, _refined
+from .model import Problem, _argmax_set, _recip_integrability, _refined, _refined_grid
 from .spectral import _gap, _kernel_operator, _ktilde_pair, estimate_lambda_p
 
 __all__ = [
@@ -201,7 +201,8 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
     Level 0 is ``problem`` itself, and level k adds k to its grid's
     resolution and grading depth; an ungraded grid stays ungraded.  The
     residual quantity is measured on the fixed reference grid of level
-    ``levels``, and ``solution`` maps each level's problem to the
+    ``levels``, built as a grid alone (no problem is validated on it), and
+    ``solution`` maps each level's problem to the
     (measure, eigenvalue) pair under test.  The reciprocal-gap integral is
     summed on each level's own graded grid, toward its grading targets and
     down to its grading depth, which must be at least 4.
@@ -231,7 +232,7 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
 
     ref_grid = None
     if quantity == "residual":
-        ref_grid = _refined(problem, levels).grid
+        ref_grid = _refined_grid(problem.grid, levels)
 
     rows: list[dict] = []
     prev_value = None

@@ -780,6 +780,30 @@ def test_x0_with_cantor_level_exits_one(capsys, monkeypatch, tmp_path, command):
         assert "options.cantor_level" in err
 
 
+@pytest.mark.parametrize("command, flags, options, key", [
+    ("convergence", ["--quantity", "lambda1", "--cantor-level", "4", "--alpha", "7"], None,
+     "options.alpha outside the residual study;"),
+    ("classify", [], {"alpha": 2.0, "levels": 4, "quantity": "residual"}, "options.alpha;"),
+    ("classify", [], {"levels": 4}, "options.levels;"),
+    ("solve", [], {"residual_kind": "pointwise"}, "options.residual_kind;"),
+], ids=["convergence-alpha", "classify-alpha", "classify-levels", "solve-residual-kind"])
+def test_option_a_command_ignores_exits_one(capsys, monkeypatch, tmp_path,
+                                             command, flags, options, key):
+    # an option the command never reads was once accepted and ignored
+    refuse_build(monkeypatch)
+    if options is not None:
+        flags = flags + ["--config", config_file(tmp_path, {"options": options})]
+    code, out, err = run(capsys, command, "--example", "cylinder", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[configuration]: {command} ignores {key}")
+    # an option left at its default counts as unset
+    defaults = {k: cli._DEFAULTS["options"][k] for k in (options or {})}
+    cli._assemble_config(cli._build_parser().parse_args(
+        [command, "--example", "cylinder", "--config",
+         config_file(tmp_path, {"options": defaults})]))
+
+
 def test_cli_paths_never_import_scipy(tmp_path):
     # scipy is loaded only to refine the argmax of a custom coefficient;
     # every CLI path here runs on numpy alone

@@ -190,11 +190,24 @@ def test_recip_integrability_needs_depth():
         check_recip_integrability(coeff, Interval(-1.0, 1.0), depth=3)
 
 
-def test_problem_validates_kernel_sign():
+def negative_then_nan(x, y):
+    # -1 on rows below 0.1 (the first slab of 96 sampled rows), NaN on rows
+    # above 0.9 (the last slab), 1 elsewhere
+    rows = np.where(x[:, :1] < 0.1, -1.0, np.where(x[:, :1] > 0.9, np.nan, 1.0))
+    return rows * np.ones(y.shape[0])
+
+
+@pytest.mark.parametrize("fn, resolution, message", [
+    (lambda x, y: np.full((x.shape[0], y.shape[0]), -1.0), 6, "negative values"),
+    # faults are collected over the slabs: a non-finite value is reported
+    # first even when a negative one comes in an earlier slab
+    (negative_then_nan, 200, "non-finite values"),
+], ids=["negative", "negative-then-nan"])
+def test_problem_validates_kernel_sign(fn, resolution, message):
     dom = Interval(0.0, 1.0)
-    bad = custom_kernel(lambda x, y: np.full((x.shape[0], y.shape[0]), -1.0))
-    with pytest.raises(H2Violation):
-        build_problem(dom, bad, constant_coefficient(0.0), resolution=6)
+    with pytest.raises(H2Violation, match=message):
+        build_problem(dom, custom_kernel(fn), constant_coefficient(0.0),
+                      resolution=resolution)
 
 
 def test_problem_validates_kernel_witness():
@@ -304,6 +317,24 @@ def test_problem_rejects_grid_beyond_memory(monkeypatch):
     with pytest.raises(TooLargeError, match="physical memory"):
         build_problem(dom, dense, coeff, resolution=4)
     build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
+
+
+def test_kernel_check_takes_a_few_slabs_of_memory():
+    # the 96 sampled kernel rows are checked _CHUNK rows at a time, so one
+    # construction on 3,600 nodes stays below the 96 x N block of values
+    # that a check in one piece would hold
+    ball = Ball(center=(0.0, 0.0, 0.0), radius=1.0)
+    coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
+    grid = build_grid(ball, 10, GradeSpec(targets=((0.0, 0.0, 0.0),), depth=12))
+    assert grid.size == 3600
+    for kernel in (constant_kernel(0.1), gaussian_kernel(0.15, 1.0)):
+        tracemalloc.start()
+        try:
+            Problem(ball, kernel, coeff, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * grid.size * 8, kernel.family
 
 
 def test_problem_validates_near_diagonal_positivity():

@@ -931,6 +931,20 @@ def test_lambda_p_root_budget_raises(monkeypatch):
         estimate_lambda_p(prob)
 
 
+@pytest.mark.parametrize("make", [lambda: gaussian_ball(5, 6), lambda: ball_problem(0.1)],
+                         ids=["gaussian", "constant"])
+def test_lambda_p_root_steps_in_sqrt_gap(caplog, make):
+    # near the quadratic maximum of a, f(mu) - f(max a) behaves like
+    # sqrt(mu - max a), so Newton takes its step in that variable: four
+    # B(mu) solves here, where steps in mu took six
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(make(), confirm=False)
+    assert rep.regime == "continuous"
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert int(re.search(r"; root steps=(\d+) ", line).group(1)) <= 4
+
+
 @pytest.mark.parametrize("proposal", ["below-max-a", "at-max-a"])
 @pytest.mark.parametrize("make", [
     lambda: cylinder_problem(0.155, resolution=4, depth=6),

@@ -201,6 +201,23 @@ def test_cantor_solution_residual_decays():
     assert values[-1] <= 1e-3
 
 
+def test_residual_study_builds_no_problem_for_its_reference_grid(monkeypatch):
+    # the reference grid is only evaluated on, so the study's problems are
+    # its three levels; the grid of level 3 is built without one
+    sizes = []
+    init = model.Problem.__post_init__
+
+    def counted(self):
+        sizes.append(self.grid.size)
+        init(self)
+
+    monkeypatch.setattr(model.Problem, "__post_init__", counted)
+    base = cylinder_factory(0)
+    rows = refinement_study(base, 3, "residual", solution=axis_atom_solution)
+    assert sizes == [row["size"] for row in rows]
+    assert all(r["value"] > 0 for r in rows)
+
+
 def test_lambda1_study_halves_depth_error():
     # with the depth growing one step per level the value error halves
     base = ball_problem(0.05, resolution=4, depth=4)
