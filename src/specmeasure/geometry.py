@@ -13,11 +13,12 @@ the grading depth.  A grid keeps the ``GradeSpec`` it was built with as
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, H1Violation
+from .errors import ConfigurationError, H1Violation, TooLargeError
 
 __all__ = [
     "Interval",
@@ -270,6 +271,36 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
     return pts
 
 
+# -- memory ---------------------------------------------------------------
+
+# bytes per node that building a grid and validating a Problem on it peak at
+# (tracemalloc, N = 10,240-61,200): 616 with a Gaussian kernel, whose 96
+# sampled rows are checked 16 at a time, 312 with the constant kernel
+_NODE_BYTES = 640
+
+
+def _memory_budget() -> int:
+    """Physical memory in bytes, the ceiling for any one allocation."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(nbytes: int, what: str,
+                  advice: str = "lower the resolution or grading depth") -> None:
+    """Refuse to allocate ``what``, ``nbytes`` bytes, beyond physical memory;
+    the error ends with ``advice``."""
+    budget = _memory_budget()
+    if nbytes > budget:
+        raise TooLargeError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+            f"{budget / 2**30:.3g} GiB of physical memory; {advice}"
+        )
+
+
+def _check_nodes(size: int) -> None:
+    """Refuse a grid of ``size`` nodes before any of its arrays exists."""
+    _check_memory(_NODE_BYTES * size, f"a grid of {size} nodes")
+
+
 # -- 1-D cell machinery -------------------------------------------------
 
 def _cascade_cells(anchor: float, span: float, ratio: float, depth: int,
@@ -377,10 +408,12 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
                     "ball grids support grading toward the center only"
                 )
     cells = _radial_cells(domain.radius, resolution, grading)
+    n_phi = max(6, 2 * resolution)
+    n_u = max(4, resolution)
+    _check_nodes(len(cells) * n_phi * (n_u if domain.dim == 3 else 1))
     r_mid, r_w = _midpoints_widths(cells)
     center = np.asarray(domain.center, dtype=float)
 
-    n_phi = max(6, 2 * resolution)
     phi, dphi = _angular_ring(n_phi)
     if domain.dim == 2:
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
@@ -389,7 +422,6 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
         max_arc = domain.radius * dphi
         mesh = math.hypot(float(np.max(r_w)), max_arc)
     else:
-        n_u = max(4, resolution)
         theta, du, max_dtheta = _polar_sphere(n_u)
         st, ct = np.sin(theta), np.cos(theta)
         dirs = np.stack(
@@ -425,11 +457,11 @@ def _build_cylinder(domain: Cylinder, resolution: int, grading: GradeSpec | None
                     "cylinder grading target must lie on the axis"
                 )
     cells = _radial_cells(domain.radius, resolution, grading)
-    r_mid, r_w = _midpoints_widths(cells)
-
     n_phi = max(6, 2 * resolution)
-    phi, dphi = _angular_ring(n_phi)
     z_cells = _line_cells(0.0, domain.height, resolution)
+    _check_nodes(len(cells) * n_phi * len(z_cells))
+    r_mid, r_w = _midpoints_widths(cells)
+    phi, dphi = _angular_ring(n_phi)
     z_mid, z_w = _midpoints_widths(z_cells)
 
     # tensor product: radial x angular x axial
@@ -489,6 +521,7 @@ def _build_tensor(lo: tuple[float, ...], hi: tuple[float, ...], domain: Domain,
         for t in per_axis[ax]:
             gaps = [g for g in (t - lo[ax], hi[ax] - t) if g > 0]
             spans.append(min(gaps) / 2 if gaps else 0.0)
+    _check_nodes(math.prod(m.size for m in mids))
     grids = np.meshgrid(*mids, indexing="ij")
     wgrids = np.meshgrid(*ws, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
@@ -507,6 +540,8 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
     before grading.  With a ``GradeSpec``, cells accumulate geometrically
     toward each target; no node is placed on a target and the cell touching
     it is dropped, so every node keeps a positive distance to the target.
+    The node count, the product of the 1-D cell counts, is checked against
+    physical memory before any array of the grid is built.
     """
     if resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
@@ -530,6 +565,7 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
             gf = build_grid(f, resolution)
             gs = build_grid(s, resolution)
             nf, ns = gf.size, gs.size
+            _check_nodes(nf * ns)
             nodes = np.concatenate(
                 [np.repeat(gf.nodes, ns, axis=0), np.tile(gs.nodes, (nf, 1))], axis=1
             )

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as _model
 from .errors import (
     ConfigurationError,
     NearSingularSystemError,
@@ -41,7 +40,7 @@ from .errors import (
     PositivityViolationError,
     UnsupportedMeasureError,
 )
-from .geometry import Grid, Segment, contains
+from .geometry import Grid, Segment, _check_memory, contains
 from .model import _TOL_MAXSET, Problem
 from .spectral import (_BLOCK, _TOL_CLASSIFY, KernelWeights, RegimeReport, _gap,
                        _kernel_apply, _kernel_operator, _ktilde_pair, _regime)
@@ -308,10 +307,10 @@ def cantor_approximant(segment: Segment, level: int) -> DiscreteMeasure:
     """
     if level < 0:
         raise ConfigurationError(f"level must be >= 0, got {level}")
-    _model._check_memory(_ATOM_BYTES << level,
-                         f"a level-{level} Cantor approximant has 2^{level} atoms "
-                         f"of about {_ATOM_BYTES} bytes each and",
-                         "lower the Cantor level")
+    _check_memory(_ATOM_BYTES << level,
+                  f"a level-{level} Cantor approximant has 2^{level} atoms "
+                  f"of about {_ATOM_BYTES} bytes each and",
+                  "lower the Cantor level")
     start = np.asarray(segment.start, dtype=float)
     end = np.asarray(segment.end, dtype=float)
     ts = [(0.0, 1.0)]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -30,7 +29,6 @@ from .errors import (
     ConfigurationError,
     H2Violation,
     H3Violation,
-    TooLargeError,
 )
 from .geometry import (
     Ball,
@@ -42,6 +40,7 @@ from .geometry import (
     Interval,
     Product,
     Segment,
+    _check_memory,
     build_grid,
     contains,
     distance_to_target,
@@ -825,23 +824,6 @@ def _recip_integrability(coeff: CoefficientField, grid: Grid,
 
 
 # -- validated problem instances ----------------------------------------
-
-def _memory_budget() -> int:
-    """Physical memory in bytes, the ceiling for one kernel operator."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_memory(nbytes: int, what: str,
-                  advice: str = "lower the resolution or grading depth") -> None:
-    """Refuse to allocate ``what``, ``nbytes`` bytes, beyond physical memory;
-    the error ends with ``advice``."""
-    budget = _memory_budget()
-    if nbytes > budget:
-        raise TooLargeError(
-            f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
-            f"{budget / 2**30:.3g} GiB of physical memory; {advice}"
-        )
-
 
 def _check_dense(size: int) -> None:
     """Refuse a dense K W on ``size`` nodes that would not fit in memory."""

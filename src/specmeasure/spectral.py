@@ -64,7 +64,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import model as _model
 from .errors import (
     ClassificationUnstableError,
     ConfigurationError,
@@ -72,7 +71,8 @@ from .errors import (
     IterationLimitError,
     SingularNodeError,
 )
-from .model import ArgmaxSet, Kernel, Problem, _argmax_set, _refined, argmax_point
+from .geometry import _check_memory
+from .model import ArgmaxSet, Kernel, Problem, _argmax_set, _check_dense, _refined, argmax_point
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +170,7 @@ class RegimeReport:
     regime: str                  # "continuous" | "l1" | "singular"
     lambda1: float
     lambda1_interval: tuple[float, float]
-    lambda_p: float
-    lambda_p_interval: tuple[float, float] | None   # certified; None at "l1"
+    lambda_p_interval: tuple[float, float]   # certified, in every regime
     sup_a: float
     x0: tuple[float, ...]
     eigen_density: np.ndarray | None
@@ -182,6 +181,10 @@ class RegimeReport:
     @property
     def confirmed(self) -> bool:
         return self.coarse_lambda1 is not None
+
+    @property
+    def lambda_p(self) -> float:     # where a positive supersolution is exhibited
+        return self.lambda_p_interval[0]
 
     @property
     def density_norm(self) -> str | None:    # "max" | "mass"
@@ -214,7 +217,7 @@ def _kernel_weights(problem: Problem) -> np.ndarray:
     before it is allocated; each kernel slab is scaled straight into it."""
     grid = problem.grid
     n = grid.size
-    _model._check_dense(n)
+    _check_dense(n)
     entries = _kernel_slabs(problem.kernel, grid.nodes, grid.nodes,
                             lambda block, out: np.multiply(block, grid.weights, out=out),
                             np.empty((n, n)))
@@ -334,8 +337,8 @@ def _factor(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights | Non
             return None
         if not blocks or k == blocks[-1].shape[0]:
             size = min(height if blocks else _FACTOR_BLOCK, cap - rank)
-            _model._check_memory(8 * (rank + size) * n,
-                                 f"a rank-{rank + size} kernel factor on {n} grid nodes")
+            _check_memory(8 * (rank + size) * n,
+                          f"a rank-{rank + size} kernel factor on {n} grid nodes")
             blocks.append(np.empty((size, n)))
             k = 0
         block = blocks[-1]
@@ -643,7 +646,9 @@ def estimate_lambda_p(problem: Problem) -> LambdaPEstimate:
     own K W from the midpoint of its bracket [max_i (K W)_ii + a_i, max_i
     ((K W 1)_i + a_i)] to a width of about 1e-12; no argmax set is needed.
     ``value`` is the certified interval's lower end; ``iterations`` counts
-    matvecs."""
+    matvecs.  It stays beside ``classify_regime``'s own bracket as the
+    cross-check that needs no argmax set and no Kt pair, and the benchmark
+    traces it."""
     kw = _kernel_operator(problem)
     a = problem.a_at_nodes
     ones = np.ones(a.size)
@@ -682,14 +687,13 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY, *,
     silently trusted; a grid with no coarser level raises
     ``ConfigurationError``.
 
-    Off the threshold lambda_p comes from ``_lambda_p_root``, started from
+    In every regime lambda_p comes from ``_lambda_p_root``, started from
     the Kt pair, whose test function u / (a0 - a) brackets it for free, and
-    narrowed to ``tol_classify / 10`` (singular) or about 1e-12
+    narrowed to ``tol_classify / 10`` (singular and "l1") or about 1e-12
     (continuous), plus the width the factor's remainder bound leaves.  It
     is the bracket's lower end, where a positive supersolution is
-    exhibited; the continuous density is the last test function, at max 1.
-    Threshold: -a0 itself, where the discrete spectrum clusters; no bracket
-    is claimed (``lambda_p_interval`` is None).
+    exhibited.  The continuous density is the last test function, at max 1;
+    the "l1" density is u / (a0 - a), at mass 1.
 
     The argmax set of a is detected on the grid and reported as ``argmax``;
     x0 is its ``argmax_point`` and a0 its sup.  A problem on a finer grid of
@@ -703,7 +707,8 @@ def _classify(problem: Problem, tol_classify: float,
               confirm: bool) -> tuple[RegimeReport, KernelWeights]:
     """``classify_regime``'s report and the problem grid's K W for a solve to
     reuse.  The coarse grid's K W is freed before the fine one is built, so
-    the two never coexist."""
+    the two never coexist.  A lambda_p bracket across -a0 from the side that
+    lambda1 - 1 points to raises ``InconsistencyError``, in every regime."""
     amax = _argmax_set(problem)
     x0, a0 = argmax_point(amax, problem.domain), amax.sup_value
     gap = _gap(problem, a0)
@@ -736,39 +741,33 @@ def _classify(problem: Problem, tol_classify: float,
                 f"(lambda1 {coarse_lam1:.6g} vs {pair.value:.6g})"
             )
 
-    density = interval = None
-    if regime == "l1":
-        lambda_p = -a0
+    a = problem.a_at_nodes
+    tol = (0.0, _ROOT_RTOL) if regime == "continuous" else (tol_classify / 10.0, 0.0)
+    mu_lo, mu_hi, phi, steps, matvecs = _lambda_p_root(
+        kw, a, a0, solve, float(np.max(kw.diagonal + a)), np.inf, tol)
+    runs.append(f"root steps={steps} matvecs={matvecs} width={mu_hi - mu_lo:.3g}")
+    if math.copysign(1.0, pair.value - 1.0) * (a0 - mu_hi) \
+            > 10.0 * tol_classify * max(1.0, abs(a0)):
+        raise InconsistencyError(f"lambda1 {pair.value:.6g} gives the {regime} regime "
+                                 f"but lambda_p {-mu_hi:.6g} lies across {-a0:.6g}")
+    density = None
+    if regime == "continuous":
+        density = phi / float(np.max(phi))
+    elif regime == "l1":
         psi = pair.vector / gap
         density = psi / float(np.sum(problem.grid.weights * psi))
-    else:
-        a = problem.a_at_nodes
-        tol = (tol_classify / 10.0, 0.0) if regime == "singular" else (0.0, _ROOT_RTOL)
-        mu_lo, mu_hi, phi, steps, matvecs = _lambda_p_root(
-            kw, a, a0, solve, float(np.max(kw.diagonal + a)), np.inf, tol)
-        runs.append(f"root steps={steps} matvecs={matvecs} width={mu_hi - mu_lo:.3g}")
-        lambda_p, interval = -mu_hi, (-mu_hi, -mu_lo)
-        side = 1.0 if regime == "singular" else -1.0
-        if side * (mu_hi - a0) > 10.0 * tol_classify * max(1.0, abs(a0)):
-            raise InconsistencyError(f"lambda1 {pair.value:.6g} gives the {regime} regime "
-                                     f"but lambda_p {lambda_p:.6g} lies across {-a0:.6g}")
-        if regime == "continuous":
-            density = phi / float(np.max(phi))
 
     lo1, hi1 = pair.interval
-    certificate = ("threshold value, no bracket" if interval is None else
-                   f"in [{-mu_hi:.12g}, {-mu_lo:.12g}] width {mu_hi - mu_lo:.3g}")
     log.info("classify_regime: regime=%s n=%d lambda1=%.12g in [%.12g, %.12g] "
-             "width %.3g lambda_p=%.12g %s; perron: %s; %s", regime,
-             problem.grid.size, pair.value, lo1, hi1, hi1 - lo1, lambda_p,
-             certificate, "; ".join(runs), "; ".join(kernels))
+             "width %.3g lambda_p=%.12g in [%.12g, %.12g] width %.3g; perron: %s; %s",
+             regime, problem.grid.size, pair.value, lo1, hi1, hi1 - lo1, -mu_hi,
+             -mu_hi, -mu_lo, mu_hi - mu_lo, "; ".join(runs), "; ".join(kernels))
 
     return RegimeReport(
         regime=regime,
         lambda1=pair.value,
         lambda1_interval=pair.interval,
-        lambda_p=lambda_p,
-        lambda_p_interval=interval,
+        lambda_p_interval=(-mu_hi, -mu_lo),
         sup_a=a0,
         x0=tuple(float(v) for v in x0),
         eigen_density=density,

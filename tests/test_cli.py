@@ -267,7 +267,7 @@ def test_non_finite_report_exits_two(capsys, monkeypatch, command):
 
     def infinite(*args, **kwargs):
         report, kw = real(*args, **kwargs)
-        return dataclasses.replace(report, lambda_p=math.inf), kw
+        return dataclasses.replace(report, lambda_p_interval=(math.inf, math.inf)), kw
 
     monkeypatch.setattr(spectral, "_classify", infinite)
     monkeypatch.setattr(cli, "_classify", infinite)
@@ -532,12 +532,29 @@ def test_cantor_level_beyond_memory_exits_two(capsys):
 def test_oversized_grid_exits_two(capsys, monkeypatch):
     # the budget is lowered rather than the grid raised, so nothing large
     # is ever built
-    monkeypatch.setattr("specmeasure.model._memory_budget", lambda: 10**5)
+    monkeypatch.setattr("specmeasure.geometry._memory_budget", lambda: 10**5)
     code, out, err = run(capsys, "classify", "--example", "ball",
                          "--rho", "0.1", "--resolution", "4")
     assert code == 2
     assert out == ""
     assert err.startswith("error[too-large]")
+
+
+def test_oversized_grid_refused_before_it_is_built(capsys, monkeypatch):
+    # the node count comes from the 1-D cell lists, so a grid of 134,400
+    # nodes is refused under a 1 MiB budget before any of its arrays exists
+    monkeypatch.setattr("specmeasure.geometry._memory_budget", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "classify", "--example", "ball",
+                             "--resolution", "40", "--depth", "8")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[too-large]: a grid of 134400 nodes needs ")
+    assert peak < 2 << 20
 
 
 def test_config_file_round_trip(capsys, tmp_path):

@@ -15,6 +15,7 @@ from specmeasure import (
     Interval,
     Product,
     Segment,
+    TooLargeError,
     build_grid,
     distance_to_target,
     geometry,
@@ -234,3 +235,23 @@ def test_random_domain_weights_sum_to_volume(domain, resolution):
     rel = abs(float(np.sum(g.weights)) - volume(domain)) / volume(domain)
     assert rel < 10 * g.mesh_size**2
     assert np.all(g.weights > 0)
+
+
+@pytest.mark.parametrize("domain, grading", [
+    (Interval(0.0, 1.0), GradeSpec(targets=((0.3,),), depth=4)),
+    (Box(lo=(0.0, 0.0), hi=(1.0, 2.0)), GradeSpec(targets=((1.0, 2.0),), depth=3)),
+    (Ball(center=(0.0, 0.0), radius=1.0), GradeSpec(targets=((0.0, 0.0),), depth=5)),
+    (Ball(center=(0.0, 0.0, 0.0), radius=1.0), GradeSpec(targets=((0.0, 0.0, 0.0),), depth=5)),
+    (Cylinder(radius=1.0, height=1.0),
+     GradeSpec(targets=(Segment(start=(0.0, 0.0, 0.0), end=(0.0, 0.0, 1.0)),), depth=4)),
+    (Product(Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), Interval(0.0, 1.0)), None),
+], ids=["interval", "box", "disk", "ball", "cylinder", "product"])
+def test_grid_refused_at_its_exact_node_count(monkeypatch, domain, grading):
+    # the node count taken from the 1-D cell lists is the grid's size: one
+    # byte below the budget for it refuses the grid, the budget itself builds it
+    size = build_grid(domain, 5, grading).size
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: geometry._NODE_BYTES * size - 1)
+    with pytest.raises(TooLargeError, match=f"^a grid of {size} nodes needs "):
+        build_grid(domain, 5, grading)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: geometry._NODE_BYTES * size)
+    assert build_grid(domain, 5, grading).size == size

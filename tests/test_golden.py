@@ -5,6 +5,11 @@ README's "Worked examples".  A change that moves any byte of it must say
 why (a documented correctness fix) and replace the file.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLES = {
     "classify_ball_rho0.1.json": "classify --example ball --rho 0.1",
     "classify_ball_rho0.05.json": "classify --example ball --rho 0.05",
+    "classify_cylinder_rho0.159155.json":
+        "classify --example cylinder --rho 0.159155 --resolution 6 --depth 12",
     "solve_ball_rho0.05.json": "solve --example ball --rho 0.05",
     "solve_cylinder_cantor4.json": "solve --example cylinder --cantor-level 4",
     "convergence_ball_lambda1_levels3.csv":
@@ -39,3 +46,40 @@ def test_worked_example_stdout_is_unchanged(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_stdout_is_the_same_with_one_and_two_blas_threads(tmp_path):
+    # the classify goldens and a test-size bench Gaussian (continuous, a
+    # factored kernel) rerun in fresh interpreters print the same bytes
+    # whatever the number of BLAS threads
+    cfg = json.loads((GOLDEN.parents[1] / "bench" / "gaussian_ball.json").read_text())
+    cfg["problem"]["kernel"]["amplitude"] = 0.15
+    cfg["grid"].update(resolution=6, grading_depth=8)
+    config = tmp_path / "gaussian.json"
+    config.write_text(json.dumps(cfg))
+    goldens = [name for name in EXAMPLES if name.startswith("classify_")]
+    commands = [EXAMPLES[name].split() for name in goldens]
+    commands.append(["classify", "--config", str(config)])
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import specmeasure.cli as cli
+        outs = []
+        for argv in json.loads(sys.argv[1]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            outs.append(out.getvalue() if code == 0 else f"exit {code}")
+        print(json.dumps(outs))
+    """)
+    src = GOLDEN.parents[1] / "src"
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1]
+    assert '"regime": "continuous_eigenfunction"' in runs[0][-1]
+    for name, out in zip(goldens, runs[0]):
+        assert out.encode() == (GOLDEN / name).read_bytes()

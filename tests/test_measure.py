@@ -36,6 +36,7 @@ from specmeasure import (
     custom_kernel,
     density_at,
     gaussian_kernel,
+    geometry,
     kernel_moment,
     measure,
     model,
@@ -486,7 +487,7 @@ def test_dense_solve_holds_one_kernel_array():
 def test_cantor_level_bounded_by_memory(monkeypatch):
     with pytest.raises(TooLargeError, match="physical memory"):
         cantor_approximant(AXIS, level=64)
-    monkeypatch.setattr(model, "_memory_budget", lambda: measure._ATOM_BYTES << 3)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: measure._ATOM_BYTES << 3)
     assert len(cantor_approximant(AXIS, level=3).atoms) == 8
     with pytest.raises(TooLargeError):
         cantor_approximant(AXIS, level=4)

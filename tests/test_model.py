@@ -23,7 +23,7 @@ from specmeasure import (
     TooLargeError,
     build_grid,
 )
-from specmeasure import model
+from specmeasure import geometry, model
 from specmeasure.geometry import contains
 from specmeasure.model import (
     Problem,
@@ -287,13 +287,13 @@ def test_argmax_adjacency_checked_before_it_allocates(monkeypatch):
     pts[:600, 2] = np.linspace(0.0, 0.3, 600)
     pts[600:, 2] = np.linspace(1.2, 1.5, 600)
     chunk = model._PAIR_BYTES * model._PAIR_CHUNK
-    monkeypatch.setattr(model, "_memory_budget", lambda: chunk)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: chunk)
     tracemalloc.start()
     try:
         assert model._proximity_components(pts, 1.0)[0] == 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        monkeypatch.setattr(model, "_memory_budget", lambda: chunk - 1)
+        monkeypatch.setattr(geometry, "_memory_budget", lambda: chunk - 1)
         with pytest.raises(TooLargeError, match="distances among 1200 near-maximal"):
             model._proximity_components(pts, 1.0)
         _, refused = tracemalloc.get_traced_memory()
@@ -311,9 +311,9 @@ def test_problem_rejects_grid_beyond_memory(monkeypatch):
     coeff = radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0))
     n = build_grid(dom, 4).size
     dense = custom_kernel(constant_kernel(0.1).evaluate, positivity_witness=(0.05, math.inf))
-    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: 8 * n * n)
     build_problem(dom, dense, coeff, resolution=4)
-    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n - 1)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: 8 * n * n - 1)
     with pytest.raises(TooLargeError, match="physical memory"):
         build_problem(dom, dense, coeff, resolution=4)
     build_problem(dom, constant_kernel(0.1), coeff, resolution=4)

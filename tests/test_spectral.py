@@ -19,6 +19,7 @@ from specmeasure import (
     ConfigurationError,
     Cylinder,
     GradeSpec,
+    InconsistencyError,
     Interval,
     IterationLimitError,
     Problem,
@@ -30,12 +31,14 @@ from specmeasure import (
     build_problem,
     build_singular_solution,
     classify_regime,
+    cli,
     constant_kernel,
     coordinate_linear,
     custom_kernel,
     detect_argmax_set,
     estimate_lambda_p,
     gaussian_kernel,
+    geometry,
     model,
     perron,
     radial_power,
@@ -229,18 +232,61 @@ def test_coarse_grid_is_one_level_down():
 
 
 def test_classify_threshold_l1():
+    # at the threshold lambda_p is bracketed like anywhere else: the bracket
+    # holds the secular root, and -sup a = -1 lies outside it.  On the steep
+    # a = 1 - 100 r^2 (last input) the root sits 0.0124 below sup a, past
+    # 10 tol_classify, yet on the side lambda1 = 0.9991 < 1 points to, so the
+    # run classifies without an InconsistencyError
     rho_star = 1.0 / (2 * math.pi)
-    prob = cylinder_problem(rho_star, depth=12)
-    rep = classify_regime(prob)
-    assert rep.regime == "l1"
-    assert rep.lambda_p == pytest.approx(-1.0)
-    assert rep.density_norm == "mass"
-    psi = rep.eigen_density
-    w = prob.grid.weights
-    assert float(np.sum(w * psi)) == pytest.approx(1.0, rel=1e-12)
-    exact = 1.0 / (rep.sup_a - prob.a_at_nodes)
-    exact /= float(np.sum(w * exact))
-    np.testing.assert_allclose(psi, exact, rtol=1e-10)
+    steep = build_problem(
+        Ball(center=CENTER3, radius=1.0), constant_kernel(1.0),
+        radial_power(top=1.0, scale=100.0, power=2.0, center=CENTER3),
+        resolution=4, grading=GradeSpec(targets=(CENTER3,), depth=2),
+    )
+    rho_steep = 0.9991 / float(np.sum(steep.grid.weights / (1.0 - steep.a_at_nodes)))
+    for rho, prob, confirm in [
+        (rho_star, cylinder_problem(rho_star, depth=12), True),
+        (0.0797, ball_problem(0.0797, resolution=6, depth=8), False),
+        (rho_steep, Problem(steep.domain, constant_kernel(rho_steep), steep.coeff,
+                            steep.grid), False),
+    ]:
+        rep = classify_regime(prob, confirm=confirm)
+        assert rep.regime == "l1"
+        lo, hi = rep.lambda_p_interval
+        assert lo - 1e-13 <= -secular_root(prob, rho) <= hi + 1e-13
+        assert rep.lambda_p == rep.lambda_p_interval[0]
+        assert not lo <= -1.0 <= hi
+        assert rep.density_norm == "mass"
+        psi = rep.eigen_density
+        w = prob.grid.weights
+        assert float(np.sum(w * psi)) == pytest.approx(1.0, rel=1e-12)
+        exact = 1.0 / (rep.sup_a - prob.a_at_nodes)
+        exact /= float(np.sum(w * exact))
+        np.testing.assert_allclose(psi, exact, rtol=1e-10)
+    assert -hi - rep.sup_a < -10 * spectral._TOL_CLASSIFY
+
+
+def test_lambda_p_bracket_across_minus_sup_a_raises(monkeypatch, capsys):
+    # a root whose bracket lies on the wrong side of -sup a for lambda1 is
+    # refused in every regime, the threshold included, and the CLI names it
+    real = spectral._lambda_p_root
+
+    def across(kw, a, mu, solve, lo, hi, tol):
+        _, _, phi, steps, matvecs = real(kw, a, mu, solve, lo, hi, tol)
+        shift = -0.45 if solve[0].value >= 1.0 else 0.45
+        return mu + shift - 0.05, mu + shift + 0.05, phi, steps, matvecs
+
+    monkeypatch.setattr(spectral, "_lambda_p_root", across)
+    for prob in (ball_problem(0.05), ball_problem(0.1),
+                 ball_problem(0.0797, resolution=6, depth=8)):
+        with pytest.raises(InconsistencyError, match="lies across -1"):
+            classify_regime(prob, confirm=False)
+    code = cli.main(["classify", "--example", "ball", "--rho", "0.05",
+                     "--resolution", "4", "--depth", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error[inconsistency]: lambda1 ")
 
 
 def test_classify_flip_across_threshold():
@@ -460,6 +506,26 @@ def test_singular_bracket_contains_secular_root(shape, resolution, depth, fracti
     assert hi - lo <= 1e-4          # refined to tol_classify / 10
     assert rep.lambda_p == lo
     assert rep.lambda_p > -rep.sup_a
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(["ball", "cylinder"]),
+       resolution=st.integers(3, 5), depth=st.integers(2, 8),
+       fraction=st.floats(1.0 - 0.9e-3, 1.0 + 0.9e-3))
+def test_threshold_bracket_contains_secular_root(shape, resolution, depth, fraction):
+    # inside the l1 band the bracket is narrowed as in the singular regime
+    make = ball_problem if shape == "ball" else cylinder_problem
+    base = make(1.0, resolution=resolution, depth=depth)
+    ih = float(np.sum(base.grid.weights / (1.0 - base.a_at_nodes)))
+    rho = fraction / ih
+    prob = Problem(base.domain, constant_kernel(rho), base.coeff, base.grid)
+    rep = classify_regime(prob, confirm=False)
+    assert rep.regime == "l1"
+    lo, hi = rep.lambda_p_interval
+    root = secular_root(prob, rho)
+    assert lo - 1e-13 <= -root <= hi + 1e-13
+    assert hi - lo <= 1e-4          # refined to tol_classify / 10
+    assert rep.lambda_p == lo
 
 
 def test_singular_bracket_width_is_absolute():
@@ -824,8 +890,6 @@ def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     assert hi - lo <= 1e-10
-    if rep.regime == "l1":
-        return
     sw = np.sqrt(prob.grid.weights)
     nodes = prob.grid.nodes
     sym = sw[:, None] * prob.kernel.evaluate(nodes, nodes) * sw[None, :]
@@ -1005,12 +1069,15 @@ def test_factor_blocks_of_unequal_height_match_dense_oracle(monkeypatch):
 
 
 def test_factor_storage_checked_as_it_grows(monkeypatch):
-    # the budget is lowered to one 64-row block, so nothing large is built
+    # the budget is lowered to one 64-row block, so nothing large is built;
+    # the problems are built first, since a grid's own check asks more per
+    # node than one such block
     prob = gaussian_ball(5, 6)
+    constant = ball_problem(0.1, resolution=5, depth=6)
     n = prob.grid.size
     assert spectral._kernel_operator(prob).rank > spectral._FACTOR_BLOCK
-    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * spectral._FACTOR_BLOCK * n)
-    assert spectral._kernel_operator(ball_problem(0.1, resolution=5, depth=6)).rank == 1
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: 8 * spectral._FACTOR_BLOCK * n)
+    assert spectral._kernel_operator(constant).rank == 1
     with pytest.raises(TooLargeError, match="kernel factor"):
         spectral._kernel_operator(prob)
 
@@ -1149,13 +1216,13 @@ def test_dense_fallback_checked_before_it_allocates(monkeypatch):
     prob = gaussian_ball(4, 5, width=0.3)
     n = prob.grid.size
     assert spectral._factor(prob) is None
-    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n - 1)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: 8 * n * n - 1)
     prob = Problem(prob.domain, prob.kernel, prob.coeff, prob.grid)
     with pytest.raises(TooLargeError, match="dense operator"):
         spectral._kernel_operator(prob)
     with pytest.raises(TooLargeError):
         Problem(prob.domain, dense_twin(prob).kernel, prob.coeff, prob.grid)
-    monkeypatch.setattr(model, "_memory_budget", lambda: 8 * n * n)
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: 8 * n * n)
     assert spectral._kernel_operator(prob).dense is not None
 
 
