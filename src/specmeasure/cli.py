@@ -56,6 +56,34 @@ def _is_finite(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
+# parsers of a problem value: (value, its key path) -> the parsed value
+def _number(value, where: str) -> float:
+    if not _is_finite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _list_of(value, where: str, test=_is_finite) -> tuple:
+    if not (isinstance(value, list) and all(test(v) for v in value)):
+        kind = "integers" if test is _is_int else "finite numbers"
+        raise ConfigurationError(f"{where} must be a list of {kind}, got {value!r}")
+    return tuple(value)
+
+
+def _axes(value, where: str) -> tuple | None:
+    return None if value is None else _list_of(value, where, _is_int)
+
+
+def _point(value, where: str) -> tuple:
+    return tuple(float(v) for v in _list_of(value, where))
+
+
+def _segment(value, where: str) -> Segment:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigurationError(f"{where} must hold two points, got {value!r}")
+    return Segment(*(_point(end, where) for end in value))
+
+
 # section -> key -> (default, the rule its values keep, a test of the rule);
 # a key not listed here is refused
 _SCHEMA: dict = {
@@ -85,6 +113,31 @@ _SCHEMA: dict = {
     },
 }
 
+# problem part -> (the key naming its family, family -> (constructor, key ->
+# parser)); a key in _OPTIONAL may be left out for the constructor's default,
+# and a key no family of the part takes is refused
+_FAMILIES: dict = {
+    "domain": ("kind", {
+        "ball": (Ball, {"center": _list_of, "radius": _number}),
+        "cylinder": (Cylinder, {"radius": _number, "height": _number}),
+        "box": (Box, {"lo": _list_of, "hi": _list_of}),
+    }),
+    "kernel": ("family", {
+        "constant": (constant_kernel, {"rho": _number}),
+        "gaussian": (gaussian_kernel, {"amplitude": _number, "width": _number}),
+    }),
+    "coefficient": ("family", {
+        "radial_power": (radial_power, {"top": _number, "scale": _number, "power": _number,
+                                        "center": _list_of, "axes": _axes}),
+        "coordinate_linear": (coordinate_linear, {"coeffs": _list_of, "offset": _number}),
+        "constant": (constant_coefficient, {"value": _number}),
+    }),
+}
+_OPTIONAL = ("axes", "offset")
+
+# grading-target key -> parser; a target holds exactly one of them
+_TARGETS = {"point": _point, "segment": _segment}
+
 _DEFAULTS: dict = {"problem": None, **{
     section: {key: entry[0] for key, entry in fields.items()}
     for section, fields in _SCHEMA.items()}}
@@ -99,43 +152,21 @@ _READS = {
 }
 
 
-def _example_config(name: str) -> dict:
-    if name == "ball":
-        return {
-            "problem": {
-                "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
-                "kernel": {"family": "constant", "rho": 0.05},
-                "coefficient": {
-                    "family": "radial_power",
-                    "top": 1.0,
-                    "scale": 1.0,
-                    "power": 2.0,
-                    "center": [0.0, 0.0, 0.0],
-                },
-            },
-            "grid": {"grading_targets": [{"point": [0.0, 0.0, 0.0]}]},
-        }
-    if name == "cylinder":
-        return {
-            "problem": {
-                "domain": {"kind": "cylinder", "radius": 1.0, "height": 1.0},
-                "kernel": {"family": "constant", "rho": 0.05},
-                "coefficient": {
-                    "family": "radial_power",
-                    "top": 1.0,
-                    "scale": 1.0,
-                    "power": 1.0,
-                    "center": [0.0, 0.0],
-                    "axes": [0, 1],
-                },
-            },
-            "grid": {
-                "grading_targets": [
-                    {"segment": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}
-                ]
-            },
-        }
-    raise ConfigurationError(f"unknown example {name!r}")
+# --example presets; a config file and the flags are merged over them
+_EXAMPLES = {
+    "ball": {"problem": {
+        "domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        "kernel": {"family": "constant", "rho": 0.05},
+        "coefficient": {"family": "radial_power", "top": 1.0, "scale": 1.0,
+                        "power": 2.0, "center": [0.0, 0.0, 0.0]},
+    }, "grid": {"grading_targets": [{"point": [0.0, 0.0, 0.0]}]}},
+    "cylinder": {"problem": {
+        "domain": {"kind": "cylinder", "radius": 1.0, "height": 1.0},
+        "kernel": {"family": "constant", "rho": 0.05},
+        "coefficient": {"family": "radial_power", "top": 1.0, "scale": 1.0,
+                        "power": 1.0, "center": [0.0, 0.0], "axes": [0, 1]},
+    }, "grid": {"grading_targets": [{"segment": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}]}},
+}
 
 
 def _deep_update(base: dict, extra: dict) -> None:
@@ -196,102 +227,67 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _number(spec: dict, key: str, where: str) -> float:
-    value = _require(spec, key, where)
-    if not _is_finite(value):
-        raise ConfigurationError(f"{where}.{key} must be a finite number, got {value!r}")
-    return float(value)
+def _part(part: str, spec: dict):
+    """The domain, kernel or coefficient that ``problem.<part>`` names."""
+    where = f"problem.{part}"
+    name_key, families = _FAMILIES[part]
+    name = _require(spec, name_key, where)
+    if not (isinstance(name, str) and name in families):
+        raise ConfigurationError(f"unknown {part} {name_key} {name!r}")
+    build, keys = families[name]
+    built = build(**{key: parse(_require(spec, key, where), f"{where}.{key}")
+                     for key, parse in keys.items()
+                     if key in spec or key not in _OPTIONAL})
+    taken = {name_key}.union(*(fields for _, fields in families.values()))
+    for key in sorted(spec.keys() - taken):
+        raise ConfigurationError(f"unknown config key {where}.{key}; the {name} "
+                                 f"{part} takes {', '.join(keys)}")
+    return built
 
 
-def _numbers(spec: dict, key: str, where: str, test=_is_finite) -> tuple:
-    return _list_of(_require(spec, key, where), f"{where}.{key}", test)
-
-
-def _list_of(value, where: str, test=_is_finite) -> tuple:
-    if not (isinstance(value, list) and all(test(v) for v in value)):
-        kind = "integers" if test is _is_int else "finite numbers"
-        raise ConfigurationError(f"{where} must be a list of {kind}, got {value!r}")
-    return tuple(value)
-
-
-def _build_domain(spec: dict):
-    where = "problem.domain"
-    kind = _require(spec, "kind", where)
-    if kind == "ball":
-        return Ball(center=_numbers(spec, "center", where),
-                    radius=_number(spec, "radius", where))
-    if kind == "cylinder":
-        return Cylinder(radius=_number(spec, "radius", where),
-                        height=_number(spec, "height", where))
-    if kind == "box":
-        return Box(lo=_numbers(spec, "lo", where), hi=_numbers(spec, "hi", where))
-    raise ConfigurationError(f"unknown domain kind {kind!r}")
-
-
-def _build_kernel(spec: dict):
-    where = "problem.kernel"
-    family = _require(spec, "family", where)
-    if family == "constant":
-        return constant_kernel(_number(spec, "rho", where))
-    if family == "gaussian":
-        return gaussian_kernel(amplitude=_number(spec, "amplitude", where),
-                               width=_number(spec, "width", where))
-    raise ConfigurationError(f"unknown kernel family {family!r}")
-
-
-def _build_coefficient(spec: dict):
-    where = "problem.coefficient"
-    family = _require(spec, "family", where)
-    if family == "radial_power":
-        axes = None
-        if spec.get("axes") is not None:
-            axes = _numbers(spec, "axes", where, _is_int)
-        return radial_power(top=_number(spec, "top", where),
-                            scale=_number(spec, "scale", where),
-                            power=_number(spec, "power", where),
-                            center=_numbers(spec, "center", where),
-                            axes=axes)
-    if family == "coordinate_linear":
-        offset = _number(spec, "offset", where) if "offset" in spec else 0.0
-        return coordinate_linear(_numbers(spec, "coeffs", where), offset=offset)
-    if family == "constant":
-        return constant_coefficient(_number(spec, "value", where))
-    raise ConfigurationError(f"unknown coefficient family {family!r}")
-
-
-def _parse_targets(raw: list) -> tuple:
-    targets = []
-    for i, item in enumerate(raw):
-        where = f"grid.grading_targets[{i}]"
-        item = _object(item, where)
-        if "point" in item:
-            targets.append(tuple(float(v) for v in _numbers(item, "point", where)))
-        elif "segment" in item:
-            ends = item["segment"]
-            if not (isinstance(ends, list) and len(ends) == 2):
-                raise ConfigurationError(
-                    f"{where}.segment must hold two points, got {ends!r}")
-            start, end = (tuple(float(v) for v in _list_of(e, f"{where}.segment"))
-                          for e in ends)
-            targets.append(Segment(start, end))
-        else:
-            raise ConfigurationError(
-                "each grading target must carry a 'point' or a 'segment'"
-            )
-    return tuple(targets)
-
-
-def _build(cfg: dict) -> Problem:
-    if cfg["problem"] is None:
+def _parts(problem: dict | None) -> tuple:
+    """The problem section's domain, kernel and coefficient, the
+    coefficient's vectors checked against the domain's dimension."""
+    if problem is None:
         raise ConfigurationError(
             "no problem defined; pass --example ball|cylinder or a config "
             "file with a 'problem' section"
         )
-    spec = {key: _object(_require(cfg["problem"], key, "problem"), f"problem.{key}")
-            for key in ("domain", "kernel", "coefficient")}
-    domain = _build_domain(spec["domain"])
-    kernel = _build_kernel(spec["kernel"])
-    coeff = _build_coefficient(spec["coefficient"])
+    for key in sorted(problem.keys() - _FAMILIES.keys()):
+        raise ConfigurationError(f"unknown config key problem.{key}; problem takes "
+                                 f"{', '.join(_FAMILIES)}")
+    specs = [_object(_require(problem, part, "problem"), f"problem.{part}")
+             for part in _FAMILIES]
+    domain, kernel, coeff = (_part(part, spec) for part, spec in zip(_FAMILIES, specs))
+    # coeffs take one entry per coordinate; a center may leave trailing
+    # coordinates out, and the axes index it
+    p, dim, where = coeff.params, domain.dim, "problem.coefficient"
+    if "coeffs" in p and len(p["coeffs"]) != dim:
+        raise ConfigurationError(f"{where}.coeffs needs {dim} entries, one per "
+                                 f"coordinate of the domain, got {list(p['coeffs'])}")
+    center = p.get("center", ())
+    if len(center) > dim:
+        raise ConfigurationError(f"{where}.center has more coordinates than the "
+                                 f"domain's {dim}, got {list(center)}")
+    if not all(-len(center) <= ax < len(center) for ax in p.get("axes") or ()):
+        raise ConfigurationError(f"{where}.axes must index the coordinates of "
+                                 f"{where}.center, got {list(p['axes'])}")
+    return domain, kernel, coeff
+
+
+def _target(item, where: str):
+    """The point or segment that one grading-target item holds."""
+    if not _object(item, where).keys() & _TARGETS.keys():
+        raise ConfigurationError("each grading target must carry a 'point' or a 'segment'")
+    if len(item) > 1:
+        raise ConfigurationError(f"{where} must hold one of 'point' and 'segment' "
+                                 f"and nothing else, got {item!r}")
+    (key, value), = item.items()
+    return _TARGETS[key](value, f"{where}.{key}")
+
+
+def _build(cfg: dict) -> Problem:
+    domain, kernel, coeff = _parts(cfg["problem"])
     grid_cfg = cfg["grid"]
     resolution = int(grid_cfg["resolution"])
     depth = grid_cfg["grading_depth"]
@@ -299,11 +295,10 @@ def _build(cfg: dict) -> Problem:
     grading = None
     if depth and raw_targets:
         if raw_targets == "auto":
-            probe = build_grid(domain, resolution)
-            amax = detect_argmax_set(coeff, probe)
-            targets = amax.targets
+            targets = detect_argmax_set(coeff, build_grid(domain, resolution)).targets
         else:
-            targets = _parse_targets(raw_targets)
+            targets = tuple(_target(item, f"grid.grading_targets[{i}]")
+                            for i, item in enumerate(raw_targets))
         grading = GradeSpec(targets=targets,
                             ratio=float(grid_cfg["grading_ratio"]),
                             depth=int(depth))
@@ -479,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--example", choices=("ball", "cylinder"),
+        cmd.add_argument("--example", choices=tuple(_EXAMPLES),
                          help="built-in problem preset")
         cmd.add_argument("--rho", type=float,
                          help="constant kernel value override")
@@ -507,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _assemble_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
     if args.example:
-        _deep_update(cfg, _example_config(args.example))
+        _deep_update(cfg, copy.deepcopy(_EXAMPLES[args.example]))
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
@@ -531,6 +526,7 @@ def _assemble_config(args: argparse.Namespace) -> dict:
                 "--rho only applies to the constant kernel family"
             )
         kernel["rho"] = args.rho
+    _parts(cfg["problem"])   # a bad problem section fails before any grid
     return cfg
 
 
@@ -575,12 +571,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[configuration]: config is not valid JSON: {exc}",
               file=sys.stderr)
         return 1
-    except ConfigurationError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
     except SpecmeasureError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigurationError) else 2
     except OSError as exc:
         print(f"error[configuration]: {exc}", file=sys.stderr)
         return 1

@@ -301,6 +301,12 @@ def _check_nodes(size: int) -> None:
     _check_memory(_NODE_BYTES * size, f"a grid of {size} nodes")
 
 
+def _check_cells(count: int) -> None:
+    """Refuse a piece of ``count`` 1-D cells before it is built: a grid has
+    at least as many nodes as any line of cells it is built from."""
+    _check_memory(_NODE_BYTES * count, f"a grid of at least {count} nodes")
+
+
 # -- 1-D cell machinery -------------------------------------------------
 
 def _cascade_cells(anchor: float, span: float, ratio: float, depth: int,
@@ -312,11 +318,12 @@ def _cascade_cells(anchor: float, span: float, ratio: float, depth: int,
     annulus is subdivided so cell widths never exceed the adjacent uniform
     width; the region inside span*q^depth is left uncovered.
     """
+    annuli = [(span * ratio ** (k + 1), span * ratio**k) for k in range(depth)]
+    counts = [max(1, round((outer - inner) / h_adjacent)) if h_adjacent > 0 else 1
+              for inner, outer in annuli]
+    _check_cells(sum(counts))
     cells: list[tuple[float, float]] = []
-    for k in range(depth):
-        outer = span * ratio**k
-        inner = span * ratio ** (k + 1)
-        m = max(1, round((outer - inner) / h_adjacent)) if h_adjacent > 0 else 1
+    for (inner, outer), m in zip(annuli, counts):
         edges = np.linspace(inner, outer, m + 1)
         for j in range(m):
             if toward_left:
@@ -330,7 +337,12 @@ def _cascade_cells(anchor: float, span: float, ratio: float, depth: int,
 def _line_cells(lo: float, hi: float, resolution: int,
                 targets: tuple[float, ...] = (),
                 ratio: float = 0.5, depth: int = 0) -> list[tuple[float, float]]:
-    """Partition [lo, hi] into cells, graded toward interior/endpoint targets."""
+    """Partition [lo, hi] into cells, graded toward interior/endpoint targets.
+
+    Each piece, the uniform cells and each cascade, is checked against
+    physical memory by its cell count before it is built, and a graded line
+    by ``depth`` first, since each target's cascade holds that many cells
+    at least."""
     if resolution < 1:
         raise ConfigurationError(f"resolution must be >= 1, got {resolution}")
     length = hi - lo
@@ -341,9 +353,11 @@ def _line_cells(lo: float, hi: float, resolution: int,
             raise ConfigurationError(f"grading target {t} outside [{lo}, {hi}]")
 
     if not ts or depth == 0:
+        _check_cells(resolution)
         edges = np.linspace(lo, hi, resolution + 1)
         return [(edges[i], edges[i + 1]) for i in range(resolution)]
 
+    _check_cells(depth)
     # Split at targets; each target side gets a cascade spanning half the gap.
     bounds = [lo] + ts + [hi]
     cells: list[tuple[float, float]] = []
@@ -360,6 +374,7 @@ def _line_cells(lo: float, hi: float, resolution: int,
         m = max(1, round((u_hi - u_lo) / h_goal)) if u_hi > u_lo else 0
         h_adj = (u_hi - u_lo) / m if m else min(span_l, span_r) * (1 - ratio)
         if m:
+            _check_cells(m)
             edges = np.linspace(u_lo, u_hi, m + 1)
             cells.extend((edges[j], edges[j + 1]) for j in range(m))
         if tgt_left:
@@ -498,8 +513,6 @@ def _axis_targets(grading: GradeSpec | None, dim: int) -> list[tuple[float, ...]
                 if not axis_dirs[ax]:
                     per_axis[ax] = per_axis[ax] + (t.start[ax],)
         else:
-            if len(t) != dim:
-                raise ConfigurationError("grading target dimension mismatch")
             for ax in range(dim):
                 per_axis[ax] = per_axis[ax] + (t[ax],)
     return per_axis
@@ -540,11 +553,17 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
     before grading.  With a ``GradeSpec``, cells accumulate geometrically
     toward each target; no node is placed on a target and the cell touching
     it is dropped, so every node keeps a positive distance to the target.
-    The node count, the product of the 1-D cell counts, is checked against
-    physical memory before any array of the grid is built.
+    A target of another dimension than the domain's is refused.  The node
+    count, the product of the 1-D cell counts, is checked against physical
+    memory before any array of the grid is built, and each 1-D piece's cell
+    count, a lower bound on it, before that piece is built.
     """
     if resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
+    for t in grading.targets if grading else ():
+        if len(t.start if isinstance(t, Segment) else t) != domain.dim:
+            raise ConfigurationError(f"grading target dimension mismatch: {t} in a "
+                                     f"domain of dimension {domain.dim}")
     match domain:
         case Interval(lo=a, hi=b):
             if grading is not None and any(isinstance(t, Segment)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specmeasure import (
     Ball,
@@ -219,10 +221,16 @@ def test_classify_eigenobject_normalization(regime, kind, norm):
         "kind": kind, "normalization": norm, "size": prob.grid.size}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config() -> dict:
+    """The config file example of the README."""
+    return json.loads(re.search(r"```json\n(.*?)```", README.read_text(), re.DOTALL).group(1))
+
+
 def test_readme_config_example_runs(capsys, tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1)
-    cfg = json.loads(block)
+    cfg = readme_config()
     cfg["grid"].update(resolution=4, grading_depth=5)
     path = tmp_path / "readme.json"
     path.write_text(json.dumps(cfg))
@@ -233,14 +241,19 @@ def test_readme_config_example_runs(capsys, tmp_path):
 
 def test_readme_config_example_uses_the_schema():
     # every key of the README config is one the schema takes, at its
-    # default value (grading targets aside), and the README sentence on the
-    # tolerance keys names exactly the schema's
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
+    # default value (grading targets aside), each problem part names a
+    # family of _FAMILIES and sets exactly that family's keys, and the
+    # README sentence on the tolerance keys names exactly the schema's
+    readme = README.read_text()
+    cfg = readme_config()
     assert set(cfg) <= set(cli._DEFAULTS)
+    problem = cfg.pop("problem")
+    assert list(problem) == list(cli._FAMILIES)
+    for part, spec in problem.items():
+        name_key, families = cli._FAMILIES[part]
+        _, keys = families[spec[name_key]]
+        assert set(spec) == {name_key, *keys} - set(cli._OPTIONAL), part
     for section, values in cfg.items():
-        if section == "problem":
-            continue
         assert set(values) <= set(cli._SCHEMA[section]), section
         for key, value in values.items():
             if key != "grading_targets":
@@ -251,7 +264,7 @@ def test_readme_config_example_uses_the_schema():
 
 
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
     scope: dict = {}
     exec(block, scope)
@@ -320,10 +333,12 @@ def counting_kernel(monkeypatch, dense=False):
     keeps the built-in kernel's claims, or with ``dense`` is a custom kernel
     of the same values, which takes the dense K W."""
     rows: dict[int, int] = {}
-    real_build = cli._build_kernel
+    real_build = cli._part
 
-    def build(spec):
-        kernel = real_build(spec)
+    def build(part, spec):
+        kernel = real_build(part, spec)
+        if part != "kernel":
+            return kernel
 
         def evaluate(x, y):
             rows[y.shape[0]] = rows.get(y.shape[0], 0) + x.shape[0]
@@ -334,7 +349,7 @@ def counting_kernel(monkeypatch, dense=False):
         # replace drops the positive-definite claim of the built-in family
         return model._positive_definite(dataclasses.replace(kernel, evaluate=evaluate))
 
-    monkeypatch.setattr(cli, "_build_kernel", build)
+    monkeypatch.setattr(cli, "_part", build)
     return rows
 
 
@@ -557,6 +572,22 @@ def test_oversized_grid_refused_before_it_is_built(capsys, monkeypatch):
     assert peak < 2 << 20
 
 
+def test_oversized_resolution_refused_before_its_cells_exist(capsys, monkeypatch):
+    # resolution 1e8 is refused on the uniform piece of the radial cells, a
+    # lower bound on the node count, before that piece's cell list is built
+    monkeypatch.setattr("specmeasure.geometry._memory_budget", lambda: 1 << 20)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "classify", "--example", "ball",
+                             "--resolution", "100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error[too-large]: a grid of at least 50000000 nodes needs ")
+    assert peak < 1 << 20
+
+
 def test_config_file_round_trip(capsys, tmp_path):
     cfg = {
         "problem": {
@@ -734,6 +765,12 @@ def test_ill_typed_config_value_exits_one(capsys, monkeypatch, tmp_path,
     ([{"segment": [[0.0, 0.0, 0.0]]}], "grid.grading_targets[0].segment must hold two points"),
     ([{"point": [0.0, 0.0, 0.0]}, {"segment": [[0.0, 0.0, 0.0], [0.0, "a", 1.0]]}],
      "grid.grading_targets[1].segment must be a list of finite numbers"),
+    # an item holds exactly one target: the point was once taken silently
+    ([{"point": [0.0, 0.0, 0.0], "segment": [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}],
+     "grid.grading_targets[0] must hold one of 'point' and 'segment' and nothing else"),
+    ([{"point": [0.0, 0.0, 0.0], "weight": 1.0}],
+     "grid.grading_targets[0] must hold one of 'point' and 'segment' and nothing else"),
+    ([{"weight": 1.0}], "each grading target must carry a 'point' or a 'segment'"),
 ])
 def test_ill_typed_grading_target_exits_one(capsys, monkeypatch, tmp_path,
                                             targets, message):
@@ -761,6 +798,114 @@ def test_ill_typed_problem_section_exits_one(capsys, tmp_path, flags, cfg, key):
     assert out == ""
     assert err.startswith("error[configuration]:")
     assert key in err
+
+
+@pytest.mark.parametrize("part, key, takes", [
+    ("coefficient", "axis", "the radial_power coefficient takes top, scale, power, "
+                            "center, axes"),
+    ("coefficient", "ofset", "the radial_power coefficient takes"),
+    ("kernel", "widht", "the constant kernel takes rho"),
+    ("domain", "radiuss", "the ball domain takes center, radius"),
+])
+def test_unknown_problem_key_exits_one(capsys, monkeypatch, tmp_path, part, key, takes):
+    # a key no family of the part takes was once dropped without a word: on
+    # the ungraded ball, "axis": [0, 1] ran as if the axes were all three
+    refuse_build(monkeypatch)
+    cfg = {"problem": {part: {key: [0, 1]}}, "grid": {"grading_depth": 0}}
+    code, out, err = run(capsys, "classify", "--example", "ball",
+                         "--config", config_file(tmp_path, cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[configuration]: unknown config key "
+                          f"problem.{part}.{key}; {takes}")
+
+
+def test_unknown_problem_part_exits_one(capsys, monkeypatch, tmp_path):
+    refuse_build(monkeypatch)
+    code, out, err = run(capsys, "classify", "--example", "ball", "--config",
+                         config_file(tmp_path, {"problem": {"grid": {}}}))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[configuration]: unknown config key problem.grid; "
+                          "problem takes domain, kernel, coefficient")
+
+
+def test_key_of_another_family_is_ignored(tmp_path):
+    # a config may switch a preset's kernel family and leave its rho behind,
+    # and an offset on a radial power is the coordinate_linear family's
+    cfg = {"problem": {"kernel": {"family": "gaussian", "amplitude": 0.05, "width": 0.6},
+                       "coefficient": {"offset": 2.0}}}
+    prob = built("classify", "--example", "ball", "--resolution", "3", "--depth", "4",
+                 "--config", config_file(tmp_path, cfg))
+    assert prob.kernel.params == {"amplitude": 0.05, "width": 0.6}
+    assert prob.coeff.params == built("classify", "--example", "ball").coeff.params
+
+
+@pytest.mark.parametrize("command, example, cfg, message", [
+    ("classify", "ball", {"problem": {"coefficient": {"center": [0.0, 0.0, 0.0, 0.0]}}},
+     "problem.coefficient.center has more coordinates than the domain's 3"),
+    ("classify", "ball", {"problem": {"coefficient": {"axes": [0, 3]}}},
+     "problem.coefficient.axes must index the coordinates of problem.coefficient.center"),
+    ("classify", "ball", {"problem": {"coefficient": {"family": "coordinate_linear",
+                                                      "coeffs": [1.0, 0.0]}}},
+     "problem.coefficient.coeffs needs 3 entries"),
+    ("classify", "ball", {"grid": {"grading_targets": [{"point": [0.0, 0.0]}]}},
+     "grading target dimension mismatch: (0.0, 0.0) in a domain of dimension 3"),
+    ("convergence", "cylinder",
+     {"grid": {"grading_targets": [{"segment": [[0.0, 0.0], [0.0, 0.0]]}]},
+      "options": {"quantity": "recip_integral", "levels": 2}},
+     "grading target dimension mismatch: Segment("),
+], ids=["center", "axes", "coeffs", "point-target", "segment-target"])
+def test_dimension_mismatch_exits_one(capsys, tmp_path, command, example, cfg, message):
+    # each was a traceback (IndexError or ValueError), the segment only once
+    # a study built its reference grid
+    code, out, err = run(capsys, command, "--example", example, "--resolution", "4",
+                         "--depth", "4", "--config", config_file(tmp_path, cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error[configuration]: {message}")
+
+
+def problem_slots(node):
+    """Every (object, key) pair of a config section, nested objects included."""
+    for key, value in node.items():
+        yield node, key
+        if isinstance(value, dict):
+            yield from problem_slots(value)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_problem_section_fails_by_name(capsys, tmp_path, data):
+    # the README config with its problem section mutated: every run ends in
+    # a report or a named error, never a traceback
+    cfg = readme_config()
+    cfg["grid"].update(resolution=3, grading_depth=4)
+    names = ["ball", "cylinder", "box", "constant", "gaussian", "radial_power",
+             "coordinate_linear", "sphere"]
+    values = st.sampled_from(["x", True, None, math.inf, -math.inf])
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(problem_slots(cfg["problem"]))
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        action = data.draw(st.sampled_from(["drop", "add", "set", "lengthen",
+                                            "shorten", "rename"]))
+        if action == "drop":
+            del node[key]
+        elif action == "add":
+            node = node[key] if isinstance(node[key], dict) else node
+            node[data.draw(st.sampled_from(["zzz", "axes", "offset", "rho", "height",
+                                            "coeffs"]))] = data.draw(
+                st.sampled_from([1.0, [0, 1], [0.0, 0.0, 0.0], "x"]))
+        elif action == "set":
+            node[key] = data.draw(values)
+        elif isinstance(node[key], list):
+            node[key] = (node[key] + [0.0] if action == "lengthen" else node[key][:-1])
+        elif action == "rename" and key in ("kind", "family"):
+            node[key] = data.draw(st.sampled_from(names))
+    code, out, err = run(capsys, "classify", "--config", config_file(tmp_path, cfg))
+    assert code in (0, 1, 2)
+    assert code == 0 or (out == "" and err.startswith("error[")), err
 
 
 @pytest.mark.parametrize("flags, key", [

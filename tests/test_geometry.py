@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,3 +256,39 @@ def test_grid_refused_at_its_exact_node_count(monkeypatch, domain, grading):
         build_grid(domain, 5, grading)
     monkeypatch.setattr(geometry, "_memory_budget", lambda: geometry._NODE_BYTES * size)
     assert build_grid(domain, 5, grading).size == size
+
+
+@pytest.mark.parametrize("domain, resolution, grading", [
+    (Interval(0.0, 1.0), 200_000, None),
+    (Ball(center=(0.0, 0.0, 0.0), radius=1.0), 200_000,
+     GradeSpec(targets=((0.0, 0.0, 0.0),), depth=8)),
+    (Ball(center=(0.0, 0.0, 0.0), radius=1.0), 6,
+     GradeSpec(targets=((0.0, 0.0, 0.0),), depth=200_000)),
+], ids=["interval", "graded-ball-resolution", "ball-depth"])
+def test_oversized_grid_refused_before_its_cells_exist(monkeypatch, domain, resolution,
+                                                       grading):
+    # the 1-D cell lists were once built before the node count was checked,
+    # a peak of 23-31 MB under this 1 MiB budget; now each piece's cell
+    # count, and a graded line's depth, is refused before the piece exists
+    budget = 1 << 20
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="^a grid of at least "):
+            build_grid(domain, resolution, grading)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
+
+
+@pytest.mark.parametrize("domain, target", [
+    (Ball(center=(0.0, 0.0, 0.0), radius=1.0), (0.0, 0.0)),
+    (Ball(center=(0.0, 0.0), radius=1.0), (0.0, 0.0, 0.0)),
+    (Cylinder(radius=1.0, height=1.0), Segment((0.0, 0.0), (0.0, 0.0))),
+    (Box(lo=(0.0, 0.0), hi=(1.0, 1.0)), Segment((0.5, 0.0, 0.0), (0.5, 1.0, 0.0))),
+], ids=["ball", "disk", "cylinder", "box-segment"])
+def test_target_of_another_dimension_refused(domain, target):
+    # the ball's and the cylinder's were a ValueError or a grid built anyway
+    with pytest.raises(ConfigurationError, match="^grading target dimension mismatch"):
+        build_grid(domain, 4, GradeSpec(targets=(target,), depth=3))

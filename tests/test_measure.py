@@ -436,6 +436,22 @@ def test_gmres_matches_dense_solve(data, caplog):
     assert float(log_fields(line)["residual"]) <= 1e-12
 
 
+@pytest.mark.parametrize("restart", [2, 3, 4])
+def test_restarted_gmres_matches_one_cycle(monkeypatch, caplog, restart):
+    # a restart of 2-4 vectors takes GMRES through further cycles, each
+    # from its explicit residual, to the density that one cycle gives
+    ball = ball_problem(1.0)
+    prob = Problem(ball.domain, gaussian_kernel(0.05, 0.6), ball.coeff, ball.grid)
+    whole = build_singular_solution(prob, [(CENTER, 1.0)]).density_values
+    monkeypatch.setattr(measure, "_GMRES_RESTART", restart)
+    with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
+        restarted = build_singular_solution(prob, [(CENTER, 1.0)]).density_values
+    line, = [r.getMessage() for r in caplog.records if r.name == "specmeasure.measure"]
+    assert float(log_fields(line)["lambda1"]) == pytest.approx(0.338, abs=1e-3)
+    assert int(log_fields(line)["matvecs"]) > restart + 1
+    assert np.max(np.abs(restarted - whole)) <= 2.5e-15 * np.max(np.abs(whole))
+
+
 def test_fredholm_solve_logs_one_info_line(ball05, caplog):
     with caplog.at_level(logging.INFO, logger="specmeasure.measure"):
         build_singular_solution(ball05, [(CENTER, 1.0)])

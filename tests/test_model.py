@@ -476,6 +476,23 @@ def test_proximity_components_match_csgraph_on_clumps(dim, data, radius):
     np.testing.assert_array_equal(labels, expected[1])
 
 
+def test_proximity_components_far_apart_double_the_cell_side():
+    # clumps 1e4 apart at radius 1e-8 give raw cell coordinates of 2.4e12,
+    # past 2^40: the cells double until the coordinates round to the right
+    # cell, and the components still match the dense graph's
+    radius = 1e-8
+    pts = np.array([[0.0, 0.0, 0.0], [6e-9, 0.0, 0.0], [1.2e-8, 5e-9, 0.0],
+                    [3e-8, 0.0, 0.0], [1e4, 0.0, 0.0], [1e4, 9e-9, 0.0],
+                    [1e4, 0.0, 1e4], [1e4 + 2e-8, 0.0, 1e4]])
+    assert model._cell_keys(pts, radius)[1] < math.floor(math.sqrt(6)) + 1
+    diff = pts[:, None, :] - pts[None, :, :]
+    expected = csgraph.connected_components(
+        np.sum(diff * diff, axis=2) <= radius * radius, directed=False)
+    count, labels = model._proximity_components(pts, radius)
+    assert count == expected[0] == 5
+    np.testing.assert_array_equal(labels, expected[1])
+
+
 def ball_near_max(resolution, depth):
     """The ball example's coefficient, grid and near-maximal nodes."""
     grid = build_grid(Ball(center=(0.0, 0.0, 0.0), radius=1.0), resolution,
