@@ -11,7 +11,6 @@ SPECMEASURE_LOG for log verbosity.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import logging
@@ -152,6 +151,13 @@ _READS = {
 }
 
 
+def _reads(command: str, quantity: str = "residual") -> tuple:
+    """The options ``command`` reads in a study of ``quantity``."""
+    if command == "convergence" and quantity == "residual":
+        return _READS[command] + _ATOM_OPTIONS
+    return _READS[command]
+
+
 # --example presets; a config file and the flags are merged over them
 _EXAMPLES = {
     "ball": {"problem": {
@@ -202,9 +208,7 @@ def _check_config(cfg: dict, command: str) -> None:
     if opts["x0"] is not None and opts["cantor_level"] is not None:
         raise ConfigurationError("options.x0 places one atom, and a Cantor part "
                                  "(options.cantor_level) has none; pass one of them")
-    reads = _READS[command]
-    if command == "convergence" and opts["quantity"] == "residual":
-        reads += _ATOM_OPTIONS
+    reads = _reads(command, opts["quantity"])
     for key, value in opts.items():
         if key in reads or value == _DEFAULTS["options"][key]:
             continue
@@ -454,78 +458,168 @@ def _run_convergence(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Parser(argparse.ArgumentParser):
+_COMMANDS = {
+    "classify": "decide the eigenfunction regime and report lambda_p",
+    "solve": "construct a singular eigensolution and check residuals",
+    "convergence": "run a refinement study and print CSV",
+}
+
+# flag -> (the (section, key) of the config it overrides, or None; how its
+# value converts: a type, or the tuple of its choices; the commands that take
+# it, or None for those that read its options key; help).  A flag is matched
+# whole: no prefix of it stands for it.
+_FLAGS: dict = {
+    "--config": (None, str, _COMMANDS, "JSON config file"),
+    "--example": (None, tuple(_EXAMPLES), _COMMANDS, "built-in problem preset"),
+    "--rho": (None, float, _COMMANDS, "constant kernel value override"),
+    "--resolution": (("grid", "resolution"), int, _COMMANDS, "grid resolution"),
+    "--depth": (("grid", "grading_depth"), int, _COMMANDS, "grading depth"),
+    "--output": (None, str, _COMMANDS, "also write the report to this file"),
+    "--alpha": (("options", "alpha"), float, None, "atom weight"),
+    "--x0": (("options", "x0"), float, None, "position selector along a segment argmax"),
+    "--cantor-level": (("options", "cantor_level"), int, None,
+                       "replace the atom with a Cantor approximant"),
+    "--density-csv": (None, str, ("solve",), "write density samples to this CSV file"),
+    "--quantity": (("options", "quantity"), _QUANTITIES, None, "study quantity"),
+    "--levels": (("options", "levels"), int, None, "number of study levels"),
+    "--residual-kind": (("options", "residual_kind"), _RESIDUAL_KINDS, None,
+                        "residual of the study"),
+}
+
+
+def _takes(command: str, flag: str) -> bool:
+    key, _, commands, _ = _FLAGS[flag]
+    return command in commands if commands is not None else key[1] in _reads(command)
+
+
+def _metavar(flag: str) -> str:
+    convert = _FLAGS[flag][1]
+    if isinstance(convert, tuple):
+        return "{" + ",".join(convert) + "}"
+    return flag[2:].upper().replace("-", "_")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: specmeasure [-h] {{{','.join(_COMMANDS)}}} ...\n"
+    head = f"usage: specmeasure {command}"
+    lines, line = [], head
+    for word in ["[-h]"] + [f"[{flag} {_metavar(flag)}]"
+                            for flag in _FLAGS if _takes(command, flag)]:
+        if len(line) + 1 + len(word) > 79:
+            lines.append(line)
+            line = " " * len(head)
+        line += " " + word
+    return "\n".join(lines + [line]) + "\n"
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        head = ("Principal eigenvalue solver and regime classifier for nonlocal "
+                "operators.\n\ncommands (specmeasure <command> -h lists the "
+                "flags it takes):")
+        rows = list(_COMMANDS.items())
+    else:
+        head = f"{_COMMANDS[command]}\n\noptions:"
+        rows = [("-h, --help", "show this help message and exit")] + [
+            (f"{flag} {_metavar(flag)}", _FLAGS[flag][3])
+            for flag in _FLAGS if _takes(command, flag)]
+    lines = [f"  {name}\n        {text}" for name, text in rows]
+    return _usage(command) + "\n" + head + "\n" + "\n".join(lines) + "\n"
+
+
+def _exit(text: str, code: int) -> None:
+    (sys.stdout if code == 0 else sys.stderr).write(text)
+    raise SystemExit(code)
+
+
+def _usage_error(command: str | None, message: str) -> None:
     # usage problems exit 1; code 2 is reserved for named violations
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    _exit(f"{_usage(command)}specmeasure: error: {message}\n", 1)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="specmeasure",
-                     description="Principal eigenvalue solver and regime "
-                                 "classifier for nonlocal operators.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("classify", "decide the eigenfunction regime and report lambda_p"),
-        ("solve", "construct a singular eigensolution and check residuals"),
-        ("convergence", "run a refinement study and print CSV"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--example", choices=tuple(_EXAMPLES),
-                         help="built-in problem preset")
-        cmd.add_argument("--rho", type=float,
-                         help="constant kernel value override")
-        cmd.add_argument("--resolution", type=int, help="grid resolution")
-        cmd.add_argument("--depth", type=int, dest="grading_depth", metavar="DEPTH",
-                         help="grading depth")
-        cmd.add_argument("--output", help="also write the report to this file")
-        if name != "classify":
-            cmd.add_argument("--alpha", type=float, help="atom weight")
-            cmd.add_argument("--x0", type=float,
-                             help="position selector along a segment argmax")
-            cmd.add_argument("--cantor-level", type=int, dest="cantor_level",
-                             help="replace the atom with a Cantor approximant")
-        if name == "solve":
-            cmd.add_argument("--density-csv", dest="density_csv",
-                             help="write density samples to this CSV file")
-        if name == "convergence":
-            cmd.add_argument("--quantity", choices=_QUANTITIES)
-            cmd.add_argument("--levels", type=int)
-            cmd.add_argument("--residual-kind", dest="residual_kind",
-                             choices=_RESIDUAL_KINDS)
-    return parser
+def _is_value(token: str) -> bool:
+    # the token after a flag is its value unless it looks like another flag
+    if not token.startswith("-") or token == "-" or " " in token:
+        return True
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
-def _assemble_config(args: argparse.Namespace) -> dict:
+def _convert(command: str, flag: str, text: str):
+    convert = _FLAGS[flag][1]
+    if isinstance(convert, tuple):
+        if text not in convert:
+            _usage_error(command, f"argument {flag}: invalid choice: {text!r} "
+                                  f"(choose from {', '.join(map(repr, convert))})")
+        return text
+    try:
+        return convert(text)
+    except ValueError:
+        _usage_error(command, f"argument {flag}: invalid {convert.__name__} "
+                              f"value: {text!r}")
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The command a command line names, and each flag it gives mapped to the
+    last value it gives, converted.  ``-h`` prints the help and raises
+    SystemExit(0); a usage error prints the usage and raises SystemExit(1)."""
+    if argv[:1] in (["-h"], ["--help"]):
+        _exit(_help(None), 0)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command, tokens = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {command!r} "
+                           f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    args = {"command": command}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _exit(_help(command), 0)
+        flag, eq, text = token.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        if not _takes(command, flag):
+            _usage_error(command, f"{command} takes no {flag}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or not _is_value(text):
+                _usage_error(command, f"argument {flag}: expected one argument")
+        args[flag] = _convert(command, flag, text)
+    return args
+
+
+def _assemble_config(args: dict) -> dict:
     cfg = copy.deepcopy(_DEFAULTS)
-    if args.example:
-        _deep_update(cfg, copy.deepcopy(_EXAMPLES[args.example]))
-    if args.config:
-        with open(args.config) as fh:
+    example, config, rho = (args.get(f) for f in ("--example", "--config", "--rho"))
+    if example:
+        _deep_update(cfg, copy.deepcopy(_EXAMPLES[example]))
+    if config:
+        with open(config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigurationError("config file must hold a JSON object")
         _deep_update(cfg, data)
-    if not args.example and not args.config:
+    if not example and not config:
         raise ConfigurationError(
             "pass --config <path> or --example ball|cylinder"
         )
     # a flag overrides the grid or options key it is stored under
-    for key, value in vars(args).items():
-        for section in ("grid", "options"):
-            if value is not None and key in _SCHEMA[section]:
-                cfg[section][key] = value
-    _check_config(cfg, args.command)
-    if args.rho is not None:
+    for flag, (key, *_) in _FLAGS.items():
+        if key is not None and flag in args:
+            section, name = key
+            cfg[section][name] = args[flag]
+    _check_config(cfg, args["command"])
+    if rho is not None:
         kernel = (cfg["problem"] or {}).get("kernel")
         if not isinstance(kernel, dict) or kernel.get("family") != "constant":
             raise ConfigurationError(
                 "--rho only applies to the constant kernel family"
             )
-        kernel["rho"] = args.rho
+        kernel["rho"] = rho
     _parts(cfg["problem"])   # a bad problem section fails before any grid
     return cfg
 
@@ -553,20 +647,19 @@ def _emit(text: str, output: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _assemble_config(args)
-        if args.command == "classify":
+        if args["command"] == "classify":
             text = _dumps(_run_classify(cfg))
-        elif args.command == "solve":
-            text = _dumps(_run_solve(cfg, args.density_csv))
+        elif args["command"] == "solve":
+            text = _dumps(_run_solve(cfg, args.get("--density-csv")))
         else:
             text = _run_convergence(cfg)
-        _emit(text, args.output)
+        _emit(text, args.get("--output"))
     except json.JSONDecodeError as exc:
         print(f"error[configuration]: config is not valid JSON: {exc}",
               file=sys.stderr)

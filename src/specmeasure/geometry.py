@@ -58,7 +58,7 @@ class Box:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or not self.lo:
-            raise H1Violation("box bounds must be nonempty and of equal length")
+            raise ConfigurationError("box bounds must be nonempty and of equal length")
         for a, b in zip(self.lo, self.hi):
             if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
                 raise H1Violation(f"degenerate box edge: [{a}, {b}]")

@@ -222,9 +222,10 @@ def radial_power(top: float, scale: float, power: float,
     if scale <= 0 or power <= 0:
         raise ConfigurationError("radial_power needs scale > 0 and power > 0")
     c = np.asarray(center, dtype=float)
-    ax = tuple(range(c.size)) if axes is None else tuple(axes)
-
-    sel = list(ax)
+    # an axis indexes the center, so a negative one counts from the
+    # center's end, not the domain's
+    sel = list(range(c.size)) if axes is None else [
+        ax + c.size if -c.size <= ax < 0 else ax for ax in axes]
 
     def ev(x: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(x)

@@ -450,7 +450,7 @@ def test_convergence_residual_csv(capsys):
 
 def built(*args):
     """The problem a command line builds."""
-    return cli._build(cli._assemble_config(cli._build_parser().parse_args(list(args))))
+    return cli._build(cli._assemble_config(cli._parse_args(list(args))))
 
 
 def test_ungraded_study_stays_ungraded(capsys, tmp_path):
@@ -651,6 +651,61 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--example", "ball",
                        "--config", str(cfg2))
     assert code == 1 and "tolerance" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], 1, "the following arguments are required: command"),
+    (["frobnicate", "--example", "ball"], 1,
+     "argument command: invalid choice: 'frobnicate'"),
+    (["classify", "--example", "ball", "--foo", "1"], 1, "unrecognized arguments: --foo"),
+    (["classify", "--example", "ball", "--alpha", "2"], 1, "classify takes no --alpha"),
+    (["classify", "--example", "ball", "--density-csv", "x"], 1,
+     "classify takes no --density-csv"),
+    (["convergence", "--example", "ball", "--density-csv=x"], 1,
+     "convergence takes no --density-csv"),
+    (["classify", "--example", "ball", "--resolution"], 1,
+     "argument --resolution: expected one argument"),
+    (["classify", "--config", "--example", "ball"], 1,
+     "argument --config: expected one argument"),
+    (["classify", "--example", "ball", "--resolution", "8.5"], 1,
+     "argument --resolution: invalid int value: '8.5'"),
+    (["solve", "--example", "ball", "--rho=x"], 1,
+     "argument --rho: invalid float value: 'x'"),
+    (["convergence", "--example", "ball", "--quantity", "bogus"], 1,
+     "argument --quantity: invalid choice: 'bogus'"),
+    (["classify", "--example", "torus"], 1, "argument --example: invalid choice: 'torus'"),
+    (["classify", "--example", "ball", "extra"], 1, "unrecognized arguments: extra"),
+    (["classify", "--example", "ball", "--res", "8"], 1, "unrecognized arguments: --res"),
+    (["-h"], 0, None),
+    (["--help"], 0, None),
+    (["solve", "-h"], 0, None),
+    (["convergence", "--example", "ball", "--help"], 0, None),
+], ids=["no-command", "unknown-command", "unknown-flag", "not-taken", "not-taken-csv",
+        "not-taken-equals", "no-value", "flag-as-value", "wrong-type", "wrong-type-equals",
+        "bad-choice", "bad-example", "extra-positional", "abbreviation", "help",
+        "help-long", "command-help", "command-help-late"])
+def test_usage_error_exits_one_and_help_zero(capsys, monkeypatch, argv, code, message):
+    refuse_build(monkeypatch)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if message is None:
+        assert err == "" and out.startswith("usage: specmeasure ")
+    else:
+        assert out == "" and err.startswith("usage: specmeasure ")
+        assert err.splitlines()[-1].startswith(f"specmeasure: error: {message}")
+    # a command's help lists exactly the flags it takes
+    if message is None and argv[0] in cli._COMMANDS:
+        listed = set(re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)", out, re.MULTILINE))
+        assert listed == {"--help"} | {f for f in cli._FLAGS if cli._takes(argv[0], f)}
+
+
+def test_flag_equals_value_and_last_value_wins(capsys):
+    spaced = run(capsys, "solve", "--example", "ball", "--rho", "0.05")
+    assert spaced[0] == 0
+    assert run(capsys, "solve", "--example", "ball", "--rho=0.05") == spaced
+    assert run(capsys, "solve", "--rho", "0.2", "--example=ball", "--rho=0.05") == spaced
+    assert cli._parse_args(["convergence", "--levels=2", "--x0", "-0.5"]) == {
+        "command": "convergence", "--levels": 2, "--x0": -0.5}
 
 
 def test_rho_override_requires_constant_kernel(capsys, tmp_path):
@@ -854,10 +909,13 @@ def test_key_of_another_family_is_ignored(tmp_path):
      {"grid": {"grading_targets": [{"segment": [[0.0, 0.0], [0.0, 0.0]]}]},
       "options": {"quantity": "recip_integral", "levels": 2}},
      "grading target dimension mismatch: Segment("),
-], ids=["center", "axes", "coeffs", "point-target", "segment-target"])
+    ("classify", "ball", {"problem": {"domain": {"kind": "box", "lo": [0, 0],
+                                                 "hi": [1, 1, 1]}}},
+     "box bounds must be nonempty and of equal length"),
+], ids=["center", "axes", "coeffs", "point-target", "segment-target", "box-bounds"])
 def test_dimension_mismatch_exits_one(capsys, tmp_path, command, example, cfg, message):
     # each was a traceback (IndexError or ValueError), the segment only once
-    # a study built its reference grid
+    # a study built its reference grid; the box was error[H1], exit 2
     code, out, err = run(capsys, command, "--example", example, "--resolution", "4",
                          "--depth", "4", "--config", config_file(tmp_path, cfg))
     assert (code, out) == (1, "")
@@ -961,14 +1019,15 @@ def test_option_a_command_ignores_exits_one(capsys, monkeypatch, tmp_path,
     assert err.startswith(f"error[configuration]: {command} ignores {key}")
     # an option left at its default counts as unset
     defaults = {k: cli._DEFAULTS["options"][k] for k in (options or {})}
-    cli._assemble_config(cli._build_parser().parse_args(
+    cli._assemble_config(cli._parse_args(
         [command, "--example", "cylinder", "--config",
          config_file(tmp_path, {"options": defaults})]))
 
 
-def test_cli_paths_never_import_scipy(tmp_path):
-    # scipy is loaded only to refine the argmax of a custom coefficient;
-    # every CLI path here runs on numpy alone
+def test_cli_paths_import_no_scipy_or_argparse(tmp_path):
+    # scipy is loaded only to refine the argmax of a custom coefficient, and
+    # the flags are parsed without argparse, whose messages load gettext and
+    # locale: every CLI path here, a usage error too, runs on numpy alone
     cfg = json.loads((Path(__file__).resolve().parents[1] / "bench"
                       / "gaussian_ball.json").read_text())
     cfg["problem"]["kernel"]["amplitude"] = 0.15
@@ -988,17 +1047,20 @@ def test_cli_paths_never_import_scipy(tmp_path):
         ["convergence", "--example", "cylinder", "--quantity", "residual",
          "--cantor-level", "2"],
         ["solve", "--config", str(box_file)],
+        ["solve", "--example", "ball", "--resolution", "x"],
     ]
     script = textwrap.dedent("""
         import contextlib, io, json, sys
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def heavy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] in
+                          ("argparse", "gettext", "locale", "scipy"))
         import specmeasure.cli as cli
-        loaded = [scipy_modules()]
+        loaded = [heavy_modules()]
         for argv in json.loads(sys.argv[1]):
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
-            loaded.append(scipy_modules() if code == 0 else f"exit {code}")
+            loaded.append([code, heavy_modules()])
         print(json.dumps(loaded))
     """)
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1006,7 +1068,7 @@ def test_cli_paths_never_import_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[]] * (1 + len(commands))
+    assert json.loads(done.stdout) == [[], [0, []], [0, []], [0, []], [0, []], [1, []]]
 
 
 def ball_rho(lambda1: float, depth: int) -> float:

@@ -167,7 +167,7 @@ def test_invalid_domains_rejected():
         Ball(center=(0.0, 0.0), radius=-1.0)
     with pytest.raises(ConfigurationError):
         Ball(center=(0.0,) * 4, radius=1.0)
-    with pytest.raises(H1Violation):
+    with pytest.raises(ConfigurationError):
         Box(lo=(0.0, 0.0), hi=(1.0,))
     with pytest.raises(H1Violation):
         Cylinder(radius=1.0, height=0.0)

@@ -73,6 +73,12 @@ def test_coefficient_families():
                         center=(0.0, 0.0, 0.0), axes=(0, 1))
     np.testing.assert_allclose(tube.evaluate(pts), [0.5, 0.7])
 
+    # a negative axis counts from the end of the center, which may be
+    # shorter than the points
+    short = radial_power(1.0, 1.0, 2.0, center=(0.0, 0.5), axes=(-1,))
+    np.testing.assert_allclose(short.evaluate(np.array([[0.0, 0.5, 0.0],
+                                                        [0.0, 0.0, 0.5]])), [1.0, 0.75])
+
     lin = coordinate_linear((2.0, -1.0), offset=0.5)
     np.testing.assert_allclose(
         lin.evaluate(np.array([[1.0, 1.0], [0.0, 2.0]])), [1.5, -1.5]
