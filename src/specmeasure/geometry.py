@@ -1,5 +1,9 @@
 """Domains, graded grids, and quadrature.
 
+The domains are ``Box``, ``Ball``, ``Cylinder`` and ``Product``;
+``Interval(lo, hi)`` is the one-dimensional ``Box``.  Every dispatch on the
+kind of a domain lives in this module.
+
 Grids are midpoint tensor rules.  Balls and cylinders are discretized in
 adapted coordinates (radial x angular), so radial weights carry the Jacobian
 factor r^(d-1).  Grading places a geometric cascade of cells toward each
@@ -36,22 +40,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise H1Violation("interval endpoints must be finite")
-        if self.hi <= self.lo:
-            raise H1Violation(f"empty interval: [{self.lo}, {self.hi}]")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
 class Box:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
@@ -66,6 +54,15 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.lo)
+
+
+def Interval(lo: float, hi: float) -> Box:
+    """The interval [lo, hi]: the one-dimensional ``Box``."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise H1Violation("interval endpoints must be finite")
+    if hi <= lo:
+        raise H1Violation(f"empty interval: [{lo}, {hi}]")
+    return Box((lo,), (hi,))
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ class Product:
         return self.first.dim + self.second.dim
 
 
-Domain = Interval | Box | Ball | Cylinder | Product
+Domain = Box | Ball | Cylinder | Product
 
 
 @dataclass(frozen=True)
@@ -181,8 +178,6 @@ class Grid:
 def volume(domain: Domain) -> float:
     """Lebesgue measure of the domain."""
     match domain:
-        case Interval(lo=a, hi=b):
-            return b - a
         case Box(lo=lo, hi=hi):
             v = 1.0
             for a, b in zip(lo, hi):
@@ -218,9 +213,6 @@ def contains(domain: Domain, points: np.ndarray, tol: float = 0.0) -> np.ndarray
     """Membership in the closure of the domain, inflated by ``tol``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     match domain:
-        case Interval(lo=a, hi=b):
-            x = pts[:, 0]
-            return (x >= a - tol) & (x <= b + tol)
         case Box(lo=lo, hi=hi):
             ok = np.ones(pts.shape[0], dtype=bool)
             for ax, (a, b) in enumerate(zip(lo, hi)):
@@ -242,8 +234,6 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
     """Nearest point of the closed domain, per row."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     match domain:
-        case Interval(lo=a, hi=b):
-            np.clip(pts[:, 0], a, b, out=pts[:, 0])
         case Box(lo=lo, hi=hi):
             for ax, (a, b) in enumerate(zip(lo, hi)):
                 np.clip(pts[:, ax], a, b, out=pts[:, ax])
@@ -269,6 +259,32 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
         case _:
             raise ConfigurationError(f"unknown domain type: {type(domain).__name__}")
     return pts
+
+
+def _linear_maximizer(domain: Domain, c: np.ndarray,
+                      start: np.ndarray) -> np.ndarray:
+    """A maximizer of x -> c . x over the closed domain: a face or corner of
+    a box, center + r c / |c| on a ball, the same per factor of a cylinder or
+    product.  Directions that c leaves free keep ``start``, projected."""
+    if isinstance(domain, Product):
+        k = domain.first.dim
+        return np.concatenate([_linear_maximizer(domain.first, c[:k], start[:k]),
+                               _linear_maximizer(domain.second, c[k:], start[k:])])
+    best = project_to_closure(domain, start[None, :])[0]
+    match domain:
+        case Box(lo=lo, hi=hi):
+            best = np.where(c > 0, hi, np.where(c < 0, lo, best))
+        case Ball(center=center, radius=r):
+            norm = float(np.linalg.norm(c))
+            if norm > 0:
+                best = np.asarray(center, dtype=float) + r * (c / norm)
+        case Cylinder(radius=r, height=h):
+            norm = float(np.linalg.norm(c[:2]))
+            if norm > 0:
+                best[:2] = r * (c[:2] / norm)
+            if c[2] != 0:
+                best[2] = h if c[2] > 0 else 0.0
+    return best
 
 
 # -- memory ---------------------------------------------------------------
@@ -498,12 +514,15 @@ def _build_cylinder(domain: Cylinder, resolution: int, grading: GradeSpec | None
 
 
 def _axis_targets(grading: GradeSpec | None, dim: int) -> list[tuple[float, ...]]:
-    """Per-axis 1-D target coordinates for tensor (interval/box) grids."""
+    """Per-axis 1-D target coordinates for box grids; an interval, the 1-D
+    box, takes point targets only."""
     per_axis: list[tuple[float, ...]] = [() for _ in range(dim)]
     if grading is None:
         return per_axis
     for t in grading.targets:
         if isinstance(t, Segment):
+            if dim == 1:
+                raise ConfigurationError("interval grading targets must be points")
             axis_dirs = [abs(a - b) > 1e-14 for a, b in zip(t.start, t.end)]
             if sum(axis_dirs) != 1:
                 raise ConfigurationError(
@@ -518,9 +537,8 @@ def _axis_targets(grading: GradeSpec | None, dim: int) -> list[tuple[float, ...]
     return per_axis
 
 
-def _build_tensor(lo: tuple[float, ...], hi: tuple[float, ...], domain: Domain,
-                  resolution: int, grading: GradeSpec | None) -> Grid:
-    dim = len(lo)
+def _build_box(domain: Box, resolution: int, grading: GradeSpec | None) -> Grid:
+    lo, hi, dim = domain.lo, domain.hi, domain.dim
     per_axis = _axis_targets(grading, dim)
     ratio = grading.ratio if grading else 0.5
     depth = grading.depth if grading else 0
@@ -565,22 +583,15 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
             raise ConfigurationError(f"grading target dimension mismatch: {t} in a "
                                      f"domain of dimension {domain.dim}")
     match domain:
-        case Interval(lo=a, hi=b):
-            if grading is not None and any(isinstance(t, Segment)
-                                           for t in grading.targets):
-                raise ConfigurationError("interval grading targets must be points")
-            return _build_tensor((a,), (b,), domain, resolution, grading)
-        case Box(lo=lo, hi=hi):
-            return _build_tensor(lo, hi, domain, resolution, grading)
+        case Box():
+            return _build_box(domain, resolution, grading)
         case Ball():
             return _build_ball(domain, resolution, grading)
         case Cylinder():
             return _build_cylinder(domain, resolution, grading)
         case Product(first=f, second=s):
             if grading is not None:
-                raise ConfigurationError(
-                    "grading is not supported on product domains; grade the factors"
-                )
+                raise ConfigurationError("product domains take no grading")
             gf = build_grid(f, resolution)
             gs = build_grid(s, resolution)
             nf, ns = gf.size, gs.size

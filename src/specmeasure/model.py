@@ -31,16 +31,12 @@ from .errors import (
     H3Violation,
 )
 from .geometry import (
-    Ball,
-    Box,
-    Cylinder,
     Domain,
     GradeSpec,
     Grid,
-    Interval,
-    Product,
     Segment,
     _check_memory,
+    _linear_maximizer,
     build_grid,
     contains,
     distance_to_target,
@@ -276,32 +272,6 @@ class ArgmaxSet:
     @property
     def targets(self) -> tuple[tuple[float, ...] | Segment, ...]:
         return tuple(c.representative for c in self.components)
-
-
-def _linear_maximizer(domain: Domain, c: np.ndarray,
-                      start: np.ndarray) -> np.ndarray:
-    """A maximizer of x -> c . x over the closed domain: a face or corner of
-    a box, center + r c / |c| on a ball, the same per factor of a cylinder or
-    product.  Directions that c leaves free keep ``start``, projected."""
-    if isinstance(domain, Product):
-        k = domain.first.dim
-        return np.concatenate([_linear_maximizer(domain.first, c[:k], start[:k]),
-                               _linear_maximizer(domain.second, c[k:], start[k:])])
-    best = project_to_closure(domain, start[None, :])[0]
-    match domain:
-        case Interval(lo=lo, hi=hi) | Box(lo=lo, hi=hi):
-            best = np.where(c > 0, hi, np.where(c < 0, lo, best))
-        case Ball(center=center, radius=r):
-            norm = float(np.linalg.norm(c))
-            if norm > 0:
-                best = np.asarray(center, dtype=float) + r * (c / norm)
-        case Cylinder(radius=r, height=h):
-            norm = float(np.linalg.norm(c[:2]))
-            if norm > 0:
-                best[:2] = r * (c[:2] / norm)
-            if c[2] != 0:
-                best[2] = h if c[2] > 0 else 0.0
-    return best
 
 
 def _refine_point(coeff: CoefficientField, domain: Domain,

@@ -81,46 +81,35 @@ def pointwise_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
     return _verify(problem, mu, lam, grid, ("pointwise",))[0]
 
 
-def default_test_functions(grid: Grid) -> list[tuple[str, Callable[[np.ndarray], np.ndarray]]]:
-    """Polynomials to degree two plus a cosine bump, scaled to the grid box.
+_Fn = Callable[[np.ndarray], np.ndarray]
 
-    The functions share the scaled copies of the last two read-only point
-    arrays they were called on, such as a residual's grid nodes and atoms,
-    so each is scaled once."""
+
+def _test_functions(grid: Grid) -> tuple[_Fn, list[tuple[str, _Fn]]]:
+    """The map of points to the grid box, centered and scaled to unit span,
+    and the test functions of ``default_test_functions`` on mapped points."""
     lo = grid.nodes.min(axis=0)
     hi = grid.nodes.max(axis=0)
     c = 0.5 * (lo + hi)
     span = np.maximum(hi - lo, 1e-30)
-    recent: list[tuple[np.ndarray, np.ndarray]] = []
 
     def scaled(pts: np.ndarray) -> np.ndarray:
-        for seen, z in recent:
-            if seen is pts:
-                return z
-        z = (np.atleast_2d(pts) - c) / span
-        if isinstance(pts, np.ndarray) and not pts.flags.writeable:
-            z.setflags(write=False)
-            recent[:] = recent[-1:] + [(pts, z)]
-        return z
-
-    def quad(pts: np.ndarray, i: int, j: int) -> np.ndarray:
-        z = scaled(pts)
-        return z[:, i] * z[:, j]
+        return (np.atleast_2d(pts) - c) / span
 
     dim = grid.nodes.shape[1]
-    fns: list[tuple[str, Callable[[np.ndarray], np.ndarray]]] = [
-        ("one", lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    ]
+    fns: list[tuple[str, _Fn]] = [("one", lambda z: np.ones(z.shape[0]))]
     for i in range(dim):
-        fns.append((f"lin{i}", lambda pts, i=i: scaled(pts)[:, i]))
+        fns.append((f"lin{i}", lambda z, i=i: z[:, i]))
     for i in range(dim):
         for j in range(i, dim):
-            fns.append((f"quad{i}{j}", lambda pts, i=i, j=j: quad(pts, i, j)))
-    fns.append(
-        ("cosprod",
-         lambda pts: np.prod(np.cos(math.pi * scaled(pts)), axis=1))
-    )
-    return fns
+            fns.append((f"quad{i}{j}", lambda z, i=i, j=j: z[:, i] * z[:, j]))
+    fns.append(("cosprod", lambda z: np.prod(np.cos(math.pi * z), axis=1)))
+    return scaled, fns
+
+
+def default_test_functions(grid: Grid) -> list[tuple[str, _Fn]]:
+    """Polynomials to degree two plus a cosine bump, scaled to the grid box."""
+    scaled, fns = _test_functions(grid)
+    return [(name, lambda pts, fn=fn: fn(scaled(pts))) for name, fn in fns]
 
 
 def weak_residual(problem: Problem, mu: DiscreteMeasure, lam: float,
@@ -148,7 +137,6 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
     order) on ``grid``, all from one kernel moment of mu."""
     if mu.atoms:
         apts, awts = _atom_arrays(mu.atoms, problem.grid.nodes.shape[1])
-        apts.setflags(write=False)      # the test functions scale it once
         a_atoms = np.asarray(problem.coeff.evaluate(apts), dtype=float)
         off = np.max(np.abs(a_atoms + lam))
         if "pointwise" in kinds and off > _TOL_ATOM * max(1.0, abs(lam)):
@@ -175,13 +163,16 @@ def _verify(problem: Problem, mu: DiscreteMeasure, lam: float, grid: Grid,
                                       grid.size, "pointwise"))
     if "weak" in kinds:
         resid = grid.weights * eq
+        scaled, fns = _test_functions(grid)
+        z = scaled(grid.nodes)
+        z_atoms = scaled(apts) if mu.atoms else None
         worst = 0.0
-        for _, fn in default_test_functions(grid):
-            phi = np.asarray(fn(grid.nodes), dtype=float)
+        for _, fn in fns:
+            phi = np.asarray(fn(z), dtype=float)
             val = float(np.sum(resid * phi))
             scale = float(np.max(np.abs(phi))) if phi.size else 0.0
             if mu.atoms:
-                phi_atoms = np.asarray(fn(apts), dtype=float)
+                phi_atoms = np.asarray(fn(z_atoms), dtype=float)
                 scale = max(scale, float(np.max(np.abs(phi_atoms))))
                 val += float(np.sum(awts * (a_atoms + lam) * phi_atoms))
             worst = max(worst, abs(val) / (tv * max(1.0, scale)))

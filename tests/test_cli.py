@@ -25,6 +25,7 @@ from specmeasure import (
     classify_regime,
     cli,
     constant_kernel,
+    geometry,
     measure,
     model,
     radial_power,
@@ -920,6 +921,24 @@ def test_dimension_mismatch_exits_one(capsys, tmp_path, command, example, cfg, m
                          "--depth", "4", "--config", config_file(tmp_path, cfg))
     assert (code, out) == (1, "")
     assert err.startswith(f"error[configuration]: {message}")
+
+
+def test_one_dimensional_box_segment_target_exits_one(capsys, tmp_path, monkeypatch):
+    # the segment was dropped: the grid came out ungraded, a node lay on the
+    # argmax set, and classify exited 2 with error[singular-node]
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(geometry, "_line_cells", no_cells)
+    cfg = {"problem": {
+        "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+        "kernel": {"family": "constant", "rho": 0.05},
+        "coefficient": {"family": "radial_power", "top": 1.0, "scale": 1.0,
+                        "power": 1.0, "center": [0.375]},
+    }, "grid": {"resolution": 4, "grading_targets": [{"segment": [[0.2], [0.5]]}]}}
+    code, out, err = run(capsys, "classify", "--config", config_file(tmp_path, cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[configuration]: interval grading targets must be points")
 
 
 def problem_slots(node):

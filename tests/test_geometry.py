@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ from specmeasure import (
     geometry,
     volume,
 )
+
+
+coords = st.floats(-5.0, 5.0)
+lengths = st.floats(0.2, 5.0)
 
 
 def test_interval_uniform_nodes():
@@ -142,6 +148,35 @@ def test_interval_grid_matches_line_cells(resolution, targets, ratio, depth):
         build_grid(Interval(lo, hi), resolution, GradeSpec(targets=((0.5, 0.2),)))
 
 
+def test_one_dimensional_box_refuses_segment_targets():
+    # an interval is the 1-D box; the box once dropped a segment target and
+    # built an ungraded grid whose node 0.375 lay on the segment
+    with pytest.raises(ConfigurationError, match="^interval grading targets must be points"):
+        build_grid(Box((0.0,), (1.0,)), 4,
+                   GradeSpec((Segment((0.2,), (0.5,)),), depth=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=coords, length=lengths, resolution=st.integers(2, 12),
+       target=st.none() | st.tuples(st.floats(0.0, 1.0), st.integers(1, 8)),
+       xs=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=8))
+def test_interval_is_the_one_dimensional_box(lo, length, resolution, target, xs):
+    hi = lo + length
+    grading = None if target is None else GradeSpec(
+        targets=((lo + target[0] * length,),), depth=target[1])
+    interval, box = Interval(lo, hi), Box((lo,), (hi,))
+    gi, gb = build_grid(interval, resolution, grading), build_grid(box, resolution, grading)
+    assert np.array_equal(gi.nodes, gb.nodes)
+    assert np.array_equal(gi.weights, gb.weights)
+    assert gi.mesh_size == gb.mesh_size
+    assert gi.grade_spans == gb.grade_spans
+    assert volume(interval) == volume(box)
+    pts = np.asarray(xs)[:, None]
+    assert np.array_equal(geometry.contains(interval, pts), geometry.contains(box, pts))
+    assert np.array_equal(geometry.project_to_closure(interval, pts),
+                          geometry.project_to_closure(box, pts))
+
+
 def test_grading_leaves_gap_scaling_with_depth():
     dists = []
     for depth in (3, 5, 7):
@@ -193,7 +228,7 @@ def test_invalid_grading_rejected():
     with pytest.raises(ConfigurationError):
         build_grid(Ball(center=(0.0, 0.0), radius=1.0), 4,
                    GradeSpec(targets=((0.5, 0.0),)))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^product domains take no grading$"):
         build_grid(Product(Interval(0.0, 1.0), Interval(0.0, 1.0)), 4,
                    GradeSpec(targets=((0.5, 0.5),)))
     with pytest.raises(ConfigurationError):
@@ -211,10 +246,6 @@ def test_product_grid_tensor_structure():
     g = build_grid(prod, 3)
     assert g.nodes.shape == (9, 2)
     assert float(np.sum(g.weights)) == pytest.approx(2.0)
-
-
-coords = st.floats(-5.0, 5.0)
-lengths = st.floats(0.2, 5.0)
 
 
 @st.composite
@@ -292,3 +323,19 @@ def test_target_of_another_dimension_refused(domain, target):
     # the ball's and the cylinder's were a ValueError or a grid built anyway
     with pytest.raises(ConfigurationError, match="^grading target dimension mismatch"):
         build_grid(domain, 4, GradeSpec(targets=(target,), depth=3))
+
+
+DOMAIN_CLASSES = {"Box", "Ball", "Cylinder", "Product"}
+
+
+def test_domain_dispatch_lives_in_geometry():
+    # a ``case`` on a domain class outside geometry.py would be a second
+    # place to teach a new kind of domain
+    for path in Path(geometry.__file__).parent.glob("*.py"):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.MatchClass):
+                cls = node.cls
+                name = cls.attr if isinstance(cls, ast.Attribute) else cls.id
+                assert name not in DOMAIN_CLASSES, f"{path.name}:{node.lineno} matches {name}"

@@ -650,14 +650,14 @@ def test_coordinate_linear_maximizer_in_closed_form():
     c = np.array([3.0, -4.0, 0.0])
     start = np.array([0.2, 0.1, 0.7])
     ball = Ball(center=(1.0, 0.0, 0.0), radius=2.0)
-    np.testing.assert_allclose(model._linear_maximizer(ball, c, start),
+    np.testing.assert_allclose(geometry._linear_maximizer(ball, c, start),
                                [1.0 + 1.2, -1.6, 0.0], rtol=0, atol=1e-15)
     box = Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.5))
-    assert tuple(model._linear_maximizer(box, c, start)) == (1.0, 0.0, 0.5)
+    assert tuple(geometry._linear_maximizer(box, c, start)) == (1.0, 0.0, 0.5)
     cyl = Cylinder(radius=2.0, height=1.0)
-    assert tuple(model._linear_maximizer(cyl, c, start)) == (1.2, -1.6, 0.7)
+    assert tuple(geometry._linear_maximizer(cyl, c, start)) == (1.2, -1.6, 0.7)
     prod = Product(Interval(-1.0, 1.0), Ball(center=(0.0, 0.0), radius=1.0))
-    assert tuple(model._linear_maximizer(prod, c, start)) == (1.0, -1.0, 0.0)
+    assert tuple(geometry._linear_maximizer(prod, c, start)) == (1.0, -1.0, 0.0)
 
 
 def two_peaks(x):
