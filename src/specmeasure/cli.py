@@ -26,12 +26,12 @@ from .measure import DiscreteMeasure, _singular_solution, cantor_approximant
 from .model import (
     ArgmaxSet,
     Problem,
+    _find_argmax,
     argmax_point,
     build_problem,
     constant_coefficient,
     constant_kernel,
     coordinate_linear,
-    detect_argmax_set,
     gaussian_kernel,
     radial_power,
 )
@@ -299,7 +299,7 @@ def _build(cfg: dict) -> Problem:
     grading = None
     if depth and raw_targets:
         if raw_targets == "auto":
-            targets = detect_argmax_set(coeff, build_grid(domain, resolution)).targets
+            targets = _find_argmax(coeff, build_grid(domain, resolution)).targets
         else:
             targets = tuple(_target(item, f"grid.grading_targets[{i}]")
                             for i, item in enumerate(raw_targets))
@@ -325,7 +325,7 @@ def _prescribe(problem: Problem, cfg: dict,
 
     One atom at the argmax point ``x0`` selects, or (without x0) a Cantor
     approximant on a segment argmax set; ``alpha`` sets or scales the weights.
-    ``amax`` is the argmax set detected on the problem grid.
+    ``amax`` is the argmax set on the problem grid.
     """
     opts = cfg["options"]
     alpha = opts["alpha"]

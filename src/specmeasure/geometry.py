@@ -287,6 +287,36 @@ def _linear_maximizer(domain: Domain, c: np.ndarray,
     return best
 
 
+def _chord(domain: Domain, point: np.ndarray, axis: int) -> Segment | None:
+    """The chord of the closed domain along ``axis`` through ``point``, from
+    its lower to its upper end; ``point``'s own coordinate along ``axis`` is
+    ignored.  None where the line misses the closure, and for a product."""
+    mid = np.array(point, dtype=float)
+    match domain:
+        case Box(lo=lo, hi=hi):
+            mid[axis] = lo[axis]
+            ends = (lo[axis], hi[axis])
+        case Ball(center=c, radius=r):
+            mid[axis] = c[axis]
+            off = mid - np.asarray(c, dtype=float)
+            half = math.sqrt(max(r * r - float(off @ off), 0.0))
+            ends = (c[axis] - half, c[axis] + half)
+        case Cylinder(height=h) if axis == 2:
+            mid[axis] = 0.0
+            ends = (0.0, h)
+        case Cylinder(radius=r):
+            mid[axis] = 0.0
+            half = math.sqrt(max(r * r - mid[1 - axis] ** 2, 0.0))
+            ends = (-half, half)
+        case _:
+            return None
+    if not contains(domain, mid[None, :])[0]:
+        return None
+    start, end = mid.copy(), mid.copy()
+    start[axis], end[axis] = ends
+    return Segment(tuple(float(v) for v in start), tuple(float(v) for v in end))
+
+
 # -- memory ---------------------------------------------------------------
 
 # bytes per node that building a grid and validating a Problem on it peak at

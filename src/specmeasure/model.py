@@ -5,7 +5,9 @@ bounded below near the diagonal, and a bounded continuous coefficient a.  The
 structural hypotheses are checked on construction; numeric routines can then
 assume they hold.
 
-The argmax set of a is detected from grid values: near-maximal nodes are
+The argmax set of a ``radial_power`` coefficient is known in closed form:
+its center, or the chord of the domain through it along its one free axis.
+Any other argmax set is detected from grid values: near-maximal nodes are
 clustered into the components of the graph linking nodes at most two mesh
 widths apart, binned into cells so the clustering is linear in the nodes.
 Each cluster is refined to a maximizer, in closed form for ``radial_power``
@@ -35,7 +37,9 @@ from .geometry import (
     GradeSpec,
     Grid,
     Segment,
+    Target,
     _check_memory,
+    _chord,
     _linear_maximizer,
     build_grid,
     contains,
@@ -128,13 +132,24 @@ _CHUNK = 16
 
 def _sq_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|x_i - y_j|^2 into ``out``, summed coordinate by coordinate: exactly
-    symmetric and translation-invariant."""
-    np.subtract.outer(x[:, 0], y[:, 0], out=out)
-    np.square(out, out=out)
-    diff = np.empty_like(out)
-    for k in range(1, x.shape[1]):
-        np.subtract.outer(x[:, k], y[:, k], out=diff)
-        out += np.square(diff, out=diff)
+    symmetric and translation-invariant.  ``out`` and one slab of
+    differences are all the memory: numpy buffers a broadcast difference
+    x[:, k] - y[:, k], up to another slab, when a row is shorter than its
+    buffer over the three operands, so such short rows each take the
+    scalar x_ik against the column y[:, k]."""
+    by_row = 3 * y.shape[0] < np.getbufsize()
+    diff = out
+    for k in range(x.shape[1]):
+        if by_row:
+            for i in range(x.shape[0]):
+                np.subtract(x[i, k], y[:, k], out=diff[i])
+        else:
+            np.subtract.outer(x[:, k], y[:, k], out=diff)
+        np.square(diff, out=diff)
+        if k:
+            out += diff
+        elif x.shape[1] > 1:
+            diff = np.empty_like(out)
     return out
 
 
@@ -173,17 +188,25 @@ class CoefficientField:
 
     ``maximizer``, when set, is a closed form for a maximizer of a over a
     closed domain: ``maximizer(domain, start)`` gives a point of the closure
-    near ``start``, or None where the closed form does not apply.  Like a
-    kernel's ``structured_apply`` it is no constructor argument and
-    ``dataclasses.replace`` drops it, so it never outlives the ``evaluate``
-    it stands for: only ``coordinate_linear`` and ``radial_power`` set it,
-    and a custom coefficient is searched whatever its name.
+    near ``start``, or None where the closed form does not apply.
+    ``argmax``, when set, is a closed form for the whole argmax set:
+    ``argmax(domain)`` gives its one component over the closed domain, a
+    point or a segment, and whether 1 / (sup a - a) is integrable near it,
+    or None where the closed form does not apply; the argmax set is then
+    taken from it instead of detected (``_closed_form_argmax``).  Like a
+    kernel's ``structured_apply`` neither is a constructor argument and
+    ``dataclasses.replace`` drops both, so they never outlive the
+    ``evaluate`` they stand for: ``coordinate_linear`` sets ``maximizer``,
+    ``radial_power`` sets both, and a custom coefficient is detected and
+    searched whatever its name.
     """
 
     family: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
     maximizer: Callable[[Domain, np.ndarray], np.ndarray | None] | None = field(
+        default=None, init=False)
+    argmax: Callable[[Domain], tuple[Target, bool] | None] | None = field(
         default=None, init=False)
 
 
@@ -214,6 +237,13 @@ def radial_power(top: float, scale: float, power: float,
 
     With ``axes=(0, 1)`` in R^3 the level sets are tubes around the line
     through ``center`` parallel to the third axis.
+
+    The argmax set is where the selected coordinates equal the center's:
+    the center itself when every axis of the domain is selected, the chord
+    of the closed domain through it along the one free axis, and no closed
+    form for more free axes or a center outside the closure.  Near it
+    1 / (top - a) = dist^-power / scale, integrable iff ``power`` is below
+    the number of selected axes.
     """
     if scale <= 0 or power <= 0:
         raise ConfigurationError("radial_power needs scale > 0 and power > 0")
@@ -222,6 +252,7 @@ def radial_power(top: float, scale: float, power: float,
     # center's end, not the domain's
     sel = list(range(c.size)) if axes is None else [
         ax + c.size if -c.size <= ax < 0 else ax for ax in axes]
+    integrable = power < len(set(sel))
 
     def ev(x: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(x)
@@ -235,12 +266,23 @@ def radial_power(top: float, scale: float, power: float,
         best[sel] = c[sel]
         return best if bool(contains(domain, best[None, :])[0]) else None
 
+    def argmax(domain: Domain) -> tuple[Target, bool] | None:
+        point = np.zeros(domain.dim)
+        point[sel] = c[sel]
+        free = [ax for ax in range(domain.dim) if ax not in sel]
+        if not free:
+            target = tuple(point) if bool(contains(domain, point[None, :])[0]) else None
+        else:
+            target = _chord(domain, point, free[0]) if len(free) == 1 else None
+        return None if target is None else (target, integrable)
+
     coeff = CoefficientField(
         "radial_power", ev,
         {"top": top, "scale": scale, "power": power,
          "center": tuple(center), "axes": None if axes is None else tuple(axes)},
     )
     object.__setattr__(coeff, "maximizer", maximizer)
+    object.__setattr__(coeff, "argmax", argmax)
     return coeff
 
 
@@ -472,10 +514,11 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
     whose boxes lie farther apart cannot link, and a pair of whole cells
     already linked needs nothing more.  Only the remaining pairs get point
     distances, in chunks of ``_PAIR_CHUNK`` pairs, checked against
-    physical memory first.  Rounding is monotone, so the box tests decide
-    exactly as the distances would.  Time and memory are linear in the
-    points unless many of them sit in cells that are near each other but
-    not linked whole.
+    physical memory first.  A pair of whole cells stops at its first link:
+    later chunks skip it once a chunk has linked its cells.  Rounding is
+    monotone, so the box tests decide exactly as the distances would.  Time
+    and memory are linear in the points unless many of them sit in cells
+    that are near each other but not linked whole.
     """
     m, d = pts.shape
     r2 = radius * radius
@@ -495,9 +538,13 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
     labels = np.empty(m, dtype=np.int64)
     labels[order] = np.where(whole[cell_of], rep[cell_of], order)
 
+    def linked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether the cells a and b are both whole and linked already."""
+        return whole[a] & whole[b] & (labels[rep[a]] == labels[rep[b]])
+
     def unlinked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The cell pairs (a, b) not both whole and linked already."""
-        keep = ~(whole[a] & whole[b] & (labels[rep[a]] == labels[rep[b]]))
+        """The cell pairs (a, b) not ``linked``."""
+        keep = ~linked(a, b)
         return a[keep], b[keep]
 
     offsets = np.indices((2 * reach + 1,) * d).reshape(d, -1).T - reach
@@ -523,28 +570,34 @@ def _proximity_components(pts: np.ndarray, radius: float) -> tuple[int, np.ndarr
     if total:
         _check_memory(_PAIR_BYTES * min(total, _PAIR_CHUNK),
                       f"a chunk of the distances among {m} near-maximal grid nodes")
-    for start in range(0, total, _PAIR_CHUNK):
+    start = 0
+    while start < total:
         flat = np.arange(start, min(start + _PAIR_CHUNK, total))
         q = np.searchsorted(ends, flat, side="right")
         flat -= ends[q] - size[q]           # the pair's place in its block
+        todo = ~linked(a[q], b[q])
+        q, flat = q[todo], flat[todo]
         cols = count[b[q]]
         i = first[a[q]] + flat // cols
         j = first[b[q]] + flat % cols
-        del flat, q, cols
+        del flat, q, cols, todo
         near = _sum_squares(sorted_pts[i] - sorted_pts[j]) <= r2
         _link(labels, order[i[near]], order[j[near]])
+        # past the cell pairs a link of whole cells has joined since
+        start += _PAIR_CHUNK
+        k = int(np.searchsorted(ends, start, side="right"))
+        done = linked(a[k:k + _PAIR_CHUNK], b[k:k + _PAIR_CHUNK])
+        skip = done.size if done.all() else int(np.argmin(done))
+        if skip:
+            start = max(start, int(ends[k + skip - 1]))
 
     roots = labels == np.arange(m)
     return int(roots.sum()), (np.cumsum(roots) - 1)[labels]
 
 
-def _near_max_clusters(coeff: CoefficientField, grid: Grid
-                       ) -> tuple[float, float, list[np.ndarray]]:
-    """The grid maximum and range of a, and the near-maximal nodes (within
-    ``_TOL_MAXSET`` of the range below the maximum) clustered by proximity:
-    each cluster's nodes in grid order, clusters in the order of their
-    first node."""
-    a_vals = np.asarray(coeff.evaluate(grid.nodes), dtype=float)
+def _near_max(a_vals: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """The grid maximum and range of a, and which nodes are near-maximal:
+    within ``_TOL_MAXSET`` of the range below the maximum."""
     a_max = float(np.max(a_vals))
     a_rng = a_max - float(np.min(a_vals))
     if a_rng <= 1e-14 * max(1.0, abs(a_max)):
@@ -552,7 +605,16 @@ def _near_max_clusters(coeff: CoefficientField, grid: Grid
             "coefficient is constant on the grid; its argmax set is the whole domain"
         )
     tau = max(_TOL_MAXSET * a_rng, 4.0 * np.finfo(float).eps * max(1.0, abs(a_max)))
-    pts = grid.nodes[a_vals >= a_max - tau]
+    return a_max, a_rng, a_vals >= a_max - tau
+
+
+def _near_max_clusters(coeff: CoefficientField, grid: Grid
+                       ) -> tuple[float, float, list[np.ndarray]]:
+    """The grid maximum and range of a, and the near-maximal nodes
+    (``_near_max``) clustered by proximity: each cluster's nodes in grid
+    order, clusters in the order of their first node."""
+    a_max, a_rng, near = _near_max(np.asarray(coeff.evaluate(grid.nodes), dtype=float))
+    pts = grid.nodes[near]
     count, labels = _proximity_components(pts, 2.0 * grid.mesh_size)
     sizes = np.bincount(labels, minlength=count)
     clusters = np.split(pts[np.argsort(labels, kind="stable")], np.cumsum(sizes)[:-1])
@@ -672,15 +734,60 @@ def _reuse(root: ArgmaxSet, coeff: CoefficientField, grid: Grid) -> ArgmaxSet | 
     return ArgmaxSet(max(root.sup_value, a_max), tuple(components))
 
 
+def _closed_form_argmax(coeff: CoefficientField, grid: Grid,
+                        a_vals: np.ndarray | None = None) -> ArgmaxSet | None:
+    """The argmax set from the coefficient's ``argmax`` closed form, or None
+    where it has none, reported as detection reports it on ``grid``.
+
+    The node count is the near-maximal count (``_near_max``), and the sup
+    the larger of the grid maximum and a on the set.  A segment shorter
+    than ``_POINT_SHARE`` of the grid's diameter is a point, its point
+    nearest the near-maximal nodes' centroid, where detection's maximizer
+    lands.  Where detection splits a segment into the points of several
+    clusters, or calls it a general cluster because its near-maximal nodes
+    spread across it, the closed form still reports the segment.
+    ``a_vals``, the values of a at the nodes, are evaluated when not given.
+    """
+    closed = None if coeff.argmax is None else coeff.argmax(grid.domain)
+    if closed is None:
+        return None
+    if a_vals is None:
+        a_vals = np.asarray(coeff.evaluate(grid.nodes), dtype=float)
+    a_max, _, near = _near_max(a_vals)
+    rep, kind = closed[0], "point"
+    if isinstance(rep, Segment):
+        start, end = np.asarray(rep.start), np.asarray(rep.end)
+        if np.linalg.norm(end - start) >= _POINT_SHARE * _diameter(grid):
+            kind = "segment"
+        else:
+            rep = tuple(np.clip(grid.nodes[near].mean(axis=0), start, end))
+    return ArgmaxSet(max(a_max, _value_on(coeff, rep)),
+                     (ArgmaxComponent(kind, rep, int(np.count_nonzero(near))),))
+
+
+def _find_argmax(coeff: CoefficientField, grid: Grid) -> ArgmaxSet:
+    """The argmax set on ``grid``: from the closed form where the
+    coefficient has one, detected otherwise."""
+    return _closed_form_argmax(coeff, grid) or detect_argmax_set(coeff, grid)
+
+
+def _value_on(coeff: CoefficientField, target: Target) -> float:
+    """a at a point target, or at a segment's start."""
+    point = target.start if isinstance(target, Segment) else target
+    return float(coeff.evaluate(np.asarray(point, dtype=float)[None, :])[0])
+
+
 def _argmax_set(problem: Problem) -> ArgmaxSet:
-    """The argmax set of a on the problem's grid, detected once per
-    refinement ladder: a problem from ``_refined`` takes its ladder root's
-    set when the two match (``_reuse``), and is detected in full otherwise,
-    as is a problem with no root."""
+    """The argmax set of a on the problem's grid: from the coefficient's
+    closed form where it has one (``_closed_form_argmax``), and otherwise
+    detected once per refinement ladder: a problem from ``_refined`` takes
+    its ladder root's set when the two match (``_reuse``), and is detected
+    in full otherwise, as is a problem with no root."""
     if problem._argmax is None:
+        amax = _closed_form_argmax(problem.coeff, problem.grid, problem.a_at_nodes)
         root = problem._root
-        amax = None if root is None else _reuse(_argmax_set(root), problem.coeff,
-                                                  problem.grid)
+        if amax is None and root is not None:
+            amax = _reuse(_argmax_set(root), problem.coeff, problem.grid)
         if amax is None:
             amax = detect_argmax_set(problem.coeff, problem.grid)
         object.__setattr__(problem, "_argmax", amax)
@@ -732,12 +839,14 @@ def check_recip_integrability(coeff: CoefficientField, domain: Domain,
 
     Integrates over nested shells excluding a geometrically shrinking
     neighborhood of the argmax set.  Decaying increments mean the integral
-    converges; non-decaying increments mean it diverges.  The argmax set is
-    detected on an ungraded grid at ``resolution``, and the shells are
-    summed on that grid graded toward it.
+    converges; non-decaying increments mean it diverges, unless the
+    coefficient's ``argmax`` closed form decides (``_recip_integrability``).
+    The argmax set is taken on an ungraded grid at ``resolution``, from the
+    closed form or detected, and the shells are summed on that grid graded
+    toward it.
     """
     _check_shell_depth(depth)
-    amax = detect_argmax_set(coeff, build_grid(domain, resolution))
+    amax = _find_argmax(coeff, build_grid(domain, resolution))
     grade = GradeSpec(targets=amax.targets, ratio=ratio, depth=depth)
     return _recip_integrability(coeff, build_grid(domain, resolution, grade),
                                 amax.sup_value)
@@ -755,7 +864,12 @@ def _recip_integrability(coeff: CoefficientField, grid: Grid,
     """The shell sums of 1 / (sup_value - a) on ``grid``, one per level of
     its grading cascade, excluding ever smaller neighborhoods of its
     grading targets.  ``sup_value`` defaults to the largest value of a at
-    the targets, a segment taken at its ends."""
+    the targets, a segment taken at its ends.
+
+    The status comes from the coefficient's ``argmax`` closed form when it
+    applies on the grid's domain and ``sup_value`` is a on its set; the
+    shell ratios decide otherwise: integrable when the last three are all
+    below 0.9."""
     spec = grid.grading
     _check_shell_depth(0 if spec is None else spec.depth)
     depth, ratio = spec.depth, spec.ratio
@@ -786,8 +900,12 @@ def _recip_integrability(coeff: CoefficientField, grid: Grid,
         increments[i + 1] / increments[i] if increments[i] > 0 else math.inf
         for i in range(len(increments) - 1)
     )
-    tail = ratios[-3:]
-    if all(r < 0.9 for r in tail):
+    closed = None if coeff.argmax is None else coeff.argmax(grid.domain)
+    if closed is not None and sup_value == _value_on(coeff, closed[0]):
+        integrable = closed[1]
+    else:
+        integrable = all(r < 0.9 for r in ratios[-3:])
+    if integrable:
         return IntegrabilityResult("integrable", sums[-1], tuple(sums),
                                    increments, ratios)
     return IntegrabilityResult("non_integrable", None, tuple(sums),
@@ -823,7 +941,7 @@ class Problem:
             raise H3Violation("coefficient takes non-finite values on the grid")
         a_vals.setflags(write=False)
         object.__setattr__(self, "_a_at_nodes", a_vals)
-        # the argmax set, detected on first use (_argmax_set), and the
+        # the argmax set, taken on first use (_argmax_set), and the
         # problem whose ladder this one's grid belongs to (_refined)
         object.__setattr__(self, "_argmax", None)
         object.__setattr__(self, "_root", None)

@@ -174,7 +174,7 @@ class RegimeReport:
     sup_a: float
     x0: tuple[float, ...]
     eigen_density: np.ndarray | None
-    argmax: ArgmaxSet            # detected on the grid; x0 is its argmax_point
+    argmax: ArgmaxSet            # on the grid; x0 is its argmax_point
     coarse_lambda1: float | None = None
     coarse_size: int | None = None
 
@@ -695,9 +695,10 @@ def classify_regime(problem: Problem, tol_classify: float = _TOL_CLASSIFY, *,
     exhibited.  The continuous density is the last test function, at max 1;
     the "l1" density is u / (a0 - a), at mass 1.
 
-    The argmax set of a is detected on the grid and reported as ``argmax``;
-    x0 is its ``argmax_point`` and a0 its sup.  A problem on a finer grid of
-    another's refinement ladder reuses that problem's set when its own
+    The argmax set of a on the grid, in closed form for ``radial_power``
+    and detected otherwise, is reported as ``argmax``; x0 is its
+    ``argmax_point`` and a0 its sup.  A detected set is reused by a problem
+    on a finer grid of another's refinement ladder when that grid's own
     near-maximal clusters match it.
     """
     return _classify(problem, tol_classify, confirm)[0]

@@ -206,9 +206,10 @@ def refinement_study(problem: Problem, levels: int, quantity: str, *,
     lambda_p the lower end of ``estimate_lambda_p``'s bracket, about 1e-12
     wide, so the deltas and ratios measure the grids, not a stopping rule.
 
-    The argmax set is detected and refined on level 0 only: the lambda1
-    study and a ``solution`` that classifies its problem reuse it on every
-    finer level whose near-maximal clusters match it in count and kind.
+    A detected argmax set is found and refined on level 0 only: the
+    lambda1 study and a ``solution`` that classifies its problem reuse it
+    on every finer level whose near-maximal clusters match it in count and
+    kind.  A ``radial_power`` set is taken in closed form on every level.
     """
     if quantity not in _QUANTITIES:
         raise ConfigurationError(

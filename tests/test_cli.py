@@ -25,6 +25,7 @@ from specmeasure import (
     classify_regime,
     cli,
     constant_kernel,
+    custom_coefficient,
     geometry,
     measure,
     model,
@@ -400,9 +401,17 @@ def test_solve_holds_one_kernel_array(capsys):
     assert peak <= 0.2 * 8 * n * n
 
 
-def test_solve_detects_argmax_and_takes_moment_once(capsys, monkeypatch):
+def detected_radial_power(**params):
+    """A custom copy of ``radial_power``: the same values, no closed form."""
+    coeff = radial_power(**params)
+    return custom_coefficient(coeff.evaluate, coeff.family, coeff.params)
+
+
+def count_calls(monkeypatch, *owned):
+    """Count the calls of each (owner, name) in ``owned``, wherever a module
+    holds that function."""
     counts = {}
-    for owner, name in ((model, "detect_argmax_set"), (measure, "kernel_moment")):
+    for owner, name in owned:
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -412,10 +421,31 @@ def test_solve_detects_argmax_and_takes_moment_once(capsys, monkeypatch):
         for module in (cli, model, spectral, measure, verify):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_solve_detects_argmax_and_takes_moment_once(capsys, monkeypatch):
+    # a custom coefficient has no closed form, so its argmax set is detected
+    families = cli._FAMILIES["coefficient"][1]
+    monkeypatch.setitem(families, "radial_power",
+                        (detected_radial_power, families["radial_power"][1]))
+    counts = count_calls(monkeypatch, (model, "detect_argmax_set"),
+                         (measure, "kernel_moment"))
     code, _, _ = run(capsys, "solve", "--example", "ball",
                      "--resolution", "4", "--depth", "5")
     assert code == 0
     assert counts == {"detect_argmax_set": 1, "kernel_moment": 1}
+
+
+@pytest.mark.parametrize("example", ["ball", "cylinder"])
+def test_solve_takes_radial_power_argmax_set_in_closed_form(capsys, monkeypatch,
+                                                            example):
+    counts = count_calls(monkeypatch, (model, "detect_argmax_set"),
+                         (measure, "kernel_moment"))
+    code, _, _ = run(capsys, "solve", "--example", example,
+                     "--resolution", "4", "--depth", "5")
+    assert code == 0
+    assert counts == {"kernel_moment": 1}
 
 
 def test_convergence_lambda1_csv(capsys):

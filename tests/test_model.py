@@ -24,7 +24,7 @@ from specmeasure import (
     build_grid,
 )
 from specmeasure import geometry, model
-from specmeasure.geometry import contains
+from specmeasure.geometry import contains, distance_to_target
 from specmeasure.model import (
     Problem,
     build_problem,
@@ -196,6 +196,33 @@ def test_recip_integrability_needs_depth():
         check_recip_integrability(coeff, Interval(-1.0, 1.0), depth=3)
 
 
+BALL = (Ball((0.0, 0.0, 0.0), 1.0), (0.0, 0.0, 0.0), None)
+TUBE = (Cylinder(1.0, 1.0), (0.0, 0.0), (0, 1))
+
+
+@pytest.mark.parametrize("domain, center, axes, power, integrable", [
+    *[(*BALL, p, True) for p in (2.5, 2.8, 2.9)],
+    *[(*BALL, p, False) for p in (3.0, 3.5)],
+    (*TUBE, 1.9, True),
+    (*TUBE, 2.0, False),
+])
+def test_radial_power_integrability_is_closed_form(domain, center, axes, power,
+                                                   integrable):
+    # 1 / dist^p about a set of codimension k (3 about the ball's center, 2
+    # about the tube's axis) is integrable iff p < k.  The shell ratio
+    # 0.5^(k - p) reads p = 2.9 in 3-D and p = 1.9 on the tube as divergent,
+    # and it still decides a custom copy of the coefficient
+    coeff = radial_power(1.0, 1.0, power, center, axes)
+    res = check_recip_integrability(coeff, domain, depth=8)
+    assert res.status == ("integrable" if integrable else "non_integrable")
+    assert (res.value is None) == (not integrable)
+    codim = len(center)
+    np.testing.assert_allclose(res.ratios[-1], 0.5 ** (codim - power), rtol=1e-6)
+    shells = check_recip_integrability(detected(coeff), domain, depth=8)
+    np.testing.assert_allclose(shells.ratios, res.ratios, rtol=1e-9)
+    assert shells.status == ("integrable" if res.ratios[-1] < 0.9 else "non_integrable")
+
+
 def negative_then_nan(x, y):
     # -1 on rows below 0.1 (the first slab of 96 sampled rows), NaN on rows
     # above 0.9 (the last slab), 1 elsewhere
@@ -292,6 +319,16 @@ def test_argmax_adjacency_checked_before_it_allocates(monkeypatch):
     pts = np.zeros((1200, 3))
     pts[:600, 2] = np.linspace(0.0, 0.3, 600)
     pts[600:, 2] = np.linspace(1.2, 1.5, 600)
+    # the runs fill three whole cells; the first chunk of distances links
+    # the first run's cell to the second run's two cells, and every later
+    # chunk is skipped: one chunk of distances, not all 600 x 600
+    rows = []
+    sum_squares = model._sum_squares
+    monkeypatch.setattr(model, "_sum_squares",
+                        lambda diff: rows.append(len(diff)) or sum_squares(diff))
+    assert model._proximity_components(pts, 1.0)[0] == 1
+    assert rows == [3, 3, 3, model._PAIR_CHUNK]
+    monkeypatch.setattr(model, "_sum_squares", sum_squares)
     chunk = model._PAIR_BYTES * model._PAIR_CHUNK
     monkeypatch.setattr(geometry, "_memory_budget", lambda: chunk)
     tracemalloc.start()
@@ -323,6 +360,27 @@ def test_problem_rejects_grid_beyond_memory(monkeypatch):
     with pytest.raises(TooLargeError, match="physical memory"):
         build_problem(dom, dense, coeff, resolution=4)
     build_problem(dom, constant_kernel(0.1), coeff, resolution=4)
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 1920), (8, 864), (1, 112)])
+def test_sq_distances_take_two_slabs(rows, cols):
+    # rows shorter than numpy's buffer: the output and one slab of
+    # coordinate differences, plus 1 KiB for the views and scalars of the
+    # row loop; a broadcast difference made numpy buffer up to another slab
+    # (3.0, 4.0 and 3.8 slabs on these shapes)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (rows, 3))
+    y = np.asfortranarray(rng.uniform(-1.0, 1.0, (cols, 3)))
+    slab = rows * cols * 8
+    expected = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+    tracemalloc.start()
+    try:
+        out = model._sq_distances(x, y, np.empty((rows, cols)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * slab + 1024
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_kernel_check_takes_a_few_slabs_of_memory():
@@ -458,12 +516,10 @@ def test_refined_ladder():
                           ).grid.grading.depth == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 3), data=st.data(), radius=st.floats(0.05, 1.0))
-def test_proximity_components_match_csgraph_on_clumps(dim, data, radius):
-    # dense clumps, some narrower than a cell and some straddling cell
-    # boundaries, so whole cells, whole cell pairs and point distances all
-    # decide links
+def draw_clumps(data, dim, radius):
+    """Dense clumps, some narrower than a cell and some straddling cell
+    boundaries, so whole cells, whole cell pairs and point distances all
+    decide links."""
     centres = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)), dim),
                                elements=st.floats(-2.0, 2.0, width=32)))
     clumps = []
@@ -473,13 +529,34 @@ def test_proximity_components_match_csgraph_on_clumps(dim, data, radius):
         offsets = data.draw(arrays(np.float64, (size, dim),
                                    elements=st.floats(-1.0, 1.0, width=32)))
         clumps.append(centre + spread * offsets)
-    pts = np.concatenate(clumps)
+    return np.concatenate(clumps)
+
+
+def assert_csgraph_components(pts, radius):
     diff = pts[:, None, :] - pts[None, :, :]
     link = np.sum(diff * diff, axis=2) <= radius * radius
     expected = csgraph.connected_components(link, directed=False)
     count, labels = model._proximity_components(pts, radius)
     assert count == expected[0]
     np.testing.assert_array_equal(labels, expected[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data(), radius=st.floats(0.05, 1.0))
+def test_proximity_components_match_csgraph_on_clumps(dim, data, radius):
+    assert_csgraph_components(draw_clumps(data, dim, radius), radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), chunk=st.integers(1, 40), data=st.data(),
+       radius=st.floats(0.05, 1.0))
+def test_proximity_components_match_csgraph_in_small_chunks(dim, chunk, data, radius):
+    # chunks far smaller than the cell pairs, so that chunks end inside a
+    # pair and skip the pairs a chunk has linked
+    pts = draw_clumps(data, dim, radius)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_PAIR_CHUNK", chunk)
+        assert_csgraph_components(pts, radius)
 
 
 def test_proximity_components_far_apart_double_the_cell_side():
@@ -690,7 +767,12 @@ def test_reuse_needs_clusters_that_match_in_count_and_kind():
     assert model._reuse(root, apart, grid) is None
 
 
-@pytest.mark.parametrize("problem", [
+def detected(coeff):
+    """A custom copy of a coefficient: the same values, no closed form."""
+    return custom_coefficient(coeff.evaluate, coeff.family, coeff.params)
+
+
+LADDER_ROOTS = [
     build_problem(Ball(center=(0.0, 0.0, 0.0), radius=1.0), constant_kernel(0.05),
                   radial_power(1.0, 1.0, 2.0, (0.0, 0.0, 0.0)), 5,
                   GradeSpec(targets=((0.0, 0.0, 0.0),), depth=6)),
@@ -698,7 +780,11 @@ def test_reuse_needs_clusters_that_match_in_count_and_kind():
                   radial_power(1.0, 1.0, 1.0, (0.0, 0.0), axes=(0, 1)), 5,
                   GradeSpec(targets=(Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),),
                             depth=6)),
-])
+]
+
+
+@pytest.mark.parametrize("problem", [dataclasses.replace(p, coeff=detected(p.coeff))
+                                     for p in LADDER_ROOTS])
 def test_refined_problem_reuses_its_roots_argmax_set(problem):
     # a finer level takes the root's representatives with its own node
     # counts: what a full detection finds there, up to the round-off of
@@ -718,6 +804,131 @@ def test_refined_problem_reuses_its_roots_argmax_set(problem):
             ends = (lambda t: sorted([t.start, t.end], key=lambda p: p[-1])
                     if isinstance(t, Segment) else t)
             np.testing.assert_allclose(ends(mine), ends(theirs), rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("problem, target", [
+    (LADDER_ROOTS[0], (0.0, 0.0, 0.0)),
+    (LADDER_ROOTS[1], Segment((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))),
+], ids=["ball", "cylinder"])
+def test_refined_problem_takes_radial_power_argmax_set_in_closed_form(monkeypatch,
+                                                                      problem, target):
+    # every level of a radial_power ladder takes the exact closed-form set,
+    # with the kind, node count and sup detection finds, and no level detects
+    detect = model.detect_argmax_set
+    expected = [detect(problem.coeff, model._refined(problem, step).grid)
+                for step in (0, 1, 2)]
+    detections = []
+    monkeypatch.setattr(model, "detect_argmax_set",
+                        lambda *a, **k: detections.append(1) or detect(*a, **k))
+    problem = dataclasses.replace(problem)      # a ladder root with no set yet
+    for step, full in enumerate(expected):
+        amax = model._argmax_set(model._refined(problem, step))
+        assert amax.targets == (target,)
+        assert amax.sup_value == full.sup_value
+        assert [(c.kind, c.node_count) for c in amax.components] == \
+               [(c.kind, c.node_count) for c in full.components]
+    assert detections == []
+
+
+def inner_point(domain, u):
+    """A point of the domain from ``u`` in [-1, 1]^dim, at most 0.9 of the
+    way from the middle to the boundary along each radius or edge."""
+    u = np.asarray(u)
+    if isinstance(domain, Box):
+        lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
+        return 0.5 * (lo + hi) + 0.45 * u * (hi - lo)
+    if isinstance(domain, Ball):
+        return np.asarray(domain.center) + 0.9 * domain.radius * u / max(1.0, np.linalg.norm(u))
+    disk = 0.9 * domain.radius * u[:2] / max(1.0, np.linalg.norm(u[:2]))
+    return np.array([*disk, domain.height * (0.5 + 0.45 * u[2])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), resolution=st.integers(3, 7), power=st.floats(1.0, 4.0),
+       scale=st.floats(0.2, 3.0), top=st.floats(-2.0, 2.0))
+def test_radial_power_closed_form_matches_detection(data, resolution, power, scale, top):
+    # the closed-form argmax set against detection, which never consults
+    # it, on ungraded ball, box and cylinder grids, the center at most 0.9 of
+    # the way to the boundary so that no chord is near a tangent, where the
+    # march's inflated domain moves its ends by more than 1e-11, and the
+    # power at least 1: below it, a march along a principal axis tilted by
+    # round-off e leaves the set where (e t)^power passes its tolerance.
+    # The same sup and near-maximal node count, and where detection finds
+    # one component of the same kind, representatives within 1e-11
+    real = st.floats(-1.0, 1.0)
+    domain = data.draw(st.one_of(
+        st.builds(lambda c, r: Ball(tuple(c), r),
+                  st.lists(real, min_size=2, max_size=3), st.floats(0.5, 2.0)),
+        st.builds(lambda lo, w: Box(tuple(lo), tuple(a + b for a, b in zip(lo, w))),
+                  st.lists(real, min_size=1, max_size=3),
+                  st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3)),
+        st.builds(Cylinder, st.floats(0.5, 2.0), st.floats(0.5, 2.0))))
+    dim = domain.dim
+    center = inner_point(domain, data.draw(st.lists(real, min_size=dim, max_size=dim)))
+    free = data.draw(st.sampled_from([1, 0])) if dim > 1 else 0
+    axes = None if not free else tuple(sorted(data.draw(st.permutations(range(dim)))[free:]))
+    coeff = radial_power(top, scale, power, tuple(center), axes)
+    grid = build_grid(domain, resolution)
+    closed = model._closed_form_argmax(coeff, grid)
+    full = detect_argmax_set(coeff, grid)
+    assert closed.sup_value == full.sup_value
+    (comp,) = closed.components
+    assert comp.node_count == sum(c.node_count for c in full.components)
+    if [c.kind for c in full.components] != [comp.kind]:
+        # detection splits a chord into the points of clusters farther
+        # apart than its link radius, calls a one-node cluster a point, and
+        # a cluster spread across its segment a general one; every
+        # representative it finds lies on the chord
+        assert comp.kind == "segment"
+        for c in full.components:
+            assert c.kind != "segment"
+            assert distance_to_target(c.representative, comp.representative)[0] <= 1e-11
+        return
+    mine, theirs = comp.representative, full.components[0].representative
+    if isinstance(mine, Segment):
+        mine, theirs = [mine.start, mine.end], [theirs.start, theirs.end]
+        if math.dist(mine[0], theirs[0]) > math.dist(mine[0], theirs[1]):
+            theirs.reverse()
+    np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-11)
+
+
+def test_radial_power_short_chord_is_detections_point():
+    # a chord shorter than the point share of the grid's diameter is the
+    # point detection's maximizer finds, exactly
+    slab = Box((0.0, 0.0, 0.0), (1.0, 1.0, 0.01))
+    coeff = radial_power(1.0, 1.0, 2.0, (0.3, 0.6), axes=(0, 1))
+    for grid in (build_grid(slab, 5), build_grid(slab, 4, GradeSpec(((0.3, 0.6, 0.002),)))):
+        closed = model._closed_form_argmax(coeff, grid)
+        assert closed == detect_argmax_set(coeff, grid)
+        assert closed.components[0].kind == "point"
+
+
+def test_radial_power_closed_form_declines():
+    # two free axes, a center outside the closed domain, a chord of a product
+    cube = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    assert radial_power(1.0, 1.0, 2.0, (0.5,)).argmax(cube) is None
+    assert radial_power(1.0, 1.0, 2.0, (0.5, 0.5, 1.5)).argmax(cube) is None
+    assert radial_power(1.0, 1.0, 2.0, (0.5, 1.5), axes=(0, 1)).argmax(cube) is None
+    assert radial_power(1.0, 1.0, 2.0, (0.0, 0.0), axes=(0, 1)).argmax(
+        Ball((1.0, 1.0, 0.0), 1.0)) is None
+    prod = Product(Interval(0.0, 1.0), Interval(0.0, 1.0))
+    assert radial_power(1.0, 1.0, 2.0, (0.5,)).argmax(prod) is None
+    assert radial_power(1.0, 1.0, 1.5, (0.5, 0.5)).argmax(prod) == ((0.5, 0.5), True)
+    # a closed form dies with the evaluate it stands for
+    assert dataclasses.replace(radial_power(1.0, 1.0, 2.0, (0.5,))).argmax is None
+
+
+@pytest.mark.parametrize("domain, center, axis, segment", [
+    (Box((0.0, -1.0), (2.0, 1.0)), (0.5, 7.0), 1, Segment((0.5, -1.0), (0.5, 1.0))),
+    (Ball((1.0, 0.0, 0.0), 2.0), (1.0, 7.0, 0.0), 1,
+     Segment((1.0, -2.0, 0.0), (1.0, 2.0, 0.0))),
+    (Ball((0.0, 0.0), 5.0), (3.0, 7.0), 1, Segment((3.0, -4.0), (3.0, 4.0))),
+    (Cylinder(1.0, 3.0), (0.5, 0.0, 7.0), 2, Segment((0.5, 0.0, 0.0), (0.5, 0.0, 3.0))),
+    (Cylinder(5.0, 3.0), (7.0, 4.0, 1.0), 0, Segment((-3.0, 4.0, 1.0), (3.0, 4.0, 1.0))),
+    (Cylinder(1.0, 3.0), (0.5, 7.0, 4.0), 1, None),
+])
+def test_chord_runs_lower_to_upper_end(domain, center, axis, segment):
+    assert geometry._chord(domain, np.array(center), axis) == segment
 
 
 @settings(max_examples=60, deadline=None)

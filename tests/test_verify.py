@@ -6,6 +6,7 @@ two-grid residuals decaying under joint grid refinement, and as residuals
 jumping far above roundoff for deliberately wrong inputs.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -28,6 +29,7 @@ from specmeasure import (
     cantor_approximant,
     classify_regime,
     constant_kernel,
+    custom_coefficient,
     custom_kernel,
     default_test_functions,
     estimate_lambda_p,
@@ -258,12 +260,9 @@ def test_recip_integral_study_sums_on_the_level_grids(monkeypatch):
             4.0 * math.pi * (1.0 - 0.5 ** (7 + level)), rel=1e-9)
 
 
-@pytest.mark.parametrize("quantity", ["residual", "lambda1"])
-def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
-    # level 0 detects the argmax set, refines its maximizer and marches its
-    # segment; the finer levels cluster their own near-maximal nodes and
-    # reuse level 0's segment, as the classification inside the solution does
-    base = cylinder_problem(constant_kernel(0.05), 0)
+def study_counts(monkeypatch, base, quantity):
+    """The study's calls of detection, maximizer refinement and marching,
+    and the argmax targets each level's solution classified with."""
     counts = dict.fromkeys(("detect_argmax_set", "_refine_point", "_extend_along"), 0)
     for name in counts:
         def counted(*args, _name=name, _original=getattr(model, name), **kwargs):
@@ -278,10 +277,33 @@ def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
         return build_singular_solution(prob, [(report.x0, 1.0)]), -report.sup_a
 
     rows = refinement_study(base, 3, quantity, solution=solution)
-    assert counts == dict.fromkeys(counts, 1)
     assert len(rows) == 3
     assert len(targets) == (3 if quantity == "residual" else 0)
     assert len(set(targets)) <= 1
+    return counts, targets
+
+
+@pytest.mark.parametrize("quantity", ["residual", "lambda1"])
+def test_study_detects_and_refines_once_per_ladder(monkeypatch, quantity):
+    # level 0 detects the argmax set, refines its maximizer and marches its
+    # segment; the finer levels cluster their own near-maximal nodes and
+    # reuse level 0's segment, as the classification inside the solution
+    # does.  The coefficient is a custom copy of radial_power, which has no
+    # closed form and is detected.
+    base = cylinder_problem(constant_kernel(0.05), 0)
+    coeff = base.coeff
+    base = dataclasses.replace(
+        base, coeff=custom_coefficient(coeff.evaluate, coeff.family, coeff.params))
+    counts, _ = study_counts(monkeypatch, base, quantity)
+    assert counts == dict.fromkeys(counts, 1)
+
+
+@pytest.mark.parametrize("quantity", ["residual", "lambda1"])
+def test_study_takes_radial_power_argmax_set_in_closed_form(monkeypatch, quantity):
+    counts, targets = study_counts(monkeypatch, cylinder_problem(constant_kernel(0.05), 0),
+                                   quantity)
+    assert counts == dict.fromkeys(counts, 0)
+    assert set(targets) <= {(AXIS,)}
 
 
 def test_lambda_p_study_reports_converged_values():
