@@ -1,21 +1,24 @@
 """Domains, graded grids, and quadrature.
 
-The domains are ``Box``, ``Ball``, ``Cylinder`` and ``Product``;
-``Interval(lo, hi)`` is the one-dimensional ``Box``.  Every dispatch on the
-kind of a domain lives in this module.
+The domains are ``Box``, ``Ball`` and ``Product``; ``Interval(lo, hi)`` is
+the one-dimensional ``Box`` and ``Cylinder(radius, height)`` the product of a
+disk and an interval.  Every dispatch on the kind of a domain lives in this
+module.
 
-Grids are midpoint tensor rules.  Balls and cylinders are discretized in
-adapted coordinates (radial x angular), so radial weights carry the Jacobian
-factor r^(d-1).  Grading places a geometric cascade of cells toward each
-target (ratio q per level) and truncates at the innermost cascade radius, so
-no node ever lands on a target and integrable singularities of the form
-dist(x, target)^(-p), p < d, are captured with an error that is geometric in
-the grading depth.  A grid keeps the ``GradeSpec`` it was built with as
-``Grid.grading`` (None when ungraded), so coarser and finer grids follow from it.
+Grids are midpoint tensor rules.  Balls are discretized in adapted
+coordinates (radial x angular), so radial weights carry the Jacobian factor
+r^(d-1); a product's grid is the tensor grid of its factors' grids.
+Grading places a geometric cascade of cells toward each target (ratio q per
+level) and truncates at the innermost cascade radius, so no node ever lands
+on a target and integrable singularities of the form dist(x, target)^(-p),
+p < d, are captured with an error that is geometric in the grading depth.
+A grid keeps the ``GradeSpec`` it was built with as ``Grid.grading`` (None
+when ungraded), so coarser and finer grids follow from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -82,24 +85,6 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class Cylinder:
-    """Open cylinder {x1^2 + x2^2 < radius^2, 0 < x3 < height} in R^3."""
-
-    radius: float
-    height: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and math.isfinite(self.height)):
-            raise H1Violation("cylinder radius and height must be finite")
-        if self.radius <= 0 or self.height <= 0:
-            raise H1Violation("cylinder radius and height must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 3
-
-
-@dataclass(frozen=True)
 class Product:
     first: "Domain"
     second: "Domain"
@@ -109,7 +94,17 @@ class Product:
         return self.first.dim + self.second.dim
 
 
-Domain = Box | Ball | Cylinder | Product
+Domain = Box | Ball | Product
+
+
+def Cylinder(radius: float, height: float) -> Product:
+    """The cylinder {x1^2 + x2^2 < radius^2, 0 < x3 < height} in R^3: the
+    disk of ``radius`` about the origin times the interval [0, height]."""
+    if not (math.isfinite(radius) and math.isfinite(height)):
+        raise H1Violation("cylinder radius and height must be finite")
+    if radius <= 0 or height <= 0:
+        raise H1Violation("cylinder radius and height must be positive")
+    return Product(Ball((0.0, 0.0), radius), Interval(0.0, height))
 
 
 @dataclass(frozen=True)
@@ -185,8 +180,6 @@ def volume(domain: Domain) -> float:
             return v
         case Ball(center=c, radius=r):
             return math.pi * r * r if len(c) == 2 else 4.0 / 3.0 * math.pi * r**3
-        case Cylinder(radius=r, height=h):
-            return math.pi * r * r * h
         case Product(first=f, second=s):
             return volume(f) * volume(s)
     raise ConfigurationError(f"unknown domain type: {type(domain).__name__}")
@@ -221,9 +214,6 @@ def contains(domain: Domain, points: np.ndarray, tol: float = 0.0) -> np.ndarray
         case Ball(center=c, radius=r):
             d = np.linalg.norm(pts - np.asarray(c), axis=1)
             return d <= r + tol
-        case Cylinder(radius=r, height=h):
-            rad = np.hypot(pts[:, 0], pts[:, 1])
-            return (rad <= r + tol) & (pts[:, 2] >= -tol) & (pts[:, 2] <= h + tol)
         case Product(first=f, second=s):
             k = f.dim
             return contains(f, pts[:, :k], tol) & contains(s, pts[:, k:], tol)
@@ -243,13 +233,6 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
             d = np.linalg.norm(off, axis=1)
             far = d > r
             pts[far] = cc + off[far] * (r / d[far])[:, None]
-        case Cylinder(radius=r, height=h):
-            rad = np.hypot(pts[:, 0], pts[:, 1])
-            far = rad > r
-            scale = r / rad[far]
-            pts[far, 0] *= scale
-            pts[far, 1] *= scale
-            np.clip(pts[:, 2], 0.0, h, out=pts[:, 2])
         case Product(first=f, second=s):
             k = f.dim
             pts = np.concatenate(
@@ -264,8 +247,8 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
 def _linear_maximizer(domain: Domain, c: np.ndarray,
                       start: np.ndarray) -> np.ndarray:
     """A maximizer of x -> c . x over the closed domain: a face or corner of
-    a box, center + r c / |c| on a ball, the same per factor of a cylinder or
-    product.  Directions that c leaves free keep ``start``, projected."""
+    a box, center + r c / |c| on a ball, the same per factor of a product.
+    Directions that c leaves free keep ``start``, projected."""
     if isinstance(domain, Product):
         k = domain.first.dim
         return np.concatenate([_linear_maximizer(domain.first, c[:k], start[:k]),
@@ -278,21 +261,26 @@ def _linear_maximizer(domain: Domain, c: np.ndarray,
             norm = float(np.linalg.norm(c))
             if norm > 0:
                 best = np.asarray(center, dtype=float) + r * (c / norm)
-        case Cylinder(radius=r, height=h):
-            norm = float(np.linalg.norm(c[:2]))
-            if norm > 0:
-                best[:2] = r * (c[:2] / norm)
-            if c[2] != 0:
-                best[2] = h if c[2] > 0 else 0.0
     return best
 
 
 def _chord(domain: Domain, point: np.ndarray, axis: int) -> Segment | None:
     """The chord of the closed domain along ``axis`` through ``point``, from
     its lower to its upper end; ``point``'s own coordinate along ``axis`` is
-    ignored.  None where the line misses the closure, and for a product."""
+    ignored.  None where the line misses the closure.  On a product it is
+    the chord in the factor that holds ``axis``, where the other factor
+    holds the point's remaining coordinates."""
     mid = np.array(point, dtype=float)
     match domain:
+        case Product(first=f, second=s):
+            # the membership test below checks the other factor at the
+            # middle of this factor's chord
+            factor, lead = (f, 0) if axis < f.dim else (s, f.dim)
+            chord = _chord(factor, mid[lead:lead + factor.dim], axis - lead)
+            if chord is None:
+                return None
+            ends = (chord.start[axis - lead], chord.end[axis - lead])
+            mid[axis] = (ends[0] + ends[1]) / 2
         case Box(lo=lo, hi=hi):
             mid[axis] = lo[axis]
             ends = (lo[axis], hi[axis])
@@ -301,13 +289,6 @@ def _chord(domain: Domain, point: np.ndarray, axis: int) -> Segment | None:
             off = mid - np.asarray(c, dtype=float)
             half = math.sqrt(max(r * r - float(off @ off), 0.0))
             ends = (c[axis] - half, c[axis] + half)
-        case Cylinder(height=h) if axis == 2:
-            mid[axis] = 0.0
-            ends = (0.0, h)
-        case Cylinder(radius=r):
-            mid[axis] = 0.0
-            half = math.sqrt(max(r * r - mid[1 - axis] ** 2, 0.0))
-            ends = (-half, half)
         case _:
             return None
     if not contains(domain, mid[None, :])[0]:
@@ -452,23 +433,19 @@ def _polar_sphere(n_u: int) -> tuple[np.ndarray, float, float]:
     return theta, du, max_dtheta
 
 
-def _radial_cells(radius: float, resolution: int,
-                  grading: GradeSpec | None) -> list[tuple[float, float]]:
-    if grading is None:
-        return _line_cells(0.0, radius, resolution)
-    return _line_cells(0.0, radius, resolution, (0.0,), grading.ratio, grading.depth)
-
-
 def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Grid:
     if grading is not None:
+        # each coordinate within 1e-9 radius of the center's, whatever the
+        # center's size
+        tol = 1e-9 * domain.radius
         for t in grading.targets:
-            if isinstance(t, Segment) or not np.allclose(
-                t, domain.center, atol=1e-9 * domain.radius
-            ):
+            if isinstance(t, Segment) or not all(
+                    abs(a - b) <= tol for a, b in zip(t, domain.center)):
                 raise ConfigurationError(
                     "ball grids support grading toward the center only"
                 )
-    cells = _radial_cells(domain.radius, resolution, grading)
+    ratio, depth = (grading.ratio, grading.depth) if grading else (0.5, 0)
+    cells = _line_cells(0.0, domain.radius, resolution, (0.0,), ratio, depth)
     n_phi = max(6, 2 * resolution)
     n_u = max(4, resolution)
     _check_nodes(len(cells) * n_phi * (n_u if domain.dim == 3 else 1))
@@ -500,45 +477,6 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
     nodes = nodes.reshape(-1, domain.dim)
     weights = (radial_w[:, None] * ang_w[None, :]).ravel()
     spans = (domain.radius / 2,) if grading else ()
-    return Grid(nodes, weights, mesh, domain, resolution=resolution,
-                grading=grading, grade_spans=spans)
-
-
-def _build_cylinder(domain: Cylinder, resolution: int, grading: GradeSpec | None) -> Grid:
-    if grading is not None:
-        for t in grading.targets:
-            if not isinstance(t, Segment):
-                raise ConfigurationError(
-                    "cylinder grids support grading toward an axis segment only"
-                )
-            sx, sy = t.start[0], t.start[1]
-            ex, ey = t.end[0], t.end[1]
-            if max(abs(sx), abs(sy), abs(ex), abs(ey)) > 1e-9 * domain.radius:
-                raise ConfigurationError(
-                    "cylinder grading target must lie on the axis"
-                )
-    cells = _radial_cells(domain.radius, resolution, grading)
-    n_phi = max(6, 2 * resolution)
-    z_cells = _line_cells(0.0, domain.height, resolution)
-    _check_nodes(len(cells) * n_phi * len(z_cells))
-    r_mid, r_w = _midpoints_widths(cells)
-    phi, dphi = _angular_ring(n_phi)
-    z_mid, z_w = _midpoints_widths(z_cells)
-
-    # tensor product: radial x angular x axial
-    nr, nz = r_mid.size, z_mid.size
-    x = np.outer(r_mid, np.cos(phi))
-    y = np.outer(r_mid, np.sin(phi))
-    ring = np.stack([x.ravel(), y.ravel()], axis=1)          # (nr*n_phi, 2)
-    ring_w = (r_mid * r_w)[:, None].repeat(n_phi, axis=1).ravel() * dphi
-    nodes = np.concatenate(
-        [np.tile(ring, (nz, 1)), np.repeat(z_mid, ring.shape[0])[:, None]], axis=1
-    )
-    weights = np.tile(ring_w, nz) * np.repeat(z_w, ring.shape[0])
-    mesh = math.sqrt(
-        float(np.max(r_w)) ** 2 + (domain.radius * dphi) ** 2 + float(np.max(z_w)) ** 2
-    )
-    spans = tuple(domain.radius / 2 for _ in grading.targets) if grading else ()
     return Grid(nodes, weights, mesh, domain, resolution=resolution,
                 grading=grading, grade_spans=spans)
 
@@ -583,15 +521,43 @@ def _build_box(domain: Box, resolution: int, grading: GradeSpec | None) -> Grid:
             gaps = [g for g in (t - lo[ax], hi[ax] - t) if g > 0]
             spans.append(min(gaps) / 2 if gaps else 0.0)
     _check_nodes(math.prod(m.size for m in mids))
-    grids = np.meshgrid(*mids, indexing="ij")
-    wgrids = np.meshgrid(*ws, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        weights = weights * wg.ravel()
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*mids, indexing="ij")], axis=1)
+    weights = functools.reduce(np.multiply.outer, ws).ravel()
     mesh = math.sqrt(sum(float(np.max(w)) ** 2 for w in ws))
     return Grid(nodes, weights, mesh, domain, resolution=resolution,
                 grading=grading, grade_spans=tuple(spans))
+
+
+def _build_product(domain: Product, resolution: int,
+                   grading: GradeSpec | None) -> Grid:
+    """The tensor grid of the factors' grids, second factor outermost: the
+    first factor's nodes tiled, the second's repeated.
+
+    Each grading target must be a segment along the second factor, its
+    first-factor coordinates constant; the first factor is graded toward
+    their projections, with the spec's ratio and depth, and the grid's
+    cascade spans are the first factor's."""
+    f, s, k = domain.first, domain.second, domain.first.dim
+    first_grading = None
+    if grading is not None:
+        for t in grading.targets:
+            if not isinstance(t, Segment) or (
+                    math.dist(t.start[:k], t.end[:k]) > 1e-9 * math.dist(t.start, t.end)):
+                raise ConfigurationError("product grids support grading toward "
+                                         "segments along the second factor only")
+        first_grading = GradeSpec(tuple(t.start[:k] for t in grading.targets),
+                                  grading.ratio, grading.depth)
+    gf = build_grid(f, resolution, first_grading)
+    gs = build_grid(s, resolution)
+    nf, ns = gf.size, gs.size
+    _check_nodes(nf * ns)
+    nodes = np.empty((ns, nf, domain.dim))
+    nodes[:, :, :k] = gf.nodes
+    nodes[:, :, k:] = gs.nodes[:, None, :]
+    weights = np.multiply.outer(gs.weights, gf.weights).ravel()
+    return Grid(nodes.reshape(-1, domain.dim), weights,
+                math.hypot(gf.mesh_size, gs.mesh_size), domain,
+                resolution=resolution, grading=grading, grade_spans=gf.grade_spans)
 
 
 def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None) -> Grid:
@@ -603,8 +569,9 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
     it is dropped, so every node keeps a positive distance to the target.
     A target of another dimension than the domain's is refused.  The node
     count, the product of the 1-D cell counts, is checked against physical
-    memory before any array of the grid is built, and each 1-D piece's cell
-    count, a lower bound on it, before that piece is built.
+    memory before any array of the grid is built (a product's after its
+    factors' grids), and each 1-D piece's cell count, a lower bound on it,
+    before that piece is built.
     """
     if resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
@@ -617,20 +584,6 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
             return _build_box(domain, resolution, grading)
         case Ball():
             return _build_ball(domain, resolution, grading)
-        case Cylinder():
-            return _build_cylinder(domain, resolution, grading)
-        case Product(first=f, second=s):
-            if grading is not None:
-                raise ConfigurationError("product domains take no grading")
-            gf = build_grid(f, resolution)
-            gs = build_grid(s, resolution)
-            nf, ns = gf.size, gs.size
-            _check_nodes(nf * ns)
-            nodes = np.concatenate(
-                [np.repeat(gf.nodes, ns, axis=0), np.tile(gs.nodes, (nf, 1))], axis=1
-            )
-            weights = np.repeat(gf.weights, ns) * np.tile(gs.weights, nf)
-            return Grid(nodes, weights,
-                        math.hypot(gf.mesh_size, gs.mesh_size), domain,
-                        resolution=resolution)
+        case Product():
+            return _build_product(domain, resolution, grading)
     raise ConfigurationError(f"unknown domain type: {type(domain).__name__}")

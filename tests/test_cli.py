@@ -953,6 +953,23 @@ def test_dimension_mismatch_exits_one(capsys, tmp_path, command, example, cfg, m
     assert err.startswith(f"error[configuration]: {message}")
 
 
+@pytest.mark.parametrize("center, axes, message", [
+    ([0.0, 0.0, 0.5], None,
+     "product grids support grading toward segments along the second factor only"),
+    ([0.3, 0.0, 0.5], [0, 1], "ball grids support grading toward the center only"),
+], ids=["point", "off-axis-chord"])
+def test_cylinder_grading_off_its_axis_exits_one(capsys, tmp_path, center, axes, message):
+    # the cylinder is graded toward its axis only: the automatic target of
+    # a radial power over all three axes is a point, and over the first two
+    # about an off-axis center a chord the disk cannot be graded toward
+    cfg = {"problem": {"coefficient": {"center": center, "axes": axes}},
+           "grid": {"grading_targets": "auto"}}
+    code, out, err = run(capsys, "classify", "--example", "cylinder", "--resolution", "4",
+                         "--depth", "4", "--config", config_file(tmp_path, cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error[configuration]: {message}\n"
+
+
 def test_one_dimensional_box_segment_target_exits_one(capsys, tmp_path, monkeypatch):
     # the segment was dropped: the grid came out ungraded, a node lay on the
     # argmax set, and classify exited 2 with error[singular-node]

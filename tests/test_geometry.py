@@ -228,9 +228,13 @@ def test_invalid_grading_rejected():
     with pytest.raises(ConfigurationError):
         build_grid(Ball(center=(0.0, 0.0), radius=1.0), 4,
                    GradeSpec(targets=((0.5, 0.0),)))
-    with pytest.raises(ConfigurationError, match="^product domains take no grading$"):
-        build_grid(Product(Interval(0.0, 1.0), Interval(0.0, 1.0)), 4,
-                   GradeSpec(targets=((0.5, 0.5),)))
+    # a product grades its first factor toward segments along its second
+    square = Product(Interval(0.0, 1.0), Interval(0.0, 1.0))
+    for target in ((0.5, 0.5), Segment((0.5, 0.0), (0.6, 1.0)),
+                   Segment((0.0, 0.5), (1.0, 0.5))):
+        with pytest.raises(ConfigurationError, match="^product grids support grading "
+                           "toward segments along the second factor only$"):
+            build_grid(square, 4, GradeSpec(targets=(target,)))
     with pytest.raises(ConfigurationError):
         build_grid(Interval(0.0, 1.0), 1)
 
@@ -249,15 +253,25 @@ def test_product_grid_tensor_structure():
 
 
 @st.composite
+def random_boxes(draw, min_dim=1, max_dim=3):
+    lo = draw(st.lists(coords, min_size=min_dim, max_size=max_dim))
+    return Box(lo=tuple(lo), hi=tuple(x + draw(lengths) for x in lo))
+
+
+@st.composite
 def random_domains(draw):
-    kind = draw(st.sampled_from(["box", "ball", "cylinder"]))
+    kind = draw(st.sampled_from(["box", "ball", "cylinder", "disk-interval",
+                                 "box-interval"]))
     if kind == "box":
-        lo = draw(st.lists(coords, min_size=1, max_size=3))
-        return Box(lo=tuple(lo), hi=tuple(x + draw(lengths) for x in lo))
+        return draw(random_boxes())
     if kind == "ball":
         center = draw(st.lists(coords, min_size=2, max_size=3))
         return Ball(center=tuple(center), radius=draw(lengths))
-    return Cylinder(radius=draw(lengths), height=draw(lengths))
+    if kind == "cylinder":
+        return Cylinder(radius=draw(lengths), height=draw(lengths))
+    first = (Ball(center=(draw(coords), draw(coords)), radius=draw(lengths))
+             if kind == "disk-interval" else draw(random_boxes(2, 2)))
+    return Product(first, draw(random_boxes(1, 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,6 +281,40 @@ def test_random_domain_weights_sum_to_volume(domain, resolution):
     rel = abs(float(np.sum(g.weights)) - volume(domain)) / volume(domain)
     assert rel < 10 * g.mesh_size**2
     assert np.all(g.weights > 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radius=st.floats(0.3, 3.0), height=st.floats(0.3, 3.0),
+       resolution=st.integers(3, 12), depth=st.integers(1, 14),
+       ratio=st.floats(0.2, 0.8))
+def test_cylinder_is_the_graded_disk_times_the_interval(radius, height, resolution,
+                                                       depth, ratio):
+    # the disk's nodes tiled beside the interval's repeated, the disk graded
+    # toward its center when the cylinder is graded toward its axis
+    spec = GradeSpec((Segment((0.0, 0.0, 0.0), (0.0, 0.0, height)),), ratio, depth)
+    grid = build_grid(Cylinder(radius, height), resolution, spec)
+    disk = build_grid(Ball((0.0, 0.0), radius), resolution,
+                      GradeSpec(((0.0, 0.0),), ratio, depth))
+    line = build_grid(Interval(0.0, height), resolution)
+    nd, nz = disk.size, line.size
+    nodes = np.concatenate([np.tile(disk.nodes, (nz, 1)),
+                            np.repeat(line.nodes, nd, axis=0)], axis=1)
+    assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(grid.weights, np.tile(disk.weights, nz) * np.repeat(line.weights, nd))
+    assert grid.grading == spec
+    assert grid.grade_spans == disk.grade_spans
+    mesh = math.sqrt(disk.mesh_size**2 + line.mesh_size**2)
+    assert abs(grid.mesh_size - mesh) <= 2 * math.ulp(mesh)
+
+
+def test_ball_grades_toward_its_center_to_an_absolute_tolerance():
+    # the tolerance once grew with the center's coordinates: a target 9e-4
+    # off the center (100, 0, 0) graded the unit ball toward its center
+    ball = Ball((100.0, 0.0, 0.0), 1.0)
+    with pytest.raises(ConfigurationError,
+                       match="^ball grids support grading toward the center only$"):
+        build_grid(ball, 4, GradeSpec(((100.0009, 0.0, 0.0),), depth=14))
+    assert build_grid(ball, 4, GradeSpec(((100.0 + 1e-10, 0.0, 0.0),), depth=14)).grade_spans
 
 
 @pytest.mark.parametrize("domain, grading", [
@@ -325,17 +373,36 @@ def test_target_of_another_dimension_refused(domain, target):
         build_grid(domain, 4, GradeSpec(targets=(target,), depth=3))
 
 
-DOMAIN_CLASSES = {"Box", "Ball", "Cylinder", "Product"}
+DOMAIN_CLASSES = {"Box", "Ball", "Product"}
+# domains built by a function, which no ``case`` or ``isinstance`` can name
+DOMAIN_FUNCTIONS = {"Interval", "Cylinder"}
+
+
+def _names(node):
+    """The names a class pattern or an isinstance class argument holds."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
 
 
 def test_domain_dispatch_lives_in_geometry():
-    # a ``case`` on a domain class outside geometry.py would be a second
-    # place to teach a new kind of domain
+    # a ``case`` or an isinstance or issubclass test on a domain class
+    # outside geometry.py would be a second place to teach a new kind of
+    # domain
+    assert {cls.__name__ for cls in geometry.Domain.__args__} == DOMAIN_CLASSES
     for path in Path(geometry.__file__).parent.glob("*.py"):
         if path.name == "geometry.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.MatchClass):
-                cls = node.cls
-                name = cls.attr if isinstance(cls, ast.Attribute) else cls.id
-                assert name not in DOMAIN_CLASSES, f"{path.name}:{node.lineno} matches {name}"
+                names = _names(node.cls)
+            elif (isinstance(node, ast.Call) and len(node.args) == 2
+                  and _names(node.func) in (["isinstance"], ["issubclass"])):
+                names = _names(node.args[1])
+            else:
+                continue
+            for name in names:
+                assert name not in DOMAIN_CLASSES | DOMAIN_FUNCTIONS, \
+                    f"{path.name}:{node.lineno} dispatches on {name}"

@@ -832,15 +832,17 @@ def test_refined_problem_takes_radial_power_argmax_set_in_closed_form(monkeypatc
 
 def inner_point(domain, u):
     """A point of the domain from ``u`` in [-1, 1]^dim, at most 0.9 of the
-    way from the middle to the boundary along each radius or edge."""
+    way from the middle to the boundary along each radius or edge, per
+    factor of a product."""
     u = np.asarray(u)
     if isinstance(domain, Box):
         lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
         return 0.5 * (lo + hi) + 0.45 * u * (hi - lo)
     if isinstance(domain, Ball):
         return np.asarray(domain.center) + 0.9 * domain.radius * u / max(1.0, np.linalg.norm(u))
-    disk = 0.9 * domain.radius * u[:2] / max(1.0, np.linalg.norm(u[:2]))
-    return np.array([*disk, domain.height * (0.5 + 0.45 * u[2])])
+    k = domain.first.dim
+    return np.concatenate([inner_point(domain.first, u[:k]),
+                           inner_point(domain.second, u[k:])])
 
 
 @settings(max_examples=80, deadline=None)
@@ -904,18 +906,24 @@ def test_radial_power_short_chord_is_detections_point():
 
 
 def test_radial_power_closed_form_declines():
-    # two free axes, a center outside the closed domain, a chord of a product
+    # two free axes, a center outside the closed domain
     cube = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     assert radial_power(1.0, 1.0, 2.0, (0.5,)).argmax(cube) is None
     assert radial_power(1.0, 1.0, 2.0, (0.5, 0.5, 1.5)).argmax(cube) is None
     assert radial_power(1.0, 1.0, 2.0, (0.5, 1.5), axes=(0, 1)).argmax(cube) is None
     assert radial_power(1.0, 1.0, 2.0, (0.0, 0.0), axes=(0, 1)).argmax(
         Ball((1.0, 1.0, 0.0), 1.0)) is None
+    # a product's chord lies in the factor that holds the free axis
     prod = Product(Interval(0.0, 1.0), Interval(0.0, 1.0))
-    assert radial_power(1.0, 1.0, 2.0, (0.5,)).argmax(prod) is None
+    assert radial_power(1.0, 1.0, 2.0, (0.5,)).argmax(prod) == (
+        Segment((0.5, 0.0), (0.5, 1.0)), False)
+    assert radial_power(1.0, 1.0, 2.0, (1.5,)).argmax(prod) is None
     assert radial_power(1.0, 1.0, 1.5, (0.5, 0.5)).argmax(prod) == ((0.5, 0.5), True)
     # a closed form dies with the evaluate it stands for
     assert dataclasses.replace(radial_power(1.0, 1.0, 2.0, (0.5,))).argmax is None
+
+
+SLAB = Product(Box((0.0, 0.0), (1.0, 2.0)), Interval(0.0, 3.0))
 
 
 @pytest.mark.parametrize("domain, center, axis, segment", [
@@ -926,6 +934,10 @@ def test_radial_power_closed_form_declines():
     (Cylinder(1.0, 3.0), (0.5, 0.0, 7.0), 2, Segment((0.5, 0.0, 0.0), (0.5, 0.0, 3.0))),
     (Cylinder(5.0, 3.0), (7.0, 4.0, 1.0), 0, Segment((-3.0, 4.0, 1.0), (3.0, 4.0, 1.0))),
     (Cylinder(1.0, 3.0), (0.5, 7.0, 4.0), 1, None),
+    (SLAB, (0.5, 7.0, 1.0), 1, Segment((0.5, 0.0, 1.0), (0.5, 2.0, 1.0))),
+    (SLAB, (0.5, 1.0, 7.0), 2, Segment((0.5, 1.0, 0.0), (0.5, 1.0, 3.0))),
+    (SLAB, (0.5, 7.0, 4.0), 1, None),
+    (SLAB, (5.0, 1.0, 7.0), 2, None),
 ])
 def test_chord_runs_lower_to_upper_end(domain, center, axis, segment):
     assert geometry._chord(domain, np.array(center), axis) == segment
