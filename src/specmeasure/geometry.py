@@ -14,6 +14,12 @@ on a target and integrable singularities of the form dist(x, target)^(-p),
 p < d, are captured with an error that is geometric in the grading depth.
 A grid keeps the ``GradeSpec`` it was built with as ``Grid.grading`` (None
 when ungraded), so coarser and finer grids follow from it.
+
+Ball grids, and products whose first factor is a ball, are built from
+rings: ``Grid.ring`` consecutive nodes of equal weight, each the one before
+rotated by 2 pi / ring about the center, in the plane of the first two
+coordinates; every ring's first node lies at the azimuth pi / ring, on a
+mirror plane of all the rings.  Box grids have no rings (``ring`` 0).
 """
 
 from __future__ import annotations
@@ -155,6 +161,7 @@ class Grid:
     resolution: int = 0
     grading: GradeSpec | None = None      # the spec the grid was built with
     grade_spans: tuple[float, ...] = ()   # cascade span per target
+    ring: int = 0                # nodes per ring, 0 without rings
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -478,7 +485,7 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
     weights = (radial_w[:, None] * ang_w[None, :]).ravel()
     spans = (domain.radius / 2,) if grading else ()
     return Grid(nodes, weights, mesh, domain, resolution=resolution,
-                grading=grading, grade_spans=spans)
+                grading=grading, grade_spans=spans, ring=n_phi)
 
 
 def _axis_targets(grading: GradeSpec | None, dim: int) -> list[tuple[float, ...]]:
@@ -531,7 +538,8 @@ def _build_box(domain: Box, resolution: int, grading: GradeSpec | None) -> Grid:
 def _build_product(domain: Product, resolution: int,
                    grading: GradeSpec | None) -> Grid:
     """The tensor grid of the factors' grids, second factor outermost: the
-    first factor's nodes tiled, the second's repeated.
+    first factor's nodes tiled, the second's repeated, so the first
+    factor's rings stay rings.
 
     Each grading target must be a segment along the second factor, its
     first-factor coordinates constant; the first factor is graded toward
@@ -557,7 +565,8 @@ def _build_product(domain: Product, resolution: int,
     weights = np.multiply.outer(gs.weights, gf.weights).ravel()
     return Grid(nodes.reshape(-1, domain.dim), weights,
                 math.hypot(gf.mesh_size, gs.mesh_size), domain,
-                resolution=resolution, grading=grading, grade_spans=gf.grade_spans)
+                resolution=resolution, grading=grading, grade_spans=gf.grade_spans,
+                ring=gf.ring)
 
 
 def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None) -> Grid:

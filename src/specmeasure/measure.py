@@ -15,9 +15,10 @@ with Kt v = K W (v / (a0 - a)): for a radius of Kt below one, I - Kt is
 the identity minus a compact operator, so the Krylov iteration converges in
 a few matvecs however fine the grid, and it logs one ``fredholm:`` line
 with the matvecs and the residual.  K W is the grid's one kernel operator
-(``spectral.KernelWeights``): a pivoted-Cholesky factor for the constant
-and Gaussian kernels, so the solve holds no N x N array, and a dense array
-otherwise.
+(``spectral.KernelWeights``): exact ring blocks for a Gaussian on a ball
+or cylinder grid with a coefficient constant on its rings, a
+pivoted-Cholesky factor for the constant kernel and for the Gaussian
+elsewhere, so the solve holds no N x N array, and a dense array otherwise.
 
 A solution is its data: atoms, grid and density values.  Off the grid the
 eigen-equation itself fixes the density, f(x) = integral K(x, y) dmu(y) /

@@ -84,6 +84,10 @@ class Kernel:
     constructor argument: only ``constant_kernel`` and ``gaussian_kernel``
     make it (Bochner), and ``dataclasses.replace`` drops it.  Validation
     checks the claims on grid node pairs.
+    ``isotropic`` claims more: K(x, y) depends on |x - y| alone, so K W is
+    block-circulant over a grid's rings and is applied exactly through a
+    real DFT along them.  Only ``gaussian_kernel`` makes it, in the same
+    way; the operator's build checks it.
 
     ``structured_apply``, when set, computes K(rows, cols) @ x from the
     kernel's structure, without forming the len(rows) x len(cols) block;
@@ -99,6 +103,7 @@ class Kernel:
     params: dict = field(default_factory=dict)
     positivity_witness: tuple[float, float] | None = None
     positive_definite: bool = field(default=False, init=False)
+    isotropic: bool = field(default=False, init=False)
     structured_apply: Callable[[np.ndarray, np.ndarray, np.ndarray],
                                np.ndarray] | None = field(default=None, init=False)
 
@@ -171,9 +176,11 @@ def gaussian_kernel(amplitude: float, width: float) -> Kernel:
         return out
 
     c0 = amplitude * math.exp(-0.5) * (1.0 - 1e-12)
-    return _positive_definite(Kernel("gaussian", ev,
-                                     {"amplitude": amplitude, "width": width},
-                                     positivity_witness=(c0, width)))
+    kernel = _positive_definite(Kernel("gaussian", ev,
+                                       {"amplitude": amplitude, "width": width},
+                                       positivity_witness=(c0, width)))
+    object.__setattr__(kernel, "isotropic", True)
+    return kernel
 
 
 def custom_kernel(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

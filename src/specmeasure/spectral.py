@@ -16,7 +16,12 @@ below one, only a measure with an atom on the argmax set of a solves the
 problem.  K W is the only grid x grid kernel operator: Kt is applied as
 K W (u / (a0 - a)), and A as K W u + a u.
 
-A kernel that is a positive-definite function of x - y (the constant and
+On a grid built from rings (a ball's, or a cylinder's; ``Grid.ring``
+nodes each) a kernel of |x - y| alone (the Gaussian) makes K W
+block-circulant over the rings, and when the coefficient is constant on
+every ring K W is applied exactly as the real m x m blocks of its DFT
+along the rings, m the number of rings (``_ring_operator``).  Otherwise a
+kernel that is a positive-definite function of x - y (the constant and
 Gaussian families) gives a positive semidefinite K, so K W is applied as
 L (L^T (w u)) with L a pivoted-Cholesky factor of rank r (Harbrecht,
 Peters and Schneider 2012): one for the constant kernel, a few hundred for
@@ -67,6 +72,7 @@ import numpy as np
 from .errors import (
     ClassificationUnstableError,
     ConfigurationError,
+    H2Violation,
     InconsistencyError,
     IterationLimitError,
     SingularNodeError,
@@ -143,6 +149,15 @@ _FACTOR_CANDIDATES = 32
 # raised the peak RSS by 0.9 MB over the one-row build, 32-row ones by
 # 0.3-0.45 MB, at the same speed
 _FACTOR_GEMM_ROWS = 32
+# round-off on a grid of rings, relative to the largest value: above it the
+# ring blocks' imaginary part or asymmetry refuses the isotropy claim, and
+# up to it the coefficient counts as constant on a ring.  Each was at most
+# 5e-16 on the bench ball, a cylinder and an off-center disk, and 4e-14 on
+# balls centered at (100, 100) and (100, 100, 100)
+_RING_RTOL = 1e-12
+# kernel values per slab of a ring build's first-node rows, with the slab's
+# rfft beside them: small enough to stay in cache
+_RING_SLAB_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -228,12 +243,21 @@ def _kernel_weights(problem: Problem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelWeights:
-    """K W on the grid nodes, applied with ``@``: a dense array, or
-    K = L L^T + E with L the rank-r pivoted-Cholesky factor, stored as
-    row blocks of L^T, and E the positive semidefinite remainder.
+    """K W on the grid nodes, applied with ``@``, by one of three backends:
+
+    - ``blocks``, on a grid of rings (``ring`` nodes each, m rings) with an
+      isotropic kernel: the ring // 2 + 1 real m x m blocks C_f diag(w) of
+      K W's real DFT along the rings (see ``_ring_operator``), applied as
+      rfft along each ring, one batched matmul on the real and imaginary
+      parts, and irfft;
+    - ``factor``: K = L L^T + E with L the rank-r pivoted-Cholesky factor,
+      stored as row blocks of L^T, and E the positive semidefinite
+      remainder;
+    - ``dense``: the N x N array.
 
     ``diagonal`` is the exact (K W)_ii.  ``root_remainder`` holds
-    sqrt(E_ii), or is None when the operator is exact.
+    sqrt(E_ii), or is None when the operator is exact, as the ring blocks
+    and the dense array are.
     """
 
     weights: np.ndarray
@@ -242,10 +266,19 @@ class KernelWeights:
     factor: tuple[np.ndarray, ...] = ()
     root_remainder: np.ndarray | None = None
     panels: int = 0              # pivot panels the factor was built in
+    blocks: np.ndarray | None = None     # (ring // 2 + 1, m, m)
+    ring: int = 0                # nodes per ring of the blocks
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self.dense is not None:
             return self.dense @ v
+        if self.blocks is not None:
+            freqs, m, _ = self.blocks.shape
+            spec = np.fft.rfft(v.reshape(m, self.ring))          # (m, freqs)
+            # (re, im) pairs as the two columns of each frequency's product
+            pairs = np.ascontiguousarray(spec.T).view(float).reshape(freqs, m, 2)
+            out = np.matmul(self.blocks, pairs).view(complex)[..., 0]
+            return np.fft.irfft(out.T, self.ring).ravel()
         x = self.weights * v
         out = self.factor[0].T @ (self.factor[0] @ x)
         for rows in self.factor[1:]:
@@ -267,6 +300,8 @@ class KernelWeights:
     def describe(self) -> str:
         if self.dense is not None:
             return "dense"
+        if self.blocks is not None:
+            return f"ring rings={self.blocks.shape[1]} of {self.ring}"
         bound = float(np.max(self.slack(np.ones(self.weights.size)), initial=0.0))
         return f"factor rank={self.rank} remainder={bound:.3g} panels={self.panels}"
 
@@ -274,17 +309,98 @@ class KernelWeights:
 def _kernel_operator(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights:
     """K W on the problem grid, the one grid x grid kernel operator.
 
-    A kernel that claims positive definiteness gets a pivoted-Cholesky
-    factor (Harbrecht-Peters-Schneider 2012) of at most ``_FACTOR_CAP``
-    sqrt(N) rows, stopped at remainder ``rtol`` K(x, x); every other kernel,
-    and one whose factor would need more rows, gets the dense array.
+    An isotropic kernel on a grid of rings gets the exact ring blocks
+    (``_ring_operator``) when the coefficient is constant on every ring
+    (``_ring_invariant``).  Otherwise a kernel that claims positive
+    definiteness gets a pivoted-Cholesky factor (Harbrecht-Peters-Schneider
+    2012) of at most ``_FACTOR_CAP`` sqrt(N) rows, stopped at remainder
+    ``rtol`` K(x, x); every other kernel, and one whose factor would need
+    more rows, gets the dense array.
     """
+    if problem.kernel.isotropic and _ring_invariant(problem):
+        return _ring_operator(problem)
     if problem.kernel.positive_definite:
         op = _factor(problem, rtol)
         if op is not None:
             return op
     entries = _kernel_weights(problem)
     return KernelWeights(problem.grid.weights, np.diagonal(entries), dense=entries)
+
+
+def _ring_invariant(problem: Problem) -> bool:
+    """Whether the grid has rings and the coefficient is constant on each,
+    to ``_RING_RTOL`` times its largest magnitude.
+
+    The ring blocks round each entry of a product to a share of its whole
+    ring, so an entry far below the rest of its ring loses its relative
+    accuracy, and with it the sign a ratio certificate needs.  A Perron
+    vector varies along a ring only as the coefficient does: on a disk with
+    a = x1 + x2 / 2 and a Gaussian of width 0.05 its entries span 18
+    decades along a ring, and the ring blocks gave it negative entries and
+    an infinite lambda1 interval.
+    """
+    n = problem.grid.ring
+    if not n:
+        return False
+    a = problem.a_at_nodes.reshape(-1, n)
+    spread = np.max(a, axis=1) - np.min(a, axis=1)
+    return bool(np.all(spread <= _RING_RTOL * np.max(np.abs(a))))
+
+
+def _ring_operator(problem: Problem) -> KernelWeights:
+    """K W on a grid of rings for an isotropic kernel, exact, as the blocks
+    of its real DFT along the rings (Davis, Circulant Matrices, 1979).
+
+    With n nodes per ring and m rings, node (i, k), the k-th of ring i, is
+    the ring's first node rotated k times by 2 pi / n, so K(x_ik, x_jl) =
+    g_ij(l - k mod n), g_ij the kernel row of ring i's first node on ring j,
+    and K W is block-circulant over the rings.  Every ring's first node
+    lies on one mirror plane of the rings, so each g_ij is even: its DFT
+    C_f[i, j], f = 0 .. n // 2, is real and symmetric in i, j, and the DFT
+    of (K W u) on frequency f is C_f diag(w) times that of u, w the rings'
+    weights.
+
+    The build checks 8 (n // 2 + 1) m^2 bytes against physical memory,
+    evaluates the m first nodes' rows against every node, in slabs of at
+    most ``_RING_SLAB_BYTES`` (one row at least), and takes each row's rfft
+    along its rings; the diagonal is read off the same rows.  It checks the
+    claim at no further kernel call: the imaginary parts it drops and the
+    asymmetry of every C_f must stay below ``_RING_RTOL`` times the largest
+    entry of C_0, which for a nonnegative kernel bounds every |C_f[i, j]|,
+    or it raises ``H2Violation``.
+    """
+    grid, kernel = problem.grid, problem.kernel
+    n, size = grid.ring, grid.size
+    m, freqs = size // n, n // 2 + 1
+    _check_memory(8 * freqs * m * m,
+                  f"{freqs} ring blocks of {m} x {m} on {size} grid nodes")
+    blocks = np.empty((freqs, m, m))
+    leads, cols = grid.nodes[::n], np.asfortranarray(grid.nodes)
+    height = max(1, _RING_SLAB_BYTES // (8 * size))
+    diagonal = np.empty(m)          # K(x, x) at each ring's first node
+    imag = 0.0
+    for start in range(0, m, height):
+        s = slice(start, min(start + height, m))
+        rows = np.asarray(kernel.evaluate(leads[s], cols), dtype=float)
+        diagonal[s] = rows[np.arange(rows.shape[0]), np.arange(s.start, s.stop) * n]
+        spec = np.fft.rfft(rows.reshape(-1, m, n))
+        imag = max(imag, float(np.max(spec.imag)), -float(np.min(spec.imag)))
+        blocks[:, s] = spec.real.transpose(2, 0, 1)
+        del rows, spec             # before the next slab is evaluated
+    scale = float(np.max(blocks[0]))
+    asym = 0.0
+    diff = np.empty((m, m))
+    for block in blocks:
+        # antisymmetric, so its largest entry is its largest magnitude
+        asym = max(asym, float(np.max(np.subtract(block, block.T, out=diff))))
+    if max(imag, asym) > _RING_RTOL * scale:
+        raise H2Violation(
+            "kernel is marked isotropic but its rows on the grid's rings are "
+            f"not even and symmetric (imaginary part {imag / scale:.3g}, "
+            f"asymmetry {asym / scale:.3g} of the largest block entry)")
+    blocks *= grid.weights[::n]
+    return KernelWeights(grid.weights, np.repeat(diagonal, n) * grid.weights,
+                         blocks=blocks, ring=n)
 
 
 def _factor(problem: Problem, rtol: float = _FACTOR_RTOL) -> KernelWeights | None:

@@ -1,5 +1,6 @@
 """Command line behavior: schemas, exit codes, determinism."""
 
+import copy
 import dataclasses
 import json
 import logging
@@ -1090,6 +1091,38 @@ def test_option_a_command_ignores_exits_one(capsys, monkeypatch, tmp_path,
          config_file(tmp_path, {"options": defaults})]))
 
 
+def gaussian_cylinder():
+    """The cylinder example's config, its kernel a Gaussian, at res 6/8."""
+    cfg = copy.deepcopy(cli._EXAMPLES["cylinder"])
+    cfg["problem"]["kernel"] = {"family": "gaussian", "amplitude": 0.4, "width": 1.0}
+    cfg["grid"].update(resolution=6, grading_depth=8)
+    return cfg
+
+
+def test_classify_gaussian_cylinder_takes_ring_blocks(capsys, tmp_path, caplog):
+    # a cylinder's grid is its disk's rings tiled along the axis, so the
+    # Gaussian's K W is the ring blocks on both grids, and lambda1 is the
+    # dense twin's top eigenvalue to round-off
+    path = config_file(tmp_path, gaussian_cylinder())
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        code, out, _ = run(capsys, "classify", "--config", path)
+    assert code == 0
+    report = json.loads(out)
+    assert report["regime"] == "continuous_eigenfunction"
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    rings = re.search(r"; kernel ring rings=(\d+) of (\d+); "
+                      r"kernel-coarse ring rings=(\d+) of (\d+)$", line).groups()
+    m, n, m_c, n_c = map(int, rings)
+    assert [m * n, m_c * n_c] == [row["n"] for row in reversed(report["diagnostics"])]
+    prob = built("classify", "--config", path)
+    assert prob.grid.ring == n
+    s = np.sqrt(prob.grid.weights / (report["sup_a"] - prob.a_at_nodes))
+    nodes = prob.grid.nodes
+    dense = np.linalg.eigh(s[:, None] * prob.kernel.evaluate(nodes, nodes) * s[None, :])
+    assert report["lambda1_ktilde"] == pytest.approx(dense[0][-1], rel=1e-13)
+
+
 def test_cli_paths_import_no_scipy_or_argparse(tmp_path):
     # scipy is loaded only to refine the argmax of a custom coefficient, and
     # the flags are parsed without argparse, whose messages load gettext and
@@ -1135,6 +1168,34 @@ def test_cli_paths_import_no_scipy_or_argparse(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], [0, []], [0, []], [0, []], [0, []], [1, []]]
+
+
+def test_numpy_fft_is_loaded_on_the_ring_path_only(tmp_path):
+    # numpy loads numpy.fft on first use, and the ring blocks are its one
+    # user: the import and a constant-kernel solve leave it unloaded, and a
+    # Gaussian on a ball grid loads it
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "bench"
+                      / "gaussian_ball.json").read_text())
+    cfg["problem"]["kernel"]["amplitude"] = 0.15
+    cfg["grid"].update(resolution=4, grading_depth=6)
+    commands = [["solve", "--example", "ball", "--resolution", "4", "--depth", "5"],
+                ["classify", "--config", config_file(tmp_path, cfg)]]
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import specmeasure.cli as cli
+        loaded = ["numpy.fft" in sys.modules]
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            loaded.append([code, "numpy.fft" in sys.modules])
+        print(json.dumps(loaded))
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, [0, False], [0, True]]
 
 
 def ball_rho(lambda1: float, depth: int) -> float:

@@ -307,6 +307,39 @@ def test_cylinder_is_the_graded_disk_times_the_interval(radius, height, resoluti
     assert abs(grid.mesh_size - mesh) <= 2 * math.ulp(mesh)
 
 
+@settings(max_examples=40, deadline=None)
+@given(domain=random_domains(), resolution=st.integers(2, 8), graded=st.booleans())
+def test_ring_grids_rotate_each_ring_first_node(domain, resolution, graded):
+    # a ball's grid, and a product's whose first factor is a ball, is built
+    # from rings: runs of Grid.ring nodes of one weight, node k the ring's
+    # first node rotated by 2 pi k / ring about the center in the plane of
+    # the first two coordinates, every first node at the azimuth pi / ring.
+    # A box's grid has none
+    first = domain.first if isinstance(domain, Product) else domain
+    spec = None
+    if graded and isinstance(domain, Ball):
+        spec = GradeSpec((domain.center,), depth=3)
+    grid = build_grid(domain, resolution, spec)
+    if not isinstance(first, Ball):
+        assert grid.ring == 0
+        return
+    n = grid.ring
+    assert n == max(6, 2 * resolution) and grid.size % n == 0
+    weights = grid.weights.reshape(-1, n)
+    assert np.all(weights == weights[:, :1])
+    rings = grid.nodes.reshape(-1, n, domain.dim)
+    np.testing.assert_array_equal(rings[:, :, 2:], np.broadcast_to(rings[:, :1, 2:],
+                                                                   rings[:, :, 2:].shape))
+    off = rings[:, :, :2] - np.asarray(first.center[:2])
+    x0, y0 = off[:, :1, 0], off[:, :1, 1]
+    turn = 2 * math.pi * np.arange(n) / n
+    rotated = np.stack([np.cos(turn) * x0 - np.sin(turn) * y0,
+                        np.sin(turn) * x0 + np.cos(turn) * y0], axis=2)
+    tol = 1e-13 * (first.radius + max(abs(c) for c in first.center))
+    assert np.max(np.abs(off - rotated)) <= tol
+    np.testing.assert_allclose(np.arctan2(y0, x0), math.pi / n, rtol=1e-12)
+
+
 def test_ball_grades_toward_its_center_to_an_absolute_tolerance():
     # the tolerance once grew with the center's coordinates: a target 9e-4
     # off the center (100, 0, 0) graded the unit ball toward its center

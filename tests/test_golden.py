@@ -5,6 +5,7 @@ README's "Worked examples".  A change that moves any byte of it must say
 why (a documented correctness fix) and replace the file.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -49,17 +50,24 @@ def test_worked_example_stdout_is_unchanged(capsys, name):
 
 
 def test_stdout_is_the_same_with_one_and_two_blas_threads(tmp_path):
-    # the classify goldens and a test-size bench Gaussian (continuous, a
-    # factored kernel) rerun in fresh interpreters print the same bytes
-    # whatever the number of BLAS threads
+    # the classify goldens, a test-size bench Gaussian and a Gaussian on the
+    # cylinder (continuous, both on the ring blocks: an FFT and a batched
+    # matmul) rerun in fresh interpreters print the same bytes whatever the
+    # number of BLAS threads
     cfg = json.loads((GOLDEN.parents[1] / "bench" / "gaussian_ball.json").read_text())
     cfg["problem"]["kernel"]["amplitude"] = 0.15
     cfg["grid"].update(resolution=6, grading_depth=8)
     config = tmp_path / "gaussian.json"
     config.write_text(json.dumps(cfg))
+    cylinder = tmp_path / "gaussian-cylinder.json"
+    cyl = copy.deepcopy(cli._EXAMPLES["cylinder"])
+    cyl["problem"]["kernel"] = {"family": "gaussian", "amplitude": 0.4, "width": 1.0}
+    cyl["grid"].update(resolution=6, grading_depth=8)
+    cylinder.write_text(json.dumps(cyl))
     goldens = [name for name in EXAMPLES if name.startswith("classify_")]
     commands = [EXAMPLES[name].split() for name in goldens]
     commands.append(["classify", "--config", str(config)])
+    commands.append(["classify", "--config", str(cylinder)])
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import specmeasure.cli as cli
@@ -80,6 +88,6 @@ def test_stdout_is_the_same_with_one_and_two_blas_threads(tmp_path):
         assert done.returncode == 0, done.stderr
         runs.append(json.loads(done.stdout))
     assert runs[0] == runs[1]
-    assert '"regime": "continuous_eigenfunction"' in runs[0][-1]
+    assert all('"regime": "continuous_eigenfunction"' in out for out in runs[0][-2:])
     for name, out in zip(goldens, runs[0]):
         assert out.encode() == (GOLDEN / name).read_bytes()

@@ -277,6 +277,20 @@ def test_positive_definite_claim_is_not_a_constructor_argument():
 
 
 
+def test_isotropic_claim_is_set_only_by_gaussian_kernel():
+    # the ring blocks take K(x, y) to depend on |x - y| alone, so only the
+    # Gaussian family claims it: no constructor argument, dropped with a
+    # replaced field, and kept apart from the positive-definite claim
+    g = gaussian_kernel(1.0, 0.5)
+    assert g.isotropic
+    assert not constant_kernel(0.1).isotropic
+    assert not custom_kernel(g.evaluate, name="gaussian", params=g.params).isotropic
+    assert not dataclasses.replace(g).isotropic
+    assert not model._positive_definite(dataclasses.replace(g)).isotropic
+    with pytest.raises(TypeError):
+        model.Kernel("gaussian", g.evaluate, isotropic=True)
+
+
 def test_structured_apply_is_set_only_by_constant_kernel():
     # the structured apply stands for evaluate, so nothing else may carry it:
     # no constructor argument, dropped with a replaced field, and a custom

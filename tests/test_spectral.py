@@ -19,6 +19,7 @@ from specmeasure import (
     ConfigurationError,
     Cylinder,
     GradeSpec,
+    H2Violation,
     InconsistencyError,
     Interval,
     IterationLimitError,
@@ -47,6 +48,13 @@ from specmeasure import (
 
 CENTER3 = (0.0, 0.0, 0.0)
 AXIS = Segment(start=(0.0, 0.0, 0.0), end=(0.0, 0.0, 1.0))
+
+
+def factor_only(kernel):
+    # replace drops both claims of the built-in family; given back the
+    # positive-definite one alone, K W takes the pivoted-Cholesky factor even
+    # on a grid of rings
+    return model._positive_definite(dataclasses.replace(kernel))
 
 
 def ball_problem(rho, resolution=6, depth=6):
@@ -346,8 +354,9 @@ def eigen_residual(entries, v):
 
 @pytest.mark.parametrize("kernel, cap", [
     (constant_kernel(0.1), None), (gaussian_kernel(0.15, 1.0), None),
-    (gaussian_kernel(0.15, 1.0), 0),
-], ids=["constant", "gaussian", "gaussian-dense"])
+    (factor_only(gaussian_kernel(0.15, 1.0)), None),
+    (factor_only(gaussian_kernel(0.15, 1.0)), 0),
+], ids=["constant", "gaussian", "gaussian-factor", "gaussian-dense"])
 def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     # lambda_p is the lower end of the lambda_p root's bracket, which
     # overlaps estimate_lambda_p's (the two roots start from different
@@ -355,8 +364,9 @@ def test_classify_continuous_pins_full_operator_run(monkeypatch, kernel, cap):
     # the power tolerance, lambda_p_interval lies inside its ratio interval
     # on the assembled operator up to round-off and twice the factor's
     # slack (the root's last step bracketed with the factor's product), and
-    # lambda_p matches the oracle; a rank cap of 0 sends the Gaussian to its
-    # dense fallback
+    # lambda_p matches the oracle.  The Gaussian takes the exact ring blocks,
+    # with the positive-definite claim alone the factor, and a rank cap of 0
+    # sends that one to its dense fallback
     if cap is not None:
         monkeypatch.setattr(spectral, "_FACTOR_CAP", cap)
     prob = build_problem(
@@ -664,12 +674,19 @@ def test_classify_logs_dense_backend(caplog):
     assert line.endswith("; kernel dense; kernel-coarse dense")
 
 
-def gaussian_ball(resolution, depth, evaluate=None, amplitude=0.15, width=1.0):
+def gaussian_ball(resolution, depth, evaluate=None, amplitude=0.15, width=1.0,
+                  isotropic=True):
+    # a ball grid is built from rings, so K W takes the exact ring blocks;
+    # isotropic=False keeps the positive-definite claim alone, and K W takes
+    # the pivoted-Cholesky factor.  A wrapped evaluate keeps the same claims
     kernel = gaussian_kernel(amplitude, width)
     if evaluate is not None:
-        # replace drops the positive-definite claim of the built-in family
+        # replace drops both claims of the built-in family; both come back
         kernel = model._positive_definite(
             dataclasses.replace(kernel, evaluate=evaluate(kernel.evaluate)))
+        object.__setattr__(kernel, "isotropic", True)
+    if not isotropic:
+        kernel = factor_only(kernel)
     return build_problem(
         Ball(center=CENTER3, radius=1.0), kernel,
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
@@ -694,7 +711,7 @@ def test_continuous_classify_evaluates_fine_grid_once(caplog):
     # Kt and the full operator share one K W per grid: a factor evaluates
     # one row per pivot, and validation samples 96
     rows, counting = row_counter()
-    prob = gaussian_ball(10, 12, counting)
+    prob = gaussian_ball(10, 12, counting, isotropic=False)
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob, confirm=True)
     assert rep.regime == "continuous"
@@ -708,6 +725,26 @@ def test_continuous_classify_evaluates_fine_grid_once(caplog):
     assert all(r <= spectral._FACTOR_CAP * math.sqrt(n) for r, n in zip(ranks, sizes))
     for rank, n in zip(ranks, sizes):
         assert rows[n] <= rank + 96
+
+
+def test_continuous_classify_evaluates_ring_grid_once(caplog):
+    # on a grid of rings each K W evaluates one row per ring, that of its
+    # first node, and validation samples 96
+    rows, counting = row_counter()
+    prob = gaussian_ball(10, 12, counting)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, confirm=True)
+    assert rep.regime == "continuous"
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert_lambda1_width(line, rep)
+    rings = [(int(m), int(n)) for m, n in
+             re.findall(r"kernel(?:-coarse)? ring rings=(\d+) of (\d+)", line)]
+    sizes = (prob.grid.size, rep.coarse_size)
+    assert [m * n for m, n in rings] == list(sizes)
+    assert rings[0] == (180, 20)
+    for (m, _), n in zip(rings, sizes):
+        assert rows[n] <= m + 96
 
 
 def test_dense_classify_evaluates_fine_grid_once(caplog):
@@ -737,8 +774,7 @@ def test_continuous_classify_holds_one_kernel_array():
     finally:
         tracemalloc.stop()
     assert rep.regime == "continuous"
-    # the Gaussian factor has about 340 rows, stored in a 64-row block and
-    # then blocks just below 4 MiB (145 rows here)
+    # the Gaussian's ring blocks are 11 of 180 x 180 here, 0.028 of K W
     assert peak <= 0.2 * 8 * n * n
 
 
@@ -746,7 +782,7 @@ def test_coarse_factor_only_as_accurate_as_its_regime_check(caplog):
     # the coarse grid only confirms the regime at tol_classify, so its factor
     # stops at a larger remainder than the fine one; the log line gives the
     # coarse lambda1 interval, which stays well inside the decision tolerance
-    prob = gaussian_ball(10, 12)
+    prob = gaussian_ball(10, 12, isotropic=False)
     tol = spectral._TOL_CLASSIFY
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         rep = classify_regime(prob, tol_classify=tol, confirm=True)
@@ -770,11 +806,30 @@ def test_coarse_factor_keeps_one_row_at_a_huge_tolerance(caplog):
     # tol_classify = 1e5 puts the coarse factor's stopping remainder above
     # K(x, x) itself; the factor still takes its first row
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
-        rep = classify_regime(gaussian_ball(4, 5), tol_classify=1e5)
+        rep = classify_regime(gaussian_ball(4, 5, isotropic=False), tol_classify=1e5)
     assert rep.regime == "l1"
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
     assert "kernel-coarse factor rank=1 " in line
+
+
+@pytest.mark.parametrize("tol", [spectral._TOL_CLASSIFY, 1e5])
+def test_coarse_ring_blocks_take_no_tolerance(caplog, tol):
+    # the ring blocks are exact, so the coarse grid's are the ones a solve
+    # there would build, whatever tol_classify, and its lambda1 interval is
+    # as narrow as the fine grid's
+    prob = gaussian_ball(10, 12)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, tol_classify=tol, confirm=True)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert "; kernel ring rings=180 of 20; kernel-coarse ring rings=" in line
+    width = float(re.search(r"ktilde-coarse [^;]* width (\S+);", line).group(1))
+    assert width <= 1e-13 * rep.coarse_lambda1
+    coarse = model._refined(prob, -1)
+    exact = spectral._ktilde_pair(spectral._kernel_operator(coarse),
+                                  spectral._gap(coarse, rep.sup_a))[0]
+    assert rep.coarse_lambda1 == exact.value
 
 
 def test_factor_passes_the_nodes_once_in_fortran_order():
@@ -837,8 +892,8 @@ ROUND = 64 * np.finfo(float).eps
     (lambda: ball_problem(0.1, resolution=5, depth=5), "continuous", None),
     (lambda: ball_problem(0.05, resolution=5, depth=5), "singular", CENTER3),
     (lambda: cylinder_problem(0.1, resolution=4, depth=5), "singular", (0.0, 0.0, 0.5)),
-    (lambda: gaussian_ball(5, 5, amplitude=0.05), "singular", CENTER3),
-    (lambda: gaussian_ball(4, 5), "continuous", None),
+    (lambda: gaussian_ball(5, 5, amplitude=0.05, isotropic=False), "singular", CENTER3),
+    (lambda: gaussian_ball(4, 5, isotropic=False), "continuous", None),
 ], ids=["ball-constant-continuous", "ball-constant-singular", "cylinder-constant",
         "gaussian-0.05", "gaussian-0.15"])
 def test_factor_matches_dense_oracle(make, regime, atom):
@@ -878,7 +933,7 @@ def test_factor_matches_dense_oracle(make, regime, atom):
 @given(amplitude=st.floats(0.02, 0.3), width=st.floats(0.5, 2.0))
 def test_factored_lambda_p_contains_dense_eigh(amplitude, width):
     prob = build_problem(
-        Ball(center=CENTER3, radius=1.0), gaussian_kernel(amplitude, width),
+        Ball(center=CENTER3, radius=1.0), factor_only(gaussian_kernel(amplitude, width)),
         radial_power(top=1.0, scale=1.0, power=2.0, center=CENTER3),
         resolution=4, grading=GradeSpec(targets=(CENTER3,), depth=5),
     )
@@ -1046,7 +1101,7 @@ def test_lambda_p_root_step_outside_bracket_bisects(monkeypatch, make, proposal)
 
 def test_factor_blocks_of_unequal_height_match_dense_oracle(monkeypatch):
     # later blocks of 70 rows: the rank-144 factor spans 64 + 70 + 10 rows
-    prob = gaussian_ball(5, 6)
+    prob = gaussian_ball(5, 6, isotropic=False)
     n = prob.grid.size
     monkeypatch.setattr(spectral, "_FACTOR_BLOCK_BYTES", 8 * 70 * n + 1)
     kw = spectral._kernel_operator(prob)
@@ -1072,7 +1127,7 @@ def test_factor_storage_checked_as_it_grows(monkeypatch):
     # the budget is lowered to one 64-row block, so nothing large is built;
     # the problems are built first, since a grid's own check asks more per
     # node than one such block
-    prob = gaussian_ball(5, 6)
+    prob = gaussian_ball(5, 6, isotropic=False)
     constant = ball_problem(0.1, resolution=5, depth=6)
     n = prob.grid.size
     assert spectral._kernel_operator(prob).rank > spectral._FACTOR_BLOCK
@@ -1080,6 +1135,22 @@ def test_factor_storage_checked_as_it_grows(monkeypatch):
     assert spectral._kernel_operator(constant).rank == 1
     with pytest.raises(TooLargeError, match="kernel factor"):
         spectral._kernel_operator(prob)
+
+
+def test_ring_blocks_checked_before_they_allocate(monkeypatch):
+    # the ring blocks take 8 (ring // 2 + 1) m^2 bytes, m rings, checked
+    # before any kernel row is evaluated
+    rows, counting = row_counter()
+    prob = gaussian_ball(5, 6, counting)
+    n, ring = prob.grid.size, prob.grid.ring
+    need = 8 * (ring // 2 + 1) * (n // ring) ** 2
+    before = rows[n]
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: need - 1)
+    with pytest.raises(TooLargeError, match="ring blocks"):
+        spectral._kernel_operator(prob)
+    assert rows[n] == before
+    monkeypatch.setattr(geometry, "_memory_budget", lambda: need)
+    assert spectral._kernel_operator(prob).blocks.nbytes == need
 
 
 def test_hopeless_factor_given_up_at_half_the_cap():
@@ -1094,7 +1165,7 @@ def test_hopeless_factor_given_up_at_half_the_cap():
     assert spectral._factor(prob) is None
     assert rows[n] - before == cap // 2
     # at width 1 the remainder keeps pace and the factor finishes
-    assert cap // 2 < spectral._kernel_operator(gaussian_ball(4, 5)).rank <= cap
+    assert cap // 2 < spectral._kernel_operator(gaussian_ball(4, 5, isotropic=False)).rank <= cap
 
 
 def greedy_reference(prob, rtol=spectral._FACTOR_RTOL):
@@ -1210,10 +1281,132 @@ def test_dense_kernel_weights_hold_one_slab():
     assert np.array_equal(entries, prob.kernel.evaluate(nodes, nodes) * prob.grid.weights)
 
 
+# -- the ring blocks against the dense oracle -------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ring_blocks_match_dense_kernel_weights(data):
+    # disks and balls off the origin, and cylinders, graded or not: the ring
+    # blocks apply K W as the dense array does, to round-off of |K W| |v|,
+    # with the same diagonal bit for bit.  classify runs on them where it
+    # runs on the dense twin (a narrow kernel on a coarse mesh can exhaust
+    # the power loop on both), and lambda1's certified interval holds the
+    # dense eigenvalue, at round-off width where the mesh resolves the
+    # kernel's positivity radius; on coarser meshes the certificate's lower
+    # end is loose on every backend
+    kind = data.draw(st.sampled_from(["disk", "ball", "cylinder"]))
+    resolution = data.draw(st.integers(2, 8))
+    depth = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+    kernel = gaussian_kernel(data.draw(st.floats(0.05, 2.0)),
+                             data.draw(st.floats(0.05, 2.0)))
+    radius = data.draw(st.floats(0.5, 2.0))
+    if kind == "cylinder":
+        domain = Cylinder(radius=radius, height=data.draw(st.floats(0.5, 2.0)))
+        center, target = (0.0, 0.0, 0.0), AXIS
+        coeff = radial_power(1.0, 1.0, 1.0, center, axes=(0, 1))
+    else:
+        dim = 2 if kind == "disk" else 3
+        center = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim,
+                                          max_size=dim)))
+        domain, target = Ball(center=center, radius=radius), center
+        coeff = radial_power(1.0, 1.0, 2.0, center)
+    grading = None if depth is None else GradeSpec(targets=(target,), depth=depth)
+    prob = build_problem(domain, kernel, coeff, resolution, grading)
+    kw = spectral._kernel_operator(prob)
+    assert kw.describe().startswith("ring ")
+    dense = spectral._kernel_weights(prob)
+    assert np.array_equal(kw.diagonal, np.diagonal(dense))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = prob.grid.size
+    for v in (np.ones(n), rng.uniform(0.1, 1.0, n), rng.standard_normal(n)):
+        scale = float(np.max(dense @ np.abs(v)))
+        assert np.max(np.abs(kw @ v - dense @ v)) <= 1e-13 * scale
+    try:
+        classify_regime(dense_twin(prob), confirm=False)
+    except IterationLimitError:
+        with pytest.raises(IterationLimitError):
+            classify_regime(prob, confirm=False)
+        return
+    rep = classify_regime(prob, confirm=False)
+    lam1 = dense_lambda1(prob, rep.sup_a)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    if prob.grid.mesh_size < prob.kernel.positivity_witness[1]:
+        assert hi - lo <= 1e-13 * lam1
+
+
+def test_ring_blocks_only_for_a_coefficient_constant_on_rings():
+    # a = x1 + x2 / 2 varies along every ring of the disk, and with a narrow
+    # Gaussian the Perron vector spans 18 decades along one.  The ring blocks
+    # round each entry to a share of its whole ring, which left the small
+    # entries negative and the certificate infinite, so K W takes the factor
+    # here; a radial coefficient on the same grid takes the ring blocks
+    prob = build_problem(Ball(center=(0.0, 0.0), radius=1.0), gaussian_kernel(5.0, 0.05),
+                         coordinate_linear((1.0, 0.5)), resolution=12)
+    assert not spectral._ring_invariant(prob)
+    assert spectral._kernel_operator(prob).blocks is None
+    rep = classify_regime(prob, confirm=False)
+    assert np.all(rep.eigen_density > 0)
+    lam1 = dense_lambda1(prob, rep.sup_a)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    radial = Problem(prob.domain, prob.kernel, radial_power(1.0, 1.0, 2.0, (0.0, 0.0)),
+                     prob.grid)
+    assert spectral._kernel_operator(radial).describe() == "ring rings=12 of 24"
+
+
+def anisotropic_gaussian(scales):
+    # a Gaussian in the metric diag(scales)^-2, given the isotropy claim
+    scales = np.asarray(scales, dtype=float)
+
+    def ev(x, y):
+        d = (x[:, None, :] - y[None, :, :]) / scales
+        return 0.15 * np.exp(-0.5 * np.sum(d * d, axis=2))
+
+    kernel = model._positive_definite(custom_kernel(ev))
+    object.__setattr__(kernel, "isotropic", True)
+    return kernel
+
+
+def test_ring_blocks_refuse_an_anisotropic_kernel():
+    # the rows the build evaluates anyway show the claim false: their DFT
+    # along the rings is neither real nor symmetric
+    base = gaussian_ball(4, 5)
+    prob = Problem(base.domain, anisotropic_gaussian((1.0, 0.5, 1.0)), base.coeff,
+                   base.grid)
+    with pytest.raises(H2Violation, match="^kernel is marked isotropic but "):
+        spectral._kernel_operator(prob)
+    with pytest.raises(H2Violation, match="^kernel is marked isotropic but "):
+        classify_regime(prob, confirm=False)
+    # equal scales make it the isotropic Gaussian it claims to be
+    same = Problem(base.domain, anisotropic_gaussian((1.0, 1.0, 1.0)), base.coeff,
+                   base.grid)
+    assert spectral._kernel_operator(same).describe() == "ring rings=28 of 8"
+
+
+def test_ring_blocks_refuse_nodes_shuffled_within_a_ring():
+    # a hand-built grid that claims rings whose nodes are not in rotation
+    # order: the Gaussian is isotropic, but K W is not block-circulant
+    base = gaussian_ball(4, 5)
+    grid = base.grid
+    n = grid.ring
+    rng = np.random.default_rng(3)
+    order = np.concatenate([start + rng.permutation(n) for start in range(0, grid.size, n)])
+    shuffled = geometry.Grid(grid.nodes[order], grid.weights[order], grid.mesh_size,
+                             grid.domain, grid.resolution, grid.grading,
+                             grid.grade_spans, ring=n)
+    prob = Problem(base.domain, base.kernel, base.coeff, shuffled)
+    with pytest.raises(H2Violation, match="^kernel is marked isotropic but "):
+        spectral._kernel_operator(prob)
+    # without the isotropy claim the same grid takes the factor
+    plain = Problem(base.domain, factor_only(base.kernel), base.coeff, shuffled)
+    assert spectral._kernel_operator(plain).rank > 0
+
+
 def test_dense_fallback_checked_before_it_allocates(monkeypatch):
     # past the rank cap the Gaussian falls back to dense K W; only then are
     # 8 N^2 bytes needed, so the problem itself still builds
-    prob = gaussian_ball(4, 5, width=0.3)
+    prob = gaussian_ball(4, 5, width=0.3, isotropic=False)
     n = prob.grid.size
     assert spectral._factor(prob) is None
     monkeypatch.setattr(geometry, "_memory_budget", lambda: 8 * n * n - 1)
