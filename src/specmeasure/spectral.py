@@ -20,7 +20,10 @@ On a grid built from rings (a ball's, or a cylinder's; ``Grid.ring``
 nodes each) a kernel of |x - y| alone (the Gaussian) makes K W
 block-circulant over the rings, and when the coefficient is constant on
 every ring K W is applied exactly as the real m x m blocks of its DFT
-along the rings, m the number of rings (``_ring_operator``).  Otherwise a
+along the rings, m the number of rings (``_ring_operator``); the DFT is
+two small matrix products with cosine and sine tables.  The Perron vector
+of such a problem is constant on every ring, where Kt acts as its
+zero-frequency block alone, so Arnoldi runs on that m x m block.  Otherwise a
 kernel that is a positive-definite function of x - y (the constant and
 Gaussian families) gives a positive semidefinite K, so K W is applied as
 L (L^T (w u)) with L a pivoted-Cholesky factor of rank r (Harbrecht,
@@ -43,7 +46,9 @@ Every top eigenpair comes from one route, whatever the kernel: restarted
 Arnoldi (plain numpy: Gram-Schmidt twice, a fixed start, restarts from the
 Ritz pair of largest real part until its residual reaches round-off) on the
 similarity sqrt(b) K sqrt(b), b = w / (a0 - a), of Kt, which is symmetric
-for a symmetric kernel; then one loop certifies it on Kt itself: power
+for a symmetric kernel, scaled by the least power of two above
+max diag(Kt) so that no step overflows; then one loop certifies it on the
+whole of Kt itself, whatever block Arnoldi ran on: power
 iteration from that vector if it is strictly positive, else from ones, until
 an iterate v meets the residual tolerance.  v's ratio interval
 [min_i (Kt v)_i / v_i, max_i (Kt v)_i / v_i] brackets the spectral radius of
@@ -63,6 +68,7 @@ err leaves around even an exact eigenvector phi.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -156,7 +162,7 @@ _FACTOR_GEMM_ROWS = 32
 # balls centered at (100, 100) and (100, 100, 100)
 _RING_RTOL = 1e-12
 # kernel values per slab of a ring build's first-node rows, with the slab's
-# rfft beside them: small enough to stay in cache
+# sine sums beside them: small enough to stay in cache
 _RING_SLAB_BYTES = 1 << 19
 
 
@@ -171,6 +177,7 @@ class PerronPair:
     # matvecs of an Arnoldi run before the ``iterations`` of power iteration
     arnoldi_matvecs: int = 0
     start: str = "ones"          # the power loop's first vector: "arnoldi" | "ones"
+    block: int = 0               # size of the vectors Arnoldi ran on, if it ran
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,11 @@ class KernelWeights:
     - ``blocks``, on a grid of rings (``ring`` nodes each, m rings) with an
       isotropic kernel: the ring // 2 + 1 real m x m blocks C_f diag(w) of
       K W's real DFT along the rings (see ``_ring_operator``), applied as
-      rfft along each ring, one batched matmul on the real and imaginary
-      parts, and irfft;
+      one matrix product of the m x ring array of values by the cosine
+      and sine tables of ``_ring_dft``, one batched matmul of the blocks on
+      each frequency's cosine and sine sums, and one product by the
+      inverse table; ``blocks[0]`` alone is K W on vectors constant on
+      every ring;
     - ``factor``: K = L L^T + E with L the rank-r pivoted-Cholesky factor,
       stored as row blocks of L^T, and E the positive semidefinite
       remainder;
@@ -274,11 +284,12 @@ class KernelWeights:
             return self.dense @ v
         if self.blocks is not None:
             freqs, m, _ = self.blocks.shape
-            spec = np.fft.rfft(v.reshape(m, self.ring))          # (m, freqs)
-            # (re, im) pairs as the two columns of each frequency's product
-            pairs = np.ascontiguousarray(spec.T).view(float).reshape(freqs, m, 2)
-            out = np.matmul(self.blocks, pairs).view(complex)[..., 0]
-            return np.fft.irfft(out.T, self.ring).ravel()
+            forward, inverse = _ring_dft(self.ring)
+            sums = (v.reshape(m, self.ring) @ forward).reshape(m, freqs, 2)
+            # (cosine, sine) sums as the two columns of each frequency's product
+            out = np.empty_like(sums)
+            np.matmul(self.blocks, sums.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+            return (out.reshape(m, 2 * freqs) @ inverse).ravel()
         x = self.weights * v
         out = self.factor[0].T @ (self.factor[0] @ x)
         for rows in self.factor[1:]:
@@ -347,6 +358,34 @@ def _ring_invariant(problem: Problem) -> bool:
     return bool(np.all(spread <= _RING_RTOL * np.max(np.abs(a))))
 
 
+@functools.cache
+def _ring_dft(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real DFT along a ring of n nodes as two read-only tables.
+
+    ``forward`` (n x 2 (n // 2 + 1)) maps a ring's values u_l to the sums
+    sum_l u_l cos(2 pi f l / n) and sum_l u_l sin(2 pi f l / n), in
+    (cosine, sine) pairs by frequency f = 0 .. n // 2: the real part of
+    rfft and minus its imaginary part.  ``inverse`` (2 (n // 2 + 1) x n)
+    maps such pairs back as irfft does, with weight 1 / n at f = 0 and at
+    n / 2 for even n, and 2 / n between.  Angles are reduced to f l mod n,
+    and the sines at 0 and pi are exact zeros.
+    """
+    freqs = n // 2 + 1
+    turns = np.outer(np.arange(n), np.arange(freqs)) % n
+    angle = (2.0 * np.pi / n) * turns
+    forward = np.stack((np.cos(angle), np.sin(angle)), axis=-1)     # (n, freqs, 2)
+    forward[2 * turns == n, 1] = 0.0
+    share = np.full(freqs, 2.0 / n)
+    share[0] = 1.0 / n
+    if n % 2 == 0:
+        share[-1] = 1.0 / n
+    inverse = np.ascontiguousarray((forward * share[:, None]).transpose(1, 2, 0))
+    tables = forward.reshape(n, 2 * freqs), inverse.reshape(2 * freqs, n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _ring_operator(problem: Problem) -> KernelWeights:
     """K W on a grid of rings for an isotropic kernel, exact, as the blocks
     of its real DFT along the rings (Davis, Circulant Matrices, 1979).
@@ -358,16 +397,19 @@ def _ring_operator(problem: Problem) -> KernelWeights:
     lies on one mirror plane of the rings, so each g_ij is even: its DFT
     C_f[i, j], f = 0 .. n // 2, is real and symmetric in i, j, and the DFT
     of (K W u) on frequency f is C_f diag(w) times that of u, w the rings'
-    weights.
+    weights.  On a u constant on every ring only f = 0 is nonzero, so
+    C_0 diag(w), the first block, is K W there.
 
     The build checks 8 (n // 2 + 1) m^2 bytes against physical memory,
     evaluates the m first nodes' rows against every node, in slabs of at
-    most ``_RING_SLAB_BYTES`` (one row at least), and takes each row's rfft
-    along its rings; the diagonal is read off the same rows.  It checks the
-    claim at no further kernel call: the imaginary parts it drops and the
-    asymmetry of every C_f must stay below ``_RING_RTOL`` times the largest
-    entry of C_0, which for a nonnegative kernel bounds every |C_f[i, j]|,
-    or it raises ``H2Violation``.
+    most ``_RING_SLAB_BYTES`` (one row at least), and multiplies each
+    slab's rings by the cosine table of ``_ring_dft``, straight into the
+    blocks, and by its sine table; the diagonal is read off the same rows.
+    It checks the claim at no further kernel call: the sine sums (the
+    imaginary parts of the DFT) and the asymmetry of every C_f must stay
+    below ``_RING_RTOL`` times the largest entry of C_0, which for a
+    nonnegative kernel bounds every |C_f[i, j]|, or it raises
+    ``H2Violation``.
     """
     grid, kernel = problem.grid, problem.kernel
     n, size = grid.ring, grid.size
@@ -375,6 +417,10 @@ def _ring_operator(problem: Problem) -> KernelWeights:
     _check_memory(8 * freqs * m * m,
                   f"{freqs} ring blocks of {m} x {m} on {size} grid nodes")
     blocks = np.empty((freqs, m, m))
+    flat = blocks.reshape(freqs, m * m)     # row i of every block, side by side
+    tables = _ring_dft(n)[0].reshape(n, freqs, 2)
+    cosines = np.ascontiguousarray(tables[:, :, 0].T)
+    sines = np.ascontiguousarray(tables[:, :, 1])
     leads, cols = grid.nodes[::n], np.asfortranarray(grid.nodes)
     height = max(1, _RING_SLAB_BYTES // (8 * size))
     diagonal = np.empty(m)          # K(x, x) at each ring's first node
@@ -383,10 +429,11 @@ def _ring_operator(problem: Problem) -> KernelWeights:
         s = slice(start, min(start + height, m))
         rows = np.asarray(kernel.evaluate(leads[s], cols), dtype=float)
         diagonal[s] = rows[np.arange(rows.shape[0]), np.arange(s.start, s.stop) * n]
-        spec = np.fft.rfft(rows.reshape(-1, m, n))
-        imag = max(imag, float(np.max(spec.imag)), -float(np.min(spec.imag)))
-        blocks[:, s] = spec.real.transpose(2, 0, 1)
-        del rows, spec             # before the next slab is evaluated
+        rings = rows.reshape(-1, n)         # one kernel row on one ring each
+        np.matmul(cosines, rings.T, out=flat[:, s.start * m:s.stop * m])
+        spec = rings @ sines
+        imag = max(imag, float(np.max(spec)), -float(np.min(spec)))
+        del rows, rings, spec      # before the next slab is evaluated
     scale = float(np.max(blocks[0]))
     asym = 0.0
     diff = np.empty((m, m))
@@ -626,26 +673,40 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray,
 
     Arnoldi runs matrix-free on the similarity sqrt(b) K sqrt(b), b = w / gap,
     from sqrt(b) times ``start`` (ones by default), so reruns are
-    byte-identical.  ``_power`` certifies its vector, in Kt's coordinates,
-    at one matvec, or runs from it if it misses ``_TOL_POWER``; from ones if
-    it is not strictly positive (on narrow kernels, a round-off tail).
+    byte-identical.  It runs on 2^-e times it, 2^e the least power of two
+    above max diag(Kt) (by ``math.frexp``), so its steps neither overflow
+    nor underflow, and a kernel scaled by a power of two gets the same
+    vector.
+
+    On the ring blocks Kt's Perron vector is constant on every ring (it is
+    unique, and a rotation of the rings maps it to a Perron vector), so
+    Arnoldi runs on the m x m zero-frequency block ``kw.blocks[0]``, with
+    the weight and ``gap`` of each ring's first node, and its vector is
+    lifted by repeating each entry along its ring.  ``_power`` certifies
+    that vector on the whole of Kt, in Kt's coordinates, at one matvec, or
+    runs from it if it misses ``_TOL_POWER``; from ones if it is not
+    strictly positive (on narrow kernels, a round-off tail).
     """
-    s = np.sqrt(kw.weights / gap)
+    n = kw.ring or 1                # each ring's first node stands for its ring
+    block = kw if kw.blocks is None else kw.blocks[0]
+    gap_r = gap[::n]
+    s = np.sqrt(kw.weights[::n] / gap_r)
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(kw.diagonal[::n] / gap_r)))[1])
     matvecs = 0
 
     def similar(y: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return s * (kw @ (y / s / gap))
+        return s * (block @ (y / s / gap_r)) * scale
 
-    y = _arnoldi(similar, s if start is None else s * start, _MAX_ITER)
-    v = None if y is None else y / s
+    y = _arnoldi(similar, s if start is None else s * start[::n], _MAX_ITER)
+    v = None if y is None else np.repeat(y / s, n)
     if v is not None:
         v = v / v[np.argmax(np.abs(v))]
     positive = v is not None and bool(np.all(v > 0))
-    pair, product = _power(lambda u: kw @ (u / gap), v if positive else np.ones(s.size),
+    pair, product = _power(lambda u: kw @ (u / gap), v if positive else np.ones(gap.size),
                            _TOL_POWER, slack=lambda u: kw.slack(u / gap))
-    return replace(pair, arnoldi_matvecs=matvecs,
+    return replace(pair, arnoldi_matvecs=matvecs, block=s.size,
                    start="arnoldi" if positive else "ones"), product
 
 
@@ -784,7 +845,9 @@ def _regime(lam1: float, tol_classify: float) -> str:
 
 
 def _fmt_run(name: str, pair: PerronPair) -> str:
-    head = f"{name} n={pair.vector.size} arnoldi matvecs="
+    n = pair.vector.size
+    block = f" block={pair.block}" if pair.block < n else ""
+    head = f"{name} n={n}{block} arnoldi matvecs="
     if pair.start == "arnoldi" and pair.iterations == 1:    # accepted as it came
         return f"{head}{pair.arnoldi_matvecs + 1} residual={pair.residual:.3g}"
     return (f"{head}{pair.arnoldi_matvecs} fallback=power start={pair.start} "

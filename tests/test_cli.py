@@ -74,9 +74,10 @@ def test_classify_report_schema(capsys):
     assert payload["eigenobject"]["kind"] == "function_values"
 
 
-def test_classify_huge_kernel_falls_back_to_power_iteration(capsys, caplog):
-    # at rho = 1e200 an Arnoldi step overflows the 2-norm; the run counts as
-    # failed Arnoldi and power iteration certifies lambda1 = rho I_h instead
+def test_classify_huge_kernel_runs_arnoldi_scaled(capsys, caplog):
+    # at rho = 1e200 an unscaled Arnoldi step would overflow the 2-norm;
+    # Arnoldi runs on Kt scaled by a power of two, so both grids' vectors
+    # are Arnoldi's, certified at once, and lambda1 = rho I_h
     with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
         code, out, err = run(capsys, "classify", "--example", "ball", "--rho", "1e200")
     assert code == 0, err
@@ -86,7 +87,9 @@ def test_classify_huge_kernel_falls_back_to_power_iteration(capsys, caplog):
     assert payload["lambda1_ktilde"] == pytest.approx(expected, rel=1e-12)
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
-    assert re.search(r"perron: ktilde n=\d+ arnoldi matvecs=\d+ fallback=power ", line)
+    assert re.findall(r"(ktilde\S*) n=\d+ arnoldi matvecs=\d+ residual=", line) \
+        == ["ktilde", "ktilde-coarse"]
+    assert "fallback=power" not in line
 
 
 def test_classify_lambda_p_root_budget_exits_2(capsys, monkeypatch):
@@ -1170,16 +1173,19 @@ def test_cli_paths_import_no_scipy_or_argparse(tmp_path):
     assert json.loads(done.stdout) == [[], [0, []], [0, []], [0, []], [0, []], [1, []]]
 
 
-def test_numpy_fft_is_loaded_on_the_ring_path_only(tmp_path):
-    # numpy loads numpy.fft on first use, and the ring blocks are its one
-    # user: the import and a constant-kernel solve leave it unloaded, and a
-    # Gaussian on a ball grid loads it
+def test_no_command_loads_numpy_fft(tmp_path):
+    # numpy loads numpy.fft on first use, and nothing uses it: the ring
+    # blocks take their DFT along the rings by matrix products.  The
+    # import, a constant-kernel solve, a Gaussian on a ball grid (the ring
+    # blocks) and a convergence study on the cylinder leave it unloaded
     cfg = json.loads((Path(__file__).resolve().parents[1] / "bench"
                       / "gaussian_ball.json").read_text())
     cfg["problem"]["kernel"]["amplitude"] = 0.15
     cfg["grid"].update(resolution=4, grading_depth=6)
     commands = [["solve", "--example", "ball", "--resolution", "4", "--depth", "5"],
-                ["classify", "--config", config_file(tmp_path, cfg)]]
+                ["classify", "--config", config_file(tmp_path, cfg)],
+                ["convergence", "--example", "cylinder", "--quantity", "residual",
+                 "--cantor-level", "2"]]
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import specmeasure.cli as cli
@@ -1195,7 +1201,7 @@ def test_numpy_fft_is_loaded_on_the_ring_path_only(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False, [0, False], [0, True]]
+    assert json.loads(done.stdout) == [False, [0, False], [0, False], [0, False]]
 
 
 def ball_rho(lambda1: float, depth: int) -> float:

@@ -51,9 +51,10 @@ def test_worked_example_stdout_is_unchanged(capsys, name):
 
 def test_stdout_is_the_same_with_one_and_two_blas_threads(tmp_path):
     # the classify goldens, a test-size bench Gaussian and a Gaussian on the
-    # cylinder (continuous, both on the ring blocks: an FFT and a batched
-    # matmul) rerun in fresh interpreters print the same bytes whatever the
-    # number of BLAS threads
+    # cylinder (continuous, both on the ring blocks: the DFT along the rings
+    # and its inverse as matrix products, a batched matmul of the blocks,
+    # and Arnoldi on the zero-frequency block) rerun in fresh interpreters
+    # print the same bytes whatever the number of BLAS threads
     cfg = json.loads((GOLDEN.parents[1] / "bench" / "gaussian_ball.json").read_text())
     cfg["problem"]["kernel"]["amplitude"] = 0.15
     cfg["grid"].update(resolution=6, grading_depth=8)

@@ -832,6 +832,52 @@ def test_coarse_ring_blocks_take_no_tolerance(caplog, tol):
     assert rep.coarse_lambda1 == exact.value
 
 
+def test_ring_classify_iterates_on_the_zero_frequency_block(caplog):
+    # on the ring blocks each Kt run's Arnoldi iterates on one entry per
+    # ring, the zero-frequency block, and the log names that block beside
+    # the grid size; the certificate is the whole operator's, and the
+    # factor's runs iterate on the whole grid, with no block named
+    prob = gaussian_ball(10, 12)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, confirm=True)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    runs = re.findall(r"(ktilde\S*) n=(\d+) block=(\d+) arnoldi matvecs=\d+ residual=", line)
+    m_c, n_c = map(int, re.search(r"kernel-coarse ring rings=(\d+) of (\d+)$", line).groups())
+    assert runs == [("ktilde", "3600", "180"), ("ktilde-coarse", str(rep.coarse_size), str(m_c))]
+    assert m_c * n_c == rep.coarse_size
+    kw, gap = spectral._kernel_operator(prob), spectral._gap(prob, rep.sup_a)
+    pair, product = spectral._ktilde_pair(kw, gap)
+    assert (pair.block, pair.start, pair.iterations) == (180, "arnoldi", 1)
+    assert np.array_equal(pair.vector, np.repeat(pair.vector[::20], 20))
+    assert np.array_equal(product, kw @ (pair.vector / gap))
+    assert pair.interval == rep.lambda1_interval
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        classify_regime(gaussian_ball(4, 5, isotropic=False), confirm=True)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert "ktilde n=" in line and "block=" not in line
+
+
+@pytest.mark.parametrize("k", [800, -800])
+def test_kernel_scaled_by_a_power_of_two_scales_lambda1_exactly(caplog, k):
+    # Arnoldi runs on Kt scaled by a power of two read off max diag(Kt), so
+    # a kernel 2^k times larger gives the same Arnoldi vector: lambda1 and
+    # its interval are 2^k times the unscaled ones, bit for bit, and the
+    # vector is Arnoldi's, certified at once, even where an unscaled step
+    # would overflow (2^800 ~ 7e240) or lose its digits
+    base = classify_regime(gaussian_ball(6, 8), confirm=False)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(gaussian_ball(6, 8, amplitude=0.15 * 2.0**k), confirm=False)
+    assert rep.lambda1 == math.ldexp(base.lambda1, k)
+    assert rep.lambda1_interval == tuple(math.ldexp(x, k) for x in base.lambda1_interval)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert re.search(r"perron: ktilde n=\d+ block=\d+ arnoldi matvecs=\d+ residual=", line)
+    assert "fallback=power" not in line
+
+
 def test_factor_passes_the_nodes_once_in_fortran_order():
     # every panel of full factor rows is evaluated against one Fortran-order
     # copy of the nodes, so the Gaussian's np.asfortranarray copies nothing;
@@ -1333,6 +1379,65 @@ def test_ring_blocks_match_dense_kernel_weights(data):
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
     if prob.grid.mesh_size < prob.kernel.positivity_witness[1]:
         assert hi - lo <= 1e-13 * lam1
+
+
+def dense_lambda_p(prob):
+    # minus the top eigenvalue of K W + diag(a), similar to
+    # sqrt(W) K sqrt(W) + diag(a)
+    nodes, r = prob.grid.nodes, np.sqrt(prob.grid.weights)
+    full = r[:, None] * prob.kernel.evaluate(nodes, nodes) * r[None, :]
+    full[np.diag_indices_from(full)] += prob.a_at_nodes
+    n = prob.grid.size
+    return -float(eigh(full, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ring_classify_brackets_the_dense_oracle(data):
+    # random ring problems, balls anywhere and cylinders with a radial
+    # coefficient: K W applies as the dense array does, and classify, whose
+    # Arnoldi runs on the zero-frequency block, certifies lambda1 and
+    # lambda_p intervals that hold the dense eigh values (to the oracle's
+    # round-off) and a density constant on every ring
+    kind = data.draw(st.sampled_from(["ball", "cylinder"]))
+    resolution = data.draw(st.integers(2, 6))
+    depth = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+    kernel = gaussian_kernel(data.draw(st.floats(0.05, 2.0)), data.draw(st.floats(0.05, 2.0)))
+    top, scale = data.draw(st.floats(-1.0, 2.0)), data.draw(st.floats(0.5, 2.0))
+    power = data.draw(st.floats(0.5, 3.0))
+    if kind == "cylinder":
+        domain, center, target = Cylinder(radius=1.0, height=1.0), CENTER3, AXIS
+        coeff = radial_power(top, scale, power, center, axes=(0, 1))
+    else:
+        center = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+        domain, target = Ball(center=center, radius=data.draw(st.floats(0.5, 2.0))), center
+        coeff = radial_power(top, scale, power, center)
+    grading = None if depth is None else GradeSpec(targets=(target,), depth=depth)
+    prob = build_problem(domain, kernel, coeff, resolution, grading)
+    kw = spectral._kernel_operator(prob)
+    assert kw.describe().startswith("ring ")
+    dense = spectral._kernel_weights(prob)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for v in (rng.uniform(0.1, 1.0, prob.grid.size), rng.standard_normal(prob.grid.size)):
+        assert np.max(np.abs(kw @ v - dense @ v)) <= 1e-13 * float(np.max(dense @ np.abs(v)))
+    try:
+        rep = classify_regime(prob, confirm=False)
+    except IterationLimitError:
+        # the power loop's known stall: only where the mesh does not resolve
+        # the kernel's positivity radius, a narrow kernel on a coarse mesh
+        assert prob.grid.mesh_size >= prob.kernel.positivity_witness[1]
+        return
+    lam1 = dense_lambda1(prob, rep.sup_a)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    lam_p = dense_lambda_p(prob)
+    lo, hi = rep.lambda_p_interval
+    slack = ROUND * max(1.0, abs(lam_p))
+    assert lo - slack <= lam_p <= hi + slack
+    if rep.eigen_density is not None:
+        rings = rep.eigen_density.reshape(-1, prob.grid.ring)
+        spread = np.max(rings, axis=1) - np.min(rings, axis=1)
+        assert np.all(spread <= 1e-12 * np.max(rings, axis=1))
 
 
 def test_ring_blocks_only_for_a_coefficient_constant_on_rings():
