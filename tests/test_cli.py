@@ -102,8 +102,10 @@ def test_classify_lambda_p_root_budget_exits_2(capsys, monkeypatch):
 
 def test_classify_power_budget_exits_2(capsys, monkeypatch, tmp_path):
     # the power loop's matvec cap is a named failure: a narrow Gaussian whose
-    # Kt loop needs 57 steps, run under a cap of 30
+    # Kt loop from ones needs 57 steps, run under a cap of 30, with no Arnoldi
+    # vector to rerun from
     monkeypatch.setattr(spectral, "_MAX_ITER", 30)
+    monkeypatch.setattr(spectral, "_arnoldi", lambda matvec, v0, budget: None)
     cfg = {"problem": {"domain": {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
                        "kernel": {"family": "gaussian", "amplitude": 5.0, "width": 0.03},
                        "coefficient": {"family": "coordinate_linear", "coeffs": [1.0, 0.5]}},

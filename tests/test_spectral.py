@@ -476,6 +476,27 @@ def test_narrow_gaussian_fallback_to_power_is_certified(caplog):
     assert lo - ROUND * abs(lambda_p) <= lambda_p <= hi + ROUND * abs(lambda_p)
 
 
+def test_stalled_loop_from_ones_reruns_from_the_floored_arnoldi_vector(caplog):
+    # a width-0.066 Gaussian on a mesh of 0.75: the zero-frequency block's
+    # Arnoldi vector has a round-off tail of non-positive entries, and the
+    # loop from ones stalls on the nearly coincident top of the spectrum; the
+    # rerun from that vector, floored at eps, still brackets lambda1
+    prob = build_problem(Cylinder(radius=1.5, height=1.75), gaussian_kernel(0.5, 0.06640625),
+                         radial_power(1.0, 1.0, 1.0, (0.0, 0.0, 0.0), axes=(0, 1)), 7)
+    with caplog.at_level(logging.INFO, logger="specmeasure.spectral"):
+        rep = classify_regime(prob, confirm=False)
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("classify_regime:")]
+    assert re.search(r"perron: ktilde n=686 block=49 arnoldi matvecs=\d+ fallback=power "
+                     r"start=arnoldi-floored iterations=10001 ", line)
+    lam1 = dense_lambda1(prob, rep.sup_a)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    lam_p = dense_lambda_p(prob)
+    lo, hi = rep.lambda_p_interval
+    assert lo - ROUND * abs(lam_p) <= lam_p <= hi + ROUND * abs(lam_p)
+
+
 def test_full_operator_shift_invariance():
     prob = ball_problem(0.1, resolution=4, depth=4)
     est = estimate_lambda_p(prob)
