@@ -1,13 +1,14 @@
 """Domains, graded grids, and quadrature.
 
-The domains are ``Box``, ``Ball`` and ``Product``; ``Interval(lo, hi)`` is
-the one-dimensional ``Box`` and ``Cylinder(radius, height)`` the product of a
+The domains are ``Interval``, ``Ball`` and ``Product``; ``Box(lo, hi)`` is
+the product of its edges and ``Cylinder(radius, height)`` the product of a
 disk and an interval.  Every dispatch on the kind of a domain lives in this
 module.
 
 Grids are midpoint tensor rules.  Balls are discretized in adapted
 coordinates (radial x angular), so radial weights carry the Jacobian factor
-r^(d-1); a product's grid is the tensor grid of its factors' grids.
+r^(d-1); a product's grid is the tensor grid of its factors' grids, each
+graded toward the targets' projections onto it.
 Grading places a geometric cascade of cells toward each target (ratio q per
 level) and truncates at the innermost cascade radius, so no node ever lands
 on a target and integrable singularities of the form dist(x, target)^(-p),
@@ -19,7 +20,7 @@ Ball grids, and products whose first factor is a ball, are built from
 rings: ``Grid.ring`` consecutive nodes of equal weight, each the one before
 rotated by 2 pi / ring about the center, in the plane of the first two
 coordinates; every ring's first node lies at the azimuth pi / ring, on a
-mirror plane of all the rings.  Box grids have no rings (``ring`` 0).
+mirror plane of all the rings.  Other grids have no rings (``ring`` 0).
 """
 
 from __future__ import annotations
@@ -49,29 +50,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Box:
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+class Interval:
+    """The interval [lo, hi]."""
+
+    lo: float
+    hi: float
+    dim = 1
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi) or not self.lo:
-            raise ConfigurationError("box bounds must be nonempty and of equal length")
-        for a, b in zip(self.lo, self.hi):
-            if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
-                raise H1Violation(f"degenerate box edge: [{a}, {b}]")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-
-def Interval(lo: float, hi: float) -> Box:
-    """The interval [lo, hi]: the one-dimensional ``Box``."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise H1Violation("interval endpoints must be finite")
-    if hi <= lo:
-        raise H1Violation(f"empty interval: [{lo}, {hi}]")
-    return Box((lo,), (hi,))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise H1Violation("interval endpoints must be finite")
+        if self.hi <= self.lo:
+            raise H1Violation(f"empty interval: [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -100,7 +90,18 @@ class Product:
         return self.first.dim + self.second.dim
 
 
-Domain = Box | Ball | Product
+Domain = Interval | Ball | Product
+
+
+def Box(lo: tuple[float, ...], hi: tuple[float, ...]) -> Domain:
+    """The box with corners ``lo`` and ``hi``: the product of its edges
+    [lo_k, hi_k], the first edge innermost; a 1-D box is its interval."""
+    if len(lo) != len(hi) or not lo:
+        raise ConfigurationError("box bounds must be nonempty and of equal length")
+    for a, b in zip(lo, hi):
+        if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
+            raise H1Violation(f"degenerate box edge: [{a}, {b}]")
+    return functools.reduce(Product, (Interval(a, b) for a, b in zip(lo, hi)))
 
 
 def Cylinder(radius: float, height: float) -> Product:
@@ -180,11 +181,8 @@ class Grid:
 def volume(domain: Domain) -> float:
     """Lebesgue measure of the domain."""
     match domain:
-        case Box(lo=lo, hi=hi):
-            v = 1.0
-            for a, b in zip(lo, hi):
-                v *= b - a
-            return v
+        case Interval(lo=lo, hi=hi):
+            return hi - lo
         case Ball(center=c, radius=r):
             return math.pi * r * r if len(c) == 2 else 4.0 / 3.0 * math.pi * r**3
         case Product(first=f, second=s):
@@ -213,11 +211,8 @@ def contains(domain: Domain, points: np.ndarray, tol: float = 0.0) -> np.ndarray
     """Membership in the closure of the domain, inflated by ``tol``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     match domain:
-        case Box(lo=lo, hi=hi):
-            ok = np.ones(pts.shape[0], dtype=bool)
-            for ax, (a, b) in enumerate(zip(lo, hi)):
-                ok &= (pts[:, ax] >= a - tol) & (pts[:, ax] <= b + tol)
-            return ok
+        case Interval(lo=lo, hi=hi):
+            return (pts[:, 0] >= lo - tol) & (pts[:, 0] <= hi + tol)
         case Ball(center=c, radius=r):
             d = np.linalg.norm(pts - np.asarray(c), axis=1)
             return d <= r + tol
@@ -231,9 +226,8 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
     """Nearest point of the closed domain, per row."""
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     match domain:
-        case Box(lo=lo, hi=hi):
-            for ax, (a, b) in enumerate(zip(lo, hi)):
-                np.clip(pts[:, ax], a, b, out=pts[:, ax])
+        case Interval(lo=lo, hi=hi):
+            np.clip(pts[:, 0], lo, hi, out=pts[:, 0])
         case Ball(center=c, radius=r):
             cc = np.asarray(c, dtype=float)
             off = pts - cc
@@ -253,8 +247,8 @@ def project_to_closure(domain: Domain, points: np.ndarray) -> np.ndarray:
 
 def _linear_maximizer(domain: Domain, c: np.ndarray,
                       start: np.ndarray) -> np.ndarray:
-    """A maximizer of x -> c . x over the closed domain: a face or corner of
-    a box, center + r c / |c| on a ball, the same per factor of a product.
+    """A maximizer of x -> c . x over the closed domain: an end of an
+    interval, center + r c / |c| on a ball, the same per factor of a product.
     Directions that c leaves free keep ``start``, projected."""
     if isinstance(domain, Product):
         k = domain.first.dim
@@ -262,7 +256,7 @@ def _linear_maximizer(domain: Domain, c: np.ndarray,
                                _linear_maximizer(domain.second, c[k:], start[k:])])
     best = project_to_closure(domain, start[None, :])[0]
     match domain:
-        case Box(lo=lo, hi=hi):
+        case Interval(lo=lo, hi=hi):
             best = np.where(c > 0, hi, np.where(c < 0, lo, best))
         case Ball(center=center, radius=r):
             norm = float(np.linalg.norm(c))
@@ -288,9 +282,9 @@ def _chord(domain: Domain, point: np.ndarray, axis: int) -> Segment | None:
                 return None
             ends = (chord.start[axis - lead], chord.end[axis - lead])
             mid[axis] = (ends[0] + ends[1]) / 2
-        case Box(lo=lo, hi=hi):
-            mid[axis] = lo[axis]
-            ends = (lo[axis], hi[axis])
+        case Interval(lo=lo, hi=hi):
+            mid[0] = lo
+            ends = (lo, hi)
         case Ball(center=c, radius=r):
             mid[axis] = c[axis]
             off = mid - np.asarray(c, dtype=float)
@@ -488,75 +482,56 @@ def _build_ball(domain: Ball, resolution: int, grading: GradeSpec | None) -> Gri
                 grading=grading, grade_spans=spans, ring=n_phi)
 
 
-def _axis_targets(grading: GradeSpec | None, dim: int) -> list[tuple[float, ...]]:
-    """Per-axis 1-D target coordinates for box grids; an interval, the 1-D
-    box, takes point targets only."""
-    per_axis: list[tuple[float, ...]] = [() for _ in range(dim)]
-    if grading is None:
-        return per_axis
-    for t in grading.targets:
-        if isinstance(t, Segment):
-            if dim == 1:
-                raise ConfigurationError("interval grading targets must be points")
-            axis_dirs = [abs(a - b) > 1e-14 for a, b in zip(t.start, t.end)]
-            if sum(axis_dirs) != 1:
-                raise ConfigurationError(
-                    "box grading supports axis-aligned segment targets only"
-                )
-            for ax in range(dim):
-                if not axis_dirs[ax]:
-                    per_axis[ax] = per_axis[ax] + (t.start[ax],)
-        else:
-            for ax in range(dim):
-                per_axis[ax] = per_axis[ax] + (t[ax],)
-    return per_axis
-
-
-def _build_box(domain: Box, resolution: int, grading: GradeSpec | None) -> Grid:
-    lo, hi, dim = domain.lo, domain.hi, domain.dim
-    per_axis = _axis_targets(grading, dim)
-    ratio = grading.ratio if grading else 0.5
-    depth = grading.depth if grading else 0
-    mids, ws = [], []
-    spans: list[float] = []
-    for ax in range(dim):
-        cells = _line_cells(lo[ax], hi[ax], resolution, per_axis[ax], ratio, depth)
-        m, w = _midpoints_widths(cells)
-        mids.append(m)
-        ws.append(w)
-        for t in per_axis[ax]:
-            gaps = [g for g in (t - lo[ax], hi[ax] - t) if g > 0]
-            spans.append(min(gaps) / 2 if gaps else 0.0)
-    _check_nodes(math.prod(m.size for m in mids))
-    nodes = np.stack([g.ravel() for g in np.meshgrid(*mids, indexing="ij")], axis=1)
-    weights = functools.reduce(np.multiply.outer, ws).ravel()
-    mesh = math.sqrt(sum(float(np.max(w)) ** 2 for w in ws))
-    return Grid(nodes, weights, mesh, domain, resolution=resolution,
-                grading=grading, grade_spans=tuple(spans))
+def _build_interval(domain: Interval, resolution: int,
+                    grading: GradeSpec | None) -> Grid:
+    lo, hi = domain.lo, domain.hi
+    targets: tuple[float, ...] = ()
+    if grading is not None:
+        if any(isinstance(t, Segment) for t in grading.targets):
+            raise ConfigurationError("interval grading targets must be points")
+        targets = tuple(t[0] for t in grading.targets)
+    ratio, depth = (grading.ratio, grading.depth) if grading else (0.5, 0)
+    mids, widths = _midpoints_widths(_line_cells(lo, hi, resolution, targets, ratio, depth))
+    _check_nodes(mids.size)
+    spans = []
+    for t in targets:
+        gaps = [g for g in (t - lo, hi - t) if g > 0]
+        spans.append(min(gaps) / 2 if gaps else 0.0)
+    return Grid(mids[:, None], widths, float(np.max(widths)), domain,
+                resolution=resolution, grading=grading, grade_spans=tuple(spans))
 
 
 def _build_product(domain: Product, resolution: int,
                    grading: GradeSpec | None) -> Grid:
     """The tensor grid of the factors' grids, second factor outermost: the
     first factor's nodes tiled, the second's repeated, so the first
-    factor's rings stay rings.
+    factor's rings stay rings, and a box's first edge varies fastest.
 
-    Each grading target must be a segment along the second factor, its
-    first-factor coordinates constant; the first factor is graded toward
-    their projections, with the spec's ratio and depth, and the grid's
-    cascade spans are the first factor's."""
-    f, s, k = domain.first, domain.second, domain.first.dim
-    first_grading = None
-    if grading is not None:
-        for t in grading.targets:
-            if not isinstance(t, Segment) or (
-                    math.dist(t.start[:k], t.end[:k]) > 1e-9 * math.dist(t.start, t.end)):
-                raise ConfigurationError("product grids support grading toward "
-                                         "segments along the second factor only")
-        first_grading = GradeSpec(tuple(t.start[:k] for t in grading.targets),
-                                  grading.ratio, grading.depth)
-    gf = build_grid(f, resolution, first_grading)
-    gs = build_grid(s, resolution)
+    Each grading target is projected onto each factor, which is graded
+    toward the projections with the spec's ratio and depth.  A point
+    projects to a point.  A segment must move within one factor only: that
+    factor receives the segment, or runs along it ungraded if it is an
+    interval, and the other factor the segment's projected point.  The
+    grid's cascade spans are the first factor's, then the second's."""
+    factors, k = (domain.first, domain.second), domain.first.dim
+    projected: tuple[list[Target], list[Target]] = ([], [])
+    for t in grading.targets if grading else ():
+        if not isinstance(t, Segment):
+            projected[0].append(t[:k])
+            projected[1].append(t[k:])
+            continue
+        ends = ((t.start[:k], t.end[:k]), (t.start[k:], t.end[k:]))
+        tol = 1e-9 * math.dist(t.start, t.end)
+        along = 0 if math.dist(*ends[0]) > tol else 1
+        if along == 0 and math.dist(*ends[1]) > tol:
+            raise ConfigurationError("product grids support grading toward "
+                                     "segments along one factor only")
+        if not isinstance(factors[along], Interval):
+            projected[along].append(Segment(*ends[along]))
+        projected[1 - along].append(ends[1 - along][0])
+    gf, gs = (build_grid(factor, resolution,
+                         GradeSpec(tuple(ts), grading.ratio, grading.depth) if ts else None)
+              for factor, ts in zip(factors, projected))
     nf, ns = gf.size, gs.size
     _check_nodes(nf * ns)
     nodes = np.empty((ns, nf, domain.dim))
@@ -565,8 +540,8 @@ def _build_product(domain: Product, resolution: int,
     weights = np.multiply.outer(gs.weights, gf.weights).ravel()
     return Grid(nodes.reshape(-1, domain.dim), weights,
                 math.hypot(gf.mesh_size, gs.mesh_size), domain,
-                resolution=resolution, grading=grading, grade_spans=gf.grade_spans,
-                ring=gf.ring)
+                resolution=resolution, grading=grading,
+                grade_spans=gf.grade_spans + gs.grade_spans, ring=gf.ring)
 
 
 def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None) -> Grid:
@@ -589,8 +564,8 @@ def build_grid(domain: Domain, resolution: int, grading: GradeSpec | None = None
             raise ConfigurationError(f"grading target dimension mismatch: {t} in a "
                                      f"domain of dimension {domain.dim}")
     match domain:
-        case Box():
-            return _build_box(domain, resolution, grading)
+        case Interval():
+            return _build_interval(domain, resolution, grading)
         case Ball():
             return _build_ball(domain, resolution, grading)
         case Product():

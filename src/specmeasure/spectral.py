@@ -49,8 +49,8 @@ similarity sqrt(b) K sqrt(b), b = w / (a0 - a), of Kt, which is symmetric
 for a symmetric kernel, scaled by the least power of two above
 max diag(Kt) so that no step overflows; then one loop certifies it on the
 whole of Kt itself, whatever block Arnoldi ran on: power
-iteration from that vector if it is strictly positive, else from ones (and,
-if that stalls, from the vector floored at eps), until
+iteration from that vector, floored at eps if it is not strictly positive
+(from ones if Arnoldi fails, or the floored loop stalls), until
 an iterate v meets the residual tolerance.  v's ratio interval
 [min_i (Kt v)_i / v_i, max_i (Kt v)_i / v_i] brackets the spectral radius of
 a nonnegative irreducible matrix for any positive v.  The public ``perron``
@@ -685,13 +685,12 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray,
     the weight and ``gap`` of each ring's first node, and its vector is
     lifted by repeating each entry along its ring.  ``_power`` certifies
     that vector on the whole of Kt, in Kt's coordinates, at one matvec, or
-    runs from it if it misses ``_TOL_POWER``; from ones if it is not
-    strictly positive (on narrow kernels, a round-off tail).  Where that
-    loop from ones exhausts ``_MAX_ITER`` (a narrow kernel on a coarse mesh,
-    whose top eigenvalues nearly coincide), it reruns from the Arnoldi
-    vector with its tail floored at eps: that vector passes the residual,
-    and its interval is loose by the ratios at the floored nodes; the
-    pair's ``iterations`` count both loops.
+    runs from it if it misses ``_TOL_POWER``.  A vector that is not
+    strictly positive (on narrow kernels, a round-off tail) starts the loop
+    with its tail floored at eps: it passes the residual, and its interval
+    is loose by the ratios at the floored nodes.  The loop runs from ones
+    where Arnoldi returned no vector, or where the floored loop exhausts
+    ``_MAX_ITER``; then the pair's ``iterations`` count both loops.
     """
     n = kw.ring or 1                # each ring's first node stands for its ring
     block = kw if kw.blocks is None else kw.blocks[0]
@@ -709,21 +708,25 @@ def _ktilde_pair(kw: KernelWeights, gap: np.ndarray,
     v = None if y is None else np.repeat(y / s, n)
     if v is not None:
         v = v / v[np.argmax(np.abs(v))]
-    positive = v is not None and bool(np.all(v > 0))
 
     def run(v0: np.ndarray) -> tuple[PerronPair, np.ndarray]:
         return _power(lambda u: kw @ (u / gap), v0, _TOL_POWER,
                       slack=lambda u: kw.slack(u / gap))
 
-    try:
-        pair, product = run(v if positive else np.ones(gap.size))
-        start_from = "arnoldi" if positive else "ones"
-    except IterationLimitError:
-        if v is None or positive:
-            raise
-        pair, product = run(np.maximum(v, np.finfo(float).eps))
-        pair = replace(pair, iterations=_MAX_ITER + pair.iterations)
-        start_from = "arnoldi-floored"
+    if v is None:
+        pair, product = run(np.ones(gap.size))
+        start_from = "ones"
+    elif bool(np.all(v > 0)):
+        pair, product = run(v)
+        start_from = "arnoldi"
+    else:
+        try:
+            pair, product = run(np.maximum(v, np.finfo(float).eps))
+            start_from = "arnoldi-floored"
+        except IterationLimitError:
+            pair, product = run(np.ones(gap.size))
+            pair = replace(pair, iterations=_MAX_ITER + pair.iterations)
+            start_from = "ones"
     return replace(pair, arnoldi_matvecs=matvecs, block=s.size,
                    start=start_from), product
 

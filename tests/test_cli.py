@@ -960,20 +960,34 @@ def test_dimension_mismatch_exits_one(capsys, tmp_path, command, example, cfg, m
 
 
 @pytest.mark.parametrize("center, axes, message", [
-    ([0.0, 0.0, 0.5], None,
-     "product grids support grading toward segments along the second factor only"),
     ([0.3, 0.0, 0.5], [0, 1], "ball grids support grading toward the center only"),
-], ids=["point", "off-axis-chord"])
+], ids=["off-axis-chord"])
 def test_cylinder_grading_off_its_axis_exits_one(capsys, tmp_path, center, axes, message):
-    # the cylinder is graded toward its axis only: the automatic target of
-    # a radial power over all three axes is a point, and over the first two
-    # about an off-axis center a chord the disk cannot be graded toward
+    # the automatic target of a radial power over the first two axes about
+    # an off-axis center is a chord, which projects onto the disk as a point
+    # off its center, and the disk is graded toward its center only
     cfg = {"problem": {"coefficient": {"center": center, "axes": axes}},
            "grid": {"grading_targets": "auto"}}
     code, out, err = run(capsys, "classify", "--example", "cylinder", "--resolution", "4",
                          "--depth", "4", "--config", config_file(tmp_path, cfg))
     assert (code, out) == (1, "")
     assert err == f"error[configuration]: {message}\n"
+
+
+def test_cylinder_graded_toward_a_point_on_its_axis_classifies(capsys, tmp_path):
+    # the automatic target of a radial power over all three axes is a point;
+    # it projects onto the disk's center and onto the height, and each
+    # factor is graded toward its projection (the point refused once)
+    cfg = {"problem": {"coefficient": {"center": [0.0, 0.0, 0.5], "axes": None}},
+           "grid": {"grading_targets": "auto"}}
+    args = ("--example", "cylinder", "--resolution", "4", "--depth", "4",
+            "--config", config_file(tmp_path, cfg))
+    code, out, err = run(capsys, "classify", *args)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["regime"] == "singular_measure"
+    grid = built("classify", *args).grid
+    assert grid.grading.targets == ((0.0, 0.0, 0.5),)
+    assert grid.grade_spans == (0.5, 0.25)
 
 
 def test_one_dimensional_box_segment_target_exits_one(capsys, tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
 import ast
+import functools
 import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specmeasure import (
@@ -228,13 +229,15 @@ def test_invalid_grading_rejected():
     with pytest.raises(ConfigurationError):
         build_grid(Ball(center=(0.0, 0.0), radius=1.0), 4,
                    GradeSpec(targets=((0.5, 0.0),)))
-    # a product grades its first factor toward segments along its second
+    # a product grades each factor toward the projections of a point or of
+    # a segment along one factor, and refuses an oblique segment
     square = Product(Interval(0.0, 1.0), Interval(0.0, 1.0))
-    for target in ((0.5, 0.5), Segment((0.5, 0.0), (0.6, 1.0)),
+    for target in ((0.5, 0.5), Segment((0.5, 0.0), (0.5, 1.0)),
                    Segment((0.0, 0.5), (1.0, 0.5))):
-        with pytest.raises(ConfigurationError, match="^product grids support grading "
-                           "toward segments along the second factor only$"):
-            build_grid(square, 4, GradeSpec(targets=(target,)))
+        assert build_grid(square, 4, GradeSpec(targets=(target,))).grading.targets == (target,)
+    with pytest.raises(ConfigurationError, match="^product grids support grading "
+                       "toward segments along one factor only$"):
+        build_grid(square, 4, GradeSpec(targets=(Segment((0.5, 0.0), (0.6, 1.0)),)))
     with pytest.raises(ConfigurationError):
         build_grid(Interval(0.0, 1.0), 1)
 
@@ -394,6 +397,64 @@ def test_oversized_grid_refused_before_its_cells_exist(monkeypatch, domain, reso
     assert peak < budget
 
 
+@st.composite
+def graded_boxes(draw):
+    """Corners of a 1-3-D box and a spec: none, or toward a point or (in 2-D
+    and 3-D) a segment along one axis, each drawn in the closed box."""
+    lo = draw(st.lists(coords, min_size=1, max_size=3))
+    hi = [a + draw(lengths) for a in lo]
+    kind = draw(st.sampled_from(["none", "point", "segment"][:2 + (len(lo) > 1)]))
+    if kind == "none":
+        return lo, hi, None
+    unit = st.floats(0.0, 1.0)
+    point = [a + draw(unit) * (b - a) for a, b in zip(lo, hi)]
+    target = tuple(point)
+    if kind == "segment":
+        axis = draw(st.integers(0, len(lo) - 1))
+        ends = sorted(lo[axis] + draw(unit) * (hi[axis] - lo[axis]) for _ in range(2))
+        assume(ends[0] < ends[1])
+        start, end = list(point), list(point)
+        start[axis], end[axis] = ends
+        target = Segment(tuple(start), tuple(end))
+    return lo, hi, GradeSpec((target,), draw(st.floats(0.2, 0.8)), draw(st.integers(1, 8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(box=graded_boxes(), resolution=st.integers(2, 6))
+def test_box_is_the_tensor_product_of_its_graded_edges(box, resolution):
+    # each edge graded toward the target's projection onto it, or ungraded
+    # along the segment's own axis; the first edge varies fastest
+    lo, hi, spec = box
+    grid = build_grid(Box(tuple(lo), tuple(hi)), resolution, spec)
+    edges = []
+    for k, edge in enumerate(map(Interval, lo, hi)):
+        target = None if spec is None else spec.targets[0]
+        if isinstance(target, Segment):
+            target = None if target.start[k] != target.end[k] else (target.start[k],)
+        elif target is not None:
+            target = (target[k],)
+        edges.append(build_grid(edge, resolution, target and GradeSpec(
+            (target,), spec.ratio, spec.depth)))
+    mids = np.meshgrid(*(e.nodes[:, 0] for e in reversed(edges)), indexing="ij")
+    nodes = np.stack([m.ravel() for m in reversed(mids)], axis=1)
+    weights = functools.reduce(lambda acc, e: np.multiply.outer(e.weights, acc),
+                               edges[1:], edges[0].weights).ravel()
+    assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(grid.weights, weights)
+    assert grid.grade_spans == sum((e.grade_spans for e in edges), ())
+    assert grid.mesh_size == pytest.approx(math.hypot(*(e.mesh_size for e in edges)),
+                                           rel=1e-15)
+    assert grid.grading is spec
+    if len(lo) > 1:
+        # a segment moving along two edges
+        oblique = GradeSpec((Segment(tuple(lo), tuple(hi)),))
+        for domain in (Box(tuple(lo), tuple(hi)),
+                       Product(Interval(lo[0], hi[0]), Box(tuple(lo[1:]), tuple(hi[1:])))):
+            with pytest.raises(ConfigurationError, match="^product grids support grading "
+                               "toward segments along one factor only$"):
+                build_grid(domain, resolution, oblique)
+
+
 @pytest.mark.parametrize("domain, target", [
     (Ball(center=(0.0, 0.0, 0.0), radius=1.0), (0.0, 0.0)),
     (Ball(center=(0.0, 0.0), radius=1.0), (0.0, 0.0, 0.0)),
@@ -406,9 +467,9 @@ def test_target_of_another_dimension_refused(domain, target):
         build_grid(domain, 4, GradeSpec(targets=(target,), depth=3))
 
 
-DOMAIN_CLASSES = {"Box", "Ball", "Product"}
+DOMAIN_CLASSES = {"Interval", "Ball", "Product"}
 # domains built by a function, which no ``case`` or ``isinstance`` can name
-DOMAIN_FUNCTIONS = {"Interval", "Cylinder"}
+DOMAIN_FUNCTIONS = {"Box", "Cylinder"}
 
 
 def _names(node):

@@ -849,9 +849,8 @@ def inner_point(domain, u):
     way from the middle to the boundary along each radius or edge, per
     factor of a product."""
     u = np.asarray(u)
-    if isinstance(domain, Box):
-        lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
-        return 0.5 * (lo + hi) + 0.45 * u * (hi - lo)
+    if isinstance(domain, Interval):
+        return 0.5 * (domain.lo + domain.hi) + 0.45 * u * (domain.hi - domain.lo)
     if isinstance(domain, Ball):
         return np.asarray(domain.center) + 0.9 * domain.radius * u / max(1.0, np.linalg.norm(u))
     k = domain.first.dim

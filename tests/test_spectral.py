@@ -488,7 +488,23 @@ def test_stalled_loop_from_ones_reruns_from_the_floored_arnoldi_vector(caplog):
     line, = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("classify_regime:")]
     assert re.search(r"perron: ktilde n=686 block=49 arnoldi matvecs=\d+ fallback=power "
-                     r"start=arnoldi-floored iterations=10001 ", line)
+                     r"start=arnoldi-floored iterations=1 ", line)
+    lam1 = dense_lambda1(prob, rep.sup_a)
+    lo, hi = rep.lambda1_interval
+    assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
+    lam_p = dense_lambda_p(prob)
+    lo, hi = rep.lambda_p_interval
+    assert lo - ROUND * abs(lam_p) <= lam_p <= hi + ROUND * abs(lam_p)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.2])
+def test_cylinder_graded_toward_a_point_on_its_axis_holds_dense_eigenvalues(rho):
+    # the disk graded toward its center, the height toward the point's
+    point = (0.0, 0.0, 0.5)
+    prob = build_problem(Cylinder(radius=1.0, height=1.0), constant_kernel(rho),
+                         radial_power(top=1.0, scale=1.0, power=1.0, center=point),
+                         resolution=4, grading=GradeSpec(targets=(point,), depth=4))
+    rep = classify_regime(prob, confirm=False)
     lam1 = dense_lambda1(prob, rep.sup_a)
     lo, hi = rep.lambda1_interval
     assert lo - ROUND * lam1 <= lam1 <= hi + ROUND * lam1
